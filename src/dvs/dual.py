@@ -21,6 +21,7 @@ yields a global-optimality certificate for the primal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -35,18 +36,31 @@ PINV_TOL_FACTOR = 1e-10
 class GFactorization:
     """A solve handle for G(mu): Cholesky when PD, else eigendecomposition.
 
-    ``positive_definite`` records which route was taken.  ``min_eig`` is
-    exact on the eigen route; after a successful Cholesky it is a cheap
-    positive lower bound (Gershgorin-style) — the factorization itself is
-    the proof that the true minimum eigenvalue is positive.
+    ``positive_definite`` records which route was taken.
     """
 
     matrix: np.ndarray
     positive_definite: bool
-    min_eig: float
     _cho: tuple = field(default=None, repr=False)
     _eigvals: np.ndarray = field(default=None, repr=False)
     _eigvecs: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def min_eig(self) -> float:
+        """The smallest eigenvalue, computed on first read.
+
+        Exact on the eigen route.  After a successful Cholesky it is the
+        guaranteed-positive bound 1/||G^-1||_inf (valid since ||M||_2 <=
+        ||M||_inf for symmetric M) rather than a round-off-negative exact
+        eigenvalue — the factorization itself is the proof that the true
+        minimum is positive.  The bound forms the full inverse, so nothing
+        on the solve path reads it.
+        """
+        if not self.positive_definite:
+            return float(self._eigvals[0])
+        inv_cols = cho_solve(self._cho, np.eye(self.matrix.shape[0]),
+                             check_finite=False)
+        return 1.0 / float(np.abs(inv_cols).sum(axis=1).max())
 
     @property
     def pinv_cutoff(self) -> float:
@@ -95,21 +109,14 @@ def factorize_g(q: BinaryQP, mu: np.ndarray) -> GFactorization:
     supports pseudo-inverse solves and reports the smallest eigenvalue.
     """
     G = g_matrix(q, mu)
-    frozen = G.copy()
-    frozen.flags.writeable = False
+    G.flags.writeable = False
     try:
         cho = cho_factor(G, lower=True, check_finite=False)
     except LinAlgError:
-        w, V = eigh(frozen, check_finite=False)
-        return GFactorization(matrix=frozen, positive_definite=False,
-                              min_eig=float(w[0]), _eigvals=w, _eigvecs=V)
-    # Cholesky proves min_eig > 0; report the guaranteed-positive bound
-    # 1/||G^-1||_inf (valid since ||M||_2 <= ||M||_inf for symmetric M)
-    # rather than risking a round-off-negative exact eigenvalue.
-    inv_cols = cho_solve(cho, np.eye(G.shape[0]), check_finite=False)
-    bound = 1.0 / float(np.abs(inv_cols).sum(axis=1).max())
-    return GFactorization(matrix=frozen, positive_definite=True,
-                          min_eig=bound, _cho=cho)
+        w, V = eigh(G, check_finite=False)
+        return GFactorization(matrix=G, positive_definite=False,
+                              _eigvals=w, _eigvecs=V)
+    return GFactorization(matrix=G, positive_definite=True, _cho=cho)
 
 
 def recover_y(fact: GFactorization, F: np.ndarray) -> tuple[np.ndarray, float]:
@@ -169,14 +176,18 @@ def total_complementary(q: BinaryQP, y: np.ndarray, d: DualPoint) -> float:
     return float(val)
 
 
-def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN) -> bool:
+def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN,
+                 fact: GFactorization = None) -> bool:
     """Membership in the certificate cone: sigma >= 0, mu >= mu_min, G PD.
 
     ``mu_min`` is the computable stand-in for strict positivity of mu;
-    positive definiteness is the Cholesky test from :func:`factorize_g`.
+    positive definiteness is the Cholesky test from :func:`factorize_g`
+    (``fact``, when given, must be ``factorize_g(q, d.mu)``).
     """
     if q.m and np.any(d.sigma < 0.0):
         return False
     if np.any(d.mu < mu_min):
         return False
-    return factorize_g(q, d.mu).positive_definite
+    if fact is None:
+        fact = factorize_g(q, d.mu)
+    return fact.positive_definite

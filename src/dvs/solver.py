@@ -12,18 +12,33 @@ which leaves the ascent gradient (D y - b, y * (y - 1)) for the outer
 variables.  The outer loop is a projected L-BFGS (two-loop recursion on
 the free coordinates) with an Armijo backtracking line search that
 rejects any trial whose G(mu) fails Cholesky — feasibility before ascent.
+
+The ascent stops at the first iterate that certifies: its rounded y
+passes the same recover/round/verify_kkt certificate that ``solve`` and
+``dvs check`` apply, screened first by comparing the rounded point's
+objective with the dual value.  The certified gap is therefore at most
+``tol_gap * (1 + |objective|)`` rather than round-off.  Instances that
+never certify run the ascent to its other stopping rules unchanged.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
 
-from .dual import MU_MIN, dual_value, f_vector, factorize_g, in_dual_cone, recover_y
+from .dual import (
+    MU_MIN,
+    GFactorization,
+    dual_value,
+    f_vector,
+    factorize_g,
+    in_dual_cone,
+    recover_y,
+)
 from .lift import lift, recover_x
 from .model import (
     CERTIFIED_GLOBAL,
@@ -42,6 +57,7 @@ from .oracle import enumerate_discrete
 
 log = logging.getLogger("dvs.solver")
 
+TERM_CERTIFIED = "Certified"
 TERM_CONVERGED = "Converged"
 TERM_MAX_ITER = "MaxIterations"
 TERM_STALL = "LineSearchStall"
@@ -75,11 +91,26 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class Candidate:
+    """The point recovered from a dual point, rounded and certified."""
+
+    y: np.ndarray
+    y01: np.ndarray
+    low_confidence_blocks: tuple[int, ...]
+    certificate: Certificate
+
+
+@dataclass(frozen=True)
 class AscentTrace:
-    """Dual values of the accepted iterates plus the termination reason."""
+    """Dual values of the accepted iterates plus the termination reason.
+
+    ``candidate`` is the certified candidate at the final iterate when the
+    ascent stopped "Certified", else None.
+    """
 
     values: tuple[float, ...]
     termination: str
+    candidate: Candidate = field(default=None, compare=False, repr=False)
 
     @property
     def iterations(self) -> int:
@@ -143,13 +174,15 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
 
     Every accepted iterate keeps G(mu) Cholesky-positive-definite and
     never decreases the dual value; the trace records the dual value of
-    the initial point and of each accepted step.  Terminates when the
-    projected gradient infinity-norm falls to tol_grad ("Converged"),
-    after max_iter steps ("MaxIterations"), or when no further progress
-    is possible — the line search finds no ascent step above 1e-16, or
-    the dual value has been exactly flat for 50 consecutive accepted
-    steps ("LineSearchStall", best iterate returned — typically at the
-    round-off floor).
+    the initial point and of each accepted step.  Terminates at the first
+    iterate (the initial point included) whose rounded point certifies as
+    CertifiedGlobal ("Certified", the candidate is carried on the trace);
+    otherwise when the projected gradient infinity-norm falls to tol_grad
+    ("Converged"), after max_iter steps ("MaxIterations"), or when no
+    further progress is possible — the line search finds no ascent step
+    above 1e-16, or the dual value has been exactly flat for 50
+    consecutive accepted steps ("LineSearchStall", best iterate returned —
+    typically at the round-off floor).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -159,11 +192,21 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     lb = np.concatenate([np.zeros(m), np.full(K, cfg.mu_min)])
 
     f, g, y, tau = _tau_eliminated(q, w)
+    evaluations, rejections = 1, 0
     values = [-f]
     memory = []
     termination = TERM_MAX_ITER
     flat_steps = 0
-    for it in range(cfg.max_iter):
+    for it in range(cfg.max_iter + 1):
+        candidate = _certified_candidate(q, w, tau, y, -f, cfg)
+        if candidate is not None:
+            termination = TERM_CERTIFIED
+            break
+        if flat_steps >= _STALL_PATIENCE:
+            termination = TERM_STALL
+            break
+        if it == cfg.max_iter:
+            break
         at_bound = w <= lb
         pg = np.where(at_bound, np.minimum(g, 0.0), g)
         pg_norm = float(np.abs(pg).max())
@@ -202,7 +245,10 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
             dg = g @ (w_try - w)
             if dg < 0.0:
                 res = _tau_eliminated(q, w_try)
-                if res is not None and res[0] <= f + _ARMIJO_C1 * dg:
+                evaluations += 1
+                if res is None:
+                    rejections += 1
+                elif res[0] <= f + _ARMIJO_C1 * dg:
                     accepted = (w_try, res)
                     break
             step *= 0.5
@@ -221,14 +267,53 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
                 memory.pop(0)
         w, f, g, y, tau = w_try, f_try, g_try, y_try, tau_try
         values.append(-f)
-        if flat_steps >= _STALL_PATIENCE:
-            termination = TERM_STALL
-            break
 
-    log.info("dual ascent: %s after %d iterations, dual=%.12g",
-             termination, len(values) - 1, -f)
+    log.info("dual ascent: %s after %d iterations, dual=%.12g, "
+             "%d dual evaluations, %d cone rejections",
+             termination, len(values) - 1, -f, evaluations, rejections)
     point = DualPoint(sigma=w[:m], tau=tau, mu=w[m:])
-    return point, AscentTrace(values=tuple(values), termination=termination)
+    return point, AscentTrace(values=tuple(values), termination=termination,
+                              candidate=candidate)
+
+
+def _certified_candidate(q: BinaryQP, w: np.ndarray, tau: np.ndarray,
+                         y: np.ndarray, dual: float, cfg: SolverConfig):
+    """The certified candidate at an ascent iterate, or None.
+
+    A cheap O(mK + K^2) screen comes first: round the kernel's y and
+    require its objective to meet ``dual`` within the gap tolerance, with
+    D y01 <= b and sigma'(D y01 - b) within the residual tolerance.  Only
+    a point that passes gets the full certificate of :func:`_certify`.
+    """
+    y01, _ = round_binary(y, q.blocks, cfg.round_threshold)
+    value = binary_objective(q, y01)
+    tol = cfg.tol_gap * (1.0 + abs(value))
+    if abs(value - dual) > tol:
+        return None
+    if q.m:
+        slack = q.D @ y01 - q.b
+        if slack.max() > tol or abs(w[:q.m] @ slack) > tol:
+            return None
+    d = DualPoint(sigma=w[:q.m], tau=tau, mu=w[q.m:])
+    candidate = _certify(q, d, cfg)
+    if candidate.certificate.status != CERTIFIED_GLOBAL:
+        return None
+    return candidate
+
+
+def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
+    """Recover y at ``d``, round it and certify the rounded point.
+
+    One factorization of G(mu) serves the recovery and the certificate.
+    """
+    fact = factorize_g(q, d.mu)
+    y, _ = recover_y(fact, f_vector(q, d))
+    y01, flagged = round_binary(y, q.blocks, cfg.round_threshold)
+    value = binary_objective(q, y01)
+    cert = verify_kkt(q, y01, d, tol=cfg.tol_gap * (1.0 + abs(value)),
+                      tol_gap=cfg.tol_gap, mu_min=cfg.mu_min, fact=fact)
+    return Candidate(y=y, y01=y01, low_confidence_blocks=flagged,
+                     certificate=cert)
 
 
 def round_binary(y: np.ndarray, blocks, threshold: float = 0.5
@@ -250,13 +335,16 @@ def round_binary(y: np.ndarray, blocks, threshold: float = 0.5
 
 
 def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
-               tol_gap: float = 1e-6, mu_min: float = MU_MIN) -> Certificate:
+               tol_gap: float = 1e-6, mu_min: float = MU_MIN,
+               fact: GFactorization = None) -> Certificate:
     """Compute KKT residuals and the duality gap; classify the outcome.
 
     CertifiedGlobal requires cone membership (sigma >= 0, mu >= mu_min,
     G(mu) PD), every residual at most ``tol``, and a relative duality gap
     at most ``tol_gap``; KKTOnly means the residuals and gap pass but the
-    cone test fails; anything else is NoCertificate.
+    cone test fails; anything else is NoCertificate.  G(mu) is factorized
+    once for the gap and the cone test; ``fact``, when given, must be
+    ``factorize_g(q, d.mu)``.
     """
     y01 = np.asarray(y01, dtype=float)
     hy = q.H @ y01 - 1.0
@@ -273,9 +361,11 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
         dual_feas = max(-float(d.mu.min()), 0.0)
     comp = max(comp, abs(float(d.mu @ had)))
 
+    if fact is None:
+        fact = factorize_g(q, d.mu)
     value = binary_objective(q, y01)
-    gap = abs(value - dual_value(q, d))
-    in_cone = in_dual_cone(q, d, mu_min)
+    gap = abs(value - dual_value(q, d, fact))
+    in_cone = in_dual_cone(q, d, mu_min, fact)
     residuals_ok = max(primal, dual_feas, comp) <= tol
     gap_ok = gap <= tol_gap * (1.0 + abs(value))
     if residuals_ok and gap_ok:
@@ -290,6 +380,9 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
 def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     """Lift, maximize the dual, round, decode, certify — then fall back.
 
+    An ascent that stopped "Certified" hands over the candidate it
+    certified; any other termination certifies the final dual point here.
+
     When the certificate is not CertifiedGlobal and the lifted dimension
     is at most ``fallback_oracle_max_K``, the exhaustive oracle supplies
     the answer and the report status becomes OracleFallback (the failed
@@ -301,12 +394,11 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     t0 = time.perf_counter()
     q = lift(p)
     d, trace = maximize_dual(q, cfg)
-    y, _ = recover_y(factorize_g(q, d.mu), f_vector(q, d))
-    y01, flagged = round_binary(y, q.blocks, cfg.round_threshold)
-    value = binary_objective(q, y01)
-    cert = verify_kkt(q, y01, d, tol=cfg.tol_gap * (1.0 + abs(value)),
-                      tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)
-    x = recover_x(q, y01)
+    candidate = trace.candidate
+    if candidate is None:
+        candidate = _certify(q, d, cfg)
+    cert = candidate.certificate
+    x = recover_x(q, candidate.y01)
     status = cert.status
     if cert.status != CERTIFIED_GLOBAL and q.K <= cfg.fallback_oracle_max_K:
         log.info("certificate is %s; falling back to enumeration (K=%d)",
@@ -315,7 +407,8 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
         status = ORACLE_FALLBACK
     return SolveReport(
         x=x, objective=objective(p, x), certificate=cert, dual_point=d,
-        y=y, iterations=trace.iterations, status=status,
-        solver_status=trace.termination, low_confidence_blocks=flagged,
+        y=candidate.y, iterations=trace.iterations, status=status,
+        solver_status=trace.termination,
+        low_confidence_blocks=candidate.low_confidence_blocks,
         trace=trace.values, seconds=time.perf_counter() - t0,
         seed=cfg.seed, tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)

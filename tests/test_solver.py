@@ -1,5 +1,7 @@
 """Dual ascent, rounding, certification, and the end-to-end solve."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from dvs.generator import GenSpec, generate
 from dvs.lift import lift
 from dvs.model import DiscreteQP, DualPoint
 from dvs.oracle import enumerate_discrete
+from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
+    TERM_CERTIFIED,
     TERM_CONVERGED,
     TERM_MAX_ITER,
     AscentTrace,
@@ -47,7 +51,7 @@ def test_initial_point_is_interior(example1, example2):
 def test_maximize_dual_reaches_reference_value(example1):
     q = lift(example1)
     d, trace = maximize_dual(q)
-    assert trace.termination == TERM_CONVERGED
+    assert trace.termination == TERM_CERTIFIED
     assert trace.values[-1] == pytest.approx(EX1_VALUE, abs=VALUE_TOL)
     # iterate respects the cone bounds
     assert np.all(d.sigma >= 0.0)
@@ -135,7 +139,7 @@ def test_solve_first_reference_instance(example1):
     assert r.status == "CertifiedGlobal"
     assert np.array_equal(r.x, EX1_X)
     assert r.objective == pytest.approx(EX1_VALUE, abs=VALUE_TOL)
-    assert r.solver_status == TERM_CONVERGED
+    assert r.solver_status == TERM_CERTIFIED
     assert r.certificate.gap <= 1e-6 * (1.0 + abs(r.objective))
     assert r.low_confidence_blocks == ()
     assert r.seconds > 0.0
@@ -169,6 +173,7 @@ def test_solve_reports_honestly_with_fallback_disabled():
     p = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
     r = solve(p, SolverConfig(fallback_oracle_max_K=0))
     assert r.status == "NoCertificate"
+    assert r.solver_status != TERM_CERTIFIED
     # the rounded point is still decoded and evaluated
     assert r.x.shape == (3,)
     assert np.isfinite(r.objective)
@@ -188,3 +193,35 @@ def test_solve_report_records_tolerances(example1):
     assert r.tol_gap == 1e-7
     assert r.mu_min == 1e-9
     assert r.seed == 42
+
+
+@pytest.mark.parametrize("name, most", [("example1", 103), ("example2", 187)])
+def test_reference_instances_stop_certified_early(name, most, request):
+    # Run to the round-off floor these took 206 and 375 iterations.
+    _, trace = maximize_dual(lift(request.getfixturevalue(name)))
+    assert trace.termination == TERM_CERTIFIED
+    assert trace.iterations <= most
+    assert trace.candidate.certificate.status == "CertifiedGlobal"
+
+
+def test_certified_stop_reports_pass_check(example1):
+    r = solve(example1)
+    assert r.solver_status == TERM_CERTIFIED
+    # The gap is not at round-off but just inside its tolerance.
+    tol = r.tol_gap * (1.0 + abs(r.objective))
+    assert 0.5 * tol < r.certificate.gap <= tol
+    passed, failures = check(emit_problem(example1), emit_report(r))
+    assert passed, failures
+
+
+def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
+    with caplog.at_level("INFO", logger="dvs.solver"):
+        maximize_dual(lift(example1))
+    line = next(rec.getMessage() for rec in caplog.records
+                if rec.getMessage().startswith("dual ascent:"))
+    found = re.search(r"after (\d+) iterations, .* (\d+) dual evaluations, "
+                      r"(\d+) cone rejections", line)
+    assert found, line
+    iterations, evaluations, rejections = map(int, found.groups())
+    # one evaluation for the start point, at least one per accepted step
+    assert evaluations >= iterations + 1 + rejections
