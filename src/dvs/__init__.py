@@ -19,10 +19,8 @@ from .dual import (
     dual_value,
     f_vector,
     factorize_g,
-    g_matrix,
     in_dual_cone,
     recover_y,
-    total_complementary,
 )
 from .errors import (
     BlockViolation,
@@ -79,9 +77,8 @@ __all__ = [
     # lifting
     "lift", "recover_x", "encode_y",
     # dual algebra
-    "GFactorization", "g_matrix", "f_vector", "factorize_g", "recover_y",
-    "dual_value", "dual_gradient", "total_complementary", "in_dual_cone",
-    "MU_MIN",
+    "GFactorization", "f_vector", "factorize_g", "recover_y", "dual_value",
+    "dual_gradient", "in_dual_cone", "MU_MIN",
     # solver
     "SolverConfig", "AscentTrace", "initial_point", "maximize_dual",
     "round_binary", "verify_kkt", "solve",

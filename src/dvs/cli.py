@@ -58,7 +58,6 @@ def _cmd_solve(args) -> int:
     p = parse_problem(_read(args.problem))
     cfg = SolverConfig(tol_grad=args.tol_grad, tol_gap=args.tol_gap,
                        mu_min=args.mu_min, max_iter=args.max_iter,
-                       seed=args.seed,
                        fallback_oracle_max_K=args.fallback_oracle)
     report = solve(p, cfg)
     Path(args.out).write_bytes(emit_report(report, include_trace=args.trace))
@@ -134,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-min", type=float, default=1e-8,
                     help="lower bound standing in for mu > 0")
     sp.add_argument("--max-iter", type=int, default=5000)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="recorded in the report; reserved for restarts")
     sp.add_argument("--fallback-oracle", type=int, default=24, metavar="K",
                     help="run exhaustive enumeration when not certified and "
                          "the lifted dimension is at most K (0 disables)")

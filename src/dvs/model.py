@@ -205,7 +205,6 @@ class SolveReport:
     low_confidence_blocks: tuple[int, ...] = ()
     trace: tuple[float, ...] = ()
     seconds: float = 0.0
-    seed: int = 0
     tol_gap: float = 1e-6
     mu_min: float = 1e-8
 

@@ -107,7 +107,6 @@ def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
         ("low_confidence_blocks", _vec(r.low_confidence_blocks)),
         ("tol_gap", _fmt(r.tol_gap)),
         ("mu_min", _fmt(r.mu_min)),
-        ("seed", _fmt(r.seed)),
         ("seconds", _fmt(r.seconds)),
     ]
     if include_trace:
@@ -268,8 +267,8 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
         d = DualPoint(sigma=_parse_vector(dp["sigma"], "$.dual_point.sigma", q.m, "sigma"),
                       tau=_parse_vector(dp["tau"], "$.dual_point.tau", q.n, "tau"),
                       mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
-        tol_gap = float(rep.get("tol_gap", 1e-6))
-        mu_min = float(rep.get("mu_min", 1e-8))
+        tol_gap = _require_number(rep.get("tol_gap", 1e-6), "$.tol_gap")
+        mu_min = _require_number(rep.get("mu_min", 1e-8), "$.mu_min")
         y01, _ = round_binary(y, q.blocks)
         tol = tol_gap * (1.0 + abs(binary_objective(q, y01)))
         cert2 = verify_kkt(q, y01, d, tol=tol, tol_gap=tol_gap, mu_min=mu_min)
@@ -282,7 +281,8 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                 ("dual_feas_residual", cert2.dual_feas_residual),
                 ("complementarity_residual", cert2.complementarity_residual),
                 ("gap", cert2.gap)):
-            if key in cert and abs(float(cert[key]) - got) > 1e-9:
+            if key in cert and abs(_require_number(
+                    cert[key], f"$.certificate.{key}") - got) > 1e-9:
                 failures.append(
                     f"certificate {key}: reported {cert[key]!r}, "
                     f"recomputed {got!r}")

@@ -1,17 +1,12 @@
 """Concave dual maximization, rounding, certification, and the full solve.
 
 The dual P_dual(sigma, tau, mu) is maximized over the cone {sigma >= 0,
-mu >= mu_min, G(mu) PD}.  tau is unconstrained and P_dual is an exact
-concave quadratic in it, so each evaluation eliminates tau by an inner
-n-by-n SPD solve and the outer iteration works on (sigma, mu) only:
-
-    G z = [h - D'sigma + mu | H'],   S = H Z,   S tau = H y0 - 1,
-    y = y0 - Z tau,
-
-which leaves the ascent gradient (D y - b, y * (y - 1)) for the outer
-variables.  The outer loop is a projected L-BFGS (two-loop recursion on
-the free coordinates) with an Armijo backtracking line search that
-rejects any trial whose G(mu) fails Cholesky — feasibility before ascent.
+mu >= mu_min, G(mu) PD}.  Each evaluation maximizes tau out exactly
+(:func:`dvs.dual.eliminate_tau`), so the outer iteration works on
+(sigma, mu) only, with the ascent gradient (D y - b, y * (y - 1)).  The
+outer loop is a projected L-BFGS (two-loop recursion on the free
+coordinates) with an Armijo backtracking line search that rejects any
+trial whose G(mu) fails Cholesky — feasibility before ascent.
 
 The ascent stops at the first iterate that certifies: its rounded y
 passes the same recover/round/verify_kkt certificate that ``solve`` and
@@ -28,12 +23,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
+from scipy.linalg import eigvalsh
 
 from .dual import (
     MU_MIN,
     GFactorization,
     dual_value,
+    eliminate_tau,
     f_vector,
     factorize_g,
     in_dual_cone,
@@ -78,7 +74,6 @@ class SolverConfig:
     max_iter: int = 5000
     round_threshold: float = 0.5
     fallback_oracle_max_K: int = 24
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("tol_grad", "tol_gap", "mu_min"):
@@ -132,41 +127,17 @@ def initial_point(q: BinaryQP, mu_min: float = MU_MIN) -> DualPoint:
                      mu=np.full(q.K, mu0))
 
 
-def _tau_eliminated(q: BinaryQP, w: np.ndarray):
-    """Evaluate -P_dual and its (sigma, mu)-gradient at the optimal tau.
-
-    Returns None when G(mu) fails Cholesky (infeasible trial point),
-    otherwise (f, grad, y, tau) in minimization form f = -P_dual.
-    """
-    m = q.m
-    sigma = w[:m]
-    mu = w[m:]
-    G = q.B.copy()
-    G[np.diag_indices_from(G)] += 2.0 * mu
-    try:
-        cf = cho_factor(G, lower=True, check_finite=False)
-    except LinAlgError:
+def _evaluate(q: BinaryQP, w: np.ndarray):
+    """(f, grad, y, tau) with f = -P_dual at the optimal tau and grad its
+    (sigma, mu)-gradient; None off the cone (infeasible trial point)."""
+    res = eliminate_tau(q, w[:q.m], w[q.m:])
+    if res is None:
         return None
-    ht = q.h + mu
-    if m:
-        ht = ht - q.D.T @ sigma
-    sol = cho_solve(cf, np.column_stack([ht, q.H.T]), check_finite=False)
-    y0 = sol[:, 0]
-    Z = sol[:, 1:]
-    S = q.H @ Z
-    try:
-        tau = np.linalg.solve(S, q.H @ y0 - 1.0)
-    except np.linalg.LinAlgError:
-        return None
-    F = ht - q.H.T @ tau
-    y = y0 - Z @ tau
-    pd = -0.5 * (F @ y) - tau.sum()
-    if m:
-        pd -= sigma @ q.b
-        grad = np.concatenate([q.D @ y - q.b, y * (y - 1.0)])
-    else:
-        grad = y * (y - 1.0)
-    return -pd, -grad, y, tau
+    value, y, tau = res
+    grad = y * (y - 1.0)
+    if q.m:
+        grad = np.concatenate([q.D @ y - q.b, grad])
+    return -value, -grad, y, tau
 
 
 def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, AscentTrace]:
@@ -191,7 +162,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     w = np.concatenate([start.sigma, start.mu])
     lb = np.concatenate([np.zeros(m), np.full(K, cfg.mu_min)])
 
-    f, g, y, tau = _tau_eliminated(q, w)
+    f, g, y, tau = _evaluate(q, w)
     evaluations, rejections = 1, 0
     values = [-f]
     memory = []
@@ -244,7 +215,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
             w_try = np.maximum(w + step * direction, lb)
             dg = g @ (w_try - w)
             if dg < 0.0:
-                res = _tau_eliminated(q, w_try)
+                res = _evaluate(q, w_try)
                 evaluations += 1
                 if res is None:
                     rejections += 1
@@ -307,7 +278,7 @@ def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
     One factorization of G(mu) serves the recovery and the certificate.
     """
     fact = factorize_g(q, d.mu)
-    y, _ = recover_y(fact, f_vector(q, d))
+    y = recover_y(fact, f_vector(q, d))
     y01, flagged = round_binary(y, q.blocks, cfg.round_threshold)
     value = binary_objective(q, y01)
     cert = verify_kkt(q, y01, d, tol=cfg.tol_gap * (1.0 + abs(value)),
@@ -341,8 +312,9 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
 
     CertifiedGlobal requires cone membership (sigma >= 0, mu >= mu_min,
     G(mu) PD), every residual at most ``tol``, and a relative duality gap
-    at most ``tol_gap``; KKTOnly means the residuals and gap pass but the
-    cone test fails; anything else is NoCertificate.  G(mu) is factorized
+    at most ``tol_gap``.  Off the PD cone P_dual = -inf, so the gap is inf
+    and the status NoCertificate.  KKTOnly means the residuals and gap pass
+    and G(mu) is PD, but sigma < 0 or mu < mu_min.  G(mu) is factorized
     once for the gap and the cone test; ``fact``, when given, must be
     ``factorize_g(q, d.mu)``.
     """
@@ -411,4 +383,4 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
         solver_status=trace.termination,
         low_confidence_blocks=candidate.low_confidence_blocks,
         trace=trace.values, seconds=time.perf_counter() - t0,
-        seed=cfg.seed, tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)
+        tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)

@@ -168,6 +168,29 @@ def test_check_fails_on_tampered_report(example1_path, tmp_path):
     assert "objective" in cp.stdout
 
 
+def test_check_nan_gap_exits_two(example1_path, tmp_path):
+    report = tmp_path / "report.json"
+    run_cli("solve", str(example1_path), "--out", str(report))
+    doc = json.loads(report.read_bytes())
+    doc["certificate"]["gap"] = float("nan")
+    report.write_text(json.dumps(doc))
+    cp = run_cli("check", str(example1_path), str(report))
+    assert cp.returncode == 2
+    assert "PASS" not in cp.stdout
+
+
+def test_check_fails_off_the_cone(example1_path, tmp_path):
+    report = tmp_path / "report.json"
+    run_cli("solve", str(example1_path), "--out", str(report))
+    doc = json.loads(report.read_bytes())
+    # lowering mu[0] far enough leaves G(mu) indefinite
+    doc["dual_point"]["mu"][0] = -1e3
+    report.write_text(json.dumps(doc))
+    cp = run_cli("check", str(example1_path), str(report))
+    assert cp.returncode == 4
+    assert "certificate status" in cp.stdout
+
+
 def test_check_accepts_every_pipeline_report(example1_path, example2_path,
                                              tmp_path):
     for i, path in enumerate((example1_path, example2_path)):

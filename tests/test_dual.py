@@ -7,16 +7,15 @@ from dvs.dual import (
     MU_MIN,
     dual_gradient,
     dual_value,
+    eliminate_tau,
     f_vector,
     factorize_g,
-    g_matrix,
     in_dual_cone,
     recover_y,
-    total_complementary,
 )
 from dvs.lift import encode_y, lift
 from dvs.model import BinaryQP, DiscreteQP, DualPoint, binary_objective
-from dvs.solver import initial_point
+from dvs.solver import initial_point, verify_kkt
 
 # Reference dual solution for the second shipped instance (rounded to two
 # decimals in the source material, like the problem data itself).
@@ -42,15 +41,6 @@ def one_block_qp(B, h):
                     U_flat=np.arange(K, dtype=float))
 
 
-def test_g_matrix_form(example1):
-    q = lift(example1)
-    mu = np.arange(1.0, 16.0)
-    G = g_matrix(q, mu)
-    expected = q.B.copy()
-    expected[np.diag_indices_from(expected)] += 2.0 * mu
-    assert np.array_equal(G, expected)
-
-
 def test_f_vector_form(example1):
     q = lift(example1)
     rng = np.random.default_rng(0)
@@ -60,37 +50,58 @@ def test_f_vector_form(example1):
     assert np.allclose(F, expected, atol=1e-12)
 
 
-def test_factorize_positive_definite_route():
+def test_factorize_positive_definite_route(example1):
     q = one_block_qp(np.diag([1.0, 4.0]), np.zeros(2))
     fact = factorize_g(q, np.array([1.0, 1.0]))
     assert fact.positive_definite
-    assert 0.0 < fact.min_eig <= 3.0  # true smallest eigenvalue is 3
-    rhs = np.array([6.0, 12.0])
-    assert np.allclose(fact.apply_pinv(rhs), [2.0, 2.0])
+    assert np.allclose(fact.solve(np.array([6.0, 12.0])), [2.0, 2.0])
+    # factorize_g factors exactly G(mu) = B + 2 diag(mu)
+    q = lift(example1)
+    mu = np.arange(1.0, 16.0)
+    G = q.B.copy()
+    G[np.diag_indices_from(G)] += 2.0 * mu
+    fact = factorize_g(q, mu)
+    assert fact.positive_definite
+    rhs = np.random.default_rng(3).standard_normal((q.K, 2))
+    assert np.allclose(G @ fact.solve(rhs), rhs, atol=1e-10)
 
 
 def test_factorize_indefinite_route():
     q = one_block_qp(np.diag([-5.0, 4.0]), np.zeros(2))
     fact = factorize_g(q, np.array([1.0, 1.0]))
     assert not fact.positive_definite
-    assert fact.min_eig == pytest.approx(-3.0)
 
 
-def test_recover_y_consistent_singular_system():
-    # G = diag(1, 0) is singular; F = (1, 0) lies in its range.
+def test_factorize_singular_g_is_not_positive_definite():
+    # G = diag(1, 0) is singular: outside the open PD cone.
     q = one_block_qp(np.diag([1.0, 0.0]), np.zeros(2))
-    fact = factorize_g(q, np.zeros(2))
-    y, residual = recover_y(fact, np.array([1.0, 0.0]))
-    assert np.allclose(y, [1.0, 0.0])
-    assert residual <= 1e-14
+    assert not factorize_g(q, np.zeros(2)).positive_definite
 
 
-def test_recover_y_flags_out_of_range_component():
-    q = one_block_qp(np.diag([1.0, 0.0]), np.zeros(2))
-    fact = factorize_g(q, np.zeros(2))
-    y, residual = recover_y(fact, np.array([1.0, 1.0]))
-    assert np.allclose(y, [1.0, 0.0])
-    assert residual == pytest.approx(1.0 / np.sqrt(2.0))
+def test_off_cone_dual_is_minus_infinity_and_uncertified():
+    # G = diag(-3, 6) is indefinite: P_dual gives no bound there.
+    q = one_block_qp(np.diag([-5.0, 4.0]), np.array([0.0, 2.0]))
+    d = DualPoint(sigma=np.zeros(0), tau=np.zeros(1), mu=np.ones(2))
+    assert dual_value(q, d) == -np.inf
+    cert = verify_kkt(q, np.array([0.0, 1.0]), d, tol=1e-6)
+    assert not cert.in_cone
+    assert cert.status == "NoCertificate"
+    assert cert.gap == np.inf
+
+
+def test_eliminate_tau_maximizes_over_tau(example1):
+    q = lift(example1)
+    d0 = initial_point(q)
+    sigma = np.full(q.m, 0.1)
+    value, y, tau = eliminate_tau(q, sigma, d0.mu)
+    d = DualPoint(sigma=sigma, tau=tau, mu=d0.mu)
+    assert value == pytest.approx(dual_value(q, d), abs=1e-9)
+    assert np.allclose(y, recover_y(factorize_g(q, d.mu), f_vector(q, d)))
+    _, gt, _ = dual_gradient(q, d)
+    assert np.abs(gt).max() <= 1e-9  # the tau-gradient H y - 1 vanishes
+    # off the cone there is nothing to maximize
+    q_ind = one_block_qp(np.diag([-5.0, 4.0]), np.zeros(2))
+    assert eliminate_tau(q_ind, np.zeros(0), np.ones(2)) is None
 
 
 def test_dual_value_at_reference_point(example2):
@@ -104,17 +115,22 @@ def test_dual_value_at_reference_point(example2):
 
 
 def test_stationary_point_value_identity(example2):
-    # Xi(y, d) minimized over y at y = G^+F, where it equals P_dual(d).
+    # The saddle function Xi(y, d) = 0.5 y'G y - F'y - sigma'b - tau'1 is
+    # minimized over y at y = G^-1 F, where it equals P_dual(d).
     q = lift(example2)
     d = DualPoint(sigma=np.zeros(5), tau=EX2_TAU, mu=EX2_MU)
-    fact = factorize_g(q, d.mu)
-    y, _ = recover_y(fact, f_vector(q, d))
-    assert total_complementary(q, y, d) == pytest.approx(
-        dual_value(q, d), abs=1e-9)
+    G = q.B + 2.0 * np.diag(d.mu)
+    F = f_vector(q, d)
+
+    def xi(z):
+        return 0.5 * z @ G @ z - F @ z - d.sigma @ q.b - d.tau.sum()
+
+    y = recover_y(factorize_g(q, d.mu), F)
+    assert xi(y) == pytest.approx(dual_value(q, d), abs=1e-9)
     rng = np.random.default_rng(1)
     for _ in range(10):
         z = y + 0.1 * rng.standard_normal(q.K)
-        assert total_complementary(q, z, d) >= total_complementary(q, y, d)
+        assert xi(z) >= xi(y)
 
 
 def test_dual_gradient_matches_finite_differences(example1):

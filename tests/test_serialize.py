@@ -110,7 +110,7 @@ def test_report_round_trip_and_key_order(example1):
     assert list(doc.keys()) == [
         "version", "status", "x", "objective", "certificate", "dual_point",
         "y", "iterations", "solver_status", "low_confidence_blocks",
-        "tol_gap", "mu_min", "seed", "seconds"]
+        "tol_gap", "mu_min", "seconds"]
     assert doc["status"] == "CertifiedGlobal"
     assert doc["certificate"]["in_cone"] is True
     assert "trace" not in doc
@@ -198,3 +198,17 @@ def test_check_flags_x_that_does_not_match_y(example1):
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert not passed
     assert any("decode" in f for f in failures)
+
+
+@pytest.mark.parametrize("path", [("certificate", "gap"),
+                                  ("certificate", "primal_feas_residual"),
+                                  ("tol_gap",), ("mu_min",)])
+def test_check_rejects_non_finite_certificate_numbers(example1, path):
+    doc = json.loads(emit_report(solve(example1)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = float("nan")
+    with pytest.raises(SchemaError) as exc:
+        check(emit_problem(example1), json.dumps(doc))
+    assert "non-finite" in str(exc.value)

@@ -188,11 +188,10 @@ def test_solve_forced_single_choice():
 
 
 def test_solve_report_records_tolerances(example1):
-    cfg = SolverConfig(tol_gap=1e-7, mu_min=1e-9, seed=42)
+    cfg = SolverConfig(tol_gap=1e-7, mu_min=1e-9)
     r = solve(example1, cfg)
     assert r.tol_gap == 1e-7
     assert r.mu_min == 1e-9
-    assert r.seed == 42
 
 
 @pytest.mark.parametrize("name, most", [("example1", 103), ("example2", 187)])
