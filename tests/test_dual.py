@@ -50,11 +50,7 @@ def test_f_vector_form(example1):
     assert np.allclose(F, expected, atol=1e-12)
 
 
-def test_factorize_positive_definite_route(example1):
-    q = one_block_qp(np.diag([1.0, 4.0]), np.zeros(2))
-    fact = factorize_g(q, np.array([1.0, 1.0]))
-    assert fact.positive_definite
-    assert np.allclose(fact.solve(np.array([6.0, 12.0])), [2.0, 2.0])
+def test_g_matrix_form(example1):
     # factorize_g factors exactly G(mu) = B + 2 diag(mu)
     q = lift(example1)
     mu = np.arange(1.0, 16.0)
@@ -64,6 +60,13 @@ def test_factorize_positive_definite_route(example1):
     assert fact.positive_definite
     rhs = np.random.default_rng(3).standard_normal((q.K, 2))
     assert np.allclose(G @ fact.solve(rhs), rhs, atol=1e-10)
+
+
+def test_factorize_positive_definite_route():
+    q = one_block_qp(np.diag([1.0, 4.0]), np.zeros(2))
+    fact = factorize_g(q, np.array([1.0, 1.0]))
+    assert fact.positive_definite
+    assert np.allclose(fact.solve(np.array([6.0, 12.0])), [2.0, 2.0])
 
 
 def test_factorize_indefinite_route():
