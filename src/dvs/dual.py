@@ -16,13 +16,26 @@ gradient of P_dual evaluated through that y has the closed form
 P_dual over the cone where sigma >= 0, mu > 0 and G(mu) is positive
 definite yields a global-optimality certificate for the primal.
 
-G(mu) is formed and factored only in :func:`factorize_g`, by Cholesky,
-whose success is the positive-definiteness test.  P_dual is an exact
-concave quadratic in the unconstrained tau, which :func:`eliminate_tau`
-maximizes out by an inner n-by-n solve:
+No K-by-K matrix is formed.  B = M Q M' has rank <= n, where M is the
+K-by-n block matrix of candidate values, so with rd = 1/(2 mu) and the
+per-block sums W_i = sum u^2 rd, G(mu) is PD exactly when mu > 0 and
+Q + diag(1/W) is PD.  :func:`factorize_g` tests this by the Cholesky
+factorization of the congruent n-by-n matrix I + S Q S, S = diag(sqrt W),
+which stays defined for a value set {0} (W_i = 0).  Any mu_k <= 0 is off
+the cone.  G y = F then reduces to an n-by-n solve for x = M'y.
 
-    G Z = [h - D'sigma + mu | H'],   S = H Z,   S tau = H y0 - 1,
-    y = y0 - Z tau.
+:func:`eliminate_tau` maximizes P_dual over the unconstrained tau, which
+is the same as minimizing 0.5 y'G y - (F + H'tau)'y subject to H y = 1.
+Per block, with e = sum rd, ubar = sum u rd / e, du = u - ubar,
+V = sum rd du^2 and c = ubar + sum du / 2, the minimizer is
+
+    y = 1/2 + (alpha + beta du) rd,   beta = (x - c) / V,
+    alpha = (1 - s/2 - beta sum rd du) / e,   tau = beta ubar - alpha,
+
+where x solves the n-by-n system (Q + diag(1/V)) x = gamma + c/V with
+gamma = c_problem - A'sigma.  The centring keeps alpha and beta on the
+scale of mu, so y loses no digits where mu is tiny, and H y = 1 holds per
+block by construction.
 """
 
 from __future__ import annotations
@@ -30,51 +43,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import BinaryQP, DualPoint
 
 MU_MIN = 1e-8
 
 
-@dataclass(frozen=True)
-class GFactorization:
-    """The Cholesky factor ``cho`` of G(mu), None when G is not PD."""
+def _cholesky(Q: np.ndarray, s: np.ndarray):
+    """The lower Cholesky factor of I + diag(s) Q diag(s), or None when that
+    matrix is not positive definite."""
+    a = Q * np.multiply.outer(s, s)
+    a.flat[::a.shape[0] + 1] += 1.0
+    # a is symmetric, so its transpose is the same matrix in Fortran order.
+    cho, info = dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    return cho if info == 0 else None
 
-    cho: tuple | None
+
+@dataclass
+class GFactorization:
+    """G(mu) through its n-by-n reduction: ``cho`` factors I + S Q S with
+    S = diag(sqrt W); None when G(mu) is not PD."""
+
+    q: BinaryQP
+    rd: np.ndarray
+    sw: np.ndarray
+    cho: np.ndarray | None
 
     @property
     def positive_definite(self) -> bool:
         return self.cho is not None
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Return G^-1 rhs by two triangular solves."""
+    def solve(self, F: np.ndarray) -> np.ndarray:
+        """Return y = G^-1 F for a K-vector F.
+
+        y = rd (F - M Q x) with x = M'y from the n-by-n system
+        (Q + diag(1/W)) x = M'(rd F) / W.  Where mu is tiny, rd amplifies
+        the rounding of F - M Q x, so M'y drifts from x; one refinement
+        step solves G dy = M Q (x - M'y), whose right-hand side is small,
+        and leaves a residual G y - F at round-off.
+        """
         if self.cho is None:
             raise LinAlgError("G(mu) is not positive definite")
-        return cho_solve(self.cho, rhs, check_finite=False)
+        q, rd, sw, u = self.q, self.rd, self.sw, self.q.U_flat
+        # (Q + diag(1/W)) x = r is (I + S Q S) z = S r with x = S z.
+        g = q.block_sums(u * rd * F)
+        z = dpotrs(self.cho, np.divide(g, sw, out=np.zeros(q.n),
+                                       where=sw > 0.0), lower=1)[0]
+        y = rd * (F - u * (q.Q @ (sw * z))[q.block_of])
+        # G dy = M rho has M'dy = S z with (I + S Q S) z = S rho, and
+        # dy = rd u (rho - Q S z) = rd u z / S per block.
+        rho = q.Q @ (sw * z - q.x_of(y))
+        z = dpotrs(self.cho, sw * rho, lower=1)[0]
+        return y + rd * u * np.divide(z, sw, out=np.zeros(q.n),
+                                      where=sw > 0.0)[q.block_of]
 
 
 def f_vector(q: BinaryQP, d: DualPoint) -> np.ndarray:
     """F = h - D'sigma - H'tau + mu."""
     if d.tau.shape != (q.n,) or d.mu.shape != (q.K,) or d.sigma.shape != (q.m,):
         raise ValueError("dual point dimensions do not match the problem")
-    F = q.h + d.mu - q.H.T @ d.tau
+    F = q.h + d.mu - d.tau[q.block_of]
     if q.m:
         F = F - q.D.T @ d.sigma
     return F
 
 
 def factorize_g(q: BinaryQP, mu: np.ndarray) -> GFactorization:
-    """Form G(mu) = B + 2 diag(mu) and attempt its Cholesky factorization."""
+    """Decide whether G(mu) = B + 2 diag(mu) is PD by an n-by-n Cholesky.
+
+    Off the cone (some mu_k <= 0, or I + S Q S not PD) ``cho`` is None.
+    """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (q.K,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({q.K},)")
-    G = q.B.copy()
-    G[np.diag_indices_from(G)] += 2.0 * mu
-    try:
-        return GFactorization(cho_factor(G, lower=True, check_finite=False))
-    except LinAlgError:
-        return GFactorization(None)
+    if not mu.min() > 0.0:
+        return GFactorization(q=q, rd=None, sw=None, cho=None)
+    rd = 0.5 / mu
+    sw = np.sqrt(q.block_sums(q.U_flat * q.U_flat * rd))
+    return GFactorization(q=q, rd=rd, sw=sw, cho=_cholesky(q.Q, sw))
 
 
 def recover_y(fact: GFactorization, F: np.ndarray) -> np.ndarray:
@@ -86,25 +134,34 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
     """Maximize P_dual over tau at fixed (sigma, mu).
 
     Returns (P_dual, y, tau) at the optimal tau, or None when G(mu) is not
-    PD or the n-by-n tau system is singular.
+    PD or the n-by-n reduced system is not.
     """
     fact = factorize_g(q, mu)
     if not fact.positive_definite:
         return None
-    ht = q.h + mu
-    if q.m:
-        ht = ht - q.D.T @ sigma
-    sol = fact.solve(np.column_stack([ht, q.H.T]))
-    y0 = sol[:, 0]
-    Z = sol[:, 1:]
-    S = q.H @ Z
-    try:
-        tau = np.linalg.solve(S, q.H @ y0 - 1.0)
-    except np.linalg.LinAlgError:
+    u, rd, at = q.U_flat, fact.rd, q.block_of
+    e = q.block_sums(rd)
+    ubar = q.block_sums(u * rd) / e
+    du = u - ubar[at]
+    rdu = rd * du
+    sv = np.sqrt(q.block_sums(rdu * du))
+    cho = _cholesky(q.Q, sv)
+    if cho is None:
         return None
-    F = ht - q.H.T @ tau
-    y = y0 - Z @ tau
-    value = -0.5 * (F @ y) - tau.sum()
+    cc = ubar + 0.5 * q.block_sums(du)
+    gamma = q.c - q.A.T @ sigma if q.m else q.c
+    # (Q + diag(1/V)) x = gamma + c/V as (I + S Q S) z = S (gamma - Q c),
+    # x = c + S z with S = diag(sqrt V), so beta = (x - c)/V = z/sqrt V.  A
+    # one-value block has V = 0 and x = c; its beta is read off the
+    # stationarity condition beta = gamma - Q x.
+    z = dpotrs(cho, sv * (gamma - q.Q @ cc), lower=1)[0]
+    x = cc + sv * z
+    Qx = q.Q @ x
+    beta = np.divide(z, sv, out=gamma - Qx, where=sv > 0.0)
+    alpha = (1.0 - 0.5 * q.sizes - beta * q.block_sums(rdu)) / e
+    y = 0.5 + (alpha[at] + beta[at] * du) * rd
+    tau = beta * ubar - alpha
+    value = 0.5 * (x @ Qx) - gamma @ x + mu @ (y * (y - 1.0))
     if q.m:
         value -= sigma @ q.b
     return value, y, tau
@@ -133,7 +190,7 @@ def dual_gradient(q: BinaryQP, d: DualPoint,
         fact = factorize_g(q, d.mu)
     y = recover_y(fact, f_vector(q, d))
     gs = (q.D @ y - q.b) if q.m else np.zeros(0)
-    gt = q.H @ y - 1.0
+    gt = q.block_sums(y) - 1.0
     gm = y * (y - 1.0)
     return gs, gt, gm
 

@@ -3,7 +3,8 @@
 With ``M`` the block-diagonal matrix whose i-th block is the row of
 candidate values ``U[i]``, the substitution ``x = M'y`` (y one-hot per
 block) turns ``0.5 x'Qx - c'x`` into ``0.5 y'By - h'y`` with ``B = MQM'``
-and ``h = M'c`` — entrywise ``B[(i,j),(k,l)] = Q[i,k] U[i][j] U[k][l]``.
+and ``h = M'c`` — entrywise ``B[(i,j),(k,l)] = Q[i,k] U[i][j] U[k][l]``,
+which :class:`BinaryQP` derives on demand rather than storing.
 The linear rows map the same way: ``D = AM'`` so ``Ax <= b`` becomes
 ``Dy <= b``; ``H`` sums each block so one-hot reads ``Hy = 1``.
 """
@@ -19,35 +20,18 @@ from .model import VALUE_MEMBERSHIP_TOL, BinaryQP, DiscreteQP
 def lift(p: DiscreteQP) -> BinaryQP:
     """Build the lifted 0-1 problem for ``p``.
 
-    ``B`` is assembled from symmetric outer products so it is exactly
-    symmetric in floating point, not just up to round-off.
+    Only O(mK) arrays are formed here; ``B`` and ``H`` are derived from
+    ``Q`` and the block structure when first read.
     """
-    n = p.n
     sizes = [len(ui) for ui in p.U]
-    K = sum(sizes)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    blocks = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(n))
+    blocks = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(p.n))
     U_flat = np.concatenate([np.asarray(ui, dtype=float) for ui in p.U])
-
-    B = np.zeros((K, K))
-    for i in range(n):
-        si, ei = blocks[i]
-        ui = U_flat[si:ei]
-        # Diagonal block, then each off-diagonal pair mirrored exactly.
-        B[si:ei, si:ei] = p.Q[i, i] * np.outer(ui, ui)
-        for k in range(i + 1, n):
-            sk, ek = blocks[k]
-            blk = p.Q[i, k] * np.outer(ui, U_flat[sk:ek])
-            B[si:ei, sk:ek] = blk
-            B[sk:ek, si:ei] = blk.T
-
+    K = int(offsets[-1])
     h = np.repeat(p.c, sizes) * U_flat
     D = np.repeat(p.A, sizes, axis=1) * U_flat if p.m else np.zeros((0, K))
-    H = np.zeros((n, K))
-    for i, (s, e) in enumerate(blocks):
-        H[i, s:e] = 1.0
-
-    return BinaryQP(K=K, B=B, h=h, D=D, H=H, b=p.b, blocks=blocks, U_flat=U_flat)
+    return BinaryQP(K=K, Q=p.Q, c=p.c, A=p.A, b=p.b, h=h, D=D,
+                    blocks=blocks, U_flat=U_flat)
 
 
 def recover_x(q: BinaryQP, y: np.ndarray) -> np.ndarray:

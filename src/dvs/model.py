@@ -12,6 +12,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,51 +92,73 @@ class DiscreteQP:
 class BinaryQP:
     """The lifted 0-1 problem: minimize 0.5 y'By - h'y over one-hot blocks.
 
-    ``blocks[i]`` is the half-open index range of variable i's selector
-    coordinates; ``U_flat`` holds the candidate values in block order.  All
-    modules index through ``blocks`` rather than recomputing offsets.
+    With ``M`` the K-by-n block matrix of candidate values, ``B = MQM'``,
+    ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  Only the n-level
+    ``Q``, ``c``, ``A`` and the O(mK) ``h``, ``D`` are stored; the K-by-K
+    ``B`` and the n-by-K ``H`` are derived on first access, and the dual
+    kernel never reads them.  ``blocks[i]`` is the half-open index range of
+    variable i's selector coordinates and ``U_flat`` holds the candidate
+    values in block order.  The block index arrays below are built once
+    here, so no other module recomputes offsets:
+
+    * ``block_of[k]``: the block of coordinate k;
+    * ``starts``, ``sizes``: each block's first coordinate and length;
+    * ``pad``: an n-by-max(sizes) gather of each block's coordinates,
+      padded with the block's first coordinate.
     """
 
     K: int
-    B: np.ndarray
+    Q: np.ndarray
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     h: np.ndarray
     D: np.ndarray
-    H: np.ndarray
-    b: np.ndarray
     blocks: tuple[tuple[int, int], ...]
     U_flat: np.ndarray
+    block_of: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    pad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = int(self.K)
-        B = _freeze(np.asarray(self.B, dtype=float))
-        _check_shape("B", B, (K, K))
-        if not np.array_equal(B, B.T):
-            raise ValueError("B is not exactly symmetric")
-        h = _freeze(np.asarray(self.h, dtype=float))
-        _check_shape("h", h, (K,))
-        D = np.asarray(self.D, dtype=float)
-        if D.ndim != 2 or D.shape[1] != K:
-            raise DimensionError("D", f"(m, {K})", D.shape)
-        m = D.shape[0]
-        D = _freeze(D)
+        blocks = tuple((int(s), int(e)) for s, e in self.blocks)
+        n = len(blocks)
+        if not blocks or blocks[-1][1] != K or any(e <= s for s, e in blocks) \
+                or [s for s, _ in blocks] != [0] + [e for _, e in blocks[:-1]]:
+            raise ValueError("blocks must tile 0..K in order, none empty")
+        Q = _freeze(np.asarray(self.Q, dtype=float))
+        _check_shape("Q", Q, (n, n))
+        if not np.array_equal(Q, Q.T):
+            raise ValueError("Q is not exactly symmetric")
+        c = _freeze(np.asarray(self.c, dtype=float))
+        _check_shape("c", c, (n,))
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise DimensionError("A", f"(m, {n})", A.shape)
+        m = A.shape[0]
+        A = _freeze(A)
         b = _freeze(np.asarray(self.b, dtype=float))
         _check_shape("b", b, (m,))
-        blocks = tuple((int(s), int(e)) for s, e in self.blocks)
-        if sum(e - s for s, e in blocks) != K:
-            raise ValueError("block lengths do not sum to K")
-        n = len(blocks)
-        H = np.asarray(self.H, dtype=float)
-        _check_shape("H", H, (n, K))
-        for i, (s, e) in enumerate(blocks):
-            row = np.zeros(K)
-            row[s:e] = 1.0
-            if not np.array_equal(H[i], row):
-                raise ValueError(f"H row {i} does not select block {i}")
-        H = _freeze(H)
+        h = _freeze(np.asarray(self.h, dtype=float))
+        _check_shape("h", h, (K,))
+        D = _freeze(np.asarray(self.D, dtype=float))
+        _check_shape("D", D, (m, K))
         U_flat = _freeze(np.asarray(self.U_flat, dtype=float))
         _check_shape("U_flat", U_flat, (K,))
-        for name, value in (("K", K), ("B", B), ("h", h), ("D", D), ("H", H),
-                            ("b", b), ("blocks", blocks), ("U_flat", U_flat)):
+
+        starts = np.array([s for s, _ in blocks], dtype=np.intp)
+        sizes = np.array([e - s for s, e in blocks], dtype=np.intp)
+        block_of = np.repeat(np.arange(n), sizes)
+        offset = np.arange(sizes.max())
+        pad = starts[:, None] + np.where(offset < sizes[:, None], offset, 0)
+        for a in (starts, sizes, block_of, pad):
+            a.flags.writeable = False
+        for name, value in (("K", K), ("Q", Q), ("c", c), ("A", A), ("b", b),
+                            ("h", h), ("D", D), ("blocks", blocks),
+                            ("U_flat", U_flat), ("block_of", block_of),
+                            ("starts", starts), ("sizes", sizes), ("pad", pad)):
             object.__setattr__(self, name, value)
 
     @property
@@ -145,6 +168,25 @@ class BinaryQP:
     @property
     def m(self) -> int:
         return self.D.shape[0]
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The K-by-K lifted quadratic ``B[k, l] = Q[i, j] u_k u_l``."""
+        i = self.block_of
+        return _freeze(self.Q[i][:, i] * np.outer(self.U_flat, self.U_flat))
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The n-by-K one-hot block selector: ``H[i, k] = 1`` iff k in block i."""
+        return _freeze(self.block_of == np.arange(self.n)[:, None])
+
+    def block_sums(self, v: np.ndarray) -> np.ndarray:
+        """The per-block sums ``H v`` of a K-vector."""
+        return np.add.reduceat(v, self.starts)
+
+    def x_of(self, y: np.ndarray) -> np.ndarray:
+        """The n-level point ``x = M'y``."""
+        return np.add.reduceat(self.U_flat * y, self.starts)
 
 
 @dataclass(frozen=True)
@@ -237,7 +279,9 @@ def is_feasible(p: DiscreteQP, x: np.ndarray, tol: float = VALUE_MEMBERSHIP_TOL)
 
 
 def binary_objective(q: BinaryQP, y: np.ndarray) -> float:
-    """Evaluate 0.5 y'By - h'y on the lifted problem."""
+    """Evaluate 0.5 y'By - h'y on the lifted problem, as 0.5 x'Qx - c'x at
+    x = M'y (the same number, without forming B)."""
     y = np.asarray(y, dtype=float)
     _check_shape("y", y, (q.K,))
-    return float(0.5 * y @ q.B @ y - q.h @ y)
+    x = q.x_of(y)
+    return float(0.5 * x @ q.Q @ x - q.c @ x)

@@ -4,7 +4,9 @@ Problem files are objects with exactly the keys n, m, Q, c, A, b, U.
 Emitted JSON uses a fixed key order and formats every float with 17
 significant digits, which round-trips IEEE-754 doubles exactly — so
 serialize -> parse -> serialize is byte-identical and reports can be
-compared as bytes.
+compared as bytes.  JSON has no infinity: the one non-finite number a
+report can carry, the off-cone certificate gap, is the string
+"Infinity".
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .model import (
 from .solver import round_binary, verify_kkt
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
+CERTIFICATE_NUMBERS = ("primal_feas_residual", "dual_feas_residual",
+                       "complementarity_residual", "gap")
 
 
 def _fmt(v) -> str:
@@ -36,7 +40,11 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return format(float(v), ".17g")
+    v = float(v)
+    if math.isfinite(v):
+        return format(v, ".17g")
+    # JSON has no non-finite numbers: write them as strings.
+    return '"NaN"' if v != v else ('"Infinity"' if v > 0 else '"-Infinity"')
 
 
 def _vec(values) -> str:
@@ -155,6 +163,20 @@ def _require_number(v, path: str) -> float:
     return float(v)
 
 
+def _require_gap(v, path: str) -> float:
+    """A gap is a finite number or "Infinity", the off-cone gap."""
+    return math.inf if v == "Infinity" else _require_number(v, path)
+
+
+def _require_object(v, path: str, keys) -> dict:
+    if not isinstance(v, dict):
+        raise SchemaError(path, f"expected an object, got {type(v).__name__}")
+    for key in keys:
+        if key not in v:
+            raise SchemaError(path, f'missing key "{key}"')
+    return v
+
+
 def _require_count(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise SchemaError(path, "expected a non-negative integer")
@@ -260,8 +282,12 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
 
     has_cert = all(k in rep for k in ("certificate", "dual_point", "y"))
     if has_cert:
-        cert = rep["certificate"]
-        dp = rep["dual_point"]
+        cert = _require_object(rep["certificate"], "$.certificate",
+                               ("status",) + CERTIFICATE_NUMBERS)
+        claimed = {key: (_require_gap if key == "gap" else _require_number)(
+            cert[key], f"$.certificate.{key}") for key in CERTIFICATE_NUMBERS}
+        dp = _require_object(rep["dual_point"], "$.dual_point",
+                             ("sigma", "tau", "mu"))
         q = lift(p)
         y = _parse_vector(rep["y"], "$.y", q.K, "y")
         d = DualPoint(sigma=_parse_vector(dp["sigma"], "$.dual_point.sigma", q.m, "sigma"),
@@ -269,20 +295,16 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                       mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
         tol_gap = _require_number(rep.get("tol_gap", 1e-6), "$.tol_gap")
         mu_min = _require_number(rep.get("mu_min", 1e-8), "$.mu_min")
-        y01, _ = round_binary(y, q.blocks)
+        y01, _ = round_binary(y, q)
         tol = tol_gap * (1.0 + abs(binary_objective(q, y01)))
         cert2 = verify_kkt(q, y01, d, tol=tol, tol_gap=tol_gap, mu_min=mu_min)
-        if cert2.status != cert.get("status"):
+        if cert2.status != cert["status"]:
             failures.append(
-                f"certificate status: claimed {cert.get('status')!r}, "
+                f"certificate status: claimed {cert['status']!r}, "
                 f"re-verified {cert2.status!r}")
-        for key, got in (
-                ("primal_feas_residual", cert2.primal_feas_residual),
-                ("dual_feas_residual", cert2.dual_feas_residual),
-                ("complementarity_residual", cert2.complementarity_residual),
-                ("gap", cert2.gap)):
-            if key in cert and abs(_require_number(
-                    cert[key], f"$.certificate.{key}") - got) > 1e-9:
+        for key, value in claimed.items():
+            got = getattr(cert2, key)
+            if not (value == got or abs(value - got) <= 1e-9):
                 failures.append(
                     f"certificate {key}: reported {cert[key]!r}, "
                     f"recomputed {got!r}")

@@ -117,11 +117,19 @@ def initial_point(q: BinaryQP, mu_min: float = MU_MIN) -> DualPoint:
 
     mu0 = max(mu_min, delta0 - lambda_min(B)/2) with delta0 =
     1e-3 (1 + ||B||_inf) gives G(mu0) >= 2 delta0 I, so the very first
-    Cholesky attempt cannot fail.
+    Cholesky attempt cannot fail.  Both come from n-level data: B = M Q M'
+    has the nonzero spectrum of S Q S, S^2 = diag(sum u^2) = M'M, plus
+    K - n zeros, and row k of |B| sums to |u_k| (|Q| M'|u|)_i.
     """
-    delta0 = 1e-3 * (1.0 + float(np.abs(q.B).sum(axis=1).max()))
-    lam_min = float(eigvalsh(q.B, subset_by_index=(0, 0),
-                             check_finite=False)[0])
+    au = np.abs(q.U_flat)
+    b_norm = float((np.maximum.reduceat(au, q.starts)
+                    * (np.abs(q.Q) @ q.block_sums(au))).max())
+    s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
+    lam_min = float(eigvalsh(q.Q * np.multiply.outer(s, s),
+                             subset_by_index=(0, 0), check_finite=False)[0])
+    if q.K > q.n:
+        lam_min = min(0.0, lam_min)
+    delta0 = 1e-3 * (1.0 + b_norm)
     mu0 = max(mu_min, delta0 - lam_min / 2.0)
     return DualPoint(sigma=np.zeros(q.m), tau=np.zeros(q.n),
                      mu=np.full(q.K, mu0))
@@ -251,12 +259,12 @@ def _certified_candidate(q: BinaryQP, w: np.ndarray, tau: np.ndarray,
                          y: np.ndarray, dual: float, cfg: SolverConfig):
     """The certified candidate at an ascent iterate, or None.
 
-    A cheap O(mK + K^2) screen comes first: round the kernel's y and
+    A cheap O(mK + n^2) screen comes first: round the kernel's y and
     require its objective to meet ``dual`` within the gap tolerance, with
     D y01 <= b and sigma'(D y01 - b) within the residual tolerance.  Only
     a point that passes gets the full certificate of :func:`_certify`.
     """
-    y01, _ = round_binary(y, q.blocks, cfg.round_threshold)
+    y01, _ = round_binary(y, q, cfg.round_threshold)
     value = binary_objective(q, y01)
     tol = cfg.tol_gap * (1.0 + abs(value))
     if abs(value - dual) > tol:
@@ -279,7 +287,7 @@ def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
     """
     fact = factorize_g(q, d.mu)
     y = recover_y(fact, f_vector(q, d))
-    y01, flagged = round_binary(y, q.blocks, cfg.round_threshold)
+    y01, flagged = round_binary(y, q, cfg.round_threshold)
     value = binary_objective(q, y01)
     cert = verify_kkt(q, y01, d, tol=cfg.tol_gap * (1.0 + abs(value)),
                       tol_gap=cfg.tol_gap, mu_min=cfg.mu_min, fact=fact)
@@ -287,22 +295,20 @@ def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
                      certificate=cert)
 
 
-def round_binary(y: np.ndarray, blocks, threshold: float = 0.5
+def round_binary(y: np.ndarray, q: BinaryQP, threshold: float = 0.5
                  ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Argmax rounding per block, guaranteeing exactly one 1 per block.
 
     Returns the 0/1 vector and the indices of low-confidence blocks
     (largest coordinate below ``threshold``); ties go to the lowest index.
+    One gather through ``q.pad`` lines the blocks up as rows; its padding
+    repeats each block's first coordinate, which can never win a tie.
     """
     y = np.asarray(y, dtype=float)
-    y01 = np.zeros_like(y)
-    flagged = []
-    for i, (s, e) in enumerate(blocks):
-        j = int(np.argmax(y[s:e]))
-        y01[s + j] = 1.0
-        if y[s + j] < threshold:
-            flagged.append(i)
-    return y01, tuple(flagged)
+    pick = q.starts + y[q.pad].argmax(axis=1)
+    y01 = np.zeros(q.K)
+    y01[pick] = 1.0
+    return y01, tuple(np.flatnonzero(y[pick] < threshold).tolist())
 
 
 def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
@@ -319,7 +325,7 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
     ``factorize_g(q, d.mu)``.
     """
     y01 = np.asarray(y01, dtype=float)
-    hy = q.H @ y01 - 1.0
+    hy = q.block_sums(y01) - 1.0
     had = y01 * (y01 - 1.0)
     if q.m:
         slack = q.D @ y01 - q.b

@@ -224,3 +224,38 @@ def test_solve_reports_are_byte_identical(example1_path, tmp_path):
     da, db = json.loads(a.read_bytes()), json.loads(b.read_bytes())
     da.pop("seconds"), db.pop("seconds")
     assert da == db
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dual_point", {}), ("dual_point", []), ("dual_point", "drop tau"),
+    ("certificate", {}), ("certificate", [])])
+def test_check_malformed_certificate_objects_exit_two(example1_path, tmp_path,
+                                                      key, value):
+    report = tmp_path / "report.json"
+    run_cli("solve", str(example1_path), "--out", str(report))
+    doc = json.loads(report.read_bytes())
+    if value == "drop tau":
+        del doc[key]["tau"]
+    else:
+        doc[key] = value
+    report.write_text(json.dumps(doc))
+    cp = run_cli("check", str(example1_path), str(report))
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert f"$.{key}" in cp.stderr
+
+
+def test_solve_reports_match_across_blas_threads(tmp_path):
+    prob = tmp_path / "p.json"
+    assert run_cli("gen", "--n", "50", "--m", "5", "--seed", "4292",
+                   "--out", str(prob)).returncode == 0
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        cp = run_cli("solve", str(prob), "--out", str(out),
+                     env={"OPENBLAS_NUM_THREADS": threads})
+        assert cp.returncode == 0, cp.stderr
+        doc = json.loads(out.read_bytes())
+        doc.pop("seconds")
+        docs.append(doc)
+    assert docs[0] == docs[1]

@@ -1,4 +1,8 @@
-"""Dual algebra: G/F assembly, factorization, recovery, value, gradient."""
+"""Dual algebra: G/F assembly, factorization, recovery, value, gradient.
+
+The kernel never forms the K-by-K G(mu); these tests form it densely as the
+reference the structured solves are compared against.
+"""
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ from dvs.dual import (
     in_dual_cone,
     recover_y,
 )
+from dvs.generator import GenSpec, generate
 from dvs.lift import encode_y, lift
-from dvs.model import BinaryQP, DiscreteQP, DualPoint, binary_objective
+from dvs.model import DiscreteQP, DualPoint, binary_objective
 from dvs.solver import initial_point, verify_kkt
 
 # Reference dual solution for the second shipped instance (rounded to two
@@ -33,12 +38,15 @@ EX2_MU = np.array([9.51, 0.97, 21.93, 53.36, 74.34,
                    6.26, 4.03, 24.60, 55.48, 76.04])
 
 
-def one_block_qp(B, h):
-    K = len(h)
-    return BinaryQP(K=K, B=np.asarray(B, float), h=np.asarray(h, float),
-                    D=np.zeros((0, K)), b=np.zeros(0),
-                    H=np.ones((1, K)), blocks=((0, K),),
-                    U_flat=np.arange(K, dtype=float))
+def one_variable_qp(q11, c1=0.0):
+    """One variable with U = {1, 2}: B = q11 [[1, 2], [2, 4]], h = c1 (1, 2)."""
+    return lift(DiscreteQP(Q=[[q11]], c=[c1], A=np.zeros((0, 1)),
+                           b=np.zeros(0), U=[[1.0, 2.0]]))
+
+
+def dense_g(q, mu):
+    """The K-by-K G(mu) = B + 2 diag(mu), formed only here as a reference."""
+    return q.B + 2.0 * np.diag(mu)
 
 
 def test_f_vector_form(example1):
@@ -54,36 +62,42 @@ def test_g_matrix_form(example1):
     # factorize_g factors exactly G(mu) = B + 2 diag(mu)
     q = lift(example1)
     mu = np.arange(1.0, 16.0)
-    G = q.B.copy()
-    G[np.diag_indices_from(G)] += 2.0 * mu
+    G = dense_g(q, mu)
     fact = factorize_g(q, mu)
     assert fact.positive_definite
-    rhs = np.random.default_rng(3).standard_normal((q.K, 2))
-    assert np.allclose(G @ fact.solve(rhs), rhs, atol=1e-10)
+    for rhs in np.random.default_rng(3).standard_normal((2, q.K)):
+        assert np.allclose(G @ fact.solve(rhs), rhs, atol=1e-10)
 
 
 def test_factorize_positive_definite_route():
-    q = one_block_qp(np.diag([1.0, 4.0]), np.zeros(2))
+    # G = [[1, 2], [2, 4]] + 2 I = [[3, 2], [2, 6]]
+    q = one_variable_qp(1.0)
     fact = factorize_g(q, np.array([1.0, 1.0]))
     assert fact.positive_definite
-    assert np.allclose(fact.solve(np.array([6.0, 12.0])), [2.0, 2.0])
+    assert np.allclose(fact.solve(np.array([10.0, 16.0])), [2.0, 2.0])
 
 
 def test_factorize_indefinite_route():
-    q = one_block_qp(np.diag([-5.0, 4.0]), np.zeros(2))
+    # G = -5 [[1, 2], [2, 4]] + 2 I has determinant -46
+    q = one_variable_qp(-5.0)
     fact = factorize_g(q, np.array([1.0, 1.0]))
     assert not fact.positive_definite
 
 
 def test_factorize_singular_g_is_not_positive_definite():
-    # G = diag(1, 0) is singular: outside the open PD cone.
-    q = one_block_qp(np.diag([1.0, 0.0]), np.zeros(2))
-    assert not factorize_g(q, np.zeros(2)).positive_definite
+    # G = -[[1, 2], [2, 4]] + diag(2, 8) = [[1, -2], [-2, 4]] is singular:
+    # outside the open PD cone.  So is any mu with a zero entry.
+    q = one_variable_qp(-1.0)
+    assert not factorize_g(q, np.array([1.0, 4.0])).positive_definite
+    assert factorize_g(q, np.array([1.0, 4.5])).positive_definite
+    assert not factorize_g(one_variable_qp(1.0), np.zeros(2)).positive_definite
+    assert not factorize_g(one_variable_qp(1.0),
+                           np.array([1.0, -1.0])).positive_definite
 
 
 def test_off_cone_dual_is_minus_infinity_and_uncertified():
-    # G = diag(-3, 6) is indefinite: P_dual gives no bound there.
-    q = one_block_qp(np.diag([-5.0, 4.0]), np.array([0.0, 2.0]))
+    # G = -5 [[1, 2], [2, 4]] + 2 I is indefinite: P_dual gives no bound there.
+    q = one_variable_qp(-5.0, c1=1.0)
     d = DualPoint(sigma=np.zeros(0), tau=np.zeros(1), mu=np.ones(2))
     assert dual_value(q, d) == -np.inf
     cert = verify_kkt(q, np.array([0.0, 1.0]), d, tol=1e-6)
@@ -103,8 +117,84 @@ def test_eliminate_tau_maximizes_over_tau(example1):
     _, gt, _ = dual_gradient(q, d)
     assert np.abs(gt).max() <= 1e-9  # the tau-gradient H y - 1 vanishes
     # off the cone there is nothing to maximize
-    q_ind = one_block_qp(np.diag([-5.0, 4.0]), np.zeros(2))
-    assert eliminate_tau(q_ind, np.zeros(0), np.ones(2)) is None
+    assert eliminate_tau(one_variable_qp(-5.0), np.zeros(0), np.ones(2)) is None
+
+
+def differential_problems():
+    """Criterion-4 instances, the n = 50 and n = 100 suites, and value sets
+    with a 0, a lone {0} and single values."""
+    value_sets = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
+    for k in range(1, 13):
+        yield generate(GenSpec(n=2 + (k % 3), m=1 + (k % 2), seed=1000 + k,
+                               value_set=value_sets[k % 4]))
+    yield generate(GenSpec(50, 5, 4292))
+    yield generate(GenSpec(100, 5, 4342))
+    yield DiscreteQP(Q=[[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.2, 0.3],
+                        [0.1, 0.2, 3.0, 0.4], [0.0, 0.3, 0.4, 1.5]],
+                     c=[1.0, -3.0, 2.0, 0.5], A=[[1.0, 1.0, 1.0, 1.0]],
+                     b=[6.0], U=[[0.0], [0.0, 1.0, 2.0], [5.0], [-1.0, 0.0]])
+
+
+def differential_points(q, rng):
+    """Interior points, points with about 30% of mu at mu_min, and mu
+    spread over 1e-8 ... 1e3, each with sigma >= 0."""
+    base = initial_point(q).mu
+    for kind in range(3):
+        for _ in range(3):
+            mu = base * (1.0 + rng.random(q.K))
+            if kind == 1:
+                mu[rng.random(q.K) < 0.3] = MU_MIN
+            elif kind == 2:
+                mu = 10.0 ** rng.uniform(-8.0, 3.0, q.K)
+            yield rng.random(q.m), mu
+
+
+def test_structured_kernel_matches_dense_g():
+    # Backward error of y = G^-1 F against the dense G, for tau eliminated
+    # and for tau given (the optimal tau and a perturbed one).
+    rng = np.random.default_rng(5)
+    worst = worst_hy = 0.0
+    for p in differential_problems():
+        q = lift(p)
+        for sigma, mu in differential_points(q, rng):
+            G = dense_g(q, mu)
+            np.linalg.cholesky(G)  # the dense verdict: positive definite
+            fact = factorize_g(q, mu)
+            assert fact.positive_definite
+            _, y, tau = eliminate_tau(q, sigma, mu)
+            worst_hy = max(worst_hy, np.abs(q.H @ y - 1.0).max())
+            pairs = [(tau, y)]
+            for t in (tau, tau + rng.standard_normal(q.n)):
+                F = f_vector(q, DualPoint(sigma=sigma, tau=t, mu=mu))
+                pairs.append((t, recover_y(fact, F)))
+            for t, yy in pairs:
+                F = f_vector(q, DualPoint(sigma=sigma, tau=t, mu=mu))
+                scale = (np.abs(G).sum(axis=1).max() * np.abs(yy).max()
+                         + np.abs(F).max())
+                worst = max(worst, np.abs(G @ yy - F).max() / scale)
+    assert worst <= 1e-12
+    assert worst_hy <= 1e-12
+
+
+def test_structured_cone_test_matches_dense_cholesky():
+    # Indefinite Q: uniform 2 mu* = -lambda_min(B) is the cone boundary; mu
+    # within 5% above t mu* is off the cone for t <= 0.9, on it for t >= 1.1.
+    rng = np.random.default_rng(9)
+    verdicts = set()
+    for p in differential_problems():
+        Q = p.Q - 1.5 * abs(np.linalg.eigvalsh(p.Q)[0]) * np.eye(p.n) - 0.5
+        q = lift(DiscreteQP(Q=Q, c=p.c, A=p.A, b=p.b, U=p.U))
+        mu_star = -0.5 * np.linalg.eigvalsh(q.B)[0]
+        for t in (0.5, 0.9, 1.1, 2.0):
+            mu = t * mu_star * (1.0 + 0.05 * rng.random(q.K))
+            try:
+                np.linalg.cholesky(dense_g(q, mu))
+                dense_pd = True
+            except np.linalg.LinAlgError:
+                dense_pd = False
+            assert factorize_g(q, mu).positive_definite == dense_pd == (t > 1)
+            verdicts.add(dense_pd)
+    assert verdicts == {True, False}
 
 
 def test_dual_value_at_reference_point(example2):
@@ -122,7 +212,7 @@ def test_stationary_point_value_identity(example2):
     # minimized over y at y = G^-1 F, where it equals P_dual(d).
     q = lift(example2)
     d = DualPoint(sigma=np.zeros(5), tau=EX2_TAU, mu=EX2_MU)
-    G = q.B + 2.0 * np.diag(d.mu)
+    G = dense_g(q, d.mu)
     F = f_vector(q, d)
 
     def xi(z):

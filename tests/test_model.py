@@ -1,11 +1,13 @@
 """Validation and objective arithmetic for the core problem types."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dvs.errors import DimensionError
+from dvs.lift import lift
 from dvs.model import (
-    BinaryQP,
     Certificate,
     DiscreteQP,
     DualPoint,
@@ -88,20 +90,27 @@ def test_is_feasible_checks_constraints_and_membership():
 
 
 def test_binary_objective_matches_quadratic_form():
-    q = BinaryQP(B=np.array([[2.0]]), h=np.array([3.0]),
-                 D=np.zeros((0, 1)), b=np.zeros(0),
-                 H=np.ones((1, 1)), blocks=((0, 1),),
-                 U_flat=np.array([1.0]), K=1)
+    # One coordinate: B = [[2]], h = [3].
+    q = lift(DiscreteQP(Q=[[2.0]], c=[3.0], A=np.zeros((0, 1)),
+                        b=np.zeros(0), U=[[1.0]]))
     assert binary_objective(q, np.array([1.0])) == pytest.approx(-2.0)
     assert binary_objective(q, np.array([0.0])) == pytest.approx(0.0)
+    # Through x = M'y it is 0.5 y'By - h'y on any y, one-hot or not.
+    q = lift(small_problem())
+    for y in np.random.default_rng(2).standard_normal((5, q.K)):
+        assert binary_objective(q, y) == pytest.approx(
+            0.5 * y @ q.B @ y - q.h @ y, abs=1e-12)
 
 
 def test_binary_qp_rejects_asymmetric_b():
+    # B = M Q M' is derived from Q, so an asymmetric Q is what is refused;
+    # the lift of an asymmetric input is exactly symmetric.
+    q = lift(DiscreteQP(Q=[[1.0, 0.3], [0.1, 2.0]], c=np.zeros(2),
+                        A=np.zeros((0, 2)), b=np.zeros(0),
+                        U=[[0.0, 1.0], [1.0, 2.0]]))
+    assert np.array_equal(q.B, q.B.T)
     with pytest.raises(ValueError):
-        BinaryQP(B=np.array([[0.0, 1.0], [0.5, 0.0]]), h=np.zeros(2),
-                 D=np.zeros((0, 2)), b=np.zeros(0),
-                 H=np.ones((1, 2)), blocks=((0, 2),),
-                 U_flat=np.array([0.0, 1.0]), K=2)
+        dataclasses.replace(q, Q=np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_certificate_requires_cone_for_global_status():

@@ -5,7 +5,7 @@ import pytest
 
 from dvs.errors import Infeasible, TooLarge
 from dvs.lift import lift, recover_x
-from dvs.model import BinaryQP, DiscreteQP
+from dvs.model import DiscreteQP
 from dvs.oracle import enumerate_binary, enumerate_discrete
 
 
@@ -79,20 +79,18 @@ def test_enumerate_spans_chunk_boundaries():
 
 
 def test_enumerate_binary_single_coordinate():
-    q = BinaryQP(K=1, B=np.array([[2.0]]), h=np.array([3.0]),
-                 D=np.zeros((0, 1)), b=np.zeros(0),
-                 H=np.ones((1, 1)), blocks=((0, 1),),
-                 U_flat=np.array([1.0]))
+    # B = [[2]], h = [3]
+    q = lift(DiscreteQP(Q=[[2.0]], c=[3.0], A=np.zeros((0, 1)),
+                        b=np.zeros(0), U=[[1.0]]))
     y, value = enumerate_binary(q)
     assert np.array_equal(y, [1.0])
     assert value == pytest.approx(-2.0)
 
 
 def test_enumerate_binary_two_coordinate_block():
-    q = BinaryQP(K=2, B=np.diag([1.0, 4.0]), h=np.zeros(2),
-                 D=np.zeros((0, 2)), b=np.zeros(0),
-                 H=np.ones((1, 2)), blocks=((0, 2),),
-                 U_flat=np.array([0.0, 1.0]))
+    # B = [[1, 2], [2, 4]], h = 0: the first coordinate wins, 0.5 against 2
+    q = lift(DiscreteQP(Q=[[1.0]], c=[0.0], A=np.zeros((0, 1)),
+                        b=np.zeros(0), U=[[1.0, 2.0]]))
     y, value = enumerate_binary(q)
     assert np.array_equal(y, [1.0, 0.0])
     assert value == pytest.approx(0.5)

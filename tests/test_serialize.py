@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dvs.serialize import (
     parse_problem,
     parse_report,
 )
-from dvs.solver import solve
+from dvs.solver import round_binary, solve, verify_kkt
 
 
 def two_var_problem():
@@ -212,3 +213,31 @@ def test_check_rejects_non_finite_certificate_numbers(example1, path):
     with pytest.raises(SchemaError) as exc:
         check(emit_problem(example1), json.dumps(doc))
     assert "non-finite" in str(exc.value)
+
+
+def test_off_cone_report_round_trips_and_rechecks(example1):
+    # Off the PD cone the gap is infinite; the report stays valid JSON and
+    # an honest NoCertificate report re-verifies.
+    r = solve(example1)
+    mu = r.dual_point.mu.copy()
+    mu[0] = -1e3
+    d = dataclasses.replace(r.dual_point, mu=mu)
+    q = lift(example1)
+    y01, _ = round_binary(r.y, q)
+    cert = verify_kkt(q, y01, d, tol=r.tol_gap * (1.0 + abs(r.objective)),
+                      tol_gap=r.tol_gap, mu_min=r.mu_min)
+    assert cert.gap == math.inf and cert.status == "NoCertificate"
+    r = dataclasses.replace(r, dual_point=d, certificate=cert,
+                            status="NoCertificate")
+    data = emit_report(r)
+    doc = json.loads(data)
+    assert doc["certificate"]["gap"] == "Infinity"
+    assert parse_report(data)["status"] == "NoCertificate"
+    passed, failures = check(emit_problem(example1), data)
+    assert passed, failures
+    # a finite claimed gap no longer matches, and "NaN" is not a number
+    doc["certificate"]["gap"] = 1.0
+    assert not check(emit_problem(example1), json.dumps(doc))[0]
+    doc["certificate"]["gap"] = "NaN"
+    with pytest.raises(SchemaError):
+        check(emit_problem(example1), json.dumps(doc))

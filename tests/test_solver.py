@@ -8,7 +8,7 @@ import pytest
 from dvs.dual import MU_MIN, factorize_g
 from dvs.generator import GenSpec, generate
 from dvs.lift import lift
-from dvs.model import DiscreteQP, DualPoint
+from dvs.model import BinaryQP, DiscreteQP, DualPoint
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
@@ -77,25 +77,52 @@ def test_ascent_trace_iteration_count():
     assert t.iterations == 2
 
 
+def blocks_2_3():
+    """A lifted problem with blocks ((0, 2), (2, 5))."""
+    return lift(DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
+                           b=np.zeros(0), U=[[0.0, 1.0], [0.0, 1.0, 2.0]]))
+
+
 def test_round_binary_basics():
-    blocks = ((0, 2), (2, 5))
     y = np.array([0.8, 0.2, 0.1, 0.6, 0.3])
-    y01, flagged = round_binary(y, blocks)
+    y01, flagged = round_binary(y, blocks_2_3())
     assert np.array_equal(y01, [1, 0, 0, 1, 0])
     assert flagged == ()
 
 
 def test_round_binary_flags_low_confidence():
-    blocks = ((0, 2), (2, 5))
     y = np.array([0.8, 0.2, 0.35, 0.33, 0.32])
-    y01, flagged = round_binary(y, blocks, threshold=0.5)
+    y01, flagged = round_binary(y, blocks_2_3(), threshold=0.5)
     assert np.array_equal(y01, [1, 0, 1, 0, 0])
     assert flagged == (1,)
 
 
 def test_round_binary_tie_takes_lowest_index():
-    y01, _ = round_binary(np.array([0.5, 0.5]), ((0, 2),))
-    assert np.array_equal(y01, [1, 0])
+    q = blocks_2_3()
+    y01, _ = round_binary(np.array([0.5, 0.5, 0.2, 0.7, 0.7]), q)
+    assert np.array_equal(y01, [1, 0, 0, 1, 0])
+    # the padding of the short block never wins, even on a tie
+    y01, _ = round_binary(np.array([0.9, 0.9, 0.2, 0.2, 0.2]), q)
+    assert np.array_equal(y01, [1, 0, 1, 0, 0])
+
+
+def test_round_binary_matches_per_block_loop():
+    # The per-block argmax loop the vectorized form replaced.
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        sizes = rng.integers(1, 5, size=6)
+        q = lift(DiscreteQP(Q=np.eye(6), c=np.zeros(6), A=np.zeros((0, 6)),
+                            b=np.zeros(0), U=[range(s) for s in sizes]))
+        for y in np.round(rng.random((20, q.K)), 1):
+            y01, flagged = round_binary(y, q, threshold=0.5)
+            ref, ref_flagged = np.zeros(q.K), []
+            for i, (s, e) in enumerate(q.blocks):
+                j = s + int(np.argmax(y[s:e]))
+                ref[j] = 1.0
+                if y[j] < 0.5:
+                    ref_flagged.append(i)
+            assert np.array_equal(y01, ref)
+            assert flagged == tuple(ref_flagged)
 
 
 def test_verify_kkt_certifies_reference_solution(example1):
@@ -224,3 +251,27 @@ def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
     iterations, evaluations, rejections = map(int, found.groups())
     # one evaluation for the start point, at least one per accepted step
     assert evaluations >= iterations + 1 + rejections
+
+
+def test_solve_n100_certifies_and_checks():
+    # K = 500: the n-by-n kernel makes this a fraction of a second.
+    p = generate(GenSpec(100, 5, 4342))
+    r = solve(p)
+    assert r.status == "CertifiedGlobal"
+    passed, failures = check(emit_problem(p), emit_report(r))
+    assert passed, failures
+
+
+def test_solve_and_check_never_form_b_or_h(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the K-by-K B or the n-by-K H was formed")
+
+    monkeypatch.setattr(BinaryQP, "B", property(refuse))
+    monkeypatch.setattr(BinaryQP, "H", property(refuse))
+    p = generate(GenSpec(50, 5, 4292))
+    r = solve(p)
+    assert r.status == "CertifiedGlobal"
+    passed, failures = check(emit_problem(p), emit_report(r))
+    assert passed, failures
+    with pytest.raises(AssertionError):
+        lift(p).B
