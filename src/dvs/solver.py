@@ -4,16 +4,20 @@ The dual P_dual(sigma, tau, mu) is maximized over the cone {sigma >= 0,
 mu >= mu_min, G(mu) PD}.  Each evaluation maximizes tau out exactly
 (:func:`dvs.dual.eliminate_tau`), so the outer iteration works on
 (sigma, mu) only, with the ascent gradient (D y - b, y * (y - 1)).  The
-outer loop is a projected L-BFGS (two-loop recursion on the free
-coordinates) with an Armijo backtracking line search that rejects any
-trial whose G(mu) fails Cholesky — feasibility before ascent.
+outer loop is a projected L-BFGS, its direction formed on the free
+coordinates from the compact representation of Byrd, Nocedal & Schnabel
+("Representations of quasi-Newton matrices and their use in limited
+memory methods", Math. Prog. 63, 1994), with an Armijo backtracking line
+search that rejects any trial whose G(mu) fails Cholesky — feasibility
+before ascent.
 
 The ascent stops at the first iterate that certifies: its rounded y
 passes the same recover/round/verify_kkt certificate that ``solve`` and
-``dvs check`` apply, screened first by comparing the rounded point's
-objective with the dual value.  The certified gap is therefore at most
-``tol_gap * (1 + |objective|)`` rather than round-off.  Instances that
-never certify run the ascent to its other stopping rules unchanged.
+``dvs check`` apply, screened first by comparing the objective of the
+n-level point it rounds to with the dual value.  The certified gap is
+therefore at most ``tol_gap * (1 + |objective|)`` rather than round-off.
+Instances that never certify run the ascent to its other stopping rules
+unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dtrtrs
 
 from .dual import (
     MU_MIN,
@@ -148,20 +153,70 @@ def _evaluate(q: BinaryQP, w: np.ndarray):
     return -value, -grad, y, tau
 
 
+class _LBFGSMemory:
+    """The newest curvature pairs (s, y) in the compact form of Byrd,
+    Nocedal & Schnabel (1994).
+
+    Rows ``S[:k]``, ``Y[:k]`` hold the pairs oldest first; ``R`` keeps the
+    upper triangle of S Y' and ``YY`` the Gram matrix Y Y', each updated by
+    one matrix-vector product per pair.  A full memory shifts its oldest
+    pair out.  ``apply`` computes the L-BFGS inverse-Hessian product with
+    H0 = gamma I, gamma = s'y / y'y of the newest pair — the direction of
+    the two-loop recursion, in a fixed handful of BLAS calls.
+    """
+
+    def __init__(self, size: int, dim: int):
+        self.S = np.empty((size, dim))
+        self.Y = np.empty((size, dim))
+        self.R = np.zeros((size, size))
+        self.YY = np.zeros((size, size))
+        self.k = 0
+
+    def append(self, s: np.ndarray, y: np.ndarray):
+        if self.k == len(self.S):
+            for a in (self.S, self.Y):
+                a[:-1] = a[1:]
+            for a in (self.R, self.YY):
+                a[:-1, :-1] = a[1:, 1:]
+            self.k -= 1
+        k = self.k + 1
+        self.S[k - 1] = s
+        self.Y[k - 1] = y
+        self.R[:k, k - 1] = self.S[:k] @ y
+        self.YY[:k, k - 1] = self.YY[k - 1, :k] = self.Y[:k] @ y
+        self.k = k
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """H r; with no pairs stored, r scaled to at most unit norm."""
+        k = self.k
+        if not k:
+            return r / max(1.0, np.linalg.norm(r))
+        S, Y, R = self.S[:k], self.Y[:k], self.R[:k, :k]
+        gamma = R[-1, -1] / self.YY[k - 1, k - 1]
+        t = dtrtrs(R, S @ r)[0]
+        p = dtrtrs(R, R.diagonal() * t
+                   + gamma * (self.YY[:k, :k] @ t - Y @ r), trans=1)[0]
+        return gamma * r + S.T @ p - gamma * (Y.T @ t)
+
+
 def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= mu_min}.
 
-    Every accepted iterate keeps G(mu) Cholesky-positive-definite and
-    never decreases the dual value; the trace records the dual value of
-    the initial point and of each accepted step.  Terminates at the first
-    iterate (the initial point included) whose rounded point certifies as
-    CertifiedGlobal ("Certified", the candidate is carried on the trace);
-    otherwise when the projected gradient infinity-norm falls to tol_grad
-    ("Converged"), after max_iter steps ("MaxIterations"), or when no
-    further progress is possible — the line search finds no ascent step
-    above 1e-16, or the dual value has been exactly flat for 50
-    consecutive accepted steps ("LineSearchStall", best iterate returned —
-    typically at the round-off floor).
+    The L-BFGS direction comes from the compact representation of the
+    last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
+    1994); a non-descent direction clears the memory and falls back to
+    steepest ascent.  Every accepted iterate keeps G(mu)
+    Cholesky-positive-definite and never decreases the dual value; the
+    trace records the dual value of the initial point and of each
+    accepted step.  Terminates at the first iterate (the initial point
+    included) whose rounded point certifies as CertifiedGlobal
+    ("Certified", the candidate is carried on the trace); otherwise when
+    the projected gradient infinity-norm falls to tol_grad ("Converged"),
+    after max_iter steps ("MaxIterations"), or when no further progress
+    is possible — the line search finds no ascent step above 1e-16, or
+    the dual value has been exactly flat for 50 consecutive accepted
+    steps ("LineSearchStall", best iterate returned — typically at the
+    round-off floor).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -171,9 +226,9 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     lb = np.concatenate([np.zeros(m), np.full(K, cfg.mu_min)])
 
     f, g, y, tau = _evaluate(q, w)
-    evaluations, rejections = 1, 0
+    evaluations, rejections, resets = 1, 0, 0
     values = [-f]
-    memory = []
+    memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
     termination = TERM_MAX_ITER
     flat_steps = 0
     for it in range(cfg.max_iter + 1):
@@ -195,27 +250,15 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         if it % 50 == 0:
             log.debug("iter %d dual=%.12g pg=%.3e", it, -f, pg_norm)
 
-        # Two-loop recursion on the free coordinates; bound-active
-        # coordinates whose gradient pushes outward are frozen.
+        # L-BFGS on the free coordinates; bound-active coordinates whose
+        # gradient pushes outward are frozen.
         frozen = at_bound & (g > 0)
         r = np.where(frozen, 0.0, g)
-        q_dir = r.copy()
-        alphas = []
-        for s_v, y_v, rho in reversed(memory):
-            a = rho * (s_v @ q_dir)
-            alphas.append(a)
-            q_dir -= a * y_v
-        if memory:
-            s_v, y_v, _ = memory[-1]
-            q_dir *= (s_v @ y_v) / (y_v @ y_v)
-        else:
-            q_dir /= max(1.0, np.linalg.norm(r))
-        for (s_v, y_v, rho), a in zip(memory, reversed(alphas)):
-            q_dir += (a - rho * (y_v @ q_dir)) * s_v
-        direction = -np.where(frozen, 0.0, q_dir)
+        direction = -np.where(frozen, 0.0, memory.apply(r))
         if g @ direction >= 0.0:
-            memory.clear()
-            direction = -r / max(1.0, np.linalg.norm(r))
+            memory.k = 0
+            resets += 1
+            direction = -memory.apply(r)
 
         step = 1.0
         accepted = None
@@ -241,15 +284,14 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         y_v = g_try - g
         curv = s_v @ y_v
         if curv > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
-            memory.append((s_v, y_v, 1.0 / curv))
-            if len(memory) > _LBFGS_MEMORY:
-                memory.pop(0)
+            memory.append(s_v, y_v)
         w, f, g, y, tau = w_try, f_try, g_try, y_try, tau_try
         values.append(-f)
 
     log.info("dual ascent: %s after %d iterations, dual=%.12g, "
-             "%d dual evaluations, %d cone rejections",
-             termination, len(values) - 1, -f, evaluations, rejections)
+             "%d dual evaluations, %d cone rejections, %d L-BFGS resets",
+             termination, len(values) - 1, -f, evaluations, rejections,
+             resets)
     point = DualPoint(sigma=w[:m], tau=tau, mu=w[m:])
     return point, AscentTrace(values=tuple(values), termination=termination,
                               candidate=candidate)
@@ -259,18 +301,18 @@ def _certified_candidate(q: BinaryQP, w: np.ndarray, tau: np.ndarray,
                          y: np.ndarray, dual: float, cfg: SolverConfig):
     """The certified candidate at an ascent iterate, or None.
 
-    A cheap O(mK + n^2) screen comes first: round the kernel's y and
-    require its objective to meet ``dual`` within the gap tolerance, with
-    D y01 <= b and sigma'(D y01 - b) within the residual tolerance.  Only
-    a point that passes gets the full certificate of :func:`_certify`.
+    A cheap O(K + mn + n^2) screen comes first: take the point x that the
+    kernel's y rounds to (:func:`_rounded_point`) and require its
+    objective to meet ``dual`` within the gap tolerance, with A x <= b and
+    sigma'(A x - b) within the residual tolerance.  Only a point that
+    passes gets the full certificate of :func:`_certify`.
     """
-    y01, _ = round_binary(y, q, cfg.round_threshold)
-    value = binary_objective(q, y01)
+    x, value = _rounded_point(q, y)
     tol = cfg.tol_gap * (1.0 + abs(value))
     if abs(value - dual) > tol:
         return None
     if q.m:
-        slack = q.D @ y01 - q.b
+        slack = q.A @ x - q.b
         if slack.max() > tol or abs(w[:q.m] @ slack) > tol:
             return None
     d = DualPoint(sigma=w[:q.m], tau=tau, mu=w[q.m:])
@@ -278,6 +320,13 @@ def _certified_candidate(q: BinaryQP, w: np.ndarray, tau: np.ndarray,
     if candidate.certificate.status != CERTIFIED_GLOBAL:
         return None
     return candidate
+
+
+def _rounded_point(q: BinaryQP, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The point x = M'y01 that :func:`round_binary` rounds ``y`` to, and
+    its objective, taken straight from the chosen values."""
+    x = q.U_flat[_block_argmax(y, q)]
+    return x, float(0.5 * x @ q.Q @ x - q.c @ x)
 
 
 def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
@@ -295,17 +344,24 @@ def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
                      certificate=cert)
 
 
+def _block_argmax(y: np.ndarray, q: BinaryQP) -> np.ndarray:
+    """The coordinate of each block's largest y, ties to the lowest index.
+
+    One gather through ``q.pad`` lines the blocks up as rows; its padding
+    repeats each block's first coordinate, which can never win a tie.
+    """
+    return q.starts + y[q.pad].argmax(axis=1)
+
+
 def round_binary(y: np.ndarray, q: BinaryQP, threshold: float = 0.5
                  ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Argmax rounding per block, guaranteeing exactly one 1 per block.
 
     Returns the 0/1 vector and the indices of low-confidence blocks
     (largest coordinate below ``threshold``); ties go to the lowest index.
-    One gather through ``q.pad`` lines the blocks up as rows; its padding
-    repeats each block's first coordinate, which can never win a tie.
     """
     y = np.asarray(y, dtype=float)
-    pick = q.starts + y[q.pad].argmax(axis=1)
+    pick = _block_argmax(y, q)
     y01 = np.zeros(q.K)
     y01[pick] = 1.0
     return y01, tuple(np.flatnonzero(y[pick] < threshold).tolist())

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from dvs import solver
 from dvs.dual import MU_MIN, factorize_g
+from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.lift import lift
-from dvs.model import BinaryQP, DiscreteQP, DualPoint
+from dvs.lift import lift, recover_x
+from dvs.model import BinaryQP, DiscreteQP, DualPoint, binary_objective
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
@@ -251,6 +253,10 @@ def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
     iterations, evaluations, rejections = map(int, found.groups())
     # one evaluation for the start point, at least one per accepted step
     assert evaluations >= iterations + 1 + rejections
+    resets = re.search(r", (\d+) L-BFGS resets$", line)
+    assert resets, line
+    # at most one reset per iteration's direction
+    assert 0 <= int(resets.group(1)) <= iterations
 
 
 def test_solve_n100_certifies_and_checks():
@@ -275,3 +281,132 @@ def test_solve_and_check_never_form_b_or_h(monkeypatch):
     assert passed, failures
     with pytest.raises(AssertionError):
         lift(p).B
+
+
+def two_loop(pairs, r):
+    """The two-loop L-BFGS recursion the compact form replaced: H r for
+    pairs (s, y) oldest first, with H0 = (s'y / y'y) I of the newest."""
+    memory = [(s_v, y_v, 1.0 / (s_v @ y_v)) for s_v, y_v in pairs]
+    q_dir = r.copy()
+    alphas = []
+    for s_v, y_v, rho in reversed(memory):
+        a = rho * (s_v @ q_dir)
+        alphas.append(a)
+        q_dir -= a * y_v
+    if memory:
+        s_v, y_v, _ = memory[-1]
+        q_dir *= (s_v @ y_v) / (y_v @ y_v)
+    else:
+        q_dir /= max(1.0, np.linalg.norm(r))
+    for (s_v, y_v, rho), a in zip(memory, reversed(alphas)):
+        q_dir += (a - rho * (y_v @ q_dir)) * s_v
+    return q_dir
+
+
+def assert_matches_two_loop(got, memory, pairs, r):
+    """``got`` = memory.apply(r) against the two-loop on the memory's pairs,
+    the last memory.k of ``pairs``."""
+    ref = two_loop(pairs[len(pairs) - memory.k:] if memory.k else [], r)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("size", [1, 5, 20])
+def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
+    rng = np.random.default_rng(size)
+    dim = 60
+    # y = M s + noise with M SPD keeps s'y > 0, as the curvature test does
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    M = basis @ np.diag(rng.uniform(0.1, 10.0, dim)) @ basis.T
+    memory = solver._LBFGSMemory(size, dim)
+    pairs = []
+    for _ in range(size + 25):
+        s_v = rng.standard_normal(dim)
+        y_v = M @ s_v + 0.01 * rng.standard_normal(dim)
+        assert s_v @ y_v > 0.0
+        memory.append(s_v, y_v)
+        pairs.append((s_v, y_v))
+        assert memory.k == min(len(pairs), size)
+        r = np.where(rng.random(dim) < 0.1, 0.0, rng.standard_normal(dim))
+        assert_matches_two_loop(memory.apply(r), memory, pairs, r)
+    memory.k = 0
+    assert_matches_two_loop(memory.apply(r), memory, pairs, r)
+
+
+def test_compact_lbfgs_matches_two_loop_on_ascent_pairs(monkeypatch):
+    # Every direction of a real n = 50 ascent, against the two-loop run on
+    # the same pairs (pairs outlive a reset only in the reference list).
+    checked = []
+
+    class Checked(solver._LBFGSMemory):
+        def __init__(self, size, dim):
+            super().__init__(size, dim)
+            self.pairs = []
+
+        def append(self, s, y):
+            super().append(s, y)
+            self.pairs.append((s.copy(), y.copy()))
+
+        def apply(self, r):
+            got = super().apply(r)
+            assert_matches_two_loop(got, self, self.pairs, r)
+            checked.append((self.k, len(self.pairs)))
+            return got
+
+    monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
+    _, trace = maximize_dual(lift(generate(GenSpec(50, 5, 4293))))
+    assert trace.termination == TERM_CERTIFIED
+    sizes = {k for k, _ in checked}
+    assert {1, 5, 20} <= sizes
+    # the memory rolled over: more pairs appended than it holds
+    assert max(n for _, n in checked) >= 25
+
+
+def screened_iterates(problems, monkeypatch):
+    """(q, y) of every ascent iterate the certificate screen looked at."""
+    seen = []
+    original = solver._rounded_point
+
+    def record(q, y):
+        seen.append((q, y.copy()))
+        return original(q, y)
+
+    monkeypatch.setattr(solver, "_rounded_point", record)
+    for p in problems:
+        maximize_dual(lift(p))
+    monkeypatch.undo()
+    return seen
+
+
+def criterion4_problems(count):
+    problems, k = [], 0
+    while len(problems) < count:
+        k += 1
+        p = generate(GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
+                             value_set=((0.0, 1.0), (1.0, 2.0, 3.0),
+                                        (-1.0, 0.0, 2.0), (2.0, 5.0))[k % 4]))
+        try:
+            enumerate_discrete(p)
+        except Infeasible:
+            continue
+        problems.append(p)
+    return problems
+
+
+def test_screen_point_equals_rounded_point(monkeypatch):
+    seen = screened_iterates(criterion4_problems(40)
+                             + [generate(GenSpec(50, 5, 4292))], monkeypatch)
+    q23 = blocks_2_3()
+    # the tie and padding inputs of the round_binary tests above
+    seen += [(q23, np.array(y)) for y in (
+        [0.8, 0.2, 0.1, 0.6, 0.3], [0.8, 0.2, 0.35, 0.33, 0.32],
+        [0.5, 0.5, 0.2, 0.7, 0.7], [0.9, 0.9, 0.2, 0.2, 0.2])]
+    assert len(seen) > 400
+    for q, y in seen:
+        x, value = solver._rounded_point(q, y)
+        y01, _ = round_binary(y, q)
+        assert value == binary_objective(q, y01)
+        assert np.array_equal(x, recover_x(q, y01))
+        if q.m:
+            scale = np.linalg.norm(q.D, np.inf) + np.abs(q.b).max()
+            assert np.abs((q.A @ x - q.b) - (q.D @ y01 - q.b)).max() \
+                <= 1e-12 * scale
