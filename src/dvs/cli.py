@@ -126,14 +126,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve a problem via dual maximization")
     sp.add_argument("problem", help="problem JSON file")
-    sp.add_argument("--tol-grad", type=float, default=1e-8,
+    cfg = SolverConfig()
+    sp.add_argument("--tol-grad", type=float, default=cfg.tol_grad,
                     help="projected-gradient stopping threshold")
-    sp.add_argument("--tol-gap", type=float, default=1e-6,
+    sp.add_argument("--tol-gap", type=float, default=cfg.tol_gap,
                     help="relative duality-gap certification threshold")
-    sp.add_argument("--mu-min", type=float, default=1e-8,
+    sp.add_argument("--mu-min", type=float, default=cfg.mu_min,
                     help="lower bound standing in for mu > 0")
-    sp.add_argument("--max-iter", type=int, default=5000)
-    sp.add_argument("--fallback-oracle", type=int, default=24, metavar="K",
+    sp.add_argument("--max-iter", type=int, default=cfg.max_iter)
+    sp.add_argument("--fallback-oracle", type=int,
+                    default=cfg.fallback_oracle_max_K, metavar="K",
                     help="run exhaustive enumeration when not certified and "
                          "the lifted dimension is at most K (0 disables)")
     sp.add_argument("--trace", action="store_true",

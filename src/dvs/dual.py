@@ -46,9 +46,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import BinaryQP, DualPoint
-
-MU_MIN = 1e-8
+from .model import MU_MIN, BinaryQP, DualPoint
 
 
 def _cholesky(Q: np.ndarray, s: np.ndarray):
@@ -180,15 +178,13 @@ def dual_value(q: BinaryQP, d: DualPoint, fact: GFactorization = None) -> float:
     return float(val)
 
 
-def dual_gradient(q: BinaryQP, d: DualPoint,
-                  fact: GFactorization = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dual_gradient(q: BinaryQP, d: DualPoint
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascent gradient of P_dual, evaluated through y = G^-1F (G must be PD).
 
     Returns (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y*(y-1)).
     """
-    if fact is None:
-        fact = factorize_g(q, d.mu)
-    y = recover_y(fact, f_vector(q, d))
+    y = recover_y(factorize_g(q, d.mu), f_vector(q, d))
     gs = (q.D @ y - q.b) if q.m else np.zeros(0)
     gt = q.block_sums(y) - 1.0
     gm = y * (y - 1.0)

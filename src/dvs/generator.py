@@ -107,9 +107,3 @@ def generate(spec: GenSpec) -> DiscreteQP:
     u_vec = np.full(spec.n, max(spec.value_set))
     b = A @ l_vec + 0.5 * (A @ u_vec - A @ l_vec)
     return DiscreteQP(Q=Q, c=c, A=A, b=b, U=tuple(spec.value_set for _ in range(spec.n)))
-
-
-def scaling_suite(sizes, seed: int) -> list[DiscreteQP]:
-    """One default-family instance per (n, m), seeded seed+index."""
-    return [generate(GenSpec(n=n, m=m, seed=seed + i))
-            for i, (n, m) in enumerate(sizes)]

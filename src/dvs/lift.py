@@ -55,13 +55,12 @@ def recover_x(q: BinaryQP, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def encode_y(p: DiscreteQP, x: np.ndarray,
-             tol: float = VALUE_MEMBERSHIP_TOL) -> np.ndarray:
+def encode_y(p: DiscreteQP, x: np.ndarray) -> np.ndarray:
     """Produce the one-hot y encoding x, the inverse of :func:`recover_x`.
 
-    Each x[i] must sit within ``tol`` of some member of U[i]; the first
-    match wins, and genuine ties cannot arise because value sets are
-    duplicate-free.
+    Each x[i] must sit within VALUE_MEMBERSHIP_TOL of some member of U[i];
+    the first match wins, and genuine ties cannot arise because value sets
+    are duplicate-free.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
@@ -70,7 +69,7 @@ def encode_y(p: DiscreteQP, x: np.ndarray,
     for i, ui in enumerate(p.U):
         d = np.abs(np.asarray(ui) - x[i])
         j = int(np.argmin(d))
-        if d[j] > tol:
+        if d[j] > VALUE_MEMBERSHIP_TOL:
             raise ValueNotInSet(i, float(x[i]))
         part = np.zeros(len(ui))
         part[j] = 1.0

@@ -11,6 +11,7 @@ so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +26,10 @@ NO_CERTIFICATE = "NoCertificate"
 ORACLE_FALLBACK = "OracleFallback"
 
 VALUE_MEMBERSHIP_TOL = 1e-9
+# Default certificate tolerances: the relative duality gap, and mu_min,
+# the computable stand-in for mu > 0 in the dual cone.
+TOL_GAP = 1e-6
+MU_MIN = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -76,6 +81,11 @@ class DiscreteQP:
                 raise ValueError(f"U[{i}] is empty")
             if len(set(ui)) != len(ui):
                 raise ValueError(f"U[{i}] contains duplicate values")
+            if not all(map(math.isfinite, ui)):
+                raise ValueError(f"U[{i}] has a non-finite entry")
+        for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has a non-finite entry")
         for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b), ("U", U)):
             object.__setattr__(self, name, value)
 
@@ -247,8 +257,8 @@ class SolveReport:
     low_confidence_blocks: tuple[int, ...] = ()
     trace: tuple[float, ...] = ()
     seconds: float = 0.0
-    tol_gap: float = 1e-6
-    mu_min: float = 1e-8
+    tol_gap: float = TOL_GAP
+    mu_min: float = MU_MIN
 
     def __post_init__(self):
         object.__setattr__(self, "x", _freeze(self.x))
@@ -266,14 +276,14 @@ def objective(p: DiscreteQP, x: np.ndarray) -> float:
     return float(0.5 * x @ p.Q @ x - p.c @ x)
 
 
-def is_feasible(p: DiscreteQP, x: np.ndarray, tol: float = VALUE_MEMBERSHIP_TOL) -> bool:
-    """True iff Ax <= b + tol and every x[i] is within tol of a U[i] member."""
+def is_feasible(p: DiscreteQP, x: np.ndarray) -> bool:
+    """True iff Ax <= b and every x[i] is in U[i], up to VALUE_MEMBERSHIP_TOL."""
     x = np.asarray(x, dtype=float)
     _check_shape("x", x, (p.n,))
-    if p.m and np.any(p.A @ x > p.b + tol):
+    if p.m and np.any(p.A @ x > p.b + VALUE_MEMBERSHIP_TOL):
         return False
     for i, ui in enumerate(p.U):
-        if min(abs(x[i] - u) for u in ui) > tol:
+        if min(abs(x[i] - u) for u in ui) > VALUE_MEMBERSHIP_TOL:
             return False
     return True
 

@@ -28,7 +28,7 @@ def _radices(sizes: list[int]) -> np.ndarray:
     return rad
 
 
-def _chunks(total: int, chunk: int, reverse: bool):
+def _chunks(total: int, chunk: int, reverse: bool = False):
     starts = range(0, total, chunk)
     for s in (reversed(starts) if reverse else starts):
         yield s, min(s + chunk, total)
@@ -81,8 +81,7 @@ def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT,
     return x, best_value, feasible, total
 
 
-def enumerate_binary(q: BinaryQP, limit: int = DEFAULT_LIMIT,
-                     reverse_order: bool = False) -> tuple[np.ndarray, float]:
+def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:
     """Minimize 0.5 y'By - h'y over one-hot y with Dy <= b.
 
     Evaluates B, h, D directly through the selected coordinate indices —
@@ -91,8 +90,8 @@ def enumerate_binary(q: BinaryQP, limit: int = DEFAULT_LIMIT,
     """
     sizes = [e - s for s, e in q.blocks]
     total = math.prod(sizes)
-    if total > limit:
-        raise TooLarge(total, limit)
+    if total > DEFAULT_LIMIT:
+        raise TooLarge(total, DEFAULT_LIMIT)
     rad = _radices(sizes)
     starts = np.array([s for s, _ in q.blocks], dtype=np.int64)
     # The B gather materializes chunk*n*n floats; keep it bounded.
@@ -101,7 +100,7 @@ def enumerate_binary(q: BinaryQP, limit: int = DEFAULT_LIMIT,
     best_value = math.inf
     best_index = -1
     feasible = 0
-    for lo, hi in _chunks(total, chunk, reverse_order):
+    for lo, hi in _chunks(total, chunk):
         flat = np.arange(lo, hi, dtype=np.int64)
         sel = np.empty((flat.size, q.n), dtype=np.int64)
         for i in range(q.n):

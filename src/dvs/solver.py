@@ -31,7 +31,6 @@ from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dtrtrs
 
 from .dual import (
-    MU_MIN,
     GFactorization,
     dual_value,
     eliminate_tau,
@@ -44,8 +43,10 @@ from .lift import lift, recover_x
 from .model import (
     CERTIFIED_GLOBAL,
     KKT_ONLY,
+    MU_MIN,
     NO_CERTIFICATE,
     ORACLE_FALLBACK,
+    TOL_GAP,
     BinaryQP,
     Certificate,
     DiscreteQP,
@@ -74,18 +75,15 @@ class SolverConfig:
     """Tolerances and limits for the dual ascent and certification."""
 
     tol_grad: float = 1e-8
-    tol_gap: float = 1e-6
+    tol_gap: float = TOL_GAP
     mu_min: float = MU_MIN
     max_iter: int = 5000
-    round_threshold: float = 0.5
     fallback_oracle_max_K: int = 24
 
     def __post_init__(self):
         for name in ("tol_grad", "tol_gap", "mu_min"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if not 0.0 < self.round_threshold < 1.0:
-            raise ValueError("round_threshold must lie in (0, 1)")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -336,10 +334,9 @@ def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
     """
     fact = factorize_g(q, d.mu)
     y = recover_y(fact, f_vector(q, d))
-    y01, flagged = round_binary(y, q, cfg.round_threshold)
-    value = binary_objective(q, y01)
-    cert = verify_kkt(q, y01, d, tol=cfg.tol_gap * (1.0 + abs(value)),
-                      tol_gap=cfg.tol_gap, mu_min=cfg.mu_min, fact=fact)
+    y01, flagged = round_binary(y, q)
+    cert = verify_kkt(q, y01, d, tol_gap=cfg.tol_gap, mu_min=cfg.mu_min,
+                      fact=fact)
     return Candidate(y=y, y01=y01, low_confidence_blocks=flagged,
                      certificate=cert)
 
@@ -353,32 +350,32 @@ def _block_argmax(y: np.ndarray, q: BinaryQP) -> np.ndarray:
     return q.starts + y[q.pad].argmax(axis=1)
 
 
-def round_binary(y: np.ndarray, q: BinaryQP, threshold: float = 0.5
+def round_binary(y: np.ndarray, q: BinaryQP
                  ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Argmax rounding per block, guaranteeing exactly one 1 per block.
 
     Returns the 0/1 vector and the indices of low-confidence blocks
-    (largest coordinate below ``threshold``); ties go to the lowest index.
+    (largest coordinate below 0.5); ties go to the lowest index.
     """
     y = np.asarray(y, dtype=float)
     pick = _block_argmax(y, q)
     y01 = np.zeros(q.K)
     y01[pick] = 1.0
-    return y01, tuple(np.flatnonzero(y[pick] < threshold).tolist())
+    return y01, tuple(np.flatnonzero(y[pick] < 0.5).tolist())
 
 
-def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
-               tol_gap: float = 1e-6, mu_min: float = MU_MIN,
+def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint,
+               tol_gap: float = TOL_GAP, mu_min: float = MU_MIN,
                fact: GFactorization = None) -> Certificate:
     """Compute KKT residuals and the duality gap; classify the outcome.
 
     CertifiedGlobal requires cone membership (sigma >= 0, mu >= mu_min,
-    G(mu) PD), every residual at most ``tol``, and a relative duality gap
-    at most ``tol_gap``.  Off the PD cone P_dual = -inf, so the gap is inf
-    and the status NoCertificate.  KKTOnly means the residuals and gap pass
-    and G(mu) is PD, but sigma < 0 or mu < mu_min.  G(mu) is factorized
-    once for the gap and the cone test; ``fact``, when given, must be
-    ``factorize_g(q, d.mu)``.
+    G(mu) PD), and the duality gap and every residual at most
+    ``tol_gap * (1 + |v|)`` with v the objective at ``y01``.  Off the PD
+    cone P_dual = -inf, so the gap is inf and the status NoCertificate.
+    KKTOnly means the residuals and gap pass and G(mu) is PD, but sigma < 0
+    or mu < mu_min.  G(mu) is factorized once for the gap and the cone
+    test; ``fact``, when given, must be ``factorize_g(q, d.mu)``.
     """
     y01 = np.asarray(y01, dtype=float)
     hy = q.block_sums(y01) - 1.0
@@ -400,8 +397,9 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint, tol: float,
     value = binary_objective(q, y01)
     gap = abs(value - dual_value(q, d, fact))
     in_cone = in_dual_cone(q, d, mu_min, fact)
+    tol = tol_gap * (1.0 + abs(value))
     residuals_ok = max(primal, dual_feas, comp) <= tol
-    gap_ok = gap <= tol_gap * (1.0 + abs(value))
+    gap_ok = gap <= tol
     if residuals_ok and gap_ok:
         status = CERTIFIED_GLOBAL if in_cone else KKT_ONLY
     else:

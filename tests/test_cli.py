@@ -68,6 +68,19 @@ def test_solve_invalid_problem_exits_two(tmp_path):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--mu-min", "nan"),
+                                        ("--mu-min", "inf"),
+                                        ("--tol-gap", "nan")])
+def test_solve_non_finite_tolerance_exits_two(example1_path, tmp_path,
+                                              flag, value):
+    out = tmp_path / "r.json"
+    cp = run_cli("solve", str(example1_path), flag, value, "--out", str(out))
+    assert cp.returncode == 2
+    assert "must be finite" in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not out.exists()
+
+
 def test_oracle_reports_objective(example1_path, tmp_path):
     out = tmp_path / "oracle.json"
     cp = run_cli("oracle", str(example1_path), "--out", str(out))

@@ -100,7 +100,7 @@ def test_off_cone_dual_is_minus_infinity_and_uncertified():
     q = one_variable_qp(-5.0, c1=1.0)
     d = DualPoint(sigma=np.zeros(0), tau=np.zeros(1), mu=np.ones(2))
     assert dual_value(q, d) == -np.inf
-    cert = verify_kkt(q, np.array([0.0, 1.0]), d, tol=1e-6)
+    cert = verify_kkt(q, np.array([0.0, 1.0]), d)
     assert not cert.in_cone
     assert cert.status == "NoCertificate"
     assert cert.gap == np.inf

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dvs.generator import GenSpec, XorShift64Star, generate, scaling_suite
+from dvs.generator import GenSpec, XorShift64Star, generate
 from dvs.model import is_feasible
 
 _MASK = (1 << 64) - 1
@@ -123,10 +123,3 @@ def test_spec_validation():
 def test_custom_value_set_is_used():
     p = generate(GenSpec(n=2, m=1, seed=0, value_set=(-1.0, 0.5)))
     assert p.U == ((-1.0, 0.5), (-1.0, 0.5))
-
-
-def test_scaling_suite_seeds_consecutively():
-    suite = scaling_suite([(2, 1), (3, 1)], seed=10)
-    assert [p.n for p in suite] == [2, 3]
-    assert np.array_equal(suite[0].Q, generate(GenSpec(n=2, m=1, seed=10)).Q)
-    assert np.array_equal(suite[1].Q, generate(GenSpec(n=3, m=1, seed=11)).Q)

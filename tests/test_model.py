@@ -1,6 +1,7 @@
 """Validation and objective arithmetic for the core problem types."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ def test_empty_or_duplicate_value_set_rejected():
     with pytest.raises(ValueError):
         DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
                    b=np.zeros(0), U=[[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("field", ["Q", "c", "A", "b", "U[1]"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_rejected(field, bad):
+    data = dict(Q=np.eye(2), c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1),
+                U=[[0.0, 1.0], [0.0, 1.0]])
+    if field == "U[1]":
+        data["U"] = [[0.0, 1.0], [0.0, bad]]
+    else:
+        data[field] = np.array(data[field], dtype=float)
+        data[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} has a non-finite"):
+        DiscreteQP(**data)
 
 
 def test_unconstrained_problem_allowed():

@@ -35,9 +35,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_gap=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(round_threshold=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for name in ("tol_grad", "tol_gap", "mu_min"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{name: bad})
 
 
 def test_initial_point_is_interior(example1, example2):
@@ -94,7 +96,7 @@ def test_round_binary_basics():
 
 def test_round_binary_flags_low_confidence():
     y = np.array([0.8, 0.2, 0.35, 0.33, 0.32])
-    y01, flagged = round_binary(y, blocks_2_3(), threshold=0.5)
+    y01, flagged = round_binary(y, blocks_2_3())
     assert np.array_equal(y01, [1, 0, 1, 0, 0])
     assert flagged == (1,)
 
@@ -116,7 +118,7 @@ def test_round_binary_matches_per_block_loop():
         q = lift(DiscreteQP(Q=np.eye(6), c=np.zeros(6), A=np.zeros((0, 6)),
                             b=np.zeros(0), U=[range(s) for s in sizes]))
         for y in np.round(rng.random((20, q.K)), 1):
-            y01, flagged = round_binary(y, q, threshold=0.5)
+            y01, flagged = round_binary(y, q)
             ref, ref_flagged = np.zeros(q.K), []
             for i, (s, e) in enumerate(q.blocks):
                 j = s + int(np.argmax(y[s:e]))
@@ -131,7 +133,7 @@ def test_verify_kkt_certifies_reference_solution(example1):
     q = lift(example1)
     d, _ = maximize_dual(q)
     y01 = np.array([0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0], float)
-    cert = verify_kkt(q, y01, d, tol=1e-6 * 230.0)
+    cert = verify_kkt(q, y01, d)
     assert cert.status == "CertifiedGlobal"
     assert cert.in_cone
     assert cert.gap <= 1e-6 * 230.0
@@ -144,7 +146,7 @@ def test_verify_kkt_detects_wrong_point(example1):
     d, _ = maximize_dual(q)
     y01 = np.zeros(15)
     y01[[0, 3, 6, 9, 12]] = 1.0  # valid one-hot, but not the optimum
-    cert = verify_kkt(q, y01, d, tol=1e-6 * 230.0)
+    cert = verify_kkt(q, y01, d)
     assert cert.status == "NoCertificate"
     assert cert.gap > 1.0
 
@@ -158,7 +160,7 @@ def test_verify_kkt_cone_failure_downgrades_to_kkt_only(example1):
     # small to move any residual or the gap but still leaves the cone
     sigma[int(np.argmin(sigma))] = -1e-12
     d_bad = DualPoint(sigma=sigma, tau=d.tau, mu=d.mu)
-    cert = verify_kkt(q, y01, d_bad, tol=1e-6 * 230.0)
+    cert = verify_kkt(q, y01, d_bad)
     assert not cert.in_cone
     assert cert.status == "KKTOnly"
 
