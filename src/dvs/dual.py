@@ -6,36 +6,34 @@ For dual variables (sigma, tau, mu) define
     F(sigma,tau,mu)  = h - D'sigma - H'tau + mu
     P_dual           = -0.5 F' G^-1 F - sigma'b - tau'1
 
-on the cone where G(mu) is positive definite; off it P_dual = -inf and
-gives no bound.  The stationary primal point is y = G^-1 F, and the
-gradient of P_dual evaluated through that y has the closed form
+where G(mu) is positive definite, with stationary primal point y = G^-1 F
+and gradient (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y * (y - 1)).
+These tau-given functions (:func:`factorize_g`, :func:`recover_y`,
+:func:`dual_value`, :func:`dual_gradient`, :func:`in_dual_cone`) are the
+reference the tests compare against; the solver and ``dvs check`` call
+only :func:`eliminate_tau`.  No K-by-K matrix is formed: B = M Q M' with
+M the K-by-n block matrix of candidate values, so with rd = 1/(2 mu) and
+W = sum u^2 rd per block, G(mu) is PD exactly when mu > 0 and the
+congruent n-by-n I + S Q S, S = diag(sqrt W), passes Cholesky.
 
-    d/dsigma = Dy - b,   d/dtau = Hy - 1,   d/dmu = y * (y - 1)
-
-(the complementarity products reappear as the mu-gradient).  Maximizing
-P_dual over the cone where sigma >= 0, mu > 0 and G(mu) is positive
-definite yields a global-optimality certificate for the primal.
-
-No K-by-K matrix is formed.  B = M Q M' has rank <= n, where M is the
-K-by-n block matrix of candidate values, so with rd = 1/(2 mu) and the
-per-block sums W_i = sum u^2 rd, G(mu) is PD exactly when mu > 0 and
-Q + diag(1/W) is PD.  :func:`factorize_g` tests this by the Cholesky
-factorization of the congruent n-by-n matrix I + S Q S, S = diag(sqrt W),
-which stays defined for a value set {0} (W_i = 0).  Any mu_k <= 0 is off
-the cone.  G y = F then reduces to an n-by-n solve for x = M'y.
-
-:func:`eliminate_tau` maximizes P_dual over the unconstrained tau, which
-is the same as minimizing 0.5 y'G y - (F + H'tau)'y subject to H y = 1.
-Per block, with e = sum rd, ubar = sum u rd / e, du = u - ubar,
-V = sum rd du^2 and c = ubar + sum du / 2, the minimizer is
+:func:`eliminate_tau` maximizes P_dual over tau, i.e. minimizes
+0.5 y'G y - (F + H'tau)'y over {H y = 1}, which bounds every feasible 0-1
+point from below as long as G is PD on ker H.  Per block, with
+e = sum rd, ubar = sum u rd / e, du = u - ubar, V = sum rd du^2 and
+c = ubar + sum du / 2, the minimizer is
 
     y = 1/2 + (alpha + beta du) rd,   beta = (x - c) / V,
     alpha = (1 - s/2 - beta sum rd du) / e,   tau = beta ubar - alpha,
 
-where x solves the n-by-n system (Q + diag(1/V)) x = gamma + c/V with
-gamma = c_problem - A'sigma.  The centring keeps alpha and beta on the
-scale of mu, so y loses no digits where mu is tiny, and H y = 1 holds per
-block by construction.
+where x solves (Q + diag(1/V)) x = gamma + c/V, gamma = c_problem - A'sigma,
+as (I + S Q S) z = S (gamma - Q c), S = diag(sqrt V).  The centring keeps
+alpha and beta on the scale of mu, and H y = 1 holds by construction.
+
+That one Cholesky is also the cone test.  For mu > 0 take y in ker H with
+M'y = x: y'G y = x'Q x + sum 2 mu y^2, and per block the least
+sum 2 mu y^2 subject to sum y = 0, sum u y = x_i is x_i^2 / V_i (at
+y = x_i rd du / V_i).  So G|ker H is PD iff Q + diag(1/V) is.  Since
+V = W - e ubar^2 <= W, G(mu) PD implies it, never the other way round.
 """
 
 from __future__ import annotations
@@ -131,13 +129,13 @@ def recover_y(fact: GFactorization, F: np.ndarray) -> np.ndarray:
 def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
     """Maximize P_dual over tau at fixed (sigma, mu).
 
-    Returns (P_dual, y, tau) at the optimal tau, or None when G(mu) is not
-    PD or the n-by-n reduced system is not.
+    Returns (P_dual, y, tau) at the optimal tau, or None off the cone: some
+    mu_k <= 0, or Q + diag(1/V) not PD.
     """
-    fact = factorize_g(q, mu)
-    if not fact.positive_definite:
+    mu = np.asarray(mu, dtype=float)
+    if not mu.min() > 0.0:
         return None
-    u, rd, at = q.U_flat, fact.rd, q.block_of
+    u, rd, at = q.U_flat, 0.5 / mu, q.block_of
     e = q.block_sums(rd)
     ubar = q.block_sums(u * rd) / e
     du = u - ubar[at]
@@ -165,10 +163,9 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
     return value, y, tau
 
 
-def dual_value(q: BinaryQP, d: DualPoint, fact: GFactorization = None) -> float:
+def dual_value(q: BinaryQP, d: DualPoint) -> float:
     """P_dual = -0.5 F'G^-1F - sigma'b - tau'1 on the PD cone, -inf off it."""
-    if fact is None:
-        fact = factorize_g(q, d.mu)
+    fact = factorize_g(q, d.mu)
     if not fact.positive_definite:
         return -np.inf
     F = f_vector(q, d)
@@ -191,18 +188,15 @@ def dual_gradient(q: BinaryQP, d: DualPoint
     return gs, gt, gm
 
 
-def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN,
-                 fact: GFactorization = None) -> bool:
-    """Membership in the certificate cone: sigma >= 0, mu >= mu_min, G PD.
+def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN) -> bool:
+    """Membership in the tau-given cone: sigma >= 0, mu >= mu_min, G(mu) PD.
 
-    ``mu_min`` is the computable stand-in for strict positivity of mu;
-    positive definiteness is the Cholesky test from :func:`factorize_g`
-    (``fact``, when given, must be ``factorize_g(q, d.mu)``).
+    This is narrower than the certificate's cone (Q + diag(1/V) PD, see
+    the module docstring); it is kept as the reference for the weak-duality
+    and gradient checks of the tau-given dual.
     """
     if q.m and np.any(d.sigma < 0.0):
         return False
     if np.any(d.mu < mu_min):
         return False
-    if fact is None:
-        fact = factorize_g(q, d.mu)
-    return fact.positive_definite
+    return factorize_g(q, d.mu).positive_definite

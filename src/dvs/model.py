@@ -221,7 +221,7 @@ class Certificate:
     """KKT residuals, duality gap and the cone-membership verdict.
 
     ``status`` is CertifiedGlobal only when the dual point lies in the
-    positive-definite dual cone and every residual passed its tolerance,
+    certificate's dual cone and every residual passed its tolerance,
     which is checked where the certificate is assembled.
     """
 

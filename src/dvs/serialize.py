@@ -265,7 +265,8 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     PASS requires: x feasible, the objective matching a recomputation
     within 1e-9, and — when the report carries a certificate — the
     certificate re-verifying (same residuals, gap, and status from the
-    reported dual point and rounded y).  Returns (passed, failures).
+    reported sigma, mu and rounded y; tau is recomputed, so the reported
+    tau is informational).  Returns (passed, failures).
     """
     p = parse_problem(problem_data)
     rep = parse_report(report_data)

@@ -1,23 +1,23 @@
 """Concave dual maximization, rounding, certification, and the full solve.
 
-The dual P_dual(sigma, tau, mu) is maximized over the cone {sigma >= 0,
-mu >= mu_min, G(mu) PD}.  Each evaluation maximizes tau out exactly
-(:func:`dvs.dual.eliminate_tau`), so the outer iteration works on
-(sigma, mu) only, with the ascent gradient (D y - b, y * (y - 1)).  The
-outer loop is a projected L-BFGS, its direction formed on the free
-coordinates from the compact representation of Byrd, Nocedal & Schnabel
-("Representations of quasi-Newton matrices and their use in limited
-memory methods", Math. Prog. 63, 1994), with an Armijo backtracking line
-search that rejects any trial whose G(mu) fails Cholesky — feasibility
-before ascent.
+The dual P_dual(sigma, tau, mu) is maximized with tau eliminated
+(:func:`dvs.dual.eliminate_tau`, one n-by-n Cholesky per evaluation) over
+the cone {sigma >= 0, mu >= mu_min, Q + diag(1/V) PD}, so the outer
+iteration works on (sigma, mu) only, with the ascent gradient
+(D y - b, y * (y - 1)).  The outer loop is a projected L-BFGS, its
+direction formed on the free coordinates from the compact representation
+of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
+and their use in limited memory methods", Math. Prog. 63, 1994), with an
+Armijo backtracking line search that rejects any trial off that cone —
+feasibility before ascent.
 
-The ascent stops at the first iterate that certifies: its rounded y
-passes the same recover/round/verify_kkt certificate that ``solve`` and
-``dvs check`` apply, screened first by comparing the objective of the
-n-level point it rounds to with the dual value.  The certified gap is
+The ascent stops at the first iterate that certifies: the kernel's y,
+rounded, passes the same round/verify_kkt certificate that ``dvs check``
+applies, screened first by comparing the objective of the n-level point
+it rounds to with the dual value.  The certified gap is
 therefore at most ``tol_gap * (1 + |objective|)`` rather than round-off.
 Instances that never certify run the ascent to its other stopping rules
-unchanged.
+unchanged; the candidate at the final iterate is what ``solve`` reports.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dtrtrs
 
-from .dual import (
-    GFactorization,
-    dual_value,
-    eliminate_tau,
-    f_vector,
-    factorize_g,
-    in_dual_cone,
-    recover_y,
-)
+from .dual import eliminate_tau
+# Not called here; perfbench/tracing.py wraps these two names.
+from .dual import factorize_g, recover_y  # noqa: F401
 from .lift import lift, recover_x
 from .model import (
     CERTIFIED_GLOBAL,
@@ -84,6 +78,9 @@ class SolverConfig:
         for name in ("tol_grad", "tol_gap", "mu_min"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        for name in ("max_iter", "fallback_oracle_max_K"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -100,11 +97,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class AscentTrace:
-    """Dual values of the accepted iterates plus the termination reason.
-
-    ``candidate`` is the certified candidate at the final iterate when the
-    ascent stopped "Certified", else None.
-    """
+    """Dual values of the accepted iterates, the termination reason and
+    the candidate (rounded y and its certificate) at the final iterate."""
 
     values: tuple[float, ...]
     termination: str
@@ -119,8 +113,8 @@ def initial_point(q: BinaryQP, mu_min: float = MU_MIN) -> DualPoint:
     """sigma = 0, tau = 0, and a uniform mu that makes G(mu) safely PD.
 
     mu0 = max(mu_min, delta0 - lambda_min(B)/2) with delta0 =
-    1e-3 (1 + ||B||_inf) gives G(mu0) >= 2 delta0 I, so the very first
-    Cholesky attempt cannot fail.  Both come from n-level data: B = M Q M'
+    1e-3 (1 + ||B||_inf) gives G(mu0) >= 2 delta0 I, inside the kernel's
+    cone, so the very first Cholesky attempt cannot fail.  Both come from n-level data: B = M Q M'
     has the nonzero spectrum of S Q S, S^2 = diag(sum u^2) = M'M, plus
     K - n zeros, and row k of |B| sums to |u_k| (|Q| M'|u|)_i.
     """
@@ -203,12 +197,12 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     The L-BFGS direction comes from the compact representation of the
     last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
     1994); a non-descent direction clears the memory and falls back to
-    steepest ascent.  Every accepted iterate keeps G(mu)
-    Cholesky-positive-definite and never decreases the dual value; the
+    steepest ascent.  Every accepted iterate stays on the cone of
+    :func:`dvs.dual.eliminate_tau` and never decreases the dual value; the
     trace records the dual value of the initial point and of each
-    accepted step.  Terminates at the first iterate (the initial point
-    included) whose rounded point certifies as CertifiedGlobal
-    ("Certified", the candidate is carried on the trace); otherwise when
+    accepted step, and carries the candidate at the final iterate.
+    Terminates at the first iterate (the initial point included) whose
+    rounded point certifies as CertifiedGlobal ("Certified"); otherwise when
     the projected gradient infinity-norm falls to tol_grad ("Converged"),
     after max_iter steps ("MaxIterations"), or when no further progress
     is possible — the line search finds no ascent step above 1e-16, or
@@ -291,6 +285,8 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
              termination, len(values) - 1, -f, evaluations, rejections,
              resets)
     point = DualPoint(sigma=w[:m], tau=tau, mu=w[m:])
+    if candidate is None:
+        candidate = _certify(q, point, y, cfg)
     return point, AscentTrace(values=tuple(values), termination=termination,
                               candidate=candidate)
 
@@ -314,7 +310,7 @@ def _certified_candidate(q: BinaryQP, w: np.ndarray, tau: np.ndarray,
         if slack.max() > tol or abs(w[:q.m] @ slack) > tol:
             return None
     d = DualPoint(sigma=w[:q.m], tau=tau, mu=w[q.m:])
-    candidate = _certify(q, d, cfg)
+    candidate = _certify(q, d, y, cfg)
     if candidate.certificate.status != CERTIFIED_GLOBAL:
         return None
     return candidate
@@ -327,16 +323,11 @@ def _rounded_point(q: BinaryQP, y: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(0.5 * x @ q.Q @ x - q.c @ x)
 
 
-def _certify(q: BinaryQP, d: DualPoint, cfg: SolverConfig) -> Candidate:
-    """Recover y at ``d``, round it and certify the rounded point.
-
-    One factorization of G(mu) serves the recovery and the certificate.
-    """
-    fact = factorize_g(q, d.mu)
-    y = recover_y(fact, f_vector(q, d))
+def _certify(q: BinaryQP, d: DualPoint, y: np.ndarray,
+             cfg: SolverConfig) -> Candidate:
+    """Round the kernel's y at ``d`` and certify the rounded point."""
     y01, flagged = round_binary(y, q)
-    cert = verify_kkt(q, y01, d, tol_gap=cfg.tol_gap, mu_min=cfg.mu_min,
-                      fact=fact)
+    cert = verify_kkt(q, y01, d, tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)
     return Candidate(y=y, y01=y01, low_confidence_blocks=flagged,
                      certificate=cert)
 
@@ -365,17 +356,18 @@ def round_binary(y: np.ndarray, q: BinaryQP
 
 
 def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint,
-               tol_gap: float = TOL_GAP, mu_min: float = MU_MIN,
-               fact: GFactorization = None) -> Certificate:
+               tol_gap: float = TOL_GAP, mu_min: float = MU_MIN
+               ) -> Certificate:
     """Compute KKT residuals and the duality gap; classify the outcome.
 
-    CertifiedGlobal requires cone membership (sigma >= 0, mu >= mu_min,
-    G(mu) PD), and the duality gap and every residual at most
-    ``tol_gap * (1 + |v|)`` with v the objective at ``y01``.  Off the PD
-    cone P_dual = -inf, so the gap is inf and the status NoCertificate.
-    KKTOnly means the residuals and gap pass and G(mu) is PD, but sigma < 0
-    or mu < mu_min.  G(mu) is factorized once for the gap and the cone
-    test; ``fact``, when given, must be ``factorize_g(q, d.mu)``.
+    One :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu) gives the
+    tau-maximized dual value for the gap and the cone verdict; d.tau does
+    not enter.  CertifiedGlobal requires cone membership (sigma >= 0,
+    mu >= mu_min, Q + diag(1/V) PD), and the duality gap and every residual
+    at most ``tol_gap * (1 + |v|)`` with v the objective at ``y01``.  Off
+    the cone the dual gives no bound, so the gap is inf and the status
+    NoCertificate.  KKTOnly means the residuals and gap pass and
+    Q + diag(1/V) is PD, but sigma < 0 or mu < mu_min.
     """
     y01 = np.asarray(y01, dtype=float)
     hy = q.block_sums(y01) - 1.0
@@ -392,11 +384,11 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint,
         dual_feas = max(-float(d.mu.min()), 0.0)
     comp = max(comp, abs(float(d.mu @ had)))
 
-    if fact is None:
-        fact = factorize_g(q, d.mu)
+    res = eliminate_tau(q, d.sigma, d.mu)
     value = binary_objective(q, y01)
-    gap = abs(value - dual_value(q, d, fact))
-    in_cone = in_dual_cone(q, d, mu_min, fact)
+    gap = np.inf if res is None else float(abs(value - res[0]))
+    in_cone = (res is not None and not np.any(d.sigma < 0.0)
+               and not np.any(d.mu < mu_min))
     tol = tol_gap * (1.0 + abs(value))
     residuals_ok = max(primal, dual_feas, comp) <= tol
     gap_ok = gap <= tol
@@ -412,8 +404,8 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint,
 def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     """Lift, maximize the dual, round, decode, certify — then fall back.
 
-    An ascent that stopped "Certified" hands over the candidate it
-    certified; any other termination certifies the final dual point here.
+    The ascent hands over the candidate at its final iterate, certified
+    or not.
 
     When the certificate is not CertifiedGlobal and the lifted dimension
     is at most ``fallback_oracle_max_K``, the exhaustive oracle supplies
@@ -427,8 +419,6 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     q = lift(p)
     d, trace = maximize_dual(q, cfg)
     candidate = trace.candidate
-    if candidate is None:
-        candidate = _certify(q, d, cfg)
     cert = candidate.certificate
     x = recover_x(q, candidate.y01)
     status = cert.status

@@ -17,9 +17,11 @@ from dvs.dual import (
     in_dual_cone,
     recover_y,
 )
+from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.lift import encode_y, lift
 from dvs.model import DiscreteQP, DualPoint, binary_objective
+from dvs.oracle import enumerate_discrete
 from dvs.solver import initial_point, verify_kkt
 
 # Reference dual solution for the second shipped instance (rounded to two
@@ -118,6 +120,45 @@ def test_eliminate_tau_maximizes_over_tau(example1):
     assert np.abs(gt).max() <= 1e-9  # the tau-gradient H y - 1 vanishes
     # off the cone there is nothing to maximize
     assert eliminate_tau(one_variable_qp(-5.0), np.zeros(0), np.ones(2)) is None
+
+
+def test_tau_eliminated_cone_is_wider_than_g_cone():
+    # mu = (2, 2): V = 1/8, so Q + 1/V = 3 > 0, while G = -5 [[1, 2], [2, 4]]
+    # + 4 I has determinant -84.  The tau-eliminated dual still bounds the
+    # primal there, and a certificate at that point is on the cone.
+    q = one_variable_qp(-5.0)
+    mu = np.array([2.0, 2.0])
+    assert not factorize_g(q, mu).positive_definite
+    value, _, tau = eliminate_tau(q, np.zeros(0), mu)
+    assert value <= min(-2.5 * u * u for u in (1.0, 2.0))
+    d = DualPoint(sigma=np.zeros(0), tau=tau, mu=mu)
+    assert verify_kkt(q, np.array([0.0, 1.0]), d).in_cone
+
+
+def test_tau_eliminated_value_bounds_indefinite_instances():
+    # Weak duality on the tau-eliminated cone: at random sigma >= 0, mu > 0
+    # the value never exceeds the oracle optimum, also where G is not PD.
+    rng = np.random.default_rng(13)
+    accepted = outside_g = 0
+    for k in range(1, 16):
+        p = generate(GenSpec(2 + k % 3, 2, 7000 + k,
+                             ((0.0, 1.0), (-1.0, 0.0, 2.0))[k % 2],
+                             coeff_range=(-1.0, 1.0), dominance_boost=False))
+        try:
+            _, optimum, _, _ = enumerate_discrete(p)
+        except Infeasible:
+            continue
+        q = lift(p)
+        for _ in range(40):
+            mu = 10.0 ** rng.uniform(-2.0, 1.0, q.K)
+            res = eliminate_tau(q, rng.random(q.m), mu)
+            if res is None:
+                continue
+            accepted += 1
+            outside_g += not factorize_g(q, mu).positive_definite
+            assert res[0] <= optimum + 1e-9 * (1.0 + abs(optimum))
+    assert accepted > 100
+    assert outside_g > 0
 
 
 def differential_problems():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dvs import solver
+from dvs import dual, solver
 from dvs.dual import MU_MIN, factorize_g
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
@@ -36,6 +36,9 @@ def test_config_validation():
         SolverConfig(tol_gap=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for name in ("max_iter", "fallback_oracle_max_K"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: 2.5})
     for name in ("tol_grad", "tol_gap", "mu_min"):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -283,6 +286,59 @@ def test_solve_and_check_never_form_b_or_h(monkeypatch):
     assert passed, failures
     with pytest.raises(AssertionError):
         lift(p).B
+
+
+def test_solve_and_check_take_one_cholesky_per_dual_evaluation(monkeypatch,
+                                                               example1):
+    # The tau-given G(mu) path is off the solve and check paths: every dual
+    # evaluation is one eliminate_tau call, which is one n-by-n Cholesky.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tau-given G(mu) path was taken")
+
+    counts = {"evaluations": 0, "choleskys": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dual.GFactorization, "solve", refuse)
+    monkeypatch.setattr(dual, "factorize_g", refuse)
+    monkeypatch.setattr(solver, "factorize_g", refuse)
+    monkeypatch.setattr(solver, "eliminate_tau",
+                        counted("evaluations", solver.eliminate_tau))
+    monkeypatch.setattr(dual, "_cholesky", counted("choleskys", dual._cholesky))
+    fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
+    for p, status in ((example1, "CertifiedGlobal"),
+                      (generate(GenSpec(50, 5, 4292)), "CertifiedGlobal"),
+                      (fallback, "OracleFallback")):
+        r = solve(p)
+        assert r.status == status
+        passed, failures = check(emit_problem(p), emit_report(r))
+        assert passed, failures
+    assert counts["evaluations"] > 0
+    assert counts["choleskys"] == counts["evaluations"]
+
+
+# Indefinite instances with a Q that is not diagonally dominant; k = 32 and
+# 55 certify only on the tau-eliminated cone, where G(mu) is not PD.
+INDEFINITE_KS = (30, 31, 32, 33, 55)
+
+
+def test_indefinite_certificates_match_the_oracle():
+    certified = 0
+    for k in INDEFINITE_KS:
+        p = generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
+                             coeff_range=(-1.0, 1.0), dominance_boost=False))
+        r = solve(p, SolverConfig(fallback_oracle_max_K=0))
+        if r.status != "CertifiedGlobal":
+            continue
+        certified += 1
+        _, value, _, _ = enumerate_discrete(p)
+        assert r.objective == pytest.approx(value, abs=1e-9)
+        assert not factorize_g(lift(p), r.dual_point.mu).positive_definite
+    assert certified >= 1
 
 
 def two_loop(pairs, r):
