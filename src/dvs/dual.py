@@ -100,10 +100,7 @@ def f_vector(q: BinaryQP, d: DualPoint) -> np.ndarray:
     """F = h - D'sigma - H'tau + mu."""
     if d.tau.shape != (q.n,) or d.mu.shape != (q.K,) or d.sigma.shape != (q.m,):
         raise ValueError("dual point dimensions do not match the problem")
-    F = q.h + d.mu - d.tau[q.block_of]
-    if q.m:
-        F = F - q.D.T @ d.sigma
-    return F
+    return q.h + d.mu - d.tau[q.block_of] - q.D.T @ d.sigma
 
 
 def factorize_g(q: BinaryQP, mu: np.ndarray) -> GFactorization:
@@ -145,7 +142,7 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
     if cho is None:
         return None
     cc = ubar + 0.5 * q.block_sums(du)
-    gamma = q.c - q.A.T @ sigma if q.m else q.c
+    gamma = q.c - q.A.T @ sigma
     # (Q + diag(1/V)) x = gamma + c/V as (I + S Q S) z = S (gamma - Q c),
     # x = c + S z with S = diag(sqrt V), so beta = (x - c)/V = z/sqrt V.  A
     # one-value block has V = 0 and x = c; its beta is read off the
@@ -157,9 +154,7 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
     alpha = (1.0 - 0.5 * q.sizes - beta * q.block_sums(rdu)) / e
     y = 0.5 + (alpha[at] + beta[at] * du) * rd
     tau = beta * ubar - alpha
-    value = 0.5 * (x @ Qx) - gamma @ x + mu @ (y * (y - 1.0))
-    if q.m:
-        value -= sigma @ q.b
+    value = 0.5 * (x @ Qx) - gamma @ x + mu @ (y * (y - 1.0)) - sigma @ q.b
     return value, y, tau
 
 
@@ -169,10 +164,7 @@ def dual_value(q: BinaryQP, d: DualPoint) -> float:
     if not fact.positive_definite:
         return -np.inf
     F = f_vector(q, d)
-    val = -0.5 * F @ fact.solve(F) - d.tau.sum()
-    if q.m:
-        val -= d.sigma @ q.b
-    return float(val)
+    return float(-0.5 * F @ fact.solve(F) - d.tau.sum() - d.sigma @ q.b)
 
 
 def dual_gradient(q: BinaryQP, d: DualPoint
@@ -182,10 +174,7 @@ def dual_gradient(q: BinaryQP, d: DualPoint
     Returns (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y*(y-1)).
     """
     y = recover_y(factorize_g(q, d.mu), f_vector(q, d))
-    gs = (q.D @ y - q.b) if q.m else np.zeros(0)
-    gt = q.block_sums(y) - 1.0
-    gm = y * (y - 1.0)
-    return gs, gt, gm
+    return q.D @ y - q.b, q.block_sums(y) - 1.0, y * (y - 1.0)
 
 
 def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN) -> bool:
@@ -195,8 +184,5 @@ def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN) -> bool:
     the module docstring); it is kept as the reference for the weak-duality
     and gradient checks of the tau-given dual.
     """
-    if q.m and np.any(d.sigma < 0.0):
-        return False
-    if np.any(d.mu < mu_min):
-        return False
-    return factorize_g(q, d.mu).positive_definite
+    return (not np.any(d.sigma < 0.0) and not np.any(d.mu < mu_min)
+            and factorize_g(q, d.mu).positive_definite)

@@ -29,7 +29,7 @@ def lift(p: DiscreteQP) -> BinaryQP:
     U_flat = np.concatenate([np.asarray(ui, dtype=float) for ui in p.U])
     K = int(offsets[-1])
     h = np.repeat(p.c, sizes) * U_flat
-    D = np.repeat(p.A, sizes, axis=1) * U_flat if p.m else np.zeros((0, K))
+    D = np.repeat(p.A, sizes, axis=1) * U_flat
     return BinaryQP(K=K, Q=p.Q, c=p.c, A=p.A, b=p.b, h=h, D=D,
                     blocks=blocks, U_flat=U_flat)
 

@@ -280,7 +280,7 @@ def is_feasible(p: DiscreteQP, x: np.ndarray) -> bool:
     """True iff Ax <= b and every x[i] is in U[i], up to VALUE_MEMBERSHIP_TOL."""
     x = np.asarray(x, dtype=float)
     _check_shape("x", x, (p.n,))
-    if p.m and np.any(p.A @ x > p.b + VALUE_MEMBERSHIP_TOL):
+    if np.any(p.A @ x > p.b + VALUE_MEMBERSHIP_TOL):
         return False
     for i, ui in enumerate(p.U):
         if min(abs(x[i] - u) for u in ui) > VALUE_MEMBERSHIP_TOL:

@@ -58,10 +58,7 @@ def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT,
         X = np.empty((flat.size, p.n))
         for i in range(p.n):
             X[:, i] = cols[i][(flat // rad[i]) % sizes[i]]
-        if p.m:
-            feas = np.all(X @ p.A.T <= p.b + VALUE_MEMBERSHIP_TOL, axis=1)
-        else:
-            feas = np.ones(flat.size, dtype=bool)
+        feas = np.all(X @ p.A.T <= p.b + VALUE_MEMBERSHIP_TOL, axis=1)
         nf = int(feas.sum())
         feasible += nf
         if nf == 0:
@@ -105,11 +102,8 @@ def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:
         sel = np.empty((flat.size, q.n), dtype=np.int64)
         for i in range(q.n):
             sel[:, i] = starts[i] + (flat // rad[i]) % sizes[i]
-        if q.m:
-            dy = q.D.T[sel].sum(axis=1)
-            feas = np.all(dy <= q.b + VALUE_MEMBERSHIP_TOL, axis=1)
-        else:
-            feas = np.ones(flat.size, dtype=bool)
+        dy = q.D.T[sel].sum(axis=1)
+        feas = np.all(dy <= q.b + VALUE_MEMBERSHIP_TOL, axis=1)
         nf = int(feas.sum())
         feasible += nf
         if nf == 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionError, SchemaError
-from .lift import lift, recover_x
+from .lift import lift
 from .model import (
     MU_MIN,
     TOL_GAP,
@@ -265,8 +265,10 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     PASS requires: x feasible, the objective matching a recomputation
     within 1e-9, and — when the report carries a certificate — the
     certificate re-verifying (same residuals, gap, and status from the
-    reported sigma, mu and rounded y; tau is recomputed, so the reported
-    tau is informational).  Returns (passed, failures).
+    reported sigma, mu and the x the reported y rounds to; tau is
+    recomputed, so the reported tau is informational).  The certificate
+    is judged at the report's tol_gap or TOL_GAP, whichever is tighter,
+    so a report cannot loosen its own test.  Returns (passed, failures).
     """
     p = parse_problem(problem_data)
     rep = parse_report(report_data)
@@ -297,8 +299,9 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                       mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
         tol_gap = _require_number(rep.get("tol_gap", TOL_GAP), "$.tol_gap")
         mu_min = _require_number(rep.get("mu_min", MU_MIN), "$.mu_min")
-        y01, _ = round_binary(y, q)
-        cert2 = verify_kkt(q, y01, d, tol_gap=tol_gap, mu_min=mu_min)
+        x_y, _ = round_binary(y, q)
+        cert2 = verify_kkt(q, x_y, d, tol_gap=min(tol_gap, TOL_GAP),
+                           mu_min=mu_min)
         if cert2.status != cert["status"]:
             failures.append(
                 f"certificate status: claimed {cert['status']!r}, "
@@ -315,6 +318,6 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                 f"report status {status!r} inconsistent with certificate "
                 f"{cert2.status!r}")
         if status != "OracleFallback":
-            if not np.array_equal(recover_x(q, y01), x):
+            if not np.array_equal(x_y, x):
                 failures.append("x does not decode from the reported y")
     return not failures, failures

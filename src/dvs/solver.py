@@ -11,13 +11,17 @@ and their use in limited memory methods", Math. Prog. 63, 1994), with an
 Armijo backtracking line search that rejects any trial off that cone —
 feasibility before ascent.
 
-The ascent stops at the first iterate that certifies: the kernel's y,
-rounded, passes the same round/verify_kkt certificate that ``dvs check``
-applies, screened first by comparing the objective of the n-level point
-it rounds to with the dual value.  The certified gap is
-therefore at most ``tol_gap * (1 + |objective|)`` rather than round-off.
-Instances that never certify run the ascent to its other stopping rules
-unchanged; the candidate at the final iterate is what ``solve`` reports.
+The certificate is an n-level function of the rounded point x (each
+block's largest y): :func:`certify` holds its residual, gap, cone and
+status rules, and :func:`verify_kkt` feeds it one
+:func:`dvs.dual.eliminate_tau` value, as ``dvs check`` does.  The ascent
+certifies with the dual value of the iterate it already has, at every
+iterate whose x meets that value within the gap tolerance and once at the
+final iterate, and stops at the first that certifies.  The certified gap
+is therefore at most ``tol_gap * (1 + |objective|)`` rather than
+round-off.  Instances that never certify run the ascent to its other
+stopping rules; the candidate at the final iterate is what ``solve``
+reports.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from scipy.linalg.lapack import dtrtrs
 from .dual import eliminate_tau
 # Not called here; perfbench/tracing.py wraps these two names.
 from .dual import factorize_g, recover_y  # noqa: F401
-from .lift import lift, recover_x
+from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
     KKT_ONLY,
@@ -46,7 +50,6 @@ from .model import (
     DiscreteQP,
     DualPoint,
     SolveReport,
-    binary_objective,
     objective,
 )
 from .oracle import enumerate_discrete
@@ -87,10 +90,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Candidate:
-    """The point recovered from a dual point, rounded and certified."""
+    """The kernel's y at a dual point, the x it rounds to, and x's
+    certificate."""
 
     y: np.ndarray
-    y01: np.ndarray
+    x: np.ndarray
     low_confidence_blocks: tuple[int, ...]
     certificate: Certificate
 
@@ -98,7 +102,7 @@ class Candidate:
 @dataclass(frozen=True)
 class AscentTrace:
     """Dual values of the accepted iterates, the termination reason and
-    the candidate (rounded y and its certificate) at the final iterate."""
+    the candidate (rounded x and its certificate) at the final iterate."""
 
     values: tuple[float, ...]
     termination: str
@@ -139,10 +143,7 @@ def _evaluate(q: BinaryQP, w: np.ndarray):
     if res is None:
         return None
     value, y, tau = res
-    grad = y * (y - 1.0)
-    if q.m:
-        grad = np.concatenate([q.D @ y - q.b, grad])
-    return -value, -grad, y, tau
+    return -value, -np.concatenate([q.D @ y - q.b, y * (y - 1.0)]), y, tau
 
 
 class _LBFGSMemory:
@@ -202,7 +203,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     trace records the dual value of the initial point and of each
     accepted step, and carries the candidate at the final iterate.
     Terminates at the first iterate (the initial point included) whose
-    rounded point certifies as CertifiedGlobal ("Certified"); otherwise when
+    rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
     the projected gradient infinity-norm falls to tol_grad ("Converged"),
     after max_iter steps ("MaxIterations"), or when no further progress
     is possible — the line search finds no ascent step above 1e-16, or
@@ -224,10 +225,15 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     termination = TERM_MAX_ITER
     flat_steps = 0
     for it in range(cfg.max_iter + 1):
-        candidate = _certified_candidate(q, w, tau, y, -f, cfg)
-        if candidate is not None:
-            termination = TERM_CERTIFIED
-            break
+        # Only an x whose objective meets the dual value -f can certify.
+        x = q.U_flat[_block_argmax(y, q)]
+        value = objective(q, x)
+        cert = None
+        if abs(value + f) <= cfg.tol_gap * (1.0 + abs(value)):
+            cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap, cfg.mu_min)
+            if cert.status == CERTIFIED_GLOBAL:
+                termination = TERM_CERTIFIED
+                break
         if flat_steps >= _STALL_PATIENCE:
             termination = TERM_STALL
             break
@@ -284,52 +290,14 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
              "%d dual evaluations, %d cone rejections, %d L-BFGS resets",
              termination, len(values) - 1, -f, evaluations, rejections,
              resets)
-    point = DualPoint(sigma=w[:m], tau=tau, mu=w[m:])
-    if candidate is None:
-        candidate = _certify(q, point, y, cfg)
-    return point, AscentTrace(values=tuple(values), termination=termination,
-                              candidate=candidate)
-
-
-def _certified_candidate(q: BinaryQP, w: np.ndarray, tau: np.ndarray,
-                         y: np.ndarray, dual: float, cfg: SolverConfig):
-    """The certified candidate at an ascent iterate, or None.
-
-    A cheap O(K + mn + n^2) screen comes first: take the point x that the
-    kernel's y rounds to (:func:`_rounded_point`) and require its
-    objective to meet ``dual`` within the gap tolerance, with A x <= b and
-    sigma'(A x - b) within the residual tolerance.  Only a point that
-    passes gets the full certificate of :func:`_certify`.
-    """
-    x, value = _rounded_point(q, y)
-    tol = cfg.tol_gap * (1.0 + abs(value))
-    if abs(value - dual) > tol:
-        return None
-    if q.m:
-        slack = q.A @ x - q.b
-        if slack.max() > tol or abs(w[:q.m] @ slack) > tol:
-            return None
-    d = DualPoint(sigma=w[:q.m], tau=tau, mu=w[q.m:])
-    candidate = _certify(q, d, y, cfg)
-    if candidate.certificate.status != CERTIFIED_GLOBAL:
-        return None
-    return candidate
-
-
-def _rounded_point(q: BinaryQP, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The point x = M'y01 that :func:`round_binary` rounds ``y`` to, and
-    its objective, taken straight from the chosen values."""
-    x = q.U_flat[_block_argmax(y, q)]
-    return x, float(0.5 * x @ q.Q @ x - q.c @ x)
-
-
-def _certify(q: BinaryQP, d: DualPoint, y: np.ndarray,
-             cfg: SolverConfig) -> Candidate:
-    """Round the kernel's y at ``d`` and certify the rounded point."""
-    y01, flagged = round_binary(y, q)
-    cert = verify_kkt(q, y01, d, tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)
-    return Candidate(y=y, y01=y01, low_confidence_blocks=flagged,
-                     certificate=cert)
+    x, flagged = round_binary(y, q)
+    if cert is None:
+        cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap, cfg.mu_min)
+    candidate = Candidate(y=y, x=x, low_confidence_blocks=flagged,
+                          certificate=cert)
+    return (DualPoint(sigma=w[:m], tau=tau, mu=w[m:]),
+            AscentTrace(values=tuple(values), termination=termination,
+                        candidate=candidate))
 
 
 def _block_argmax(y: np.ndarray, q: BinaryQP) -> np.ndarray:
@@ -343,56 +311,42 @@ def _block_argmax(y: np.ndarray, q: BinaryQP) -> np.ndarray:
 
 def round_binary(y: np.ndarray, q: BinaryQP
                  ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Argmax rounding per block, guaranteeing exactly one 1 per block.
+    """Argmax rounding per block: x takes each block's value at its
+    largest y, ties to the lowest index.
 
-    Returns the 0/1 vector and the indices of low-confidence blocks
-    (largest coordinate below 0.5); ties go to the lowest index.
+    Returns x and the indices of low-confidence blocks (largest
+    coordinate below 0.5).
     """
     y = np.asarray(y, dtype=float)
     pick = _block_argmax(y, q)
-    y01 = np.zeros(q.K)
-    y01[pick] = 1.0
-    return y01, tuple(np.flatnonzero(y[pick] < 0.5).tolist())
+    return q.U_flat[pick], tuple(np.flatnonzero(y[pick] < 0.5).tolist())
 
 
-def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint,
-               tol_gap: float = TOL_GAP, mu_min: float = MU_MIN
-               ) -> Certificate:
-    """Compute KKT residuals and the duality gap; classify the outcome.
+def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
+            dual: float, tol_gap: float, mu_min: float) -> Certificate:
+    """Judge the point x with one value per block against the dual value
+    ``dual`` at (sigma, mu), -inf off the cone.
 
-    One :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu) gives the
-    tau-maximized dual value for the gap and the cone verdict; d.tau does
-    not enter.  CertifiedGlobal requires cone membership (sigma >= 0,
-    mu >= mu_min, Q + diag(1/V) PD), and the duality gap and every residual
-    at most ``tol_gap * (1 + |v|)`` with v the objective at ``y01``.  Off
-    the cone the dual gives no bound, so the gap is inf and the status
+    The one-hot and 0-1 residuals of x's selector vanish by construction,
+    so the primal residual is the largest violation of A x <= b and the
+    complementarity residual |sigma'(A x - b)|.  CertifiedGlobal requires
+    cone membership (a finite ``dual``, sigma >= 0, mu >= mu_min), and the
+    duality gap and every residual at most ``tol_gap * (1 + |v|)`` with v
+    the objective at x.  Off the cone the gap is inf and the status
     NoCertificate.  KKTOnly means the residuals and gap pass and
     Q + diag(1/V) is PD, but sigma < 0 or mu < mu_min.
     """
-    y01 = np.asarray(y01, dtype=float)
-    hy = q.block_sums(y01) - 1.0
-    had = y01 * (y01 - 1.0)
-    if q.m:
-        slack = q.D @ y01 - q.b
-        primal = max(float(np.max(slack)), float(np.abs(hy).max()),
-                     float(np.max(had)), 0.0)
-        comp = abs(float(d.sigma @ slack))
-        dual_feas = max(-float(d.sigma.min()), -float(d.mu.min()), 0.0)
-    else:
-        primal = max(float(np.abs(hy).max()), float(np.max(had)), 0.0)
-        comp = 0.0
-        dual_feas = max(-float(d.mu.min()), 0.0)
-    comp = max(comp, abs(float(d.mu @ had)))
-
-    res = eliminate_tau(q, d.sigma, d.mu)
-    value = binary_objective(q, y01)
-    gap = np.inf if res is None else float(abs(value - res[0]))
-    in_cone = (res is not None and not np.any(d.sigma < 0.0)
-               and not np.any(d.mu < mu_min))
+    slack = q.A @ x - q.b
+    primal = max(float(np.max(slack, initial=-np.inf)), 0.0)
+    comp = abs(float(sigma @ slack))
+    dual_feas = max(-float(np.min(sigma, initial=np.inf)), -float(mu.min()),
+                    0.0)
+    value = objective(q, x)
+    gap = float(abs(value - dual))
+    in_cone = (dual > -np.inf and not np.any(sigma < 0.0)
+               and not np.any(mu < mu_min))
     tol = tol_gap * (1.0 + abs(value))
-    residuals_ok = max(primal, dual_feas, comp) <= tol
-    gap_ok = gap <= tol
-    if residuals_ok and gap_ok:
+    if max(primal, dual_feas, comp, gap) <= tol:
         status = CERTIFIED_GLOBAL if in_cone else KKT_ONLY
     else:
         status = NO_CERTIFICATE
@@ -401,11 +355,22 @@ def verify_kkt(q: BinaryQP, y01: np.ndarray, d: DualPoint,
                        in_cone=in_cone, status=status)
 
 
-def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
-    """Lift, maximize the dual, round, decode, certify — then fall back.
+def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint,
+               tol_gap: float = TOL_GAP, mu_min: float = MU_MIN
+               ) -> Certificate:
+    """:func:`certify` x at the tau-maximized dual value of one
+    :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu); d.tau does not
+    enter."""
+    res = eliminate_tau(q, d.sigma, d.mu)
+    return certify(q, np.asarray(x, dtype=float), d.sigma, d.mu,
+                   -np.inf if res is None else res[0], tol_gap, mu_min)
 
-    The ascent hands over the candidate at its final iterate, certified
-    or not.
+
+def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
+    """Lift and maximize the dual, then fall back.
+
+    The ascent hands over the rounded x at its final iterate and x's
+    certificate, certified or not.
 
     When the certificate is not CertifiedGlobal and the lifted dimension
     is at most ``fallback_oracle_max_K``, the exhaustive oracle supplies
@@ -419,8 +384,7 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     q = lift(p)
     d, trace = maximize_dual(q, cfg)
     candidate = trace.candidate
-    cert = candidate.certificate
-    x = recover_x(q, candidate.y01)
+    cert, x = candidate.certificate, candidate.x
     status = cert.status
     if cert.status != CERTIFIED_GLOBAL and q.K <= cfg.fallback_oracle_max_K:
         log.info("certificate is %s; falling back to enumeration (K=%d)",

@@ -9,7 +9,7 @@ import pytest
 
 from dvs.errors import DimensionError, SchemaError
 from dvs.lift import lift
-from dvs.model import DiscreteQP
+from dvs.model import DiscreteQP, objective
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import (
     check,
@@ -223,8 +223,8 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     mu[0] = -1e3
     d = dataclasses.replace(r.dual_point, mu=mu)
     q = lift(example1)
-    y01, _ = round_binary(r.y, q)
-    cert = verify_kkt(q, y01, d, tol_gap=r.tol_gap, mu_min=r.mu_min)
+    x, _ = round_binary(r.y, q)
+    cert = verify_kkt(q, x, d, tol_gap=r.tol_gap, mu_min=r.mu_min)
     assert cert.gap == math.inf and cert.status == "NoCertificate"
     r = dataclasses.replace(r, dual_point=d, certificate=cert,
                             status="NoCertificate")
@@ -240,3 +240,22 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     doc["certificate"]["gap"] = "NaN"
     with pytest.raises(SchemaError):
         check(emit_problem(example1), json.dumps(doc))
+
+
+def test_check_judges_at_most_the_default_tol_gap(example1):
+    # A feasible selection 156 above the optimum, with its recomputed
+    # certificate numbers, claimed CertifiedGlobal under "tol_gap": 1e300.
+    r = solve(example1)
+    q = lift(example1)
+    pick = [0, 3, 6, 9, 12]
+    x = q.U_flat[pick]
+    cert = verify_kkt(q, x, r.dual_point, tol_gap=1e300, mu_min=r.mu_min)
+    assert cert.status == "CertifiedGlobal" and cert.gap > 100.0
+    y = np.zeros(q.K)
+    y[pick] = 1.0
+    doc = json.loads(emit_report(dataclasses.replace(
+        r, x=x, objective=objective(example1, x), certificate=cert, y=y,
+        tol_gap=1e300)))
+    passed, failures = check(emit_problem(example1), json.dumps(doc))
+    assert not passed
+    assert any(f.startswith("certificate status") for f in failures), failures

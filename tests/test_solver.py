@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dvs import dual, solver
-from dvs.dual import MU_MIN, factorize_g
+from dvs.dual import MU_MIN, eliminate_tau, factorize_g
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.lift import lift, recover_x
-from dvs.model import BinaryQP, DiscreteQP, DualPoint, binary_objective
+from dvs.lift import lift
+from dvs.model import BinaryQP, DiscreteQP, DualPoint
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
@@ -85,32 +85,33 @@ def test_ascent_trace_iteration_count():
 
 
 def blocks_2_3():
-    """A lifted problem with blocks ((0, 2), (2, 5))."""
+    """A lifted problem with blocks ((0, 2), (2, 5)); U_flat = 0, 1, 2, 3, 4
+    names each coordinate."""
     return lift(DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
-                           b=np.zeros(0), U=[[0.0, 1.0], [0.0, 1.0, 2.0]]))
+                           b=np.zeros(0), U=[[0.0, 1.0], [2.0, 3.0, 4.0]]))
 
 
 def test_round_binary_basics():
     y = np.array([0.8, 0.2, 0.1, 0.6, 0.3])
-    y01, flagged = round_binary(y, blocks_2_3())
-    assert np.array_equal(y01, [1, 0, 0, 1, 0])
+    x, flagged = round_binary(y, blocks_2_3())
+    assert np.array_equal(x, [0, 3])
     assert flagged == ()
 
 
 def test_round_binary_flags_low_confidence():
     y = np.array([0.8, 0.2, 0.35, 0.33, 0.32])
-    y01, flagged = round_binary(y, blocks_2_3())
-    assert np.array_equal(y01, [1, 0, 1, 0, 0])
+    x, flagged = round_binary(y, blocks_2_3())
+    assert np.array_equal(x, [0, 2])
     assert flagged == (1,)
 
 
 def test_round_binary_tie_takes_lowest_index():
     q = blocks_2_3()
-    y01, _ = round_binary(np.array([0.5, 0.5, 0.2, 0.7, 0.7]), q)
-    assert np.array_equal(y01, [1, 0, 0, 1, 0])
+    x, _ = round_binary(np.array([0.5, 0.5, 0.2, 0.7, 0.7]), q)
+    assert np.array_equal(x, [0, 3])
     # the padding of the short block never wins, even on a tie
-    y01, _ = round_binary(np.array([0.9, 0.9, 0.2, 0.2, 0.2]), q)
-    assert np.array_equal(y01, [1, 0, 1, 0, 0])
+    x, _ = round_binary(np.array([0.9, 0.9, 0.2, 0.2, 0.2]), q)
+    assert np.array_equal(x, [0, 2])
 
 
 def test_round_binary_matches_per_block_loop():
@@ -121,22 +122,21 @@ def test_round_binary_matches_per_block_loop():
         q = lift(DiscreteQP(Q=np.eye(6), c=np.zeros(6), A=np.zeros((0, 6)),
                             b=np.zeros(0), U=[range(s) for s in sizes]))
         for y in np.round(rng.random((20, q.K)), 1):
-            y01, flagged = round_binary(y, q)
-            ref, ref_flagged = np.zeros(q.K), []
+            x, flagged = round_binary(y, q)
+            ref, ref_flagged = np.zeros(q.n), []
             for i, (s, e) in enumerate(q.blocks):
                 j = s + int(np.argmax(y[s:e]))
-                ref[j] = 1.0
+                ref[i] = q.U_flat[j]
                 if y[j] < 0.5:
                     ref_flagged.append(i)
-            assert np.array_equal(y01, ref)
+            assert np.array_equal(x, ref)
             assert flagged == tuple(ref_flagged)
 
 
 def test_verify_kkt_certifies_reference_solution(example1):
     q = lift(example1)
     d, _ = maximize_dual(q)
-    y01 = np.array([0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0], float)
-    cert = verify_kkt(q, y01, d)
+    cert = verify_kkt(q, EX1_X, d)
     assert cert.status == "CertifiedGlobal"
     assert cert.in_cone
     assert cert.gap <= 1e-6 * 230.0
@@ -147,9 +147,8 @@ def test_verify_kkt_certifies_reference_solution(example1):
 def test_verify_kkt_detects_wrong_point(example1):
     q = lift(example1)
     d, _ = maximize_dual(q)
-    y01 = np.zeros(15)
-    y01[[0, 3, 6, 9, 12]] = 1.0  # valid one-hot, but not the optimum
-    cert = verify_kkt(q, y01, d)
+    x = q.U_flat[[0, 3, 6, 9, 12]]  # a valid selection, but not the optimum
+    cert = verify_kkt(q, x, d)
     assert cert.status == "NoCertificate"
     assert cert.gap > 1.0
 
@@ -157,13 +156,12 @@ def test_verify_kkt_detects_wrong_point(example1):
 def test_verify_kkt_cone_failure_downgrades_to_kkt_only(example1):
     q = lift(example1)
     d, _ = maximize_dual(q)
-    y01 = np.array([0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0], float)
     sigma = d.sigma.copy()
     # all constraints are inactive at the optimum, so this sign flip is too
     # small to move any residual or the gap but still leaves the cone
     sigma[int(np.argmin(sigma))] = -1e-12
     d_bad = DualPoint(sigma=sigma, tau=d.tau, mu=d.mu)
-    cert = verify_kkt(q, y01, d_bad)
+    cert = verify_kkt(q, EX1_X, d_bad)
     assert not cert.in_cone
     assert cert.status == "KKTOnly"
 
@@ -326,11 +324,15 @@ def test_solve_and_check_take_one_cholesky_per_dual_evaluation(monkeypatch,
 INDEFINITE_KS = (30, 31, 32, 33, 55)
 
 
+def indefinite(k):
+    return generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
+                            coeff_range=(-1.0, 1.0), dominance_boost=False))
+
+
 def test_indefinite_certificates_match_the_oracle():
     certified = 0
     for k in INDEFINITE_KS:
-        p = generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
-                             coeff_range=(-1.0, 1.0), dominance_boost=False))
+        p = indefinite(k)
         r = solve(p, SolverConfig(fallback_oracle_max_K=0))
         if r.status != "CertifiedGlobal":
             continue
@@ -419,22 +421,6 @@ def test_compact_lbfgs_matches_two_loop_on_ascent_pairs(monkeypatch):
     assert max(n for _, n in checked) >= 25
 
 
-def screened_iterates(problems, monkeypatch):
-    """(q, y) of every ascent iterate the certificate screen looked at."""
-    seen = []
-    original = solver._rounded_point
-
-    def record(q, y):
-        seen.append((q, y.copy()))
-        return original(q, y)
-
-    monkeypatch.setattr(solver, "_rounded_point", record)
-    for p in problems:
-        maximize_dual(lift(p))
-    monkeypatch.undo()
-    return seen
-
-
 def criterion4_problems(count):
     problems, k = [], 0
     while len(problems) < count:
@@ -450,21 +436,64 @@ def criterion4_problems(count):
     return problems
 
 
-def test_screen_point_equals_rounded_point(monkeypatch):
-    seen = screened_iterates(criterion4_problems(40)
-                             + [generate(GenSpec(50, 5, 4292))], monkeypatch)
-    q23 = blocks_2_3()
-    # the tie and padding inputs of the round_binary tests above
-    seen += [(q23, np.array(y)) for y in (
-        [0.8, 0.2, 0.1, 0.6, 0.3], [0.8, 0.2, 0.35, 0.33, 0.32],
-        [0.5, 0.5, 0.2, 0.7, 0.7], [0.9, 0.9, 0.2, 0.2, 0.2])]
-    assert len(seen) > 400
-    for q, y in seen:
-        x, value = solver._rounded_point(q, y)
-        y01, _ = round_binary(y, q)
-        assert value == binary_objective(q, y01)
-        assert np.array_equal(x, recover_x(q, y01))
-        if q.m:
-            scale = np.linalg.norm(q.D, np.inf) + np.abs(q.b).max()
-            assert np.abs((q.A @ x - q.b) - (q.D @ y01 - q.b)).max() \
-                <= 1e-12 * scale
+def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
+                                                            example2):
+    # The ascent certifies with the dual value it already has; check
+    # recomputes it.  Both must give the same certificate, bit for bit.
+    problems = (criterion4_problems(40) + [generate(GenSpec(50, 5, 4292)),
+                                           example1, example2]
+                + [indefinite(k) for k in INDEFINITE_KS])
+    cfg = SolverConfig(fallback_oracle_max_K=0)
+    statuses = set()
+    for p in problems:
+        r = solve(p, cfg)
+        assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point,
+                                           tol_gap=r.tol_gap, mu_min=r.mu_min)
+        statuses.add(r.certificate.status)
+    assert statuses == {"CertifiedGlobal", "NoCertificate"}
+
+
+def test_solve_evaluates_the_dual_once_per_logged_evaluation(example1,
+                                                              caplog):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return eliminate_tau(*args)
+
+    fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
+    for p in (example1, generate(GenSpec(50, 5, 4292)), fallback):
+        calls.clear()
+        caplog.clear()
+        with pytest.MonkeyPatch.context() as mp, \
+                caplog.at_level("INFO", logger="dvs.solver"):
+            mp.setattr(solver, "eliminate_tau", counted)
+            solve(p)
+        line = next(rec.getMessage() for rec in caplog.records
+                    if rec.getMessage().startswith("dual ascent:"))
+        logged = int(re.search(r"(\d+) dual evaluations", line).group(1))
+        assert len(calls) == logged
+
+
+def test_unconstrained_problems_solve_check_and_match_the_oracle():
+    # m = 0 takes the same code path as m > 0, with empty A, b and sigma.
+    # Generated Q and c with the constraint row dropped, value sets of
+    # sizes 1-5, and every other Q swapped for the near-singular c c' + 1e-9 I.
+    values = (1.0, 2.0, 3.0, 4.0, 5.0)
+    certified = {"pd": 0, "near-singular": 0}
+    for trial in range(30):
+        n = 2 + trial % 4
+        g = generate(GenSpec(n, 1, 9000 + trial))
+        kind = "near-singular" if trial % 2 else "pd"
+        Q = g.Q if kind == "pd" else np.outer(g.c, g.c) + 1e-9 * np.eye(n)
+        p = DiscreteQP(Q=Q, c=5.0 * g.c, A=np.zeros((0, n)), b=np.zeros(0),
+                       U=[values[:1 + (trial + i) % 5] for i in range(n)])
+        r = solve(p, SolverConfig(fallback_oracle_max_K=0))
+        assert r.dual_point.sigma.shape == (0,)
+        passed, failures = check(emit_problem(p), emit_report(r))
+        assert passed, failures
+        if r.status == "CertifiedGlobal":
+            certified[kind] += 1
+            _, value, _, _ = enumerate_discrete(p)
+            assert r.objective == pytest.approx(value, abs=1e-9)
+    assert min(certified.values()) >= 3, certified
