@@ -10,15 +10,15 @@ where G(mu) is positive definite, with stationary primal point y = G^-1 F
 and gradient (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y * (y - 1)).
 These tau-given functions (:func:`factorize_g`, :func:`recover_y`,
 :func:`dual_value`, :func:`dual_gradient`, :func:`in_dual_cone`) are the
-reference the tests compare against; the solver and ``dvs check`` call
-only :func:`eliminate_tau`.  No K-by-K matrix is formed: B = M Q M' with
-M the K-by-n block matrix of candidate values, so with rd = 1/(2 mu) and
-W = sum u^2 rd per block, G(mu) is PD exactly when mu > 0 and the
-congruent n-by-n I + S Q S, S = diag(sqrt W), passes Cholesky.
+textbook definition, with G(mu) formed densely and factored by
+``scipy.linalg.cho_factor``; only the tests call them.  The solver and
+``dvs check`` call only :func:`eliminate_tau`, which forms no K-by-K
+matrix.
 
 :func:`eliminate_tau` maximizes P_dual over tau, i.e. minimizes
 0.5 y'G y - (F + H'tau)'y over {H y = 1}, which bounds every feasible 0-1
-point from below as long as G is PD on ker H.  Per block, with
+point from below as long as G is PD on ker H.  With B = M Q M', M the
+K-by-n block matrix of candidate values, and per block rd = 1/(2 mu),
 e = sum rd, ubar = sum u rd / e, du = u - ubar, V = sum rd du^2 and
 c = ubar + sum du / 2, the minimizer is
 
@@ -32,8 +32,8 @@ alpha and beta on the scale of mu, and H y = 1 holds by construction.
 That one Cholesky is also the cone test.  For mu > 0 take y in ker H with
 M'y = x: y'G y = x'Q x + sum 2 mu y^2, and per block the least
 sum 2 mu y^2 subject to sum y = 0, sum u y = x_i is x_i^2 / V_i (at
-y = x_i rd du / V_i).  So G|ker H is PD iff Q + diag(1/V) is.  Since
-V = W - e ubar^2 <= W, G(mu) PD implies it, never the other way round.
+y = x_i rd du / V_i).  So G|ker H is PD iff Q + diag(1/V) is, and G(mu)
+PD implies it, never the other way round.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import MU_MIN, BinaryQP, DualPoint
@@ -59,41 +59,21 @@ def _cholesky(Q: np.ndarray, s: np.ndarray):
 
 @dataclass
 class GFactorization:
-    """G(mu) through its n-by-n reduction: ``cho`` factors I + S Q S with
-    S = diag(sqrt W); None when G(mu) is not PD."""
+    """G(mu) = B + 2 diag(mu), formed densely: ``cho`` is its Cholesky
+    factor as ``scipy.linalg.cho_factor`` returns it, None when G(mu) is
+    not PD."""
 
-    q: BinaryQP
-    rd: np.ndarray
-    sw: np.ndarray
-    cho: np.ndarray | None
+    cho: tuple | None
 
     @property
     def positive_definite(self) -> bool:
         return self.cho is not None
 
     def solve(self, F: np.ndarray) -> np.ndarray:
-        """Return y = G^-1 F for a K-vector F.
-
-        y = rd (F - M Q x) with x = M'y from the n-by-n system
-        (Q + diag(1/W)) x = M'(rd F) / W.  Where mu is tiny, rd amplifies
-        the rounding of F - M Q x, so M'y drifts from x; one refinement
-        step solves G dy = M Q (x - M'y), whose right-hand side is small,
-        and leaves a residual G y - F at round-off.
-        """
+        """Return y = G^-1 F for a K-vector F."""
         if self.cho is None:
             raise LinAlgError("G(mu) is not positive definite")
-        q, rd, sw, u = self.q, self.rd, self.sw, self.q.U_flat
-        # (Q + diag(1/W)) x = r is (I + S Q S) z = S r with x = S z.
-        g = q.block_sums(u * rd * F)
-        z = dpotrs(self.cho, np.divide(g, sw, out=np.zeros(q.n),
-                                       where=sw > 0.0), lower=1)[0]
-        y = rd * (F - u * (q.Q @ (sw * z))[q.block_of])
-        # G dy = M rho has M'dy = S z with (I + S Q S) z = S rho, and
-        # dy = rd u (rho - Q S z) = rd u z / S per block.
-        rho = q.Q @ (sw * z - q.x_of(y))
-        z = dpotrs(self.cho, sw * rho, lower=1)[0]
-        return y + rd * u * np.divide(z, sw, out=np.zeros(q.n),
-                                      where=sw > 0.0)[q.block_of]
+        return cho_solve(self.cho, F)
 
 
 def f_vector(q: BinaryQP, d: DualPoint) -> np.ndarray:
@@ -104,18 +84,17 @@ def f_vector(q: BinaryQP, d: DualPoint) -> np.ndarray:
 
 
 def factorize_g(q: BinaryQP, mu: np.ndarray) -> GFactorization:
-    """Decide whether G(mu) = B + 2 diag(mu) is PD by an n-by-n Cholesky.
-
-    Off the cone (some mu_k <= 0, or I + S Q S not PD) ``cho`` is None.
-    """
+    """Factor G(mu) = B + 2 diag(mu); off the cone (some mu_k <= 0, or G(mu)
+    not PD) ``cho`` is None."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (q.K,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({q.K},)")
     if not mu.min() > 0.0:
-        return GFactorization(q=q, rd=None, sw=None, cho=None)
-    rd = 0.5 / mu
-    sw = np.sqrt(q.block_sums(q.U_flat * q.U_flat * rd))
-    return GFactorization(q=q, rd=rd, sw=sw, cho=_cholesky(q.Q, sw))
+        return GFactorization(cho=None)
+    try:
+        return GFactorization(cho=cho_factor(q.B + 2.0 * np.diag(mu)))
+    except LinAlgError:
+        return GFactorization(cho=None)
 
 
 def recover_y(fact: GFactorization, F: np.ndarray) -> np.ndarray:

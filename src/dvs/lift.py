@@ -3,10 +3,10 @@
 With ``M`` the block-diagonal matrix whose i-th block is the row of
 candidate values ``U[i]``, the substitution ``x = M'y`` (y one-hot per
 block) turns ``0.5 x'Qx - c'x`` into ``0.5 y'By - h'y`` with ``B = MQM'``
-and ``h = M'c`` — entrywise ``B[(i,j),(k,l)] = Q[i,k] U[i][j] U[k][l]``,
-which :class:`BinaryQP` derives on demand rather than storing.
+and ``h = M'c`` — entrywise ``B[(i,j),(k,l)] = Q[i,k] U[i][j] U[k][l]``.
 The linear rows map the same way: ``D = AM'`` so ``Ax <= b`` becomes
 ``Dy <= b``; ``H`` sums each block so one-hot reads ``Hy = 1``.
+:class:`BinaryQP` derives all four from ``p`` on first read.
 """
 
 from __future__ import annotations
@@ -18,20 +18,9 @@ from .model import VALUE_MEMBERSHIP_TOL, BinaryQP, DiscreteQP
 
 
 def lift(p: DiscreteQP) -> BinaryQP:
-    """Build the lifted 0-1 problem for ``p``.
-
-    Only O(mK) arrays are formed here; ``B`` and ``H`` are derived from
-    ``Q`` and the block structure when first read.
-    """
-    sizes = [len(ui) for ui in p.U]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    blocks = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(p.n))
-    U_flat = np.concatenate([np.asarray(ui, dtype=float) for ui in p.U])
-    K = int(offsets[-1])
-    h = np.repeat(p.c, sizes) * U_flat
-    D = np.repeat(p.A, sizes, axis=1) * U_flat
-    return BinaryQP(K=K, Q=p.Q, c=p.c, A=p.A, b=p.b, h=h, D=D,
-                    blocks=blocks, U_flat=U_flat)
+    """The lifted 0-1 problem for ``p``; ``B``, ``H``, ``h`` and ``D`` are
+    derived when first read."""
+    return BinaryQP(p)
 
 
 def recover_x(q: BinaryQP, y: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ CERTIFIED_GLOBAL = "CertifiedGlobal"
 KKT_ONLY = "KKTOnly"
 NO_CERTIFICATE = "NoCertificate"
 ORACLE_FALLBACK = "OracleFallback"
+ORACLE_EXACT = "OracleExact"
 
 VALUE_MEMBERSHIP_TOL = 1e-9
 # Default certificate tolerances: the relative duality gap, and mu_min,
@@ -63,6 +64,8 @@ class DiscreteQP:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DimensionError("Q", "(n, n)", Q.shape)
         n = Q.shape[0]
+        if n == 0:
+            raise ValueError("n = 0: the problem has no variables")
         Q = _freeze((Q + Q.T) / 2.0)
         c = _freeze(np.asarray(self.c, dtype=float))
         _check_shape("c", c, (n,))
@@ -98,18 +101,18 @@ class DiscreteQP:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryQP:
-    """The lifted 0-1 problem: minimize 0.5 y'By - h'y over one-hot blocks.
+    """The lifted 0-1 problem of ``p``: minimize 0.5 y'By - h'y over one-hot
+    blocks with Dy <= b.
 
     With ``M`` the K-by-n block matrix of candidate values, ``B = MQM'``,
-    ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  Only the n-level
-    ``Q``, ``c``, ``A`` and the O(mK) ``h``, ``D`` are stored; the K-by-K
-    ``B`` and the n-by-K ``H`` are derived on first access, and the dual
-    kernel never reads them.  ``blocks[i]`` is the half-open index range of
-    variable i's selector coordinates and ``U_flat`` holds the candidate
-    values in block order.  The block index arrays below are built once
-    here, so no other module recomputes offsets:
+    ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  ``p``'s validated
+    ``Q``, ``c``, ``A``, ``b`` are shared, not copied; ``h``, ``D``, ``B``,
+    ``H`` and ``blocks`` are derived on first read, and of these the solve
+    and check paths read only ``D``, in the ascent's gradient.  ``U_flat``
+    holds the candidate values in block order, and the block index arrays
+    below are built once here, so no other module recomputes offsets:
 
     * ``block_of[k]``: the block of coordinate k;
     * ``starts``, ``sizes``: each block's first coordinate and length;
@@ -117,67 +120,39 @@ class BinaryQP:
       padded with the block's first coordinate.
     """
 
-    K: int
-    Q: np.ndarray
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    h: np.ndarray
-    D: np.ndarray
-    blocks: tuple[tuple[int, int], ...]
-    U_flat: np.ndarray
-    block_of: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    pad: np.ndarray = field(init=False, repr=False, compare=False)
+    p: DiscreteQP = field(repr=False)
 
     def __post_init__(self):
-        K = int(self.K)
-        blocks = tuple((int(s), int(e)) for s, e in self.blocks)
-        n = len(blocks)
-        if not blocks or blocks[-1][1] != K or any(e <= s for s, e in blocks) \
-                or [s for s, _ in blocks] != [0] + [e for _, e in blocks[:-1]]:
-            raise ValueError("blocks must tile 0..K in order, none empty")
-        Q = _freeze(np.asarray(self.Q, dtype=float))
-        _check_shape("Q", Q, (n, n))
-        if not np.array_equal(Q, Q.T):
-            raise ValueError("Q is not exactly symmetric")
-        c = _freeze(np.asarray(self.c, dtype=float))
-        _check_shape("c", c, (n,))
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[1] != n:
-            raise DimensionError("A", f"(m, {n})", A.shape)
-        m = A.shape[0]
-        A = _freeze(A)
-        b = _freeze(np.asarray(self.b, dtype=float))
-        _check_shape("b", b, (m,))
-        h = _freeze(np.asarray(self.h, dtype=float))
-        _check_shape("h", h, (K,))
-        D = _freeze(np.asarray(self.D, dtype=float))
-        _check_shape("D", D, (m, K))
-        U_flat = _freeze(np.asarray(self.U_flat, dtype=float))
-        _check_shape("U_flat", U_flat, (K,))
-
-        starts = np.array([s for s, _ in blocks], dtype=np.intp)
-        sizes = np.array([e - s for s, e in blocks], dtype=np.intp)
-        block_of = np.repeat(np.arange(n), sizes)
+        p = self.p
+        sizes = np.array([len(ui) for ui in p.U], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        block_of = np.repeat(np.arange(p.n), sizes)
         offset = np.arange(sizes.max())
         pad = starts[:, None] + np.where(offset < sizes[:, None], offset, 0)
-        for a in (starts, sizes, block_of, pad):
+        U_flat = np.concatenate(p.U)
+        for a in (sizes, starts, block_of, pad, U_flat):
             a.flags.writeable = False
-        for name, value in (("K", K), ("Q", Q), ("c", c), ("A", A), ("b", b),
-                            ("h", h), ("D", D), ("blocks", blocks),
+        for name, value in (("Q", p.Q), ("c", p.c), ("A", p.A), ("b", p.b),
+                            ("n", p.n), ("m", p.m), ("K", int(sizes.sum())),
                             ("U_flat", U_flat), ("block_of", block_of),
                             ("starts", starts), ("sizes", sizes), ("pad", pad)):
             object.__setattr__(self, name, value)
 
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The lifted linear term ``h[k] = c[i] u_k``."""
+        return _freeze(np.repeat(self.c, self.sizes) * self.U_flat)
 
-    @property
-    def m(self) -> int:
-        return self.D.shape[0]
+    @cached_property
+    def D(self) -> np.ndarray:
+        """The m-by-K lifted constraint rows ``D[r, k] = A[r, i] u_k``."""
+        return _freeze(np.repeat(self.A, self.sizes, axis=1) * self.U_flat)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """Each block's half-open coordinate range ``(start, end)``."""
+        return tuple((int(s), int(s + z))
+                     for s, z in zip(self.starts, self.sizes))
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -193,10 +168,6 @@ class BinaryQP:
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """The per-block sums ``H v`` of a K-vector."""
         return np.add.reduceat(v, self.starts)
-
-    def x_of(self, y: np.ndarray) -> np.ndarray:
-        """The n-level point ``x = M'y``."""
-        return np.add.reduceat(self.U_flat * y, self.starts)
 
 
 @dataclass(frozen=True)
@@ -293,5 +264,5 @@ def binary_objective(q: BinaryQP, y: np.ndarray) -> float:
     x = M'y (the same number, without forming B)."""
     y = np.asarray(y, dtype=float)
     _check_shape("y", y, (q.K,))
-    x = q.x_of(y)
+    x = q.block_sums(q.U_flat * y)
     return float(0.5 * x @ q.Q @ x - q.c @ x)

@@ -85,12 +85,11 @@ def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:
     deliberately independent of the decoding in the lift module — so the
     equivalence of the lifted and original problems can be machine-checked.
     """
-    sizes = [e - s for s, e in q.blocks]
+    sizes, starts = q.sizes.tolist(), q.starts
     total = math.prod(sizes)
     if total > DEFAULT_LIMIT:
         raise TooLarge(total, DEFAULT_LIMIT)
     rad = _radices(sizes)
-    starts = np.array([s for s, _ in q.blocks], dtype=np.int64)
     # The B gather materializes chunk*n*n floats; keep it bounded.
     chunk = max(1, min(_CHUNK, 4_000_000 // (q.n * q.n)))
 

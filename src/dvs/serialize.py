@@ -20,7 +20,12 @@ from . import __version__
 from .errors import DimensionError, SchemaError
 from .lift import lift
 from .model import (
+    CERTIFIED_GLOBAL,
+    KKT_ONLY,
     MU_MIN,
+    NO_CERTIFICATE,
+    ORACLE_EXACT,
+    ORACLE_FALLBACK,
     TOL_GAP,
     BinaryQP,
     DiscreteQP,
@@ -32,6 +37,7 @@ from .model import (
 from .solver import round_binary, verify_kkt
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
+SOLVER_STATUSES = (CERTIFIED_GLOBAL, KKT_ONLY, NO_CERTIFICATE, ORACLE_FALLBACK)
 CERTIFICATE_NUMBERS = ("primal_feas_residual", "dual_feas_residual",
                        "complementarity_residual", "gap")
 
@@ -137,7 +143,7 @@ def emit_oracle_report(x, value: float, feasible_count: int,
                        total_count: int, seconds: float) -> bytes:
     pairs = [
         ("version", f'"{__version__}"'),
-        ("status", '"OracleExact"'),
+        ("status", f'"{ORACLE_EXACT}"'),
         ("x", _vec(x)),
         ("objective", _fmt(value)),
         ("feasible_count", _fmt(feasible_count)),
@@ -263,15 +269,26 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     """Re-verify a report against its problem from scratch.
 
     PASS requires: x feasible, the objective matching a recomputation
-    within 1e-9, and — when the report carries a certificate — the
+    within 1e-9, and — for every status but OracleExact — the
     certificate re-verifying (same residuals, gap, and status from the
     reported sigma, mu and the x the reported y rounds to; tau is
     recomputed, so the reported tau is informational).  The certificate
     is judged at the report's tol_gap or TOL_GAP, whichever is tighter,
     so a report cannot loosen its own test.  Returns (passed, failures).
+
+    A report with a solver status that lacks its certificate, dual point
+    or y, or with an unknown status, is a SchemaError.
     """
     p = parse_problem(problem_data)
     rep = parse_report(report_data)
+    status = rep["status"]
+    if status in SOLVER_STATUSES:
+        for key in ("certificate", "dual_point", "y"):
+            if key not in rep:
+                raise SchemaError(f"$.{key}",
+                                  f"missing from a {status} report")
+    elif status != ORACLE_EXACT:
+        raise SchemaError("$.status", f"unknown status {status!r}")
     failures = []
     x = rep["x"]
     if x.shape != (p.n,):
@@ -284,8 +301,7 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
             f"objective mismatch: reported {rep['objective']!r}, "
             f"recomputed {recomputed!r}")
 
-    has_cert = all(k in rep for k in ("certificate", "dual_point", "y"))
-    if has_cert:
+    if status != ORACLE_EXACT:
         cert = _require_object(rep["certificate"], "$.certificate",
                                ("status",) + CERTIFICATE_NUMBERS)
         claimed = {key: (_require_gap if key == "gap" else _require_number)(
@@ -312,12 +328,11 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                 failures.append(
                     f"certificate {key}: reported {cert[key]!r}, "
                     f"recomputed {got!r}")
-        status = rep["status"]
-        if status not in (cert2.status, "OracleFallback"):
+        if status not in (cert2.status, ORACLE_FALLBACK):
             failures.append(
                 f"report status {status!r} inconsistent with certificate "
                 f"{cert2.status!r}")
-        if status != "OracleFallback":
+        if status != ORACLE_FALLBACK:
             if not np.array_equal(x_y, x):
                 failures.append("x does not decode from the reported y")
     return not failures, failures

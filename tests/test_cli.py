@@ -241,7 +241,8 @@ def test_solve_reports_are_byte_identical(example1_path, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("dual_point", {}), ("dual_point", []), ("dual_point", "drop tau"),
-    ("certificate", {}), ("certificate", [])])
+    ("certificate", {}), ("certificate", []),
+    ("certificate", "drop"), ("dual_point", "drop"), ("y", "drop")])
 def test_check_malformed_certificate_objects_exit_two(example1_path, tmp_path,
                                                       key, value):
     report = tmp_path / "report.json"
@@ -249,6 +250,8 @@ def test_check_malformed_certificate_objects_exit_two(example1_path, tmp_path,
     doc = json.loads(report.read_bytes())
     if value == "drop tau":
         del doc[key]["tau"]
+    elif value == "drop":
+        del doc[key]
     else:
         doc[key] = value
     report.write_text(json.dumps(doc))

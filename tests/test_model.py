@@ -1,6 +1,5 @@
 """Validation and objective arithmetic for the core problem types."""
 
-import dataclasses
 import re
 
 import numpy as np
@@ -67,6 +66,9 @@ def test_dimension_mismatch_rejected():
 
 
 def test_empty_or_duplicate_value_set_rejected():
+    with pytest.raises(ValueError, match=r"^n = 0"):
+        DiscreteQP(Q=np.zeros((0, 0)), c=np.zeros(0), A=np.zeros((0, 0)),
+                   b=np.zeros(0), U=[])
     with pytest.raises(ValueError):
         DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
                    b=np.zeros(0), U=[[], [0.0, 1.0]])
@@ -117,15 +119,14 @@ def test_binary_objective_matches_quadratic_form():
             0.5 * y @ q.B @ y - q.h @ y, abs=1e-12)
 
 
-def test_binary_qp_rejects_asymmetric_b():
-    # B = M Q M' is derived from Q, so an asymmetric Q is what is refused;
-    # the lift of an asymmetric input is exactly symmetric.
+def test_lift_of_asymmetric_q_has_symmetric_b():
+    # DiscreteQP symmetrizes Q and the lift shares that Q, so B = M Q M' is
+    # exactly symmetric whatever Q the caller passed.
     q = lift(DiscreteQP(Q=[[1.0, 0.3], [0.1, 2.0]], c=np.zeros(2),
                         A=np.zeros((0, 2)), b=np.zeros(0),
                         U=[[0.0, 1.0], [1.0, 2.0]]))
     assert np.array_equal(q.B, q.B.T)
-    with pytest.raises(ValueError):
-        dataclasses.replace(q, Q=np.array([[0.0, 1.0], [0.5, 0.0]]))
+    assert np.array_equal(q.Q, [[1.0, 0.2], [0.2, 2.0]])
 
 
 def test_certificate_requires_cone_for_global_status():

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvs.errors import DimensionError, SchemaError
 from dvs.lift import lift
-from dvs.model import DiscreteQP, objective
+from dvs.model import DiscreteQP, is_feasible, objective
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import (
     check,
@@ -22,6 +23,8 @@ from dvs.serialize import (
     parse_report,
 )
 from dvs.solver import round_binary, solve, verify_kkt
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def two_var_problem():
@@ -133,6 +136,15 @@ def test_emit_lifted_contents(example1):
     assert doc["U_flat"][:3] == [2.0, 3.0, 5.0]
 
 
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_emit_lifted_matches_pinned_bytes(name):
+    # The lift is elementwise products only, so its bytes do not depend on
+    # the BLAS build.
+    problem = (FIXTURES / f"{name}.json").read_bytes()
+    pinned = (FIXTURES / f"{name}.lifted.json").read_bytes()
+    assert emit_lifted(lift(parse_problem(problem))) == pinned
+
+
 def test_emit_toy_solution_shape():
     doc = json.loads(emit_toy_solution([2.0], -1.0, -1.0, 0.25))
     assert list(doc.keys()) == ["sigma1", "x", "primal_value", "dual_value"]
@@ -239,6 +251,23 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     assert not check(emit_problem(example1), json.dumps(doc))[0]
     doc["certificate"]["gap"] = "NaN"
     with pytest.raises(SchemaError):
+        check(emit_problem(example1), json.dumps(doc))
+
+
+def test_check_requires_the_certificate_of_a_solver_report(example1):
+    # A feasible selection far above the optimum, claimed CertifiedGlobal
+    # with its objective recomputed and y left out, must not skip the
+    # certificate's re-verification.
+    doc = json.loads(emit_report(solve(example1)))
+    x = np.array([2.0, 2.0, 2.0, 2.0, 2.0])
+    assert is_feasible(example1, x)
+    doc["x"], doc["objective"] = x.tolist(), objective(example1, x)
+    del doc["y"]
+    with pytest.raises(SchemaError, match=r"^\$\.y: missing"):
+        check(emit_problem(example1), json.dumps(doc))
+    doc = json.loads(emit_report(solve(example1)))
+    doc["status"] = "Certified"
+    with pytest.raises(SchemaError, match=r"^\$\.status: unknown"):
         check(emit_problem(example1), json.dumps(doc))
 
 

@@ -272,18 +272,22 @@ def test_solve_n100_certifies_and_checks():
 
 
 def test_solve_and_check_never_form_b_or_h(monkeypatch):
+    # Of the lifted arrays only D is read, by the ascent's sigma-gradient;
+    # check reads none of them.
     def refuse(self):
-        raise AssertionError("the K-by-K B or the n-by-K H was formed")
+        raise AssertionError("a lifted array was formed")
 
-    monkeypatch.setattr(BinaryQP, "B", property(refuse))
-    monkeypatch.setattr(BinaryQP, "H", property(refuse))
+    for name in ("B", "H", "h"):
+        monkeypatch.setattr(BinaryQP, name, property(refuse))
     p = generate(GenSpec(50, 5, 4292))
     r = solve(p)
     assert r.status == "CertifiedGlobal"
+    monkeypatch.setattr(BinaryQP, "D", property(refuse))
     passed, failures = check(emit_problem(p), emit_report(r))
     assert passed, failures
-    with pytest.raises(AssertionError):
-        lift(p).B
+    for name in ("B", "H", "h", "D"):
+        with pytest.raises(AssertionError):
+            getattr(lift(p), name)
 
 
 def test_solve_and_check_take_one_cholesky_per_dual_evaluation(monkeypatch,
