@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -117,7 +118,10 @@ def _cmd_check(args) -> int:
     return 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="dvs",
         description="Certified global solver for quadratic programs over "

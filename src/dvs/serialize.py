@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, Infeasible, SchemaError, TooLarge
 from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
@@ -34,12 +35,16 @@ from .model import (
     is_feasible,
     objective,
 )
+from .oracle import enumerate_discrete
 from .solver import round_binary, verify_kkt
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
 SOLVER_STATUSES = (CERTIFIED_GLOBAL, KKT_ONLY, NO_CERTIFICATE, ORACLE_FALLBACK)
 CERTIFICATE_NUMBERS = ("primal_feas_residual", "dual_feas_residual",
                        "complementarity_residual", "gap")
+# The Python types json.loads gives a number; bool, a subclass of int,
+# is deliberately not one of them.
+_NUMBER_TYPES = {int, float}
 
 
 def _fmt(v) -> str:
@@ -55,6 +60,11 @@ def _fmt(v) -> str:
 
 
 def _vec(values) -> str:
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and np.isfinite(values).all()):
+        # What _fmt writes for each finite float, in one pass.
+        return "[" + ", ".join(map(format, values.tolist(),
+                                   repeat(".17g"))) + "]"
     return "[" + ", ".join(_fmt(v) for v in values) + "]"
 
 
@@ -154,20 +164,45 @@ def emit_oracle_report(x, value: float, feasible_count: int,
 
 
 def _load(data) -> object:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, bytes that are not UTF-8, or an integer
+        # literal longer than the interpreter converts (4300 digits).
         raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 
 def _require_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    if not math.isfinite(v):
+    try:
+        f = float(v)
+    except OverflowError:
+        raise SchemaError(path, "number too large for a double") from None
+    if not math.isfinite(f):
         raise SchemaError(path, f"non-finite number {v}")
-    return float(v)
+    return f
+
+
+def _numbers(v: list, path: str) -> np.ndarray:
+    """The entries of a JSON array as a float array.
+
+    One type test, one conversion and one finiteness test cover the whole
+    array; only when one fails does the per-entry check run, to raise the
+    SchemaError that names the first bad entry.
+    """
+    if set(map(type, v)) <= _NUMBER_TYPES:
+        try:
+            a = np.array(v, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(a).all():
+                return a
+    return np.array([_require_number(x, f"{path}[{i}]")
+                     for i, x in enumerate(v)], dtype=float)
 
 
 def _require_gap(v, path: str) -> float:
@@ -195,8 +230,7 @@ def _parse_vector(v, path: str, length: int, field: str) -> np.ndarray:
         raise SchemaError(path, "expected an array")
     if len(v) != length:
         raise DimensionError(field, f"({length},)", f"({len(v)},)")
-    return np.array([_require_number(x, f"{path}[{i}]")
-                     for i, x in enumerate(v)])
+    return _numbers(v, path)
 
 
 def _parse_matrix(v, path: str, rows: int, cols: int, field: str) -> np.ndarray:
@@ -211,8 +245,7 @@ def _parse_matrix(v, path: str, rows: int, cols: int, field: str) -> np.ndarray:
         if len(row) != cols:
             raise DimensionError(field, f"({rows}, {cols})",
                                  f"row {i} has {len(row)} entries")
-        out[i] = [_require_number(x, f"{path}[{i}][{j}]")
-                  for j, x in enumerate(row)]
+        out[i] = _numbers(row, f"{path}[{i}]")
     return out
 
 
@@ -241,8 +274,7 @@ def parse_problem(data) -> DiscreteQP:
     for i, ui in enumerate(doc["U"]):
         if not isinstance(ui, list) or not ui:
             raise SchemaError(f"$.U[{i}]", "expected a non-empty array")
-        vals = tuple(_require_number(x, f"$.U[{i}][{j}]")
-                     for j, x in enumerate(ui))
+        vals = tuple(_numbers(ui, f"$.U[{i}]").tolist())
         if len(set(vals)) != len(vals):
             raise SchemaError(f"$.U[{i}]", "duplicate value in set")
         U.append(vals)
@@ -259,8 +291,7 @@ def parse_report(data) -> dict:
             raise SchemaError("$", f'missing key "{key}"')
     if not isinstance(doc["x"], list):
         raise SchemaError("$.x", "expected an array")
-    doc["x"] = np.array([_require_number(v, f"$.x[{i}]")
-                         for i, v in enumerate(doc["x"])])
+    doc["x"] = _numbers(doc["x"], "$.x")
     doc["objective"] = _require_number(doc["objective"], "$.objective")
     return doc
 
@@ -274,7 +305,11 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     reported sigma, mu and the x the reported y rounds to; tau is
     recomputed, so the reported tau is informational).  The certificate
     is judged at the report's tol_gap or TOL_GAP, whichever is tighter,
-    so a report cannot loosen its own test.  Returns (passed, failures).
+    so a report cannot loosen its own test.  An OracleExact or
+    OracleFallback report claims the enumerated optimum, so the oracle
+    is re-run at its default limit: the objective may exceed its optimum
+    by at most 1e-9*(1+|optimum|), and a problem beyond that limit
+    fails.  Returns (passed, failures).
 
     A report with a solver status that lacks its certificate, dual point
     or y, or with an unknown status, is a SchemaError.
@@ -300,6 +335,17 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
         failures.append(
             f"objective mismatch: reported {rep['objective']!r}, "
             f"recomputed {recomputed!r}")
+    if status in (ORACLE_EXACT, ORACLE_FALLBACK):
+        try:
+            _, optimum, _, _ = enumerate_discrete(p)
+        except (TooLarge, Infeasible) as exc:
+            failures.append(f"optimality: the oracle cannot verify this "
+                            f"{status} report: {exc}")
+        else:
+            if rep["objective"] > optimum + 1e-9 * (1 + abs(optimum)):
+                failures.append(
+                    f"optimality: reported {rep['objective']!r}, "
+                    f"oracle optimum {optimum!r}")
 
     if status != ORACLE_EXACT:
         cert = _require_object(rep["certificate"], "$.certificate",

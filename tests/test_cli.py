@@ -1,12 +1,17 @@
 """End-to-end command-line behavior, exit codes, and file outputs."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from dvs import cli
+from dvs.serialize import emit_report
+from dvs.solver import solve
 
 CLI = [sys.executable, "-m", "dvs.cli"]
 
@@ -275,3 +280,25 @@ def test_solve_reports_match_across_blas_threads(tmp_path):
         doc.pop("seconds")
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def test_in_process_calls_share_the_parser_but_no_state(example1, example1_path,
+                                                        tmp_path, capsys):
+    # main() reuses one parser; a flag given to one call must not carry
+    # over to the next, and a bad flag still exits 2.
+    assert cli._build_parser() is cli._build_parser()
+    short, full = tmp_path / "short.json", tmp_path / "full.json"
+    assert cli.main(["solve", str(example1_path), "--max-iter", "1",
+                     "--out", str(short)]) == 3
+    assert json.loads(short.read_bytes())["iterations"] == 1
+    assert cli.main(["solve", str(example1_path), "--out", str(full)]) == 0
+    doc = json.loads(full.read_bytes())
+    doc["seconds"] = 0.0
+    fresh = emit_report(dataclasses.replace(solve(example1), seconds=0.0))
+    assert doc == json.loads(fresh)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", str(example1_path), "--max-iters", "1",
+                  "--out", str(full)])
+    assert exc.value.code == 2
+    assert cli.main(["check", str(example1_path), str(full)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"

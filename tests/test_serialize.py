@@ -8,11 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dvs import cli
 from dvs.errors import DimensionError, SchemaError
+from dvs.generator import GenSpec, generate
 from dvs.lift import lift
 from dvs.model import DiscreteQP, is_feasible, objective
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import (
+    _fmt,
+    _parse_matrix,
+    _parse_vector,
+    _vec,
     check,
     emit_lifted,
     emit_oracle_report,
@@ -105,6 +111,8 @@ def test_parse_rejects_malformed_json():
         parse_problem(b"{not json")
     with pytest.raises(SchemaError):
         parse_problem(b"[1, 2, 3]")
+    with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
+        parse_problem(b"\xff")
 
 
 def test_report_round_trip_and_key_order(example1):
@@ -288,3 +296,141 @@ def test_check_judges_at_most_the_default_tol_gap(example1):
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert not passed
     assert any(f.startswith("certificate status") for f in failures), failures
+
+
+# The per-entry parser the bulk one replaced, kept as the reference.
+def _reference_number(v, path):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(path, f"expected a number, got {type(v).__name__}")
+    if not math.isfinite(v):
+        raise SchemaError(path, f"non-finite number {v}")
+    return float(v)
+
+
+def _reference_vector(v, path, length, field):
+    if not isinstance(v, list):
+        raise SchemaError(path, "expected an array")
+    if len(v) != length:
+        raise DimensionError(field, f"({length},)", f"({len(v)},)")
+    return np.array([_reference_number(x, f"{path}[{i}]")
+                     for i, x in enumerate(v)])
+
+
+def _reference_matrix(v, path, rows, cols, field):
+    if not isinstance(v, list):
+        raise SchemaError(path, "expected an array of arrays")
+    if len(v) != rows:
+        raise DimensionError(field, f"({rows}, {cols})", f"({len(v)}, ...)")
+    out = np.empty((rows, cols))
+    for i, row in enumerate(v):
+        if not isinstance(row, list):
+            raise SchemaError(f"{path}[{i}]", "expected an array")
+        if len(row) != cols:
+            raise DimensionError(field, f"({rows}, {cols})",
+                                 f"row {i} has {len(row)} entries")
+        out[i] = [_reference_number(x, f"{path}[{i}][{j}]")
+                  for j, x in enumerate(row)]
+    return out
+
+
+def _outcome(parse, text, *args):
+    """The parsed array bit for bit, or the error type and message."""
+    try:
+        a = parse(json.loads(text), "$.v", *args)
+    except (SchemaError, DimensionError) as exc:
+        return type(exc).__name__, str(exc)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2, 3]", "[-0.0, 0, 1e308]", "[5e-324, -1e308, 9007199254740993]",
+    "[1, 2.5, 18446744073709551616]", "[true, 1, 2]", "[1, false, 2]",
+    "[1, 2, null]", '[1, "1", 2]', "[1, [1], 2]", "[1, {}, 2]",
+    "[NaN, 1, 2]", "[1, Infinity, 2]", "[1, 2, -Infinity]", "[1e999, 1, 2]",
+    "[1, null, NaN]", "[1, 2]", "[]", "{}", "3", "null"])
+def test_bulk_vector_parse_matches_per_entry_reference(text):
+    assert (_outcome(_parse_vector, text, 3, "v")
+            == _outcome(_reference_vector, text, 3, "v"))
+
+
+@pytest.mark.parametrize("text", [
+    "[[1, 2, 3], [4, 5, 6]]", "[[1, 2.0, -3], [0, 1e-300, -0.0]]",
+    "[[1, 2, 3], [4, 5, true]]", "[[1, 2, 3], [4, 5, false]]",
+    "[[1, 2, 3], [4, 5, null]]", '[[1, 2, 3], [4, "5", 6]]',
+    "[[1, 2, 3], [4, [5], 6]]", "[[1, 2, 3], [4, {}, 6]]",
+    "[[1, 2.5, 3], [4, 5, NaN]]", "[[Infinity, 2, 3], [4, 5, 6]]",
+    "[[1, 2, 3], [1e999, 5, 6]]", "[[1, null, 3], [4, 5]]",
+    "[[1, 2, 3], [4, 5]]", "[[1, 2, 3], 4]", "[[1, 2, 3]]", "[]", "{}"])
+def test_bulk_matrix_parse_matches_per_entry_reference(text):
+    assert (_outcome(_parse_matrix, text, 2, 3, "v")
+            == _outcome(_reference_matrix, text, 2, 3, "v"))
+
+
+def test_number_too_large_for_a_double_is_a_schema_error(example1, tmp_path,
+                                                         capsys):
+    big = "1" + "0" * 400
+    doc = json.loads(emit_problem(example1))
+    doc["Q"][4][2] = "big"
+    text = json.dumps(doc).replace('"big"', big)
+    with pytest.raises(SchemaError, match=r"^\$\.Q\[4\]\[2\]: number too large"):
+        parse_problem(text)
+    with pytest.raises(SchemaError, match=r"^\$\.x\[1\]: number too large"):
+        parse_report(f'{{"status": "X", "x": [1, {big}], "objective": 0}}')
+    with pytest.raises(SchemaError, match=r"^\$\.objective: number too large"):
+        parse_report(f'{{"status": "X", "x": [1], "objective": -{big}}}')
+    # past the interpreter's 4300-digit limit json.loads itself refuses it
+    with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
+        parse_report(f'{{"status": "X", "x": [{"1" * 5000}], "objective": 0}}')
+    path, out = tmp_path / "p.json", tmp_path / "lifted.json"
+    path.write_text(text)
+    assert cli.main(["lift", str(path), "--out", str(out)]) == 2
+    assert "$.Q[4][2]: number too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.1 + 0.2, -0.0, 5e-324, 1e308, -1e-300, 2.0, 1e17, 3.0]),
+    np.array([1.0, np.inf, -2.5]), np.array([np.nan, 0.5]),
+    np.array([3, -4, 5]), np.array([True, False]), np.array([]),
+    [1, 2.5, 10 ** 17], (0.5, -1.0)])
+def test_vec_writes_what_fmt_writes(values):
+    assert _vec(values) == "[" + ", ".join(_fmt(v) for v in values) + "]"
+
+
+def test_check_reruns_the_oracle_on_an_oracle_exact_report(example1):
+    # A feasible selection 156 above the optimum claimed as the oracle's.
+    x = np.full(5, 2.0)
+    assert is_feasible(example1, x)
+    report = emit_oracle_report(x, objective(example1, x), 196, 243, 0.0)
+    passed, failures = check(emit_problem(example1), report)
+    assert not passed
+    assert [f for f in failures if f.startswith("optimality")] == failures
+    assert "oracle optimum -227.8" in failures[0]
+
+
+def test_check_reruns_the_oracle_on_an_oracle_fallback_report():
+    # Criterion 4's second instance falls back to the oracle (optimum 0).
+    p = generate(GenSpec(n=4, m=1, seed=1002, value_set=(-1.0, 0.0, 2.0)))
+    r = solve(p)
+    assert r.status == "OracleFallback"
+    assert check(emit_problem(p), emit_report(r)) == (True, [])
+    x = np.full(4, -1.0)
+    assert is_feasible(p, x)
+    forged = emit_report(dataclasses.replace(r, x=x, objective=objective(p, x)))
+    passed, failures = check(emit_problem(p), forged)
+    assert not passed
+    assert len(failures) == 1 and failures[0].startswith("optimality")
+
+
+def test_check_fails_an_oracle_report_beyond_the_oracle_limit():
+    # 2**25 selections exceed the default limit, so even the true optimum
+    # cannot be verified and must not PASS.
+    n = 25
+    p = DiscreteQP(Q=np.eye(n), c=np.zeros(n), A=np.ones((1, n)),
+                   b=np.array([float(n)]), U=[[0.0, 1.0]] * n)
+    report = emit_oracle_report(np.zeros(n), 0.0, 2 ** n, 2 ** n, 0.0)
+    passed, failures = check(emit_problem(p), report)
+    assert not passed
+    assert failures == ["optimality: the oracle cannot verify this "
+                        "OracleExact report: 33554432 combinations exceed "
+                        "limit 20000000"]
