@@ -121,7 +121,8 @@ def _cmd_check(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
-    unchanged, so every main() call can share it."""
+    unchanged, so every main() call can share it.  Only a process that
+    calls main() more than once saves anything."""
     parser = argparse.ArgumentParser(
         prog="dvs",
         description="Certified global solver for quadratic programs over "
@@ -150,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exhaustive enumeration (small instances)")
     sp.add_argument("problem")
     sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                    help="refuse if the selection count exceeds this")
+                    help="refuse if the selection count exceeds this; check "
+                    "verifies an oracle report only up to the default")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_oracle)
 

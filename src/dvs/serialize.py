@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -60,11 +59,6 @@ def _fmt(v) -> str:
 
 
 def _vec(values) -> str:
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and np.isfinite(values).all()):
-        # What _fmt writes for each finite float, in one pass.
-        return "[" + ", ".join(map(format, values.tolist(),
-                                   repeat(".17g"))) + "]"
     return "[" + ", ".join(_fmt(v) for v in values) + "]"
 
 

@@ -15,10 +15,8 @@ from dvs.lift import lift
 from dvs.model import DiscreteQP, is_feasible, objective
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import (
-    _fmt,
     _parse_matrix,
     _parse_vector,
-    _vec,
     check,
     emit_lifted,
     emit_oracle_report,
@@ -386,15 +384,6 @@ def test_number_too_large_for_a_double_is_a_schema_error(example1, tmp_path,
     assert cli.main(["lift", str(path), "--out", str(out)]) == 2
     assert "$.Q[4][2]: number too large" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("values", [
-    np.array([0.1 + 0.2, -0.0, 5e-324, 1e308, -1e-300, 2.0, 1e17, 3.0]),
-    np.array([1.0, np.inf, -2.5]), np.array([np.nan, 0.5]),
-    np.array([3, -4, 5]), np.array([True, False]), np.array([]),
-    [1, 2.5, 10 ** 17], (0.5, -1.0)])
-def test_vec_writes_what_fmt_writes(values):
-    assert _vec(values) == "[" + ", ".join(_fmt(v) for v in values) + "]"
 
 
 def test_check_reruns_the_oracle_on_an_oracle_exact_report(example1):
