@@ -57,8 +57,7 @@ def _read(path: str) -> bytes:
 
 def _cmd_solve(args) -> int:
     p = parse_problem(_read(args.problem))
-    cfg = SolverConfig(tol_grad=args.tol_grad, tol_gap=args.tol_gap,
-                       mu_min=args.mu_min, max_iter=args.max_iter,
+    cfg = SolverConfig(tol_gap=args.tol_gap, max_iter=args.max_iter,
                        fallback_oracle_max_K=args.fallback_oracle)
     report = solve(p, cfg)
     Path(args.out).write_bytes(emit_report(report, include_trace=args.trace))
@@ -132,12 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve a problem via dual maximization")
     sp.add_argument("problem", help="problem JSON file")
     cfg = SolverConfig()
-    sp.add_argument("--tol-grad", type=float, default=cfg.tol_grad,
-                    help="projected-gradient stopping threshold")
     sp.add_argument("--tol-gap", type=float, default=cfg.tol_gap,
                     help="relative duality-gap certification threshold")
-    sp.add_argument("--mu-min", type=float, default=cfg.mu_min,
-                    help="lower bound standing in for mu > 0")
     sp.add_argument("--max-iter", type=int, default=cfg.max_iter)
     sp.add_argument("--fallback-oracle", type=int,
                     default=cfg.fallback_oracle_max_K, metavar="K",

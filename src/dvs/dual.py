@@ -156,12 +156,12 @@ def dual_gradient(q: BinaryQP, d: DualPoint
     return q.D @ y - q.b, q.block_sums(y) - 1.0, y * (y - 1.0)
 
 
-def in_dual_cone(q: BinaryQP, d: DualPoint, mu_min: float = MU_MIN) -> bool:
-    """Membership in the tau-given cone: sigma >= 0, mu >= mu_min, G(mu) PD.
+def in_dual_cone(q: BinaryQP, d: DualPoint) -> bool:
+    """Membership in the tau-given cone: sigma >= 0, mu >= MU_MIN, G(mu) PD.
 
     This is narrower than the certificate's cone (Q + diag(1/V) PD, see
     the module docstring); it is kept as the reference for the weak-duality
     and gradient checks of the tau-given dual.
     """
-    return (not np.any(d.sigma < 0.0) and not np.any(d.mu < mu_min)
+    return (not np.any(d.sigma < 0.0) and not np.any(d.mu < MU_MIN)
             and factorize_g(q, d.mu).positive_definite)

@@ -21,14 +21,13 @@ from .errors import DimensionError
 
 # Certificate / report status values.
 CERTIFIED_GLOBAL = "CertifiedGlobal"
-KKT_ONLY = "KKTOnly"
 NO_CERTIFICATE = "NoCertificate"
 ORACLE_FALLBACK = "OracleFallback"
 ORACLE_EXACT = "OracleExact"
 
 VALUE_MEMBERSHIP_TOL = 1e-9
-# Default certificate tolerances: the relative duality gap, and mu_min,
-# the computable stand-in for mu > 0 in the dual cone.
+# The default relative duality-gap tolerance, and the fixed floor of the
+# certificate's cone: mu >= MU_MIN is the computable stand-in for mu > 0.
 TOL_GAP = 1e-6
 MU_MIN = 1e-8
 
@@ -212,9 +211,10 @@ class Certificate:
 class SolveReport:
     """Everything a solve produced: recovered point, certificate, trace.
 
-    ``tol_gap`` and ``mu_min`` record the tolerances the certificate was
-    judged against, so an emitted report can be re-verified later without
-    access to the original solver configuration.
+    ``tol_gap`` records the gap tolerance the certificate was judged
+    against, so an emitted report can be re-verified later without access
+    to the original solver configuration; the cone floor is always
+    ``MU_MIN``.
     """
 
     x: np.ndarray
@@ -229,7 +229,6 @@ class SolveReport:
     trace: tuple[float, ...] = ()
     seconds: float = 0.0
     tol_gap: float = TOL_GAP
-    mu_min: float = MU_MIN
 
     def __post_init__(self):
         object.__setattr__(self, "x", _freeze(self.x))

@@ -3,8 +3,8 @@
 Deliberately naive: every selection is evaluated from scratch (no
 pruning, no incremental updates) so the oracle cannot share failure
 modes with the solver.  Selections are visited in lexicographic block
-order (last block varies fastest) and value ties are broken by the
-lexicographically smallest selection, independent of visit order.
+order (last block varies fastest), so a value tie goes to the
+lexicographically smallest selection: the first minimum visited.
 """
 
 from __future__ import annotations
@@ -28,20 +28,11 @@ def _radices(sizes: list[int]) -> np.ndarray:
     return rad
 
 
-def _chunks(total: int, chunk: int, reverse: bool = False):
-    starts = range(0, total, chunk)
-    for s in (reversed(starts) if reverse else starts):
-        yield s, min(s + chunk, total)
-
-
-def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT,
-                       reverse_order: bool = False
+def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT
                        ) -> tuple[np.ndarray, float, int, int]:
     """Minimize over every selection from the value sets, subject to Ax<=b.
 
-    Returns (x_best, value, feasible_count, total_count).  reverse_order
-    visits selections backwards — a debug mode for demonstrating that the
-    result is visit-order independent.
+    Returns (x_best, value, feasible_count, total_count).
     """
     sizes = [len(ui) for ui in p.U]
     total = math.prod(sizes)
@@ -53,8 +44,8 @@ def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT,
     best_value = math.inf
     best_index = -1
     feasible = 0
-    for lo, hi in _chunks(total, _CHUNK, reverse_order):
-        flat = np.arange(lo, hi, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        flat = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         X = np.empty((flat.size, p.n))
         for i in range(p.n):
             X[:, i] = cols[i][(flat // rad[i]) % sizes[i]]
@@ -67,10 +58,9 @@ def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT,
         vals = 0.5 * np.einsum("ij,ij->i", Xf @ p.Q, Xf) - Xf @ p.c
         k = int(np.argmin(vals))
         v = float(vals[k])
-        idx = int(flat[feas][k])
-        if v < best_value or (v == best_value and idx < best_index):
+        if v < best_value:
             best_value = v
-            best_index = idx
+            best_index = int(flat[feas][k])
     if feasible == 0:
         raise Infeasible("no selection satisfies Ax <= b")
     x = np.array([cols[i][(best_index // rad[i]) % sizes[i]]
@@ -96,8 +86,8 @@ def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:
     best_value = math.inf
     best_index = -1
     feasible = 0
-    for lo, hi in _chunks(total, chunk):
-        flat = np.arange(lo, hi, dtype=np.int64)
+    for lo in range(0, total, chunk):
+        flat = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         sel = np.empty((flat.size, q.n), dtype=np.int64)
         for i in range(q.n):
             sel[:, i] = starts[i] + (flat // rad[i]) % sizes[i]
@@ -112,10 +102,9 @@ def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:
                 - q.h[sf].sum(axis=1))
         k = int(np.argmin(vals))
         v = float(vals[k])
-        idx = int(flat[feas][k])
-        if v < best_value or (v == best_value and idx < best_index):
+        if v < best_value:
             best_value = v
-            best_index = idx
+            best_index = int(flat[feas][k])
     if feasible == 0:
         raise Infeasible("no one-hot selection satisfies Dy <= b")
     y = np.zeros(q.K)

@@ -21,8 +21,6 @@ from .errors import DimensionError, Infeasible, SchemaError, TooLarge
 from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
-    KKT_ONLY,
-    MU_MIN,
     NO_CERTIFICATE,
     ORACLE_EXACT,
     ORACLE_FALLBACK,
@@ -38,7 +36,7 @@ from .oracle import enumerate_discrete
 from .solver import round_binary, verify_kkt
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
-SOLVER_STATUSES = (CERTIFIED_GLOBAL, KKT_ONLY, NO_CERTIFICATE, ORACLE_FALLBACK)
+SOLVER_STATUSES = (CERTIFIED_GLOBAL, NO_CERTIFICATE, ORACLE_FALLBACK)
 CERTIFICATE_NUMBERS = ("primal_feas_residual", "dual_feas_residual",
                        "complementarity_residual", "gap")
 # The Python types json.loads gives a number; bool, a subclass of int,
@@ -125,7 +123,6 @@ def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
         ("solver_status", f'"{r.solver_status}"'),
         ("low_confidence_blocks", _vec(r.low_confidence_blocks)),
         ("tol_gap", _fmt(r.tol_gap)),
-        ("mu_min", _fmt(r.mu_min)),
         ("seconds", _fmt(r.seconds)),
     ]
     if include_trace:
@@ -298,12 +295,12 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     certificate re-verifying (same residuals, gap, and status from the
     reported sigma, mu and the x the reported y rounds to; tau is
     recomputed, so the reported tau is informational).  The certificate
-    is judged at the report's tol_gap or TOL_GAP, whichever is tighter,
-    so a report cannot loosen its own test.  An OracleExact or
-    OracleFallback report claims the enumerated optimum, so the oracle
-    is re-run at its default limit: the objective may exceed its optimum
-    by at most 1e-9*(1+|optimum|), and a problem beyond that limit
-    fails.  Returns (passed, failures).
+    is judged on the fixed cone mu >= MU_MIN and at the report's tol_gap
+    or TOL_GAP, whichever is tighter, so a report cannot loosen its own
+    test.  An OracleExact or OracleFallback report claims the enumerated
+    optimum, so the oracle is re-run at its default limit: the objective
+    may exceed its optimum by at most 1e-9*(1+|optimum|), and a problem
+    beyond that limit fails.  Returns (passed, failures).
 
     A report with a solver status that lacks its certificate, dual point
     or y, or with an unknown status, is a SchemaError.
@@ -354,10 +351,8 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                       tau=_parse_vector(dp["tau"], "$.dual_point.tau", q.n, "tau"),
                       mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
         tol_gap = _require_number(rep.get("tol_gap", TOL_GAP), "$.tol_gap")
-        mu_min = _require_number(rep.get("mu_min", MU_MIN), "$.mu_min")
         x_y, _ = round_binary(y, q)
-        cert2 = verify_kkt(q, x_y, d, tol_gap=min(tol_gap, TOL_GAP),
-                           mu_min=mu_min)
+        cert2 = verify_kkt(q, x_y, d, tol_gap=min(tol_gap, TOL_GAP))
         if cert2.status != cert["status"]:
             failures.append(
                 f"certificate status: claimed {cert['status']!r}, "

@@ -2,7 +2,7 @@
 
 The dual P_dual(sigma, tau, mu) is maximized with tau eliminated
 (:func:`dvs.dual.eliminate_tau`, one n-by-n Cholesky per evaluation) over
-the cone {sigma >= 0, mu >= mu_min, Q + diag(1/V) PD}, so the outer
+the cone {sigma >= 0, mu >= 1e-8, Q + diag(1/V) PD}, so the outer
 iteration works on (sigma, mu) only, with the ascent gradient
 (D y - b, y * (y - 1)).  The outer loop is a projected L-BFGS, its
 direction formed on the free coordinates from the compact representation
@@ -40,7 +40,6 @@ from .dual import factorize_g, recover_y  # noqa: F401
 from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
-    KKT_ONLY,
     MU_MIN,
     NO_CERTIFICATE,
     ORACLE_FALLBACK,
@@ -65,22 +64,21 @@ _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-16
 _LBFGS_MEMORY = 20
 _STALL_PATIENCE = 50
+_TOL_GRAD = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and limits for the dual ascent and certification."""
+    """The certificate's gap tolerance, the ascent's iteration budget and
+    the oracle-fallback threshold."""
 
-    tol_grad: float = 1e-8
     tol_gap: float = TOL_GAP
-    mu_min: float = MU_MIN
     max_iter: int = 5000
     fallback_oracle_max_K: int = 24
 
     def __post_init__(self):
-        for name in ("tol_grad", "tol_gap", "mu_min"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        if not 0.0 < self.tol_gap < np.inf:
+            raise ValueError("tol_gap must be finite and > 0")
         for name in ("max_iter", "fallback_oracle_max_K"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
@@ -113,10 +111,10 @@ class AscentTrace:
         return len(self.values) - 1
 
 
-def initial_point(q: BinaryQP, mu_min: float = MU_MIN) -> DualPoint:
+def initial_point(q: BinaryQP) -> DualPoint:
     """sigma = 0, tau = 0, and a uniform mu that makes G(mu) safely PD.
 
-    mu0 = max(mu_min, delta0 - lambda_min(B)/2) with delta0 =
+    mu0 = max(MU_MIN, delta0 - lambda_min(B)/2) with delta0 =
     1e-3 (1 + ||B||_inf) gives G(mu0) >= 2 delta0 I, inside the kernel's
     cone, so the very first Cholesky attempt cannot fail.  Both come from n-level data: B = M Q M'
     has the nonzero spectrum of S Q S, S^2 = diag(sum u^2) = M'M, plus
@@ -131,7 +129,7 @@ def initial_point(q: BinaryQP, mu_min: float = MU_MIN) -> DualPoint:
     if q.K > q.n:
         lam_min = min(0.0, lam_min)
     delta0 = 1e-3 * (1.0 + b_norm)
-    mu0 = max(mu_min, delta0 - lam_min / 2.0)
+    mu0 = max(MU_MIN, delta0 - lam_min / 2.0)
     return DualPoint(sigma=np.zeros(q.m), tau=np.zeros(q.n),
                      mu=np.full(q.K, mu0))
 
@@ -193,7 +191,7 @@ class _LBFGSMemory:
 
 
 def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, AscentTrace]:
-    """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= mu_min}.
+    """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
     The L-BFGS direction comes from the compact representation of the
     last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
@@ -204,7 +202,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     accepted step, and carries the candidate at the final iterate.
     Terminates at the first iterate (the initial point included) whose
     rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
-    the projected gradient infinity-norm falls to tol_grad ("Converged"),
+    the projected gradient infinity-norm falls to 1e-8 ("Converged"),
     after max_iter steps ("MaxIterations"), or when no further progress
     is possible — the line search finds no ascent step above 1e-16, or
     the dual value has been exactly flat for 50 consecutive accepted
@@ -214,9 +212,9 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     if cfg is None:
         cfg = SolverConfig()
     m, K = q.m, q.K
-    start = initial_point(q, cfg.mu_min)
+    start = initial_point(q)
     w = np.concatenate([start.sigma, start.mu])
-    lb = np.concatenate([np.zeros(m), np.full(K, cfg.mu_min)])
+    lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
 
     f, g, y, tau = _evaluate(q, w)
     evaluations, rejections, resets = 1, 0, 0
@@ -230,7 +228,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         value = objective(q, x)
         cert = None
         if abs(value + f) <= cfg.tol_gap * (1.0 + abs(value)):
-            cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap, cfg.mu_min)
+            cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap)
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
                 break
@@ -242,7 +240,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         at_bound = w <= lb
         pg = np.where(at_bound, np.minimum(g, 0.0), g)
         pg_norm = float(np.abs(pg).max())
-        if pg_norm <= cfg.tol_grad:
+        if pg_norm <= _TOL_GRAD:
             termination = TERM_CONVERGED
             break
         if it % 50 == 0:
@@ -292,7 +290,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
              resets)
     x, flagged = round_binary(y, q)
     if cert is None:
-        cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap, cfg.mu_min)
+        cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap)
     candidate = Candidate(y=y, x=x, low_confidence_blocks=flagged,
                           certificate=cert)
     return (DualPoint(sigma=w[:m], tau=tau, mu=w[m:]),
@@ -323,18 +321,18 @@ def round_binary(y: np.ndarray, q: BinaryQP
 
 
 def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
-            dual: float, tol_gap: float, mu_min: float) -> Certificate:
+            dual: float, tol_gap: float) -> Certificate:
     """Judge the point x with one value per block against the dual value
     ``dual`` at (sigma, mu), -inf off the cone.
 
     The one-hot and 0-1 residuals of x's selector vanish by construction,
     so the primal residual is the largest violation of A x <= b and the
     complementarity residual |sigma'(A x - b)|.  CertifiedGlobal requires
-    cone membership (a finite ``dual``, sigma >= 0, mu >= mu_min), and the
-    duality gap and every residual at most ``tol_gap * (1 + |v|)`` with v
-    the objective at x.  Off the cone the gap is inf and the status
-    NoCertificate.  KKTOnly means the residuals and gap pass and
-    Q + diag(1/V) is PD, but sigma < 0 or mu < mu_min.
+    cone membership (a finite ``dual``, sigma >= 0, mu >= MU_MIN), and the
+    duality gap and both residuals at most ``tol_gap * (1 + |v|)`` with v
+    the objective at x; every other point is NoCertificate.  The dual
+    feasibility residual, the largest violation of sigma >= 0 and
+    mu >= 0, is reported but is 0 on the cone.
     """
     slack = q.A @ x - q.b
     primal = max(float(np.max(slack, initial=-np.inf)), 0.0)
@@ -344,26 +342,23 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     value = objective(q, x)
     gap = float(abs(value - dual))
     in_cone = (dual > -np.inf and not np.any(sigma < 0.0)
-               and not np.any(mu < mu_min))
+               and not np.any(mu < MU_MIN))
     tol = tol_gap * (1.0 + abs(value))
-    if max(primal, dual_feas, comp, gap) <= tol:
-        status = CERTIFIED_GLOBAL if in_cone else KKT_ONLY
-    else:
-        status = NO_CERTIFICATE
+    status = (CERTIFIED_GLOBAL if in_cone and max(primal, comp, gap) <= tol
+              else NO_CERTIFICATE)
     return Certificate(primal_feas_residual=primal, dual_feas_residual=dual_feas,
                        complementarity_residual=comp, gap=gap,
                        in_cone=in_cone, status=status)
 
 
 def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint,
-               tol_gap: float = TOL_GAP, mu_min: float = MU_MIN
-               ) -> Certificate:
+               tol_gap: float = TOL_GAP) -> Certificate:
     """:func:`certify` x at the tau-maximized dual value of one
     :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu); d.tau does not
     enter."""
     res = eliminate_tau(q, d.sigma, d.mu)
     return certify(q, np.asarray(x, dtype=float), d.sigma, d.mu,
-                   -np.inf if res is None else res[0], tol_gap, mu_min)
+                   -np.inf if res is None else res[0], tol_gap)
 
 
 def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
@@ -397,4 +392,4 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
         solver_status=trace.termination,
         low_confidence_blocks=candidate.low_confidence_blocks,
         trace=trace.values, seconds=time.perf_counter() - t0,
-        tol_gap=cfg.tol_gap, mu_min=cfg.mu_min)
+        tol_gap=cfg.tol_gap)

@@ -73,8 +73,8 @@ def test_solve_invalid_problem_exits_two(tmp_path):
     assert cp.returncode == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--mu-min", "nan"),
-                                        ("--mu-min", "inf"),
+@pytest.mark.parametrize("flag,value", [("--tol-gap", "0"),
+                                        ("--tol-gap", "inf"),
                                         ("--tol-gap", "nan")])
 def test_solve_non_finite_tolerance_exits_two(example1_path, tmp_path,
                                               flag, value):

@@ -177,7 +177,7 @@ def differential_problems():
 
 
 def differential_points(q, rng):
-    """Interior points, points with about 30% of mu at mu_min, and mu
+    """Interior points, points with about 30% of mu at MU_MIN, and mu
     spread over 1e-8 ... 1e3, each with sigma >= 0."""
     base = initial_point(q).mu
     for kind in range(3):

@@ -30,24 +30,15 @@ def test_enumerate_first_reference_instance(example1):
     assert 0 < feasible <= total
 
 
-def test_enumerate_is_visit_order_independent(example1):
-    fwd = enumerate_discrete(example1)
-    rev = enumerate_discrete(example1, reverse_order=True)
-    assert np.array_equal(fwd[0], rev[0])
-    assert fwd[1] == rev[1]
-    assert fwd[2:] == rev[2:]
-
-
 def test_enumerate_tie_break_is_lexicographic():
     # Objective identically zero: every selection ties, and the winner
-    # must be the lexicographically first one regardless of visit order.
+    # must be the lexicographically first one.
     p = DiscreteQP(Q=np.zeros((2, 2)), c=np.zeros(2),
                    A=np.zeros((0, 2)), b=np.zeros(0),
                    U=[[3.0, 1.0], [2.0, 0.0]])
-    for reverse in (False, True):
-        x, value, _, _ = enumerate_discrete(p, reverse_order=reverse)
-        assert np.array_equal(x, [3.0, 2.0])
-        assert value == 0.0
+    x, value, _, _ = enumerate_discrete(p)
+    assert np.array_equal(x, [3.0, 2.0])
+    assert value == 0.0
 
 
 def test_enumerate_infeasible():

@@ -1,12 +1,15 @@
 """The package surface: the names `dvs` exports, the README's Python quick
-start, and the module attributes the benchmark's tracer wraps."""
+start and command-line flags, and the module attributes the benchmark's
+tracer wraps."""
 
+import argparse
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
 import dvs
+from dvs import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +45,35 @@ def test_traced_module_attributes_exist():
     for module_name, attr, *_ in tracing.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def _readme_flags():
+    """(command, flag) for every --flag the README names for a command: a
+    flag on a line that runs ``dvs <command>`` belongs to that command, any
+    other to the command its section's first example runs.  Flags in a
+    section without a ``dvs`` example (``pip install ...``) are skipped."""
+    commands = ("solve", "oracle", "gen", "lift", "toy", "check")
+    section, in_code = None, False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_code = not in_code
+        elif line.startswith("#") and not in_code:
+            section = None
+        run = re.search(r"\bdvs (\w+)", line)
+        cmd = run.group(1) if run and run.group(1) in commands else None
+        if in_code and section is None and line.startswith("dvs "):
+            section = cmd
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line):
+            if cmd or section:
+                yield cmd or section, flag
+
+
+def test_readme_flags_exist_in_the_cli():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    named = set(_readme_flags())
+    assert {cmd for cmd, _ in named} == {"solve", "oracle", "gen", "lift",
+                                         "toy"}
+    for cmd, flag in named:
+        options = subparsers.choices[cmd]._option_string_actions
+        assert flag in options, f"README names {flag} for dvs {cmd}"

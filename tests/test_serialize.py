@@ -120,7 +120,7 @@ def test_report_round_trip_and_key_order(example1):
     assert list(doc.keys()) == [
         "version", "status", "x", "objective", "certificate", "dual_point",
         "y", "iterations", "solver_status", "low_confidence_blocks",
-        "tol_gap", "mu_min", "seconds"]
+        "tol_gap", "seconds"]
     assert doc["status"] == "CertifiedGlobal"
     assert doc["certificate"]["in_cone"] is True
     assert "trace" not in doc
@@ -221,7 +221,8 @@ def test_check_flags_x_that_does_not_match_y(example1):
 
 @pytest.mark.parametrize("path", [("certificate", "gap"),
                                   ("certificate", "primal_feas_residual"),
-                                  ("tol_gap",), ("mu_min",)])
+                                  ("tol_gap",),
+                                  ("certificate", "dual_feas_residual")])
 def test_check_rejects_non_finite_certificate_numbers(example1, path):
     doc = json.loads(emit_report(solve(example1)))
     target = doc
@@ -242,7 +243,7 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     d = dataclasses.replace(r.dual_point, mu=mu)
     q = lift(example1)
     x, _ = round_binary(r.y, q)
-    cert = verify_kkt(q, x, d, tol_gap=r.tol_gap, mu_min=r.mu_min)
+    cert = verify_kkt(q, x, d, tol_gap=r.tol_gap)
     assert cert.gap == math.inf and cert.status == "NoCertificate"
     r = dataclasses.replace(r, dual_point=d, certificate=cert,
                             status="NoCertificate")
@@ -272,9 +273,10 @@ def test_check_requires_the_certificate_of_a_solver_report(example1):
     with pytest.raises(SchemaError, match=r"^\$\.y: missing"):
         check(emit_problem(example1), json.dumps(doc))
     doc = json.loads(emit_report(solve(example1)))
-    doc["status"] = "Certified"
-    with pytest.raises(SchemaError, match=r"^\$\.status: unknown"):
-        check(emit_problem(example1), json.dumps(doc))
+    for status in ("Certified", "KKTOnly"):
+        doc["status"] = status
+        with pytest.raises(SchemaError, match=r"^\$\.status: unknown"):
+            check(emit_problem(example1), json.dumps(doc))
 
 
 def test_check_judges_at_most_the_default_tol_gap(example1):
@@ -284,13 +286,33 @@ def test_check_judges_at_most_the_default_tol_gap(example1):
     q = lift(example1)
     pick = [0, 3, 6, 9, 12]
     x = q.U_flat[pick]
-    cert = verify_kkt(q, x, r.dual_point, tol_gap=1e300, mu_min=r.mu_min)
+    cert = verify_kkt(q, x, r.dual_point, tol_gap=1e300)
     assert cert.status == "CertifiedGlobal" and cert.gap > 100.0
     y = np.zeros(q.K)
     y[pick] = 1.0
     doc = json.loads(emit_report(dataclasses.replace(
         r, x=x, objective=objective(example1, x), certificate=cert, y=y,
         tol_gap=1e300)))
+    passed, failures = check(emit_problem(example1), json.dumps(doc))
+    assert not passed
+    assert any(f.startswith("certificate status") for f in failures), failures
+
+
+def test_check_judges_at_the_fixed_cone_floor(example1):
+    # mu_4 = 1e-9 is below the cone floor 1e-8 and moves no residual or
+    # the gap; the report claims CertifiedGlobal with its recomputed
+    # numbers and "mu_min": 1e-300, which check must ignore.
+    r = solve(example1)
+    mu = r.dual_point.mu.copy()
+    mu[4] = 1e-9
+    d = dataclasses.replace(r.dual_point, mu=mu)
+    cert = verify_kkt(lift(example1), r.x, d)
+    assert not cert.in_cone and cert.gap <= 1e-6 * (1.0 + abs(r.objective))
+    claimed = dataclasses.replace(cert, in_cone=True,
+                                  status="CertifiedGlobal")
+    doc = json.loads(emit_report(dataclasses.replace(
+        r, dual_point=d, certificate=claimed)))
+    doc["mu_min"] = 1e-300
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert not passed
     assert any(f.startswith("certificate status") for f in failures), failures

@@ -31,7 +31,7 @@ from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tol_grad=0.0)
+        SolverConfig(tol_gap=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol_gap=-1.0)
     with pytest.raises(ValueError):
@@ -39,10 +39,13 @@ def test_config_validation():
     for name in ("max_iter", "fallback_oracle_max_K"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SolverConfig(**{name: 2.5})
-    for name in ("tol_grad", "tol_gap", "mu_min"):
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                SolverConfig(**{name: bad})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="tol_gap must be finite"):
+            SolverConfig(tol_gap=bad)
+    # The ascent's gradient threshold and the cone floor are fixed.
+    for name in ("tol_grad", "mu_min"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 1e-8})
 
 
 def test_initial_point_is_interior(example1, example2):
@@ -153,7 +156,7 @@ def test_verify_kkt_detects_wrong_point(example1):
     assert cert.gap > 1.0
 
 
-def test_verify_kkt_cone_failure_downgrades_to_kkt_only(example1):
+def test_verify_kkt_cone_failure_is_no_certificate(example1):
     q = lift(example1)
     d, _ = maximize_dual(q)
     sigma = d.sigma.copy()
@@ -163,7 +166,9 @@ def test_verify_kkt_cone_failure_downgrades_to_kkt_only(example1):
     d_bad = DualPoint(sigma=sigma, tau=d.tau, mu=d.mu)
     cert = verify_kkt(q, EX1_X, d_bad)
     assert not cert.in_cone
-    assert cert.status == "KKTOnly"
+    assert cert.status == "NoCertificate"
+    assert cert.dual_feas_residual == 1e-12
+    assert cert.gap <= 1e-6 * 230.0
 
 
 def test_solve_first_reference_instance(example1):
@@ -220,10 +225,9 @@ def test_solve_forced_single_choice():
 
 
 def test_solve_report_records_tolerances(example1):
-    cfg = SolverConfig(tol_gap=1e-7, mu_min=1e-9)
-    r = solve(example1, cfg)
+    r = solve(example1, SolverConfig(tol_gap=1e-7))
     assert r.tol_gap == 1e-7
-    assert r.mu_min == 1e-9
+    assert not hasattr(r, "mu_min")
 
 
 @pytest.mark.parametrize("name, most", [("example1", 103), ("example2", 187)])
@@ -452,9 +456,28 @@ def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
     for p in problems:
         r = solve(p, cfg)
         assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point,
-                                           tol_gap=r.tol_gap, mu_min=r.mu_min)
+                                           tol_gap=r.tol_gap)
         statuses.add(r.certificate.status)
     assert statuses == {"CertifiedGlobal", "NoCertificate"}
+
+
+def test_translating_the_value_sets_moves_only_x():
+    # x' = x + t over U + t is the same problem with c + Qt and b + At.
+    # Every status is unchanged and every certified x moves by exactly t.
+    cfg = SolverConfig(fallback_oracle_max_K=0)
+    problems = criterion4_problems(200)
+    base = [solve(p, cfg) for p in problems]
+    assert sum(r.status == "CertifiedGlobal" for r in base) >= 50
+    for t in (-1.0, 3.0):
+        for p, r in zip(problems, base):
+            shifted = DiscreteQP(
+                Q=p.Q, c=p.c + p.Q @ np.full(p.n, t), A=p.A,
+                b=p.b + p.A @ np.full(p.n, t),
+                U=[[u + t for u in ui] for ui in p.U])
+            rt = solve(shifted, cfg)
+            assert rt.status == r.status
+            if r.status == "CertifiedGlobal":
+                assert np.array_equal(rt.x, r.x + t)
 
 
 def test_solve_evaluates_the_dual_once_per_logged_evaluation(example1,
