@@ -108,8 +108,9 @@ class BinaryQP:
     With ``M`` the K-by-n block matrix of candidate values, ``B = MQM'``,
     ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  ``p``'s validated
     ``Q``, ``c``, ``A``, ``b`` are shared, not copied; ``h``, ``D``, ``B``,
-    ``H`` and ``blocks`` are derived on first read, and of these the solve
-    and check paths read only ``D``, in the ascent's gradient.  ``U_flat``
+    ``H``, ``blocks`` and ``alpha_base`` are derived on first read, and of
+    the lifted arrays the solve and check paths read only ``D``, in the
+    ascent's gradient.  ``U_flat``
     holds the candidate values in block order, and the block index arrays
     below are built once here, so no other module recomputes offsets:
 
@@ -163,6 +164,11 @@ class BinaryQP:
     def H(self) -> np.ndarray:
         """The n-by-K one-hot block selector: ``H[i, k] = 1`` iff k in block i."""
         return _freeze(self.block_of == np.arange(self.n)[:, None])
+
+    @cached_property
+    def alpha_base(self) -> np.ndarray:
+        """``1 - sizes / 2``, the constant term of the kernel's alpha."""
+        return _freeze(1.0 - 0.5 * self.sizes)
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """The per-block sums ``H v`` of a K-vector."""

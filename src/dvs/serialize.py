@@ -302,8 +302,10 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     may exceed its optimum by at most 1e-9*(1+|optimum|), and a problem
     beyond that limit fails.  Returns (passed, failures).
 
-    A report with a solver status that lacks its certificate, dual point
-    or y, or with an unknown status, is a SchemaError.
+    The claimed ``in_cone`` must be true or false and equal the
+    recomputed one.  A report with a solver status that lacks its
+    certificate, dual point or y, or with an unknown status, is a
+    SchemaError.
     """
     p = parse_problem(problem_data)
     rep = parse_report(report_data)
@@ -340,7 +342,11 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
 
     if status != ORACLE_EXACT:
         cert = _require_object(rep["certificate"], "$.certificate",
-                               ("status",) + CERTIFICATE_NUMBERS)
+                               ("status", "in_cone") + CERTIFICATE_NUMBERS)
+        if not isinstance(cert["in_cone"], bool):
+            raise SchemaError("$.certificate.in_cone",
+                              f"expected true or false, got "
+                              f"{type(cert['in_cone']).__name__}")
         claimed = {key: (_require_gap if key == "gap" else _require_number)(
             cert[key], f"$.certificate.{key}") for key in CERTIFICATE_NUMBERS}
         dp = _require_object(rep["dual_point"], "$.dual_point",
@@ -363,6 +369,10 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                 failures.append(
                     f"certificate {key}: reported {cert[key]!r}, "
                     f"recomputed {got!r}")
+        if cert["in_cone"] != cert2.in_cone:
+            failures.append(
+                f"certificate in_cone: reported {cert['in_cone']!r}, "
+                f"recomputed {bool(cert2.in_cone)!r}")
         if status not in (cert2.status, ORACLE_FALLBACK):
             failures.append(
                 f"report status {status!r} inconsistent with certificate "

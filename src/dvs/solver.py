@@ -9,7 +9,10 @@ direction formed on the free coordinates from the compact representation
 of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
 and their use in limited memory methods", Math. Prog. 63, 1994), with an
 Armijo backtracking line search that rejects any trial off that cone —
-feasibility before ascent.
+feasibility before ascent.  One ascent owns one n-by-n Cholesky
+workspace, which every evaluation overwrites, and keeps its curvature
+pairs in a window that slides over buffers of twice the memory size, so
+a step neither allocates the n-by-n matrix nor shifts the stored pairs.
 
 The certificate is an n-level function of the rounded point x (each
 block's largest y): :func:`certify` holds its residual, gap, cone and
@@ -27,6 +30,7 @@ reports.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -134,59 +138,72 @@ def initial_point(q: BinaryQP) -> DualPoint:
                      mu=np.full(q.K, mu0))
 
 
-def _evaluate(q: BinaryQP, w: np.ndarray):
+def _evaluate(q: BinaryQP, w: np.ndarray, work: np.ndarray):
     """(f, grad, y, tau) with f = -P_dual at the optimal tau and grad its
-    (sigma, mu)-gradient; None off the cone (infeasible trial point)."""
-    res = eliminate_tau(q, w[:q.m], w[q.m:])
+    (sigma, mu)-gradient; None off the cone (infeasible trial point).
+    ``work`` is the ascent's Cholesky workspace."""
+    grad = np.empty_like(w)
+    res = eliminate_tau(q, w[:q.m], w[q.m:], work, grad)
     if res is None:
         return None
     value, y, tau = res
-    return -value, -np.concatenate([q.D @ y - q.b, y * (y - 1.0)]), y, tau
+    return -value, grad, y, tau
 
 
 class _LBFGSMemory:
     """The newest curvature pairs (s, y) in the compact form of Byrd,
     Nocedal & Schnabel (1994).
 
-    Rows ``S[:k]``, ``Y[:k]`` hold the pairs oldest first; ``R`` keeps the
-    upper triangle of S Y' and ``YY`` the Gram matrix Y Y', each updated by
-    one matrix-vector product per pair.  A full memory shifts its oldest
-    pair out.  ``apply`` computes the L-BFGS inverse-Hessian product with
-    H0 = gamma I, gamma = s'y / y'y of the newest pair — the direction of
-    the two-loop recursion, in a fixed handful of BLAS calls.
+    The ``k`` stored pairs are rows ``first`` to ``first + k - 1`` of ``S``
+    and ``Y``, oldest first; ``R`` keeps the upper triangle of S Y' and
+    ``YY`` the Gram matrix Y Y' on the same window of rows and columns,
+    each updated by one matrix-vector product per pair.  The buffers hold
+    twice ``size`` rows: a full memory drops its oldest pair by moving the
+    window one row on, and the window is copied back to the top only when
+    it reaches the end, once every ``size + 1`` appends.  Setting ``k = 0``
+    clears the memory.  ``apply`` computes the L-BFGS inverse-Hessian
+    product with H0 = gamma I, gamma = s'y / y'y of the newest pair — the
+    direction of the two-loop recursion, in a fixed handful of BLAS calls.
     """
 
     def __init__(self, size: int, dim: int):
-        self.S = np.empty((size, dim))
-        self.Y = np.empty((size, dim))
-        self.R = np.zeros((size, size))
-        self.YY = np.zeros((size, size))
+        self.size = size
+        self.S = np.empty((2 * size, dim))
+        self.Y = np.empty((2 * size, dim))
+        self.R = np.zeros((2 * size, 2 * size))
+        self.YY = np.zeros((2 * size, 2 * size))
+        self.first = 0
         self.k = 0
 
     def append(self, s: np.ndarray, y: np.ndarray):
-        if self.k == len(self.S):
+        o, k = self.first, self.k
+        if k == self.size:
+            o, k = o + 1, k - 1
+        if o + k == len(self.S):
             for a in (self.S, self.Y):
-                a[:-1] = a[1:]
+                a[:k] = a[o:o + k]
             for a in (self.R, self.YY):
-                a[:-1, :-1] = a[1:, 1:]
-            self.k -= 1
-        k = self.k + 1
-        self.S[k - 1] = s
-        self.Y[k - 1] = y
-        self.R[:k, k - 1] = self.S[:k] @ y
-        self.YY[:k, k - 1] = self.YY[k - 1, :k] = self.Y[:k] @ y
-        self.k = k
+                a[:k, :k] = a[o:o + k, o:o + k]
+            o = 0
+        j = o + k
+        self.S[j] = s
+        self.Y[j] = y
+        self.R[o:j + 1, j] = self.S[o:j + 1] @ y
+        self.YY[o:j + 1, j] = self.YY[j, o:j + 1] = self.Y[o:j + 1] @ y
+        self.first, self.k = o, k + 1
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """H r; with no pairs stored, r scaled to at most unit norm."""
         k = self.k
         if not k:
             return r / max(1.0, np.linalg.norm(r))
-        S, Y, R = self.S[:k], self.Y[:k], self.R[:k, :k]
-        gamma = R[-1, -1] / self.YY[k - 1, k - 1]
+        o = self.first
+        j = o + k
+        S, Y, R = self.S[o:j], self.Y[o:j], self.R[o:j, o:j]
+        gamma = R[-1, -1] / self.YY[j - 1, j - 1]
         t = dtrtrs(R, S @ r)[0]
         p = dtrtrs(R, R.diagonal() * t
-                   + gamma * (self.YY[:k, :k] @ t - Y @ r), trans=1)[0]
+                   + gamma * (self.YY[o:j, o:j] @ t - Y @ r), trans=1)[0]
         return gamma * r + S.T @ p - gamma * (Y.T @ t)
 
 
@@ -216,16 +233,24 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     w = np.concatenate([start.sigma, start.mu])
     lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
 
-    f, g, y, tau = _evaluate(q, w)
+    # The Cholesky workspace of every evaluation of this ascent; it is not
+    # kept on q, which other solves may share.
+    work = np.empty((q.n, q.n))
+    f, g, y, tau = _evaluate(q, w, work)
     evaluations, rejections, resets = 1, 0, 0
     values = [-f]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
     termination = TERM_MAX_ITER
     flat_steps = 0
+    selection = None
     for it in range(cfg.max_iter + 1):
-        # Only an x whose objective meets the dual value -f can certify.
-        x = q.U_flat[_block_argmax(y, q)]
-        value = objective(q, x)
+        # Only an x whose objective meets the dual value -f can certify;
+        # the objective is recomputed only when the rounded x changes.
+        pick = _block_argmax(y, q)
+        if pick.tobytes() != selection:
+            selection = pick.tobytes()
+            x = q.U_flat[pick]
+            value = objective(q, x)
         cert = None
         if abs(value + f) <= cfg.tol_gap * (1.0 + abs(value)):
             cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap)
@@ -237,19 +262,18 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
             break
         if it == cfg.max_iter:
             break
-        at_bound = w <= lb
-        pg = np.where(at_bound, np.minimum(g, 0.0), g)
-        pg_norm = float(np.abs(pg).max())
+        # Bound-active coordinates whose gradient pushes outward are
+        # frozen; the rest of the gradient, r, is the projected gradient.
+        frozen = (w <= lb) & (g > 0)
+        r = np.where(frozen, 0.0, g)
+        pg_norm = float(np.abs(r).max())
         if pg_norm <= _TOL_GRAD:
             termination = TERM_CONVERGED
             break
         if it % 50 == 0:
             log.debug("iter %d dual=%.12g pg=%.3e", it, -f, pg_norm)
 
-        # L-BFGS on the free coordinates; bound-active coordinates whose
-        # gradient pushes outward are frozen.
-        frozen = at_bound & (g > 0)
-        r = np.where(frozen, 0.0, g)
+        # L-BFGS on the free coordinates.
         direction = -np.where(frozen, 0.0, memory.apply(r))
         if g @ direction >= 0.0:
             memory.k = 0
@@ -262,7 +286,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
             w_try = np.maximum(w + step * direction, lb)
             dg = g @ (w_try - w)
             if dg < 0.0:
-                res = _evaluate(q, w_try)
+                res = _evaluate(q, w_try, work)
                 evaluations += 1
                 if res is None:
                     rejections += 1
@@ -279,7 +303,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         s_v = w_try - w
         y_v = g_try - g
         curv = s_v @ y_v
-        if curv > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
+        if curv > 1e-12 * math.sqrt(s_v @ s_v) * math.sqrt(y_v @ y_v):
             memory.append(s_v, y_v)
         w, f, g, y, tau = w_try, f_try, g_try, y_try, tau_try
         values.append(-f)

@@ -7,6 +7,7 @@ tests form it densely, to compare the structured solves against.
 import numpy as np
 import pytest
 
+from dvs import dual
 from dvs.dual import (
     MU_MIN,
     dual_gradient,
@@ -241,6 +242,58 @@ def test_structured_cone_test_matches_dense_cholesky():
                 assert eliminate_tau(q, rng.random(q.m), mu) is not None
             verdicts.add(dense_pd)
     assert verdicts == {True, False}
+
+
+
+def _bits(res):
+    value, y, tau = res
+    return np.float64(value).tobytes(), y.tobytes(), tau.tobytes()
+
+
+def test_eliminate_tau_reuses_its_workspace_without_leaks(monkeypatch):
+    # One workspace through mu1, mu2, mu1: both mu1 results are bitwise
+    # those of a fresh workspace, the y and tau of the first call survive
+    # the later ones, and a gradient array receives (b - Dy, -y(y-1)).
+    # With Q shifted negative definite, mu2 (mu1 cut by 1e6 on the second
+    # half of the blocks) fails the Cholesky midway, after the leading
+    # pivots have overwritten part of the workspace.
+    real = dual.dpotrf
+    infos = []
+
+    def recording(*args, **kwargs):
+        cho, info = real(*args, **kwargs)
+        infos.append(info)
+        return cho, info
+
+    monkeypatch.setattr(dual, "dpotrf", recording)
+    rng = np.random.default_rng(13)
+    for p in differential_problems():
+        for shift in (0.0, np.linalg.eigvalsh(p.Q)[-1] + 1.0):
+            q = lift(DiscreteQP(Q=p.Q - shift * np.eye(p.n), c=p.c, A=p.A,
+                                b=p.b, U=p.U))
+            sigma = rng.random(q.m)
+            mu1 = initial_point(q).mu * (1.0 + rng.random(q.K))
+            if shift:
+                mu2 = mu1.copy()
+                mu2[q.block_of >= q.n // 2] *= 1e-6
+            else:
+                mu2 = mu1 * (0.5 + rng.random(q.K))
+            fresh = _bits(eliminate_tau(q, sigma, mu1))
+            work = np.empty((q.n, q.n))
+            first = eliminate_tau(q, sigma, mu1, work)
+            assert _bits(first) == fresh
+            second = eliminate_tau(q, sigma, mu2, work)
+            if shift:
+                assert second is None and infos[-1] > 1
+            else:
+                assert second is not None and infos[-1] == 0
+            grad = np.empty(q.m + q.K)
+            third = eliminate_tau(q, sigma, mu1, work, grad)
+            assert _bits(third) == fresh
+            assert _bits(first) == fresh
+            y = third[1]
+            expected = np.concatenate([q.b - q.D @ y, -(y * (y - 1.0))])
+            assert grad.tobytes() == expected.tobytes()
 
 
 def test_dual_value_at_reference_point(example2):

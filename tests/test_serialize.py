@@ -318,6 +318,39 @@ def test_check_judges_at_the_fixed_cone_floor(example1):
     assert any(f.startswith("certificate status") for f in failures), failures
 
 
+@pytest.mark.parametrize("claim", [False, "no", None, 1])
+def test_check_reads_the_certificate_in_cone(tmp_path, claim):
+    # A CertifiedGlobal report whose certificate claims anything but the
+    # recomputed in_cone (true): false FAILs, and a claim that is not true
+    # or false is a SchemaError: `dvs check` exits 4 and 2.
+    p = generate(GenSpec(5, 3, 42))
+    r = solve(p)
+    assert r.status == "CertifiedGlobal" and r.certificate.in_cone is True
+    doc = json.loads(emit_report(r))
+    doc["certificate"]["in_cone"] = claim
+    problem, report = tmp_path / "p.json", tmp_path / "r.json"
+    problem.write_bytes(emit_problem(p))
+    report.write_text(json.dumps(doc))
+    if isinstance(claim, bool):
+        passed, failures = check(problem.read_bytes(), report.read_bytes())
+        assert not passed
+        assert any(f.startswith("certificate in_cone") for f in failures), \
+            failures
+        assert cli.main(["check", str(problem), str(report)]) == 4
+    else:
+        with pytest.raises(SchemaError,
+                           match=r"^\$\.certificate\.in_cone: expected"):
+            check(problem.read_bytes(), report.read_bytes())
+        assert cli.main(["check", str(problem), str(report)]) == 2
+
+
+def test_check_requires_the_certificate_in_cone(example1):
+    doc = json.loads(emit_report(solve(example1)))
+    del doc["certificate"]["in_cone"]
+    with pytest.raises(SchemaError, match=r'missing key "in_cone"'):
+        check(emit_problem(example1), json.dumps(doc))
+
+
 # The per-entry parser the bulk one replaced, kept as the reference.
 def _reference_number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):

@@ -380,6 +380,9 @@ def assert_matches_two_loop(got, memory, pairs, r):
 
 @pytest.mark.parametrize("size", [1, 5, 20])
 def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
+    # 3 size + 25 appends, a reset (k = 0) while the window sits part-way
+    # down its buffers, and 3 size + 25 appends more: on each side of the
+    # reset the window rolls back to the top of its buffers at least twice.
     rng = np.random.default_rng(size)
     dim = 60
     # y = M s + noise with M SPD keeps s'y > 0, as the curvature test does
@@ -387,17 +390,25 @@ def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
     M = basis @ np.diag(rng.uniform(0.1, 10.0, dim)) @ basis.T
     memory = solver._LBFGSMemory(size, dim)
     pairs = []
-    for _ in range(size + 25):
-        s_v = rng.standard_normal(dim)
-        y_v = M @ s_v + 0.01 * rng.standard_normal(dim)
-        assert s_v @ y_v > 0.0
-        memory.append(s_v, y_v)
-        pairs.append((s_v, y_v))
-        assert memory.k == min(len(pairs), size)
-        r = np.where(rng.random(dim) < 0.1, 0.0, rng.standard_normal(dim))
+    for phase in range(2):
+        appended = rollovers = 0
+        for _ in range(3 * size + 25):
+            s_v = rng.standard_normal(dim)
+            y_v = M @ s_v + 0.01 * rng.standard_normal(dim)
+            assert s_v @ y_v > 0.0
+            first = memory.first
+            memory.append(s_v, y_v)
+            pairs.append((s_v, y_v))
+            appended += 1
+            rollovers += memory.first < first
+            assert memory.k == min(appended, size)
+            r = np.where(rng.random(dim) < 0.1, 0.0, rng.standard_normal(dim))
+            assert_matches_two_loop(memory.apply(r), memory, pairs, r)
+        assert rollovers >= 2
+        if phase == 0:
+            assert memory.first > 0  # the reset lands in a shifted window
+        memory.k = 0
         assert_matches_two_loop(memory.apply(r), memory, pairs, r)
-    memory.k = 0
-    assert_matches_two_loop(memory.apply(r), memory, pairs, r)
 
 
 def test_compact_lbfgs_matches_two_loop_on_ascent_pairs(monkeypatch):
