@@ -57,7 +57,7 @@ def _read(path: str) -> bytes:
 
 def _cmd_solve(args) -> int:
     p = parse_problem(_read(args.problem))
-    cfg = SolverConfig(tol_gap=args.tol_gap, max_iter=args.max_iter,
+    cfg = SolverConfig(max_iter=args.max_iter,
                        fallback_oracle_max_K=args.fallback_oracle)
     report = solve(p, cfg)
     Path(args.out).write_bytes(emit_report(report, include_trace=args.trace))
@@ -91,13 +91,16 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_toy(args) -> int:
+    # Every option is validated before the solution is printed.
+    if args.steps < 0:
+        raise ValueError("--steps must be >= 0")
+    lo, hi = (float(v) for v in args.range.rsplit(":", 1))
     f = [float(v) for v in args.f.split(",")]
     t = ToyInstance(alpha=args.alpha, lam=args.lam, f=f)
     x, primal, dual, sigma1 = toy_solve(t)
     sys.stdout.write(emit_toy_solution(x, primal, dual, sigma1).decode())
     if args.curves:
-        lo, hi = args.range.rsplit(":", 1)
-        rows = toy_curves(t, (float(lo), float(hi)), args.steps)
+        rows = toy_curves(t, (lo, hi), args.steps)
         with open(args.curves, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "abscissa", "value"])
@@ -131,8 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve a problem via dual maximization")
     sp.add_argument("problem", help="problem JSON file")
     cfg = SolverConfig()
-    sp.add_argument("--tol-gap", type=float, default=cfg.tol_gap,
-                    help="relative duality-gap certification threshold")
     sp.add_argument("--max-iter", type=int, default=cfg.max_iter)
     sp.add_argument("--fallback-oracle", type=int,
                     default=cfg.fallback_oracle_max_K, metavar="K",

@@ -27,26 +27,6 @@ class SchemaError(DvsError):
         super().__init__(f"{path}: {message}")
 
 
-class BlockViolation(DvsError):
-    """A 0/1 vector does not select exactly one coordinate in some block."""
-
-    def __init__(self, block_index, selected):
-        self.block_index = block_index
-        self.selected = selected
-        super().__init__(
-            f"block {block_index} selects {selected} coordinates, expected exactly 1"
-        )
-
-
-class ValueNotInSet(DvsError):
-    """A coordinate of x does not match any member of its value set."""
-
-    def __init__(self, index, value):
-        self.index = index
-        self.value = value
-        super().__init__(f"x[{index}] = {value} is not in the value set U[{index}]")
-
-
 class TooLarge(DvsError):
     """Exhaustive enumeration would exceed the configured combination limit."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,8 +27,8 @@ ORACLE_FALLBACK = "OracleFallback"
 ORACLE_EXACT = "OracleExact"
 
 VALUE_MEMBERSHIP_TOL = 1e-9
-# The default relative duality-gap tolerance, and the fixed floor of the
-# certificate's cone: mu >= MU_MIN is the computable stand-in for mu > 0.
+# The certificate's fixed relative duality-gap tolerance, and the fixed
+# floor of its cone: mu >= MU_MIN is the computable stand-in for mu > 0.
 TOL_GAP = 1e-6
 MU_MIN = 1e-8
 
@@ -217,10 +218,10 @@ class Certificate:
 class SolveReport:
     """Everything a solve produced: recovered point, certificate, trace.
 
-    ``tol_gap`` records the gap tolerance the certificate was judged
-    against, so an emitted report can be re-verified later without access
-    to the original solver configuration; the cone floor is always
-    ``MU_MIN``.
+    Every certificate is judged at the fixed gap tolerance ``TOL_GAP`` on
+    the cone floor ``MU_MIN``.  ``tol_gap`` is that constant, a class
+    attribute rather than a field; reports still write it for format
+    compatibility, and ``check`` ignores it.
     """
 
     x: np.ndarray
@@ -234,7 +235,7 @@ class SolveReport:
     low_confidence_blocks: tuple[int, ...] = ()
     trace: tuple[float, ...] = ()
     seconds: float = 0.0
-    tol_gap: float = TOL_GAP
+    tol_gap: ClassVar[float] = TOL_GAP
 
     def __post_init__(self):
         object.__setattr__(self, "x", _freeze(self.x))

@@ -24,7 +24,6 @@ from .model import (
     NO_CERTIFICATE,
     ORACLE_EXACT,
     ORACLE_FALLBACK,
-    TOL_GAP,
     BinaryQP,
     DiscreteQP,
     DualPoint,
@@ -295,12 +294,13 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     certificate re-verifying (same residuals, gap, and status from the
     reported sigma, mu and the x the reported y rounds to; tau is
     recomputed, so the reported tau is informational).  The certificate
-    is judged on the fixed cone mu >= MU_MIN and at the report's tol_gap
-    or TOL_GAP, whichever is tighter, so a report cannot loosen its own
-    test.  An OracleExact or OracleFallback report claims the enumerated
-    optimum, so the oracle is re-run at its default limit: the objective
-    may exceed its optimum by at most 1e-9*(1+|optimum|), and a problem
-    beyond that limit fails.  Returns (passed, failures).
+    is judged on the fixed cone mu >= MU_MIN and at the fixed gap
+    tolerance TOL_GAP; the report's own ``tol_gap`` key, written for
+    format compatibility, is ignored, like ``mu_min``.  An OracleExact or
+    OracleFallback report claims the enumerated optimum, so the oracle is
+    re-run at its default limit: the objective may exceed its optimum by
+    at most 1e-9*(1+|optimum|), and a problem beyond that limit fails.
+    Returns (passed, failures).
 
     The claimed ``in_cone`` must be true or false and equal the
     recomputed one.  A report with a solver status that lacks its
@@ -356,9 +356,8 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
         d = DualPoint(sigma=_parse_vector(dp["sigma"], "$.dual_point.sigma", q.m, "sigma"),
                       tau=_parse_vector(dp["tau"], "$.dual_point.tau", q.n, "tau"),
                       mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
-        tol_gap = _require_number(rep.get("tol_gap", TOL_GAP), "$.tol_gap")
         x_y, _ = round_binary(y, q)
-        cert2 = verify_kkt(q, x_y, d, tol_gap=min(tol_gap, TOL_GAP))
+        cert2 = verify_kkt(q, x_y, d)
         if cert2.status != cert["status"]:
             failures.append(
                 f"certificate status: claimed {cert['status']!r}, "

@@ -16,15 +16,15 @@ a step neither allocates the n-by-n matrix nor shifts the stored pairs.
 
 The certificate is an n-level function of the rounded point x (each
 block's largest y): :func:`certify` holds its residual, gap, cone and
-status rules, and :func:`verify_kkt` feeds it one
-:func:`dvs.dual.eliminate_tau` value, as ``dvs check`` does.  The ascent
-certifies with the dual value of the iterate it already has, at every
-iterate whose x meets that value within the gap tolerance and once at the
-final iterate, and stops at the first that certifies.  The certified gap
-is therefore at most ``tol_gap * (1 + |objective|)`` rather than
-round-off.  Instances that never certify run the ascent to its other
-stopping rules; the candidate at the final iterate is what ``solve``
-reports.
+status rules, with the fixed gap tolerance ``TOL_GAP`` = 1e-6, and
+:func:`verify_kkt` feeds it one :func:`dvs.dual.eliminate_tau` value, as
+``dvs check`` does.  The ascent certifies with the dual value of the
+iterate it already has, at every iterate whose x meets that value within
+the gap tolerance and once at the final iterate, and stops at the first
+that certifies.  The certified gap is therefore at most
+``TOL_GAP * (1 + |objective|)`` rather than round-off.  Instances that
+never certify run the ascent to its other stopping rules; the rounded x
+at the final iterate, with its certificate, is what ``solve`` reports.
 """
 
 from __future__ import annotations
@@ -73,16 +73,12 @@ _TOL_GRAD = 1e-8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The certificate's gap tolerance, the ascent's iteration budget and
-    the oracle-fallback threshold."""
+    """The ascent's iteration budget and the oracle-fallback threshold."""
 
-    tol_gap: float = TOL_GAP
     max_iter: int = 5000
     fallback_oracle_max_K: int = 24
 
     def __post_init__(self):
-        if not 0.0 < self.tol_gap < np.inf:
-            raise ValueError("tol_gap must be finite and > 0")
         for name in ("max_iter", "fallback_oracle_max_K"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
@@ -91,24 +87,18 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """The kernel's y at a dual point, the x it rounds to, and x's
-    certificate."""
-
-    y: np.ndarray
-    x: np.ndarray
-    low_confidence_blocks: tuple[int, ...]
-    certificate: Certificate
-
-
-@dataclass(frozen=True)
 class AscentTrace:
-    """Dual values of the accepted iterates, the termination reason and
-    the candidate (rounded x and its certificate) at the final iterate."""
+    """Dual values of the accepted iterates, the termination reason, and
+    at the final iterate the kernel's y, the x it rounds to, its
+    low-confidence blocks and x's certificate."""
 
     values: tuple[float, ...]
     termination: str
-    candidate: Candidate = field(default=None, compare=False, repr=False)
+    y: np.ndarray = field(default=None, compare=False, repr=False)
+    x: np.ndarray = field(default=None, compare=False, repr=False)
+    low_confidence_blocks: tuple[int, ...] = field(default=(), compare=False,
+                                                   repr=False)
+    certificate: Certificate = field(default=None, compare=False, repr=False)
 
     @property
     def iterations(self) -> int:
@@ -216,7 +206,8 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     steepest ascent.  Every accepted iterate stays on the cone of
     :func:`dvs.dual.eliminate_tau` and never decreases the dual value; the
     trace records the dual value of the initial point and of each
-    accepted step, and carries the candidate at the final iterate.
+    accepted step, and carries the rounded x and its certificate at the
+    final iterate.
     Terminates at the first iterate (the initial point included) whose
     rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
     the projected gradient infinity-norm falls to 1e-8 ("Converged"),
@@ -252,8 +243,8 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
             x = q.U_flat[pick]
             value = objective(q, x)
         cert = None
-        if abs(value + f) <= cfg.tol_gap * (1.0 + abs(value)):
-            cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap)
+        if abs(value + f) <= TOL_GAP * (1.0 + abs(value)):
+            cert = certify(q, x, w[:m], w[m:], -f)
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
                 break
@@ -314,12 +305,10 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
              resets)
     x, flagged = round_binary(y, q)
     if cert is None:
-        cert = certify(q, x, w[:m], w[m:], -f, cfg.tol_gap)
-    candidate = Candidate(y=y, x=x, low_confidence_blocks=flagged,
-                          certificate=cert)
+        cert = certify(q, x, w[:m], w[m:], -f)
     return (DualPoint(sigma=w[:m], tau=tau, mu=w[m:]),
-            AscentTrace(values=tuple(values), termination=termination,
-                        candidate=candidate))
+            AscentTrace(values=tuple(values), termination=termination, y=y,
+                        x=x, low_confidence_blocks=flagged, certificate=cert))
 
 
 def _block_argmax(y: np.ndarray, q: BinaryQP) -> np.ndarray:
@@ -345,15 +334,16 @@ def round_binary(y: np.ndarray, q: BinaryQP
 
 
 def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
-            dual: float, tol_gap: float) -> Certificate:
+            dual: float) -> Certificate:
     """Judge the point x with one value per block against the dual value
-    ``dual`` at (sigma, mu), -inf off the cone.
+    ``dual`` at (sigma, mu), -inf off the cone; a ``dual`` that is not
+    above -inf (NaN, say) counts as off the cone.
 
     The one-hot and 0-1 residuals of x's selector vanish by construction,
     so the primal residual is the largest violation of A x <= b and the
     complementarity residual |sigma'(A x - b)|.  CertifiedGlobal requires
     cone membership (a finite ``dual``, sigma >= 0, mu >= MU_MIN), and the
-    duality gap and both residuals at most ``tol_gap * (1 + |v|)`` with v
+    duality gap and both residuals at most ``TOL_GAP * (1 + |v|)`` with v
     the objective at x; every other point is NoCertificate.  The dual
     feasibility residual, the largest violation of sigma >= 0 and
     mu >= 0, is reported but is 0 on the cone.
@@ -363,11 +353,13 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     comp = abs(float(sigma @ slack))
     dual_feas = max(-float(np.min(sigma, initial=np.inf)), -float(mu.min()),
                     0.0)
+    if not dual > -np.inf:
+        dual = -np.inf
     value = objective(q, x)
     gap = float(abs(value - dual))
     in_cone = (dual > -np.inf and not np.any(sigma < 0.0)
                and not np.any(mu < MU_MIN))
-    tol = tol_gap * (1.0 + abs(value))
+    tol = TOL_GAP * (1.0 + abs(value))
     status = (CERTIFIED_GLOBAL if in_cone and max(primal, comp, gap) <= tol
               else NO_CERTIFICATE)
     return Certificate(primal_feas_residual=primal, dual_feas_residual=dual_feas,
@@ -375,14 +367,13 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
                        in_cone=in_cone, status=status)
 
 
-def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint,
-               tol_gap: float = TOL_GAP) -> Certificate:
+def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint) -> Certificate:
     """:func:`certify` x at the tau-maximized dual value of one
     :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu); d.tau does not
     enter."""
     res = eliminate_tau(q, d.sigma, d.mu)
     return certify(q, np.asarray(x, dtype=float), d.sigma, d.mu,
-                   -np.inf if res is None else res[0], tol_gap)
+                   -np.inf if res is None else res[0])
 
 
 def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
@@ -402,8 +393,7 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     t0 = time.perf_counter()
     q = lift(p)
     d, trace = maximize_dual(q, cfg)
-    candidate = trace.candidate
-    cert, x = candidate.certificate, candidate.x
+    cert, x = trace.certificate, trace.x
     status = cert.status
     if cert.status != CERTIFIED_GLOBAL and q.K <= cfg.fallback_oracle_max_K:
         log.info("certificate is %s; falling back to enumeration (K=%d)",
@@ -412,8 +402,7 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
         status = ORACLE_FALLBACK
     return SolveReport(
         x=x, objective=objective(p, x), certificate=cert, dual_point=d,
-        y=candidate.y, iterations=trace.iterations, status=status,
+        y=trace.y, iterations=trace.iterations, status=status,
         solver_status=trace.termination,
-        low_confidence_blocks=candidate.low_confidence_blocks,
-        trace=trace.values, seconds=time.perf_counter() - t0,
-        tol_gap=cfg.tol_gap)
+        low_confidence_blocks=trace.low_confidence_blocks,
+        trace=trace.values, seconds=time.perf_counter() - t0)

@@ -34,11 +34,13 @@ class ToyInstance:
     f: np.ndarray
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.lam <= 0:
-            raise ValueError("alpha and lambda must be > 0")
+        if not (0 < self.alpha < np.inf and 0 < self.lam < np.inf):
+            raise ValueError("alpha and lambda must be finite and > 0")
         f = np.atleast_1d(np.asarray(self.f, dtype=float)).copy()
         if f.ndim != 1:
             raise ValueError("f must be a vector")
+        if not np.isfinite(f).all():
+            raise ValueError("f must be finite")
         f.flags.writeable = False
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "lam", float(self.lam))
@@ -68,7 +70,9 @@ def toy_dual_roots(t: ToyInstance) -> list[float]:
 
     Found as companion-matrix eigenvalues (numpy.roots), then polished by
     a few Newton steps and de-duplicated; each returned root satisfies the
-    cubic to a relative residual of 1e-10 or better.
+    cubic to a relative residual of 1e-10 or better.  A root that does not
+    (alpha, lambda and f too far apart in scale for doubles) is a
+    ValueError.
     """
     ff = float(t.f @ t.f)
     # Monic form: s^3 + alpha lambda s^2 - alpha ff / 2 = 0.
@@ -88,7 +92,7 @@ def toy_dual_roots(t: ToyInstance) -> list[float]:
         if any(abs(s - r) <= 1e-9 * max(1e-30, abs(s), abs(r)) for r in roots):
             continue
         if _cubic_residual(t, s) > RESIDUAL_TOL * scale:
-            raise ArithmeticError(
+            raise ValueError(
                 f"root {s} fails the cubic residual check")
         roots.append(s)
     roots.sort(reverse=True)

@@ -73,17 +73,36 @@ def test_solve_invalid_problem_exits_two(tmp_path):
     assert cp.returncode == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--tol-gap", "0"),
-                                        ("--tol-gap", "inf"),
-                                        ("--tol-gap", "nan")])
-def test_solve_non_finite_tolerance_exits_two(example1_path, tmp_path,
-                                              flag, value):
+def test_solve_tol_gap_is_an_unknown_flag(example1_path, tmp_path):
+    # The gap tolerance is the fixed TOL_GAP; there is no flag for it.
     out = tmp_path / "r.json"
-    cp = run_cli("solve", str(example1_path), flag, value, "--out", str(out))
+    cp = run_cli("solve", str(example1_path), "--tol-gap", "1e-3",
+                 "--out", str(out))
     assert cp.returncode == 2
-    assert "must be finite" in cp.stderr
-    assert "Traceback" not in cp.stderr
+    assert "unrecognized arguments: --tol-gap" in cp.stderr
     assert not out.exists()
+
+
+def test_check_passes_a_report_with_a_nan_dual_value(tmp_path):
+    # c = 1e300 overflows the dual value to NaN.  The report must still be
+    # one check reads: the NaN dual counts as off the cone, so the gap is
+    # "Infinity".  Child processes keep the kernel's overflow warnings out
+    # of the test run.
+    prob = tmp_path / "p.json"
+    out = tmp_path / "r.json"
+    prob.write_text(json.dumps({
+        "n": 2, "m": 1, "Q": [[1.0, 0.0], [0.0, 1.0]], "c": [1e300, 0.0],
+        "A": [[1.0, 1.0]], "b": [5.0], "U": [[0.0, 1.0, 2.0]] * 2}))
+    cp = run_cli("solve", str(prob), "--fallback-oracle", "0",
+                 "--out", str(out))
+    assert cp.returncode == 3, cp.stderr
+    doc = json.loads(out.read_bytes())
+    assert doc["status"] == "NoCertificate"
+    assert doc["certificate"]["gap"] == "Infinity"
+    assert doc["certificate"]["in_cone"] is False
+    cp = run_cli("check", str(prob), str(out))
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    assert cp.stdout.strip() == "PASS"
 
 
 def test_oracle_reports_objective(example1_path, tmp_path):
@@ -164,6 +183,28 @@ def test_toy_curves_csv(tmp_path):
 def test_toy_zero_f_exits_two():
     cp = run_cli("toy", "--alpha", "1", "--lambda", "2", "--f", "0")
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("alpha,lam,f", [
+    ("1e300", "1", "1"),      # the largest root fails the residual check
+    ("nan", "1", "1"), ("inf", "1", "1"), ("1", "nan", "1"),
+    ("1", "inf", "1"), ("1", "1", "nan"), ("1", "1", "0.5,inf")])
+def test_toy_extreme_or_non_finite_input_exits_two(alpha, lam, f, capsys):
+    assert cli.main(["toy", "--alpha", alpha, "--lambda", lam,
+                     "--f", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_toy_negative_steps_exits_two_before_printing(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    assert cli.main(["toy", "--alpha", "1", "--lambda", "2", "--f", "0.5",
+                     "--curves", str(out), "--steps", "-3"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "--steps must be >= 0" in err
+    assert not out.exists()
 
 
 def test_check_round_trip(example1_path, tmp_path):

@@ -20,7 +20,7 @@ from dvs.dual import (
 )
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.lift import encode_y, lift
+from dvs.lift import lift
 from dvs.model import DiscreteQP, DualPoint, binary_objective
 from dvs.oracle import enumerate_discrete
 from dvs.solver import initial_point, verify_kkt
@@ -302,7 +302,8 @@ def test_dual_value_at_reference_point(example2):
     assert in_dual_cone(q, d)
     assert dual_value(q, d) == pytest.approx(45.54, abs=0.5)
     # the reference primal value at x = ones, for comparison
-    y = encode_y(example2, np.ones(10))
+    y = np.zeros(q.K)
+    y[q.starts + [u.index(1.0) for u in example2.U]] = 1.0
     assert binary_objective(q, y) == pytest.approx(45.535, abs=1e-9)
 
 

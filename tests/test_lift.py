@@ -1,13 +1,10 @@
-"""Lifting to one-hot 0-1 form and the decode/encode round trip."""
+"""Lifting to one-hot 0-1 form."""
 
 import numpy as np
 import pytest
 
-from dvs.errors import BlockViolation, ValueNotInSet
-from dvs.lift import encode_y, lift, recover_x
+from dvs.lift import lift
 from dvs.model import DiscreteQP, binary_objective, objective
-
-from conftest import EX1_X
 
 
 def test_lift_shapes_and_structure(example1):
@@ -60,9 +57,10 @@ def test_lifted_objective_matches_original(example1):
     q = lift(example1)
     rng = np.random.default_rng(3)
     for _ in range(25):
-        x = np.array([u[j] for u, j in
-                      zip(example1.U, rng.integers(0, 3, size=5))])
-        y = encode_y(example1, x)
+        pick = rng.integers(0, 3, size=5)
+        x = np.array([u[j] for u, j in zip(example1.U, pick)])
+        y = np.zeros(q.K)
+        y[q.starts + pick] = 1.0
         assert binary_objective(q, y) == pytest.approx(
             objective(example1, x), abs=1e-9)
 
@@ -73,46 +71,6 @@ def test_lifted_b_has_zero_min_eigenvalue(example1, example2):
         q = lift(p)
         w = np.linalg.eigvalsh(q.B)
         assert w[0] <= 1e-8 * max(1.0, abs(w[-1]))
-
-
-def test_encode_then_recover_round_trip(example1):
-    q = lift(example1)
-    y = encode_y(example1, EX1_X)
-    expected = np.array([0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0], float)
-    assert np.array_equal(y, expected)
-    assert np.array_equal(recover_x(q, y), EX1_X)
-
-
-def test_encode_rejects_foreign_value(example1):
-    with pytest.raises(ValueNotInSet):
-        encode_y(example1, np.array([5.0, 2.0, 5.0, 2.0, 4.0]))
-
-
-def test_encode_tolerance(example1):
-    y = encode_y(example1, EX1_X + 1e-12)
-    assert np.array_equal(recover_x(lift(example1), y), EX1_X)
-
-
-def test_recover_rejects_fractional_y(example1):
-    q = lift(example1)
-    y = encode_y(example1, EX1_X)
-    y = y.copy()
-    y[0] = 0.5
-    with pytest.raises(ValueError):
-        recover_x(q, y)
-
-
-def test_recover_rejects_bad_block_counts(example1):
-    q = lift(example1)
-    y = encode_y(example1, EX1_X).copy()
-    y[0] = 1.0  # two ones in block 0
-    with pytest.raises(BlockViolation) as exc:
-        recover_x(q, y)
-    assert exc.value.block_index == 0
-    y = encode_y(example1, EX1_X).copy()
-    y[2] = 0.0  # block 0 empty
-    with pytest.raises(BlockViolation):
-        recover_x(q, y)
 
 
 def test_lift_without_constraints():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dvs.errors import Infeasible, TooLarge
-from dvs.lift import lift, recover_x
+from dvs.lift import lift
 from dvs.model import DiscreteQP
 from dvs.oracle import enumerate_binary, enumerate_discrete
 
@@ -92,7 +92,10 @@ def test_lifted_enumeration_matches_original(example1):
     q = lift(example1)
     y, lifted_value = enumerate_binary(q)
     assert abs(lifted_value - value) <= 1e-9
-    assert np.array_equal(recover_x(q, y), x)
+    # y is one-hot per block and selects the oracle's x.
+    assert np.array_equal(q.block_sums(y), np.ones(q.n))
+    assert set(y.tolist()) <= {0.0, 1.0}
+    assert np.array_equal(q.block_sums(q.U_flat * y), x)
 
 
 def test_binary_enumeration_respects_constraints():

@@ -221,7 +221,6 @@ def test_check_flags_x_that_does_not_match_y(example1):
 
 @pytest.mark.parametrize("path", [("certificate", "gap"),
                                   ("certificate", "primal_feas_residual"),
-                                  ("tol_gap",),
                                   ("certificate", "dual_feas_residual")])
 def test_check_rejects_non_finite_certificate_numbers(example1, path):
     doc = json.loads(emit_report(solve(example1)))
@@ -243,7 +242,7 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     d = dataclasses.replace(r.dual_point, mu=mu)
     q = lift(example1)
     x, _ = round_binary(r.y, q)
-    cert = verify_kkt(q, x, d, tol_gap=r.tol_gap)
+    cert = verify_kkt(q, x, d)
     assert cert.gap == math.inf and cert.status == "NoCertificate"
     r = dataclasses.replace(r, dual_point=d, certificate=cert,
                             status="NoCertificate")
@@ -286,16 +285,28 @@ def test_check_judges_at_most_the_default_tol_gap(example1):
     q = lift(example1)
     pick = [0, 3, 6, 9, 12]
     x = q.U_flat[pick]
-    cert = verify_kkt(q, x, r.dual_point, tol_gap=1e300)
-    assert cert.status == "CertifiedGlobal" and cert.gap > 100.0
+    cert = verify_kkt(q, x, r.dual_point)
+    assert cert.in_cone and cert.gap > 100.0
     y = np.zeros(q.K)
     y[pick] = 1.0
     doc = json.loads(emit_report(dataclasses.replace(
-        r, x=x, objective=objective(example1, x), certificate=cert, y=y,
-        tol_gap=1e300)))
+        r, x=x, objective=objective(example1, x), y=y,
+        certificate=dataclasses.replace(cert, status="CertifiedGlobal"))))
+    doc["tol_gap"] = 1e300
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert not passed
     assert any(f.startswith("certificate status") for f in failures), failures
+
+
+def test_check_ignores_a_tighter_report_tol_gap(example1):
+    # check judges every report at TOL_GAP: an honest certified report
+    # edited to claim "tol_gap": 1e-12, far below its own gap, passes.
+    r = solve(example1)
+    assert r.status == "CertifiedGlobal" and r.certificate.gap > 1e-12
+    doc = json.loads(emit_report(r))
+    doc["tol_gap"] = 1e-12
+    passed, failures = check(emit_problem(example1), json.dumps(doc))
+    assert passed, failures
 
 
 def test_check_judges_at_the_fixed_cone_floor(example1):

@@ -1,5 +1,6 @@
 """Dual ascent, rounding, certification, and the end-to-end solve."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from dvs.dual import MU_MIN, eliminate_tau, factorize_g
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.lift import lift
-from dvs.model import BinaryQP, DiscreteQP, DualPoint
+from dvs.model import TOL_GAP, BinaryQP, DiscreteQP, DualPoint
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
@@ -31,19 +32,13 @@ from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tol_gap=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol_gap=-1.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     for name in ("max_iter", "fallback_oracle_max_K"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SolverConfig(**{name: 2.5})
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="tol_gap must be finite"):
-            SolverConfig(tol_gap=bad)
-    # The ascent's gradient threshold and the cone floor are fixed.
-    for name in ("tol_grad", "mu_min"):
+    # The gap tolerance, the ascent's gradient threshold and the cone
+    # floor are fixed.
+    for name in ("tol_gap", "tol_grad", "mu_min"):
         with pytest.raises(TypeError):
             SolverConfig(**{name: 1e-8})
 
@@ -225,8 +220,11 @@ def test_solve_forced_single_choice():
 
 
 def test_solve_report_records_tolerances(example1):
-    r = solve(example1, SolverConfig(tol_gap=1e-7))
-    assert r.tol_gap == 1e-7
+    # The report carries the fixed gap tolerance, as a constant and not a
+    # field, and no cone floor.
+    r = solve(example1)
+    assert r.tol_gap == TOL_GAP
+    assert "tol_gap" not in {f.name for f in dataclasses.fields(r)}
     assert not hasattr(r, "mu_min")
 
 
@@ -236,7 +234,7 @@ def test_reference_instances_stop_certified_early(name, most, request):
     _, trace = maximize_dual(lift(request.getfixturevalue(name)))
     assert trace.termination == TERM_CERTIFIED
     assert trace.iterations <= most
-    assert trace.candidate.certificate.status == "CertifiedGlobal"
+    assert trace.certificate.status == "CertifiedGlobal"
 
 
 def test_certified_stop_reports_pass_check(example1):
@@ -466,8 +464,7 @@ def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
     statuses = set()
     for p in problems:
         r = solve(p, cfg)
-        assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point,
-                                           tol_gap=r.tol_gap)
+        assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point)
         statuses.add(r.certificate.status)
     assert statuses == {"CertifiedGlobal", "NoCertificate"}
 

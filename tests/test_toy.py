@@ -29,6 +29,14 @@ def test_instance_validation():
         ToyInstance(alpha=1.0, lam=-2.0, f=[1.0])
     with pytest.raises(ValueError):
         ToyInstance(alpha=1.0, lam=1.0, f=[[1.0, 2.0]])
+    # Non-finite data would fail later, inside numpy.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha and lambda"):
+            ToyInstance(alpha=bad, lam=1.0, f=[1.0])
+        with pytest.raises(ValueError, match="alpha and lambda"):
+            ToyInstance(alpha=1.0, lam=bad, f=[1.0])
+        with pytest.raises(ValueError, match="f must be finite"):
+            ToyInstance(alpha=1.0, lam=1.0, f=[1.0, bad])
 
 
 def test_reference_solution_values():
