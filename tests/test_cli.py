@@ -73,13 +73,19 @@ def test_solve_invalid_problem_exits_two(tmp_path):
     assert cp.returncode == 2
 
 
-def test_solve_tol_gap_is_an_unknown_flag(example1_path, tmp_path):
-    # The gap tolerance is the fixed TOL_GAP; there is no flag for it.
+@pytest.mark.parametrize("flag,value", [("--tol-gap", "0"),
+                                        ("--tol-gap", "inf"),
+                                        ("--tol-gap", "nan"),
+                                        ("--tol-gap", "1e-3")])
+def test_solve_non_finite_tolerance_exits_two(example1_path, tmp_path,
+                                              flag, value):
+    # The gap tolerance is the fixed TOL_GAP; there is no flag for it, so
+    # any value, finite or not, is an unknown argument.
     out = tmp_path / "r.json"
-    cp = run_cli("solve", str(example1_path), "--tol-gap", "1e-3",
-                 "--out", str(out))
+    cp = run_cli("solve", str(example1_path), flag, value, "--out", str(out))
     assert cp.returncode == 2
     assert "unrecognized arguments: --tol-gap" in cp.stderr
+    assert "Traceback" not in cp.stderr
     assert not out.exists()
 
 

@@ -221,6 +221,7 @@ def test_check_flags_x_that_does_not_match_y(example1):
 
 @pytest.mark.parametrize("path", [("certificate", "gap"),
                                   ("certificate", "primal_feas_residual"),
+                                  ("certificate", "complementarity_residual"),
                                   ("certificate", "dual_feas_residual")])
 def test_check_rejects_non_finite_certificate_numbers(example1, path):
     doc = json.loads(emit_report(solve(example1)))
