@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import logging
+import math
 import os
 import sys
 import time
@@ -95,6 +96,8 @@ def _cmd_toy(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     lo, hi = (float(v) for v in args.range.rsplit(":", 1))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("--range bounds must be finite")
     f = [float(v) for v in args.f.split(",")]
     t = ToyInstance(alpha=args.alpha, lam=args.lam, f=f)
     x, primal, dual, sigma1 = toy_solve(t)

@@ -9,10 +9,16 @@ direction formed on the free coordinates from the compact representation
 of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
 and their use in limited memory methods", Math. Prog. 63, 1994), with an
 Armijo backtracking line search that rejects any trial off that cone —
-feasibility before ascent.  One ascent owns one n-by-n Cholesky
-workspace, which every evaluation overwrites, and keeps its curvature
-pairs in a window that slides over buffers of twice the memory size, so
-a step neither allocates the n-by-n matrix nor shifts the stored pairs.
+feasibility before ascent.  A trial on the cone that fails the Armijo
+test shortens the step to the minimizer of the quadratic through the
+current value, the slope and the failed value (Nocedal & Wright,
+*Numerical Optimization*, 2nd ed., section 3.5), kept between 0.1 and
+0.5 of the failed step, so the value that trial cost is not thrown away;
+a trial off the cone, or with a value that is not finite, halves it.
+One ascent owns one n-by-n Cholesky workspace, which every evaluation
+overwrites, and keeps its curvature pairs in a window that slides over
+buffers of twice the memory size, so a step neither allocates the n-by-n
+matrix nor shifts the stored pairs.
 
 The certificate is an n-level function of the rounded point x (each
 block's largest y): :func:`certify` holds its residual, gap, cone and
@@ -65,6 +71,9 @@ TERM_MAX_ITER = "MaxIterations"
 TERM_STALL = "LineSearchStall"
 
 _ARMIJO_C1 = 1e-4
+# Bounds on the factor by which a failed Armijo trial shortens the step.
+_BACKTRACK_MIN = 0.1
+_BACKTRACK_MAX = 0.5
 _MIN_STEP = 1e-16
 _LBFGS_MEMORY = 20
 _STALL_PATIENCE = 50
@@ -203,7 +212,13 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     The L-BFGS direction comes from the compact representation of the
     last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
     1994); a non-descent direction clears the memory and falls back to
-    steepest ascent.  Every accepted iterate stays on the cone of
+    steepest ascent.  The Armijo backtracking starts at the unit step;
+    after a failed trial on the cone with a finite value it multiplies the
+    step by the minimizer t* = -dg / (2 (f_try - f - dg)) of the quadratic
+    through the value f, the slope dg along the trial and the trial value
+    f_try (in the minimized form f = -P_dual), clamped to [0.1, 0.5], and
+    after a trial off the cone or with a value that is not finite it
+    halves the step.  Every accepted iterate stays on the cone of
     :func:`dvs.dual.eliminate_tau` and never decreases the dual value; the
     trace records the dual value of the initial point and of each
     accepted step, and carries the rounded x and its certificate at the
@@ -276,6 +291,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         while step >= _MIN_STEP:
             w_try = np.maximum(w + step * direction, lb)
             dg = g @ (w_try - w)
+            shrink = 0.5
             if dg < 0.0:
                 res = _evaluate(q, w_try, work)
                 evaluations += 1
@@ -284,7 +300,12 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
                 elif res[0] <= f + _ARMIJO_C1 * dg:
                     accepted = (w_try, res)
                     break
-            step *= 0.5
+                elif math.isfinite(res[0]):
+                    # The minimizer of the quadratic through f, the slope
+                    # dg and the failed value, as a fraction of this step.
+                    shrink = min(max(-dg / (2.0 * (res[0] - f - dg)),
+                                     _BACKTRACK_MIN), _BACKTRACK_MAX)
+            step *= shrink
         if accepted is None:
             termination = TERM_STALL
             break

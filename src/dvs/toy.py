@@ -103,13 +103,20 @@ def toy_solve(t: ToyInstance) -> tuple[np.ndarray, float, float, float]:
     """Globally minimize Pi via the largest dual root.
 
     Returns (x, Pi(x), Pi_d(sigma_1), sigma_1) with the two values equal
-    up to round-off (the complementary-dual identity).
+    up to round-off (the complementary-dual identity).  A value that
+    overflows doubles (alpha = 1e-300 with lambda = f = 1, say) is a
+    ValueError.
     """
     if float(t.f @ t.f) == 0.0:
         raise DegenerateF("f = 0: every x with ||x||^2 = 2 lambda minimizes")
     sigma1 = toy_dual_roots(t)[0]
     x = t.f / sigma1
-    return x, primal_value(t, x), dual_curve_value(t, sigma1), sigma1
+    with np.errstate(over="ignore", invalid="ignore"):
+        primal, dual = primal_value(t, x), dual_curve_value(t, sigma1)
+    if not (np.isfinite(primal) and np.isfinite(dual)):
+        raise ValueError(f"Pi(x) = {primal}, Pi_d(sigma1) = {dual}: a value "
+                         "overflows doubles")
+    return x, primal, dual, sigma1
 
 
 def toy_curves(t: ToyInstance, span: tuple[float, float],

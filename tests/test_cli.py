@@ -193,6 +193,7 @@ def test_toy_zero_f_exits_two():
 
 @pytest.mark.parametrize("alpha,lam,f", [
     ("1e300", "1", "1"),      # the largest root fails the residual check
+    ("1e-300", "1", "1"),     # x = 1.26e100: the primal value overflows
     ("nan", "1", "1"), ("inf", "1", "1"), ("1", "nan", "1"),
     ("1", "inf", "1"), ("1", "1", "nan"), ("1", "1", "0.5,inf")])
 def test_toy_extreme_or_non_finite_input_exits_two(alpha, lam, f, capsys):
@@ -210,6 +211,19 @@ def test_toy_negative_steps_exits_two_before_printing(tmp_path, capsys):
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert "--steps must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span", ["nan:5", "-5:nan", "-inf:5", "-5:inf"])
+def test_toy_non_finite_range_exits_two_before_printing(span, tmp_path,
+                                                        capsys):
+    out = tmp_path / "curves.csv"
+    assert cli.main(["toy", "--alpha", "1", "--lambda", "1", "--f", "1",
+                     "--curves", str(out), "--range", span,
+                     "--steps", "3"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "--range bounds must be finite" in err
     assert not out.exists()
 
 

@@ -264,6 +264,81 @@ def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
     assert 0 <= int(resets.group(1)) <= iterations
 
 
+def scripted_line_search(monkeypatch, problem, script):
+    """The trial steps of the first line search of ``problem``'s ascent
+    with the dual evaluation stubbed.
+
+    The start point gets the value 0 and the gradient -0.1 everywhere, so
+    the first direction is +0.1 everywhere and no trial is projected.
+    Trial k answers by ``script[k]``: None leaves the cone, "nan" has a
+    NaN value, and a number t is a failed Armijo trial whose quadratic
+    through the start value, the slope and its value has its minimizer t
+    of the way along the trial step.  The trial after the script is
+    accepted.
+    """
+    q = lift(problem)
+    assert q.m > 0  # the steps are read off sigma_1, which starts at 0
+    real = solver._evaluate
+    points, start = [], []
+
+    def stub(q, w, work):
+        points.append(w.copy())
+        if not start:
+            _, _, y, tau = real(q, w, work)
+            start.extend((w.copy(), np.full_like(w, -0.1), y, tau))
+            return 0.0, start[1], y, tau
+        w0, g0, y, tau = start
+        k = len(points) - 2
+        if k == len(script):
+            return -1.0, np.full_like(w, -0.05), y, tau
+        if script[k] is None:
+            return None
+        dg = g0 @ (w - w0)
+        value = (np.nan if script[k] == "nan"
+                 else dg - dg / (2.0 * script[k]))
+        return value, np.full_like(w, -0.05), y, tau
+
+    monkeypatch.setattr(solver, "_evaluate", stub)
+    maximize_dual(q, SolverConfig(max_iter=1))
+    assert len(points) == len(script) + 2
+    return [(w[0] - points[0][0]) / 0.1 for w in points[1:]]
+
+
+@pytest.mark.parametrize("script, factors", [
+    ([0.3], [0.3]),                    # inside (0.1, 0.5): the minimizer
+    ([0.3, 0.2], [0.3, 0.2]),          # one failure after another
+    ([0.01], [0.1]),                   # far too long a step: 0.1
+    ([1e-9], [0.1]),
+    ([None], [0.5]),                   # off the cone: halve
+    (["nan"], [0.5]),                  # no value to interpolate: halve
+    ([None, 0.25, "nan"], [0.5, 0.25, 0.5]),
+])
+def test_failed_armijo_trial_interpolates_the_next_step(
+        example1, monkeypatch, script, factors):
+    steps = scripted_line_search(monkeypatch, example1, script)
+    expected = [1.0]
+    for factor in factors:
+        expected.append(expected[-1] * factor)
+    assert steps == pytest.approx(expected, rel=1e-12)
+
+
+def test_n50_suite_certifies_in_fewer_dual_evaluations(caplog):
+    # Halving after every failed Armijo trial took 112 + 107 + 115 = 334
+    # evaluations for the same three certificates.
+    evaluations = 0
+    for seed in (4292, 4293, 4294):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="dvs.solver"):
+            _, trace = maximize_dual(lift(generate(GenSpec(50, 5, seed))))
+        assert trace.termination == TERM_CERTIFIED
+        assert trace.certificate.status == "CertifiedGlobal"
+        assert np.array_equal(trace.x, np.ones(50))
+        line = next(rec.getMessage() for rec in caplog.records
+                    if rec.getMessage().startswith("dual ascent:"))
+        evaluations += int(re.search(r"(\d+) dual evaluations", line).group(1))
+    assert evaluations <= 270
+
+
 def test_solve_n100_certifies_and_checks():
     # K = 500: the n-by-n kernel makes this a fraction of a second.
     p = generate(GenSpec(100, 5, 4342))

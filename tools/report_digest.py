@@ -14,8 +14,10 @@ every instance of the set.  The set, solved in this order:
 The whole set is solved at ``fallback_oracle_max_K=24`` and then again at
 0.  Each report is emitted with its trace and with ``seconds`` set to 0.
 The script prints the report count, the count of each status, how many
-reports ``check`` PASSes, and the sha256 of the reports concatenated in
-that order.
+reports ``check`` PASSes, the total ascent iterations of each of the
+three families over both fallback settings (the ascent does not depend
+on the fallback, so each total is twice one pass's), and the sha256 of
+the reports concatenated in that order.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -40,7 +42,8 @@ FALLBACKS = (24, 0)
 
 
 def instances():
-    """The problems of the set, in the order of the module docstring."""
+    """(family, problem) for the set, in the order of the module
+    docstring."""
     out = []
     k = 0
     while len(out) < 200:
@@ -51,32 +54,38 @@ def instances():
             enumerate_discrete(p)
         except Infeasible:
             continue
-        out.append(p)
-    out += [generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
-                             coeff_range=(-1.0, 1.0), dominance_boost=False))
+        out.append(("criterion4", p))
+    out += [("indefinite",
+             generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
+                              coeff_range=(-1.0, 1.0), dominance_boost=False)))
             for k in range(120)]
-    out += [generate(GenSpec(50, 5, seed)) for seed in (4292, 4293, 4294)]
+    out += [("n50", generate(GenSpec(50, 5, seed)))
+            for seed in (4292, 4293, 4294)]
     return out
 
 
 def main():
-    problems = [(p, emit_problem(p)) for p in instances()]
+    problems = [(family, p, emit_problem(p)) for family, p in instances()]
     digest = hashlib.sha256()
     statuses = collections.Counter()
+    iterations = collections.Counter()
     reports = passed = 0
     for fallback in FALLBACKS:
         cfg = SolverConfig(fallback_oracle_max_K=fallback)
-        for p, problem in problems:
+        for family, p, problem in problems:
             r = dataclasses.replace(solve(p, cfg), seconds=0.0)
             data = emit_report(r, include_trace=True)
             digest.update(data)
             reports += 1
             statuses[r.status] += 1
+            iterations[family] += r.iterations
             passed += check(problem, data)[0]
     print(f"reports {reports}")
     for status, count in sorted(statuses.items()):
         print(f"{status} {count}")
     print(f"check PASS {passed}")
+    for family, total in iterations.items():
+        print(f"iterations {family} {total}")
     print(f"sha256 {digest.hexdigest()}")
 
 
