@@ -18,6 +18,6 @@ else is imported from its module (``dvs.model``, ``dvs.lift``,
 __version__ = "0.1.0"
 
 from .generator import GenSpec, generate
-from .solver import SolverConfig, solve
+from .solver import solve
 
-__all__ = ["__version__", "GenSpec", "generate", "SolverConfig", "solve"]
+__all__ = ["__version__", "GenSpec", "generate", "solve"]

@@ -23,7 +23,7 @@ from .errors import DvsError
 from .generator import GenSpec, generate
 from .lift import lift
 from .model import CERTIFIED_GLOBAL
-from .oracle import DEFAULT_LIMIT, enumerate_discrete
+from .oracle import enumerate_discrete
 from .serialize import (
     check,
     emit_lifted,
@@ -33,7 +33,7 @@ from .serialize import (
     emit_toy_solution,
     parse_problem,
 )
-from .solver import SolverConfig, solve
+from .solver import FALLBACK_ORACLE_MAX_K, solve
 from .toy import ToyInstance, toy_curves, toy_solve
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO,
@@ -58,9 +58,7 @@ def _read(path: str) -> bytes:
 
 def _cmd_solve(args) -> int:
     p = parse_problem(_read(args.problem))
-    cfg = SolverConfig(max_iter=args.max_iter,
-                       fallback_oracle_max_K=args.fallback_oracle)
-    report = solve(p, cfg)
+    report = solve(p, fallback_oracle_max_K=args.fallback_oracle)
     Path(args.out).write_bytes(emit_report(report, include_trace=args.trace))
     print(f"status={report.status} objective={report.objective:.12g} "
           f"gap={report.certificate.gap:.3e} iterations={report.iterations}")
@@ -70,7 +68,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     p = parse_problem(_read(args.problem))
     t0 = time.perf_counter()
-    x, value, feasible, total = enumerate_discrete(p, limit=args.limit)
+    x, value, feasible, total = enumerate_discrete(p)
     seconds = time.perf_counter() - t0
     Path(args.out).write_bytes(
         emit_oracle_report(x, value, feasible, total, seconds))
@@ -92,7 +90,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    # Every option is validated before the solution is printed.
+    # Every option is validated, and the curves computed, before the
+    # solution is printed.
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     lo, hi = (float(v) for v in args.range.rsplit(":", 1))
@@ -101,9 +100,9 @@ def _cmd_toy(args) -> int:
     f = [float(v) for v in args.f.split(",")]
     t = ToyInstance(alpha=args.alpha, lam=args.lam, f=f)
     x, primal, dual, sigma1 = toy_solve(t)
+    rows = toy_curves(t, (lo, hi), args.steps) if args.curves else None
     sys.stdout.write(emit_toy_solution(x, primal, dual, sigma1).decode())
-    if args.curves:
-        rows = toy_curves(t, (lo, hi), args.steps)
+    if rows is not None:
         with open(args.curves, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "abscissa", "value"])
@@ -136,10 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve a problem via dual maximization")
     sp.add_argument("problem", help="problem JSON file")
-    cfg = SolverConfig()
-    sp.add_argument("--max-iter", type=int, default=cfg.max_iter)
     sp.add_argument("--fallback-oracle", type=int,
-                    default=cfg.fallback_oracle_max_K, metavar="K",
+                    default=FALLBACK_ORACLE_MAX_K, metavar="K",
                     help="run exhaustive enumeration when not certified and "
                          "the lifted dimension is at most K (0 disables)")
     sp.add_argument("--trace", action="store_true",
@@ -149,9 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exhaustive enumeration (small instances)")
     sp.add_argument("problem")
-    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                    help="refuse if the selection count exceeds this; check "
-                    "verifies an oracle report only up to the default")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_oracle)
 

@@ -28,7 +28,7 @@ class SchemaError(DvsError):
 
 
 class TooLarge(DvsError):
-    """Exhaustive enumeration would exceed the configured combination limit."""
+    """Exhaustive enumeration would exceed the oracle's combination limit."""
 
     def __init__(self, combinations, limit):
         self.combinations = combinations

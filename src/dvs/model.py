@@ -203,7 +203,6 @@ class Certificate:
     """
 
     primal_feas_residual: float
-    dual_feas_residual: float
     complementarity_residual: float
     gap: float
     in_cone: bool
@@ -220,8 +219,7 @@ class SolveReport:
 
     Every certificate is judged at the fixed gap tolerance ``TOL_GAP`` on
     the cone floor ``MU_MIN``.  ``tol_gap`` is that constant, a class
-    attribute rather than a field; reports still write it for format
-    compatibility, and ``check`` ignores it.
+    attribute rather than a field; reports do not carry it.
     """
 
     x: np.ndarray

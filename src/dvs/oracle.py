@@ -28,16 +28,18 @@ def _radices(sizes: list[int]) -> np.ndarray:
     return rad
 
 
-def enumerate_discrete(p: DiscreteQP, limit: int = DEFAULT_LIMIT
-                       ) -> tuple[np.ndarray, float, int, int]:
+def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
     """Minimize over every selection from the value sets, subject to Ax<=b.
 
-    Returns (x_best, value, feasible_count, total_count).
+    Returns (x_best, value, feasible_count, total_count).  More than
+    ``DEFAULT_LIMIT`` selections is TooLarge: ``dvs oracle``, the fallback
+    of ``solve`` and ``dvs check`` share that one limit, so every oracle
+    answer can be verified again.
     """
     sizes = [len(ui) for ui in p.U]
     total = math.prod(sizes)
-    if total > limit:
-        raise TooLarge(total, limit)
+    if total > DEFAULT_LIMIT:
+        raise TooLarge(total, DEFAULT_LIMIT)
     rad = _radices(sizes)
     cols = [np.asarray(ui, dtype=float) for ui in p.U]
 

@@ -36,8 +36,8 @@ from .solver import round_binary, verify_kkt
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
 SOLVER_STATUSES = (CERTIFIED_GLOBAL, NO_CERTIFICATE, ORACLE_FALLBACK)
-CERTIFICATE_NUMBERS = ("primal_feas_residual", "dual_feas_residual",
-                       "complementarity_residual", "gap")
+CERTIFICATE_NUMBERS = ("primal_feas_residual", "complementarity_residual",
+                       "gap")
 # The Python types json.loads gives a number; bool, a subclass of int,
 # is deliberately not one of them.
 _NUMBER_TYPES = {int, float}
@@ -99,7 +99,6 @@ def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
     cert_pairs = ", ".join([
         f'"status": "{cert.status}"',
         f'"primal_feas_residual": {_fmt(cert.primal_feas_residual)}',
-        f'"dual_feas_residual": {_fmt(cert.dual_feas_residual)}',
         f'"complementarity_residual": {_fmt(cert.complementarity_residual)}',
         f'"gap": {_fmt(cert.gap)}',
         f'"in_cone": {_fmt(cert.in_cone)}',
@@ -121,7 +120,6 @@ def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
         ("iterations", _fmt(r.iterations)),
         ("solver_status", f'"{r.solver_status}"'),
         ("low_confidence_blocks", _vec(r.low_confidence_blocks)),
-        ("tol_gap", _fmt(r.tol_gap)),
         ("seconds", _fmt(r.seconds)),
     ]
     if include_trace:
@@ -228,15 +226,17 @@ def _parse_matrix(v, path: str, rows: int, cols: int, field: str) -> np.ndarray:
         raise SchemaError(path, "expected an array of arrays")
     if len(v) != rows:
         raise DimensionError(field, f"({rows}, {cols})", f"({len(v)}, ...)")
-    out = np.empty((rows, cols))
+    # Rows are converted one by one and stacked at the end, so the array
+    # never outgrows what the file holds, whatever size it declares.
+    out = []
     for i, row in enumerate(v):
         if not isinstance(row, list):
             raise SchemaError(f"{path}[{i}]", "expected an array")
         if len(row) != cols:
             raise DimensionError(field, f"({rows}, {cols})",
                                  f"row {i} has {len(row)} entries")
-        out[i] = _numbers(row, f"{path}[{i}]")
-    return out
+        out.append(_numbers(row, f"{path}[{i}]"))
+    return np.array(out, dtype=float).reshape(rows, cols)
 
 
 def parse_problem(data) -> DiscreteQP:
@@ -295,11 +295,12 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     reported sigma, mu and the x the reported y rounds to; tau is
     recomputed, so the reported tau is informational).  The certificate
     is judged on the fixed cone mu >= MU_MIN and at the fixed gap
-    tolerance TOL_GAP; the report's own ``tol_gap`` key, written for
-    format compatibility, is ignored, like ``mu_min``.  An OracleExact or
-    OracleFallback report claims the enumerated optimum, so the oracle is
-    re-run at its default limit: the objective may exceed its optimum by
-    at most 1e-9*(1+|optimum|), and a problem beyond that limit fails.
+    tolerance TOL_GAP.  The ``tol_gap``, ``mu_min`` and certificate
+    ``dual_feas_residual`` keys of older reports are ignored.  An
+    OracleExact or OracleFallback report claims the enumerated optimum,
+    so the oracle is re-run, at its one limit: the objective may exceed
+    its optimum by at most 1e-9*(1+|optimum|), and a problem beyond that
+    limit fails.
     Returns (passed, failures).
 
     The claimed ``in_cone`` must be true or false and equal the

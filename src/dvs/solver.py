@@ -78,21 +78,12 @@ _MIN_STEP = 1e-16
 _LBFGS_MEMORY = 20
 _STALL_PATIENCE = 50
 _TOL_GRAD = 1e-8
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The ascent's iteration budget and the oracle-fallback threshold."""
-
-    max_iter: int = 5000
-    fallback_oracle_max_K: int = 24
-
-    def __post_init__(self):
-        for name in ("max_iter", "fallback_oracle_max_K"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+# The ascent's step budget, far above the most steps measured: 27 on
+# criterion 4's instances, 156 on the indefinite family, and 129 and 158
+# on GenSpec(n, 5, 4242 + n) at n = 300 and 1000.
+_MAX_ITER = 5000
+# The lifted dimension up to which ``solve`` falls back to the oracle.
+FALLBACK_ORACLE_MAX_K = 24
 
 
 @dataclass(frozen=True)
@@ -206,7 +197,7 @@ class _LBFGSMemory:
         return gamma * r + S.T @ p - gamma * (Y.T @ t)
 
 
-def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, AscentTrace]:
+def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
     The L-BFGS direction comes from the compact representation of the
@@ -226,14 +217,14 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     Terminates at the first iterate (the initial point included) whose
     rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
     the projected gradient infinity-norm falls to 1e-8 ("Converged"),
-    after max_iter steps ("MaxIterations"), or when no further progress
+    after ``_MAX_ITER`` steps ("MaxIterations"), or when no further progress
     is possible — the line search finds no ascent step above 1e-16, or
     the dual value has been exactly flat for 50 consecutive accepted
     steps ("LineSearchStall", best iterate returned — typically at the
     round-off floor).
+    Data whose dual value at the initial point overflows doubles are a
+    ValueError, raised before the first step.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     m, K = q.m, q.K
     start = initial_point(q)
     w = np.concatenate([start.sigma, start.mu])
@@ -242,14 +233,19 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
     # The Cholesky workspace of every evaluation of this ascent; it is not
     # kept on q, which other solves may share.
     work = np.empty((q.n, q.n))
-    f, g, y, tau = _evaluate(q, w, work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _evaluate(q, w, work)
+    if res is None or not math.isfinite(res[0]):
+        raise ValueError("the dual value at the initial point is not "
+                         "finite: the problem data overflow doubles")
+    f, g, y, tau = res
     evaluations, rejections, resets = 1, 0, 0
     values = [-f]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
     termination = TERM_MAX_ITER
     flat_steps = 0
     selection = None
-    for it in range(cfg.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         # Only an x whose objective meets the dual value -f can certify;
         # the objective is recomputed only when the rounded x changes.
         pick = _block_argmax(y, q)
@@ -266,7 +262,7 @@ def maximize_dual(q: BinaryQP, cfg: SolverConfig = None) -> tuple[DualPoint, Asc
         if flat_steps >= _STALL_PATIENCE:
             termination = TERM_STALL
             break
-        if it == cfg.max_iter:
+        if it == _MAX_ITER:
             break
         # Bound-active coordinates whose gradient pushes outward are
         # frozen; the rest of the gradient, r, is the projected gradient.
@@ -365,15 +361,11 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     complementarity residual |sigma'(A x - b)|.  CertifiedGlobal requires
     cone membership (a finite ``dual``, sigma >= 0, mu >= MU_MIN), and the
     duality gap and both residuals at most ``TOL_GAP * (1 + |v|)`` with v
-    the objective at x; every other point is NoCertificate.  The dual
-    feasibility residual, the largest violation of sigma >= 0 and
-    mu >= 0, is reported but is 0 on the cone.
+    the objective at x; every other point is NoCertificate.
     """
     slack = q.A @ x - q.b
     primal = max(float(np.max(slack, initial=-np.inf)), 0.0)
     comp = abs(float(sigma @ slack))
-    dual_feas = max(-float(np.min(sigma, initial=np.inf)), -float(mu.min()),
-                    0.0)
     if not dual > -np.inf:
         dual = -np.inf
     value = objective(q, x)
@@ -383,7 +375,7 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     tol = TOL_GAP * (1.0 + abs(value))
     status = (CERTIFIED_GLOBAL if in_cone and max(primal, comp, gap) <= tol
               else NO_CERTIFICATE)
-    return Certificate(primal_feas_residual=primal, dual_feas_residual=dual_feas,
+    return Certificate(primal_feas_residual=primal,
                        complementarity_residual=comp, gap=gap,
                        in_cone=in_cone, status=status)
 
@@ -397,7 +389,8 @@ def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint) -> Certificate:
                    -np.inf if res is None else res[0])
 
 
-def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
+def solve(p: DiscreteQP, *,
+          fallback_oracle_max_K: int = FALLBACK_ORACLE_MAX_K) -> SolveReport:
     """Lift and maximize the dual, then fall back.
 
     The ascent hands over the rounded x at its final iterate and x's
@@ -406,17 +399,19 @@ def solve(p: DiscreteQP, cfg: SolverConfig = None) -> SolveReport:
     When the certificate is not CertifiedGlobal and the lifted dimension
     is at most ``fallback_oracle_max_K``, the exhaustive oracle supplies
     the answer and the report status becomes OracleFallback (the failed
-    certificate is still reported as computed).  The reported objective
-    is always recomputed from the original problem.
+    certificate is still reported as computed); 0 disables the fallback,
+    and a value that is not an integer (a bool included) is a ValueError.
+    The reported objective is always recomputed from the original problem.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    if (isinstance(fallback_oracle_max_K, bool)
+            or not isinstance(fallback_oracle_max_K, (int, np.integer))):
+        raise ValueError("fallback_oracle_max_K must be an integer")
     t0 = time.perf_counter()
     q = lift(p)
-    d, trace = maximize_dual(q, cfg)
+    d, trace = maximize_dual(q)
     cert, x = trace.certificate, trace.x
     status = cert.status
-    if cert.status != CERTIFIED_GLOBAL and q.K <= cfg.fallback_oracle_max_K:
+    if cert.status != CERTIFIED_GLOBAL and q.K <= fallback_oracle_max_K:
         log.info("certificate is %s; falling back to enumeration (K=%d)",
                  cert.status, q.K)
         x, _, _, _ = enumerate_discrete(p)

@@ -125,13 +125,19 @@ def toy_curves(t: ToyInstance, span: tuple[float, float],
 
     Only defined for 1-D instances.  ``steps`` points are placed evenly
     across ``span`` for each curve; the dual curve skips an exact 0
-    abscissa (pole).  steps=0 yields no rows.
+    abscissa (pole).  steps=0 yields no rows.  A sample that overflows
+    doubles is a ValueError.
     """
     if t.f.shape != (1,):
         raise ValueError("curves are only defined for 1-D instances")
     lo, hi = float(span[0]), float(span[1])
     grid = np.linspace(lo, hi, int(steps))
-    rows = [("primal", float(v), primal_value(t, [v])) for v in grid]
-    rows += [("dual", float(v), dual_curve_value(t, float(v)))
-             for v in grid if v != 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [("primal", float(v), primal_value(t, [v])) for v in grid]
+        rows += [("dual", float(v), dual_curve_value(t, float(v)))
+                 for v in grid if v != 0.0]
+    for kind, a, v in rows:
+        if not np.isfinite(v):
+            raise ValueError(f"the {kind} curve at {a!r} is {v}: a value "
+                             "overflows doubles")
     return rows

@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dvs import cli
-from dvs.serialize import emit_report
+from dvs.model import DiscreteQP
+from dvs.serialize import emit_problem, emit_report
 from dvs.solver import solve
 
 CLI = [sys.executable, "-m", "dvs.cli"]
@@ -89,23 +91,69 @@ def test_solve_non_finite_tolerance_exits_two(example1_path, tmp_path,
     assert not out.exists()
 
 
+# c = 1e300 overflows the dual value at the ascent's initial point.
+OVERFLOWING_PROBLEM = {
+    "n": 2, "m": 1, "Q": [[1.0, 0.0], [0.0, 1.0]], "c": [1e300, 0.0],
+    "A": [[1.0, 1.0]], "b": [5.0], "U": [[0.0, 1.0, 2.0]] * 2}
+
+
+def test_declared_size_beyond_the_file_exits_two(tmp_path, capsys):
+    # A 4 MB file that declares n = 10**6 with one-entry Q rows: the
+    # parser meets row 0's length before it allocates the n-by-n matrix
+    # (7.28 TiB), so both commands give a dimension error.
+    n = 10 ** 6
+    prob, out = tmp_path / "p.json", tmp_path / "r.json"
+    prob.write_text(f'{{"n": {n}, "m": 0, "Q": [{", ".join(["[0]"] * n)}], '
+                    '"c": [], "A": [], "b": [], "U": []}')
+    assert prob.stat().st_size > 4_000_000
+    message = f"error: Q: expected shape ({n}, {n}), got row 0 has 1 entries\n"
+    assert cli.main(["solve", str(prob), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    out.write_text("{}")
+    assert cli.main(["check", str(prob), str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_solve_overflowing_data_exits_two(tmp_path, capsys):
+    # An input error before the ascent starts, with no overflow warning
+    # (tier-1 turns a RuntimeWarning into an error) and no report.
+    prob, out = tmp_path / "p.json", tmp_path / "r.json"
+    prob.write_text(json.dumps(OVERFLOWING_PROBLEM))
+    for fallback in ("24", "0"):
+        assert cli.main(["solve", str(prob), "--fallback-oracle", fallback,
+                         "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: the dual value at the initial point "
+                              "is not finite")
+        assert not out.exists()
+
+
 def test_check_passes_a_report_with_a_nan_dual_value(tmp_path):
-    # c = 1e300 overflows the dual value to NaN.  The report must still be
-    # one check reads: the NaN dual counts as off the cone, so the gap is
-    # "Infinity".  Child processes keep the kernel's overflow warnings out
-    # of the test run.
+    # solve no longer writes a report for these data, but check must still
+    # read the one earlier versions wrote at --fallback-oracle 0: the NaN
+    # dual value counts as off the cone, so the gap is "Infinity".  A child
+    # process keeps the kernel's overflow warnings out of the test run.
     prob = tmp_path / "p.json"
     out = tmp_path / "r.json"
-    prob.write_text(json.dumps({
-        "n": 2, "m": 1, "Q": [[1.0, 0.0], [0.0, 1.0]], "c": [1e300, 0.0],
-        "A": [[1.0, 1.0]], "b": [5.0], "U": [[0.0, 1.0, 2.0]] * 2}))
-    cp = run_cli("solve", str(prob), "--fallback-oracle", "0",
-                 "--out", str(out))
-    assert cp.returncode == 3, cp.stderr
-    doc = json.loads(out.read_bytes())
-    assert doc["status"] == "NoCertificate"
-    assert doc["certificate"]["gap"] == "Infinity"
-    assert doc["certificate"]["in_cone"] is False
+    prob.write_text(json.dumps(OVERFLOWING_PROBLEM))
+    out.write_text(json.dumps({
+        "version": "0.1.0", "status": "NoCertificate", "x": [2, 0],
+        "objective": -2e300,
+        "certificate": {"status": "NoCertificate", "primal_feas_residual": 0,
+                        "dual_feas_residual": -0.0,
+                        "complementarity_residual": 0, "gap": "Infinity",
+                        "in_cone": False},
+        "dual_point": {"sigma": [0],
+                       "tau": [6.9513406156901686e+297,
+                               -0.0046180072823568345],
+                       "mu": [0.007] * 6},
+        "y": [-4.9652432969215489e+299, 0.33333333333333331,
+              4.9652432969215489e+299, 0.82985766302548813,
+              0.33333333333333331, -0.16319099635882151],
+        "iterations": 0, "solver_status": "LineSearchStall",
+        "low_confidence_blocks": [], "tol_gap": 1e-6, "seconds": 0.0}))
     cp = run_cli("check", str(prob), str(out))
     assert cp.returncode == 0, cp.stdout + cp.stderr
     assert cp.stdout.strip() == "PASS"
@@ -121,10 +169,21 @@ def test_oracle_reports_objective(example1_path, tmp_path):
     assert doc["x"] == [5.0, 2.0, 5.0, 2.0, 2.0]
 
 
-def test_oracle_limit_exits_two(example1_path, tmp_path):
-    cp = run_cli("oracle", str(example1_path), "--limit", "10",
-                 "--out", str(tmp_path / "o.json"))
-    assert cp.returncode == 2
+def test_oracle_limit_exits_two(tmp_path, capsys):
+    # 2**25 selections exceed the one fixed limit, which has no flag.
+    n = 25
+    prob, out = tmp_path / "p.json", tmp_path / "o.json"
+    prob.write_bytes(emit_problem(DiscreteQP(
+        Q=np.eye(n), c=np.zeros(n), A=np.ones((1, n)),
+        b=np.array([float(n)]), U=[[0.0, 1.0]] * n)))
+    assert cli.main(["oracle", str(prob), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 33554432 combinations exceed limit 20000000\n")
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", str(prob), "--limit", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --limit" in capsys.readouterr().err
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -211,6 +270,19 @@ def test_toy_negative_steps_exits_two_before_printing(tmp_path, capsys):
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert "--steps must be >= 0" in err
+    assert not out.exists()
+
+
+def test_toy_overflowing_curves_exit_two_before_printing(tmp_path, capsys):
+    # The samples at +-1e200 overflow both curves; nothing is printed or
+    # written, and no overflow warning escapes.
+    out = tmp_path / "c.csv"
+    assert cli.main(["toy", "--alpha", "1", "--lambda", "1", "--f", "1",
+                     "--curves", str(out), "--range", "-1e200:1e200",
+                     "--steps", "3"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "overflows doubles" in err
     assert not out.exists()
 
 
@@ -348,18 +420,20 @@ def test_in_process_calls_share_the_parser_but_no_state(example1, example1_path,
     # main() reuses one parser; a flag given to one call must not carry
     # over to the next, and a bad flag still exits 2.
     assert cli._build_parser() is cli._build_parser()
-    short, full = tmp_path / "short.json", tmp_path / "full.json"
-    assert cli.main(["solve", str(example1_path), "--max-iter", "1",
-                     "--out", str(short)]) == 3
-    assert json.loads(short.read_bytes())["iterations"] == 1
+    traced, full = tmp_path / "traced.json", tmp_path / "full.json"
+    assert cli.main(["solve", str(example1_path), "--trace",
+                     "--out", str(traced)]) == 0
+    assert "trace" in json.loads(traced.read_bytes())
     assert cli.main(["solve", str(example1_path), "--out", str(full)]) == 0
     doc = json.loads(full.read_bytes())
     doc["seconds"] = 0.0
     fresh = emit_report(dataclasses.replace(solve(example1), seconds=0.0))
     assert doc == json.loads(fresh)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", str(example1_path), "--max-iters", "1",
-                  "--out", str(full)])
-    assert exc.value.code == 2
+    for flag in ("--max-iter", "--max-iters"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(example1_path), flag, "5",
+                      "--out", str(full)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert cli.main(["check", str(example1_path), str(full)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"

@@ -131,7 +131,7 @@ def test_lift_of_asymmetric_q_has_symmetric_b():
 
 def test_certificate_requires_cone_for_global_status():
     with pytest.raises(ValueError):
-        Certificate(primal_feas_residual=0.0, dual_feas_residual=0.0,
+        Certificate(primal_feas_residual=0.0,
                     complementarity_residual=0.0, gap=0.0,
                     in_cone=False, status="CertifiedGlobal")
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dvs import oracle
 from dvs.errors import Infeasible, TooLarge
 from dvs.lift import lift
 from dvs.model import DiscreteQP
@@ -48,10 +49,14 @@ def test_enumerate_infeasible():
         enumerate_discrete(p)
 
 
-def test_enumerate_too_large():
+def test_enumerate_too_large(monkeypatch):
+    # The limit is the module's one DEFAULT_LIMIT, not a parameter.
     p = two_var_problem()
-    with pytest.raises(TooLarge) as exc:
+    with pytest.raises(TypeError):
         enumerate_discrete(p, limit=3)
+    monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 3)
+    with pytest.raises(TooLarge) as exc:
+        enumerate_discrete(p)
     assert exc.value.combinations == 4
     assert exc.value.limit == 3
 

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_package_exports_only_quick_start_names():
     assert set(dvs.__all__) == {"__version__", "GenSpec", "generate",
-                                "SolverConfig", "solve"}
+                                "solve"}
     for name in dvs.__all__:
         assert hasattr(dvs, name)
 

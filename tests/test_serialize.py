@@ -120,7 +120,10 @@ def test_report_round_trip_and_key_order(example1):
     assert list(doc.keys()) == [
         "version", "status", "x", "objective", "certificate", "dual_point",
         "y", "iterations", "solver_status", "low_confidence_blocks",
-        "tol_gap", "seconds"]
+        "seconds"]
+    assert list(doc["certificate"].keys()) == [
+        "status", "primal_feas_residual", "complementarity_residual", "gap",
+        "in_cone"]
     assert doc["status"] == "CertifiedGlobal"
     assert doc["certificate"]["in_cone"] is True
     assert "trace" not in doc
@@ -222,7 +225,7 @@ def test_check_flags_x_that_does_not_match_y(example1):
 @pytest.mark.parametrize("path", [("certificate", "gap"),
                                   ("certificate", "primal_feas_residual"),
                                   ("certificate", "complementarity_residual"),
-                                  ("certificate", "dual_feas_residual")])
+                                  ("dual_point", "mu", 0)])
 def test_check_rejects_non_finite_certificate_numbers(example1, path):
     doc = json.loads(emit_report(solve(example1)))
     target = doc
@@ -308,6 +311,32 @@ def test_check_ignores_a_tighter_report_tol_gap(example1):
     doc["tol_gap"] = 1e-12
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert passed, failures
+
+
+def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
+        example1):
+    # Earlier versions also wrote "tol_gap" (1e-6) and the certificate's
+    # "dual_feas_residual" (0 on the cone).  check ignores both, whatever
+    # their value, so such a report gets its trimmed report's verdict.
+    fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
+    honest = solve(example1)
+    forged = json.loads(emit_report(honest))
+    forged["objective"] -= 1.0
+    cases = [(example1, emit_report(honest)), (example1, json.dumps(forged)),
+             (fallback, emit_report(solve(fallback))),
+             (fallback, emit_report(solve(fallback, fallback_oracle_max_K=0)))]
+    verdicts = []
+    for p, data in cases:
+        problem = emit_problem(p)
+        trimmed = check(problem, data)
+        verdicts.append(trimmed[0])
+        for tol_gap, dual_feas in ((1e-6, 0.0), (1e-6, -0.0), (1e300, 5.0),
+                                   (-1.0, float("nan")), ("x", None)):
+            doc = json.loads(data)
+            doc["tol_gap"] = tol_gap
+            doc["certificate"]["dual_feas_residual"] = dual_feas
+            assert check(problem, json.dumps(doc)) == trimmed
+    assert verdicts == [True, False, True, False]
 
 
 def test_check_judges_at_the_fixed_cone_floor(example1):

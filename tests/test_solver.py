@@ -1,6 +1,7 @@
 """Dual ascent, rounding, certification, and the end-to-end solve."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -19,7 +20,6 @@ from dvs.solver import (
     TERM_CONVERGED,
     TERM_MAX_ITER,
     AscentTrace,
-    SolverConfig,
     initial_point,
     maximize_dual,
     round_binary,
@@ -30,17 +30,24 @@ from dvs.solver import (
 from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    for name in ("max_iter", "fallback_oracle_max_K"):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            SolverConfig(**{name: 2.5})
-    # The gap tolerance, the ascent's gradient threshold and the cone
-    # floor are fixed.
-    for name in ("tol_gap", "tol_grad", "mu_min"):
+def test_config_validation(example1):
+    # The fallback threshold is solve's one setting: an integer, and a
+    # bool (an int subclass) is not one.
+    for bad in (2.5, True, False, np.True_, "24"):
+        with pytest.raises(ValueError,
+                           match="fallback_oracle_max_K must be an integer"):
+            solve(example1, fallback_oracle_max_K=bad)
+    assert solve(example1, fallback_oracle_max_K=np.int64(0)).status == (
+        "CertifiedGlobal")
+    # It is keyword-only.  The step budget, the gap tolerance, the
+    # ascent's gradient threshold and the cone floor are fixed.
+    with pytest.raises(TypeError):
+        solve(example1, 0)
+    for name in ("max_iter", "tol_gap", "tol_grad", "mu_min"):
         with pytest.raises(TypeError):
-            SolverConfig(**{name: 1e-8})
+            solve(example1, **{name: 1e-8})
+    with pytest.raises(TypeError):
+        maximize_dual(lift(example1), 10)
 
 
 def test_initial_point_is_interior(example1, example2):
@@ -70,9 +77,10 @@ def test_trace_is_monotone_nondecreasing(example1, example2):
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_max_iter_is_honoured(example1):
+def test_max_iter_is_honoured(example1, monkeypatch):
     q = lift(example1)
-    _, trace = maximize_dual(q, SolverConfig(max_iter=3))
+    monkeypatch.setattr(solver, "_MAX_ITER", 3)
+    _, trace = maximize_dual(q)
     assert trace.termination == TERM_MAX_ITER
     assert trace.iterations == 3
 
@@ -162,7 +170,6 @@ def test_verify_kkt_cone_failure_is_no_certificate(example1):
     cert = verify_kkt(q, EX1_X, d_bad)
     assert not cert.in_cone
     assert cert.status == "NoCertificate"
-    assert cert.dual_feas_residual == 1e-12
     assert cert.gap <= 1e-6 * 230.0
 
 
@@ -203,7 +210,7 @@ def test_solve_falls_back_to_enumeration_when_uncertified():
 
 def test_solve_reports_honestly_with_fallback_disabled():
     p = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
-    r = solve(p, SolverConfig(fallback_oracle_max_K=0))
+    r = solve(p, fallback_oracle_max_K=0)
     assert r.status == "NoCertificate"
     assert r.solver_status != TERM_CERTIFIED
     # the rounded point is still decoded and evaluated
@@ -220,12 +227,15 @@ def test_solve_forced_single_choice():
 
 
 def test_solve_report_records_tolerances(example1):
-    # The report carries the fixed gap tolerance, as a constant and not a
-    # field, and no cone floor.
+    # The fixed gap tolerance is a constant of SolveReport, not a field,
+    # and there is no cone floor; neither is written to the report.
     r = solve(example1)
     assert r.tol_gap == TOL_GAP
     assert "tol_gap" not in {f.name for f in dataclasses.fields(r)}
     assert not hasattr(r, "mu_min")
+    doc = json.loads(emit_report(r))
+    assert "tol_gap" not in doc and "mu_min" not in doc
+    assert "dual_feas_residual" not in doc["certificate"]
 
 
 @pytest.mark.parametrize("name, most", [("example1", 103), ("example2", 187)])
@@ -299,7 +309,8 @@ def scripted_line_search(monkeypatch, problem, script):
         return value, np.full_like(w, -0.05), y, tau
 
     monkeypatch.setattr(solver, "_evaluate", stub)
-    maximize_dual(q, SolverConfig(max_iter=1))
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
+    maximize_dual(q)
     assert len(points) == len(script) + 2
     return [(w[0] - points[0][0]) / 0.1 for w in points[1:]]
 
@@ -414,7 +425,7 @@ def test_indefinite_certificates_match_the_oracle():
     certified = 0
     for k in INDEFINITE_KS:
         p = indefinite(k)
-        r = solve(p, SolverConfig(fallback_oracle_max_K=0))
+        r = solve(p, fallback_oracle_max_K=0)
         if r.status != "CertifiedGlobal":
             continue
         certified += 1
@@ -535,10 +546,9 @@ def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
     problems = (criterion4_problems(40) + [generate(GenSpec(50, 5, 4292)),
                                            example1, example2]
                 + [indefinite(k) for k in INDEFINITE_KS])
-    cfg = SolverConfig(fallback_oracle_max_K=0)
     statuses = set()
     for p in problems:
-        r = solve(p, cfg)
+        r = solve(p, fallback_oracle_max_K=0)
         assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point)
         statuses.add(r.certificate.status)
     assert statuses == {"CertifiedGlobal", "NoCertificate"}
@@ -547,9 +557,8 @@ def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
 def test_translating_the_value_sets_moves_only_x():
     # x' = x + t over U + t is the same problem with c + Qt and b + At.
     # Every status is unchanged and every certified x moves by exactly t.
-    cfg = SolverConfig(fallback_oracle_max_K=0)
     problems = criterion4_problems(200)
-    base = [solve(p, cfg) for p in problems]
+    base = [solve(p, fallback_oracle_max_K=0) for p in problems]
     assert sum(r.status == "CertifiedGlobal" for r in base) >= 50
     for t in (-1.0, 3.0):
         for p, r in zip(problems, base):
@@ -557,7 +566,7 @@ def test_translating_the_value_sets_moves_only_x():
                 Q=p.Q, c=p.c + p.Q @ np.full(p.n, t), A=p.A,
                 b=p.b + p.A @ np.full(p.n, t),
                 U=[[u + t for u in ui] for ui in p.U])
-            rt = solve(shifted, cfg)
+            rt = solve(shifted, fallback_oracle_max_K=0)
             assert rt.status == r.status
             if r.status == "CertifiedGlobal":
                 assert np.array_equal(rt.x, r.x + t)
@@ -598,7 +607,7 @@ def test_unconstrained_problems_solve_check_and_match_the_oracle():
         Q = g.Q if kind == "pd" else np.outer(g.c, g.c) + 1e-9 * np.eye(n)
         p = DiscreteQP(Q=Q, c=5.0 * g.c, A=np.zeros((0, n)), b=np.zeros(0),
                        U=[values[:1 + (trial + i) % 5] for i in range(n)])
-        r = solve(p, SolverConfig(fallback_oracle_max_K=0))
+        r = solve(p, fallback_oracle_max_K=0)
         assert r.dual_point.sigma.shape == (0,)
         passed, failures = check(emit_problem(p), emit_report(r))
         assert passed, failures

@@ -35,7 +35,7 @@ from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
-from dvs.solver import SolverConfig, solve
+from dvs.solver import solve
 
 SWEEP_VALUE_SETS = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
 FALLBACKS = (24, 0)
@@ -71,9 +71,9 @@ def main():
     iterations = collections.Counter()
     reports = passed = 0
     for fallback in FALLBACKS:
-        cfg = SolverConfig(fallback_oracle_max_K=fallback)
         for family, p, problem in problems:
-            r = dataclasses.replace(solve(p, cfg), seconds=0.0)
+            r = dataclasses.replace(
+                solve(p, fallback_oracle_max_K=fallback), seconds=0.0)
             data = emit_report(r, include_trace=True)
             digest.update(data)
             reports += 1
