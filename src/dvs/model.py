@@ -215,7 +215,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything a solve produced: recovered point, certificate, trace.
+    """Everything a solve produced: the point x, x's certificate, trace.
 
     Every certificate is judged at the fixed gap tolerance ``TOL_GAP`` on
     the cone floor ``MU_MIN``.  ``tol_gap`` is that constant, a class
@@ -226,22 +226,16 @@ class SolveReport:
     objective: float
     certificate: Certificate
     dual_point: DualPoint
-    y: np.ndarray
     iterations: int
     status: str
     solver_status: str
-    low_confidence_blocks: tuple[int, ...] = ()
     trace: tuple[float, ...] = ()
     seconds: float = 0.0
     tol_gap: ClassVar[float] = TOL_GAP
 
     def __post_init__(self):
         object.__setattr__(self, "x", _freeze(self.x))
-        object.__setattr__(self, "y", _freeze(self.y))
         object.__setattr__(self, "trace", tuple(float(v) for v in self.trace))
-        object.__setattr__(
-            self, "low_confidence_blocks",
-            tuple(int(i) for i in self.low_confidence_blocks))
 
 
 def objective(p: DiscreteQP, x: np.ndarray) -> float:

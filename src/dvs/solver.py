@@ -20,17 +20,19 @@ overwrites, and keeps its curvature pairs in a window that slides over
 buffers of twice the memory size, so a step neither allocates the n-by-n
 matrix nor shifts the stored pairs.
 
-The certificate is an n-level function of the rounded point x (each
-block's largest y): :func:`certify` holds its residual, gap, cone and
-status rules, with the fixed gap tolerance ``TOL_GAP`` = 1e-6, and
+A certificate speaks for one point x with one value per block, whatever
+produced it: :func:`certify` holds its residual, gap, cone and status
+rules, with the fixed gap tolerance ``TOL_GAP`` = 1e-6, and
 :func:`verify_kkt` feeds it one :func:`dvs.dual.eliminate_tau` value, as
-``dvs check`` does.  The ascent certifies with the dual value of the
-iterate it already has, at every iterate whose x meets that value within
-the gap tolerance and once at the final iterate, and stops at the first
-that certifies.  The certified gap is therefore at most
-``TOL_GAP * (1 + |objective|)`` rather than round-off.  Instances that
-never certify run the ascent to its other stopping rules; the rounded x
-at the final iterate, with its certificate, is what ``solve`` reports.
+``dvs check`` does for the x a report states.  The ascent's candidate is
+the rounded point (each block's value at its largest y); it certifies with
+the dual value of the iterate it already has, at every iterate whose x
+meets that value within the gap tolerance and once at the final iterate,
+and stops at the first that certifies.  The certified gap is therefore at
+most ``TOL_GAP * (1 + |objective|)`` rather than round-off.  Instances
+that never certify run the ascent to its other stopping rules; ``solve``
+reports the rounded x at the final iterate, or the oracle's x when it
+falls back, each with its certificate at the ascent's final dual point.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .model import (
     NO_CERTIFICATE,
     ORACLE_FALLBACK,
     TOL_GAP,
+    VALUE_MEMBERSHIP_TOL,
     BinaryQP,
     Certificate,
     DiscreteQP,
@@ -84,20 +87,18 @@ _TOL_GRAD = 1e-8
 _MAX_ITER = 5000
 # The lifted dimension up to which ``solve`` falls back to the oracle.
 FALLBACK_ORACLE_MAX_K = 24
+_OVERFLOW = ("the dual value at the initial point is not finite: the "
+             "problem data overflow doubles")
 
 
 @dataclass(frozen=True)
 class AscentTrace:
     """Dual values of the accepted iterates, the termination reason, and
-    at the final iterate the kernel's y, the x it rounds to, its
-    low-confidence blocks and x's certificate."""
+    at the final iterate the rounded x and x's certificate."""
 
     values: tuple[float, ...]
     termination: str
-    y: np.ndarray = field(default=None, compare=False, repr=False)
     x: np.ndarray = field(default=None, compare=False, repr=False)
-    low_confidence_blocks: tuple[int, ...] = field(default=(), compare=False,
-                                                   repr=False)
     certificate: Certificate = field(default=None, compare=False, repr=False)
 
     @property
@@ -113,17 +114,24 @@ def initial_point(q: BinaryQP) -> DualPoint:
     cone, so the very first Cholesky attempt cannot fail.  Both come from n-level data: B = M Q M'
     has the nonzero spectrum of S Q S, S^2 = diag(sum u^2) = M'M, plus
     K - n zeros, and row k of |B| sums to |u_k| (|Q| M'|u|)_i.
+    Data for which ||B||_inf, S Q S or mu0 overflow doubles are a
+    ValueError; the caller decides whether the overflow warns.
     """
     au = np.abs(q.U_flat)
     b_norm = float((np.maximum.reduceat(au, q.starts)
                     * (np.abs(q.Q) @ q.block_sums(au))).max())
     s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
-    lam_min = float(eigvalsh(q.Q * np.multiply.outer(s, s),
-                             subset_by_index=(0, 0), check_finite=False)[0])
+    sqs = q.Q * np.multiply.outer(s, s)
+    if not (math.isfinite(b_norm) and np.isfinite(sqs).all()):
+        raise ValueError(_OVERFLOW)
+    lam_min = float(eigvalsh(sqs, subset_by_index=(0, 0),
+                             check_finite=False)[0])
     if q.K > q.n:
         lam_min = min(0.0, lam_min)
     delta0 = 1e-3 * (1.0 + b_norm)
     mu0 = max(MU_MIN, delta0 - lam_min / 2.0)
+    if not math.isfinite(mu0):
+        raise ValueError(_OVERFLOW)
     return DualPoint(sigma=np.zeros(q.m), tau=np.zeros(q.n),
                      mu=np.full(q.K, mu0))
 
@@ -222,22 +230,20 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     the dual value has been exactly flat for 50 consecutive accepted
     steps ("LineSearchStall", best iterate returned — typically at the
     round-off floor).
-    Data whose dual value at the initial point overflows doubles are a
-    ValueError, raised before the first step.
+    Data whose initial point or dual value there overflows doubles are a
+    ValueError, raised before the first step without a warning.
     """
     m, K = q.m, q.K
-    start = initial_point(q)
-    w = np.concatenate([start.sigma, start.mu])
-    lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
-
     # The Cholesky workspace of every evaluation of this ascent; it is not
     # kept on q, which other solves may share.
     work = np.empty((q.n, q.n))
     with np.errstate(over="ignore", invalid="ignore"):
+        start = initial_point(q)
+        w = np.concatenate([start.sigma, start.mu])
         res = _evaluate(q, w, work)
     if res is None or not math.isfinite(res[0]):
-        raise ValueError("the dual value at the initial point is not "
-                         "finite: the problem data overflow doubles")
+        raise ValueError(_OVERFLOW)
+    lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
     f, g, y, tau = res
     evaluations, rejections, resets = 1, 0, 0
     values = [-f]
@@ -248,10 +254,9 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     for it in range(_MAX_ITER + 1):
         # Only an x whose objective meets the dual value -f can certify;
         # the objective is recomputed only when the rounded x changes.
-        pick = _block_argmax(y, q)
-        if pick.tobytes() != selection:
-            selection = pick.tobytes()
-            x = q.U_flat[pick]
+        x_it = round_binary(y, q)
+        if x_it.tobytes() != selection:
+            x, selection = x_it, x_it.tobytes()
             value = objective(q, x)
         cert = None
         if abs(value + f) <= TOL_GAP * (1.0 + abs(value)):
@@ -320,34 +325,23 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
              "%d dual evaluations, %d cone rejections, %d L-BFGS resets",
              termination, len(values) - 1, -f, evaluations, rejections,
              resets)
-    x, flagged = round_binary(y, q)
+    # Every exit leaves x, and cert when it was computed, at the final
+    # iterate.
     if cert is None:
         cert = certify(q, x, w[:m], w[m:], -f)
     return (DualPoint(sigma=w[:m], tau=tau, mu=w[m:]),
-            AscentTrace(values=tuple(values), termination=termination, y=y,
-                        x=x, low_confidence_blocks=flagged, certificate=cert))
+            AscentTrace(values=tuple(values), termination=termination, x=x,
+                        certificate=cert))
 
 
-def _block_argmax(y: np.ndarray, q: BinaryQP) -> np.ndarray:
-    """The coordinate of each block's largest y, ties to the lowest index.
+def round_binary(y: np.ndarray, q: BinaryQP) -> np.ndarray:
+    """Argmax rounding per block: x takes each block's value at its
+    largest y, ties to the lowest index.
 
     One gather through ``q.pad`` lines the blocks up as rows; its padding
     repeats each block's first coordinate, which can never win a tie.
     """
-    return q.starts + y[q.pad].argmax(axis=1)
-
-
-def round_binary(y: np.ndarray, q: BinaryQP
-                 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Argmax rounding per block: x takes each block's value at its
-    largest y, ties to the lowest index.
-
-    Returns x and the indices of low-confidence blocks (largest
-    coordinate below 0.5).
-    """
-    y = np.asarray(y, dtype=float)
-    pick = _block_argmax(y, q)
-    return q.U_flat[pick], tuple(np.flatnonzero(y[pick] < 0.5).tolist())
+    return q.U_flat[q.starts + y[q.pad].argmax(axis=1)]
 
 
 def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
@@ -359,9 +353,11 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     The one-hot and 0-1 residuals of x's selector vanish by construction,
     so the primal residual is the largest violation of A x <= b and the
     complementarity residual |sigma'(A x - b)|.  CertifiedGlobal requires
-    cone membership (a finite ``dual``, sigma >= 0, mu >= MU_MIN), and the
-    duality gap and both residuals at most ``TOL_GAP * (1 + |v|)`` with v
-    the objective at x; every other point is NoCertificate.
+    cone membership (a finite ``dual``, sigma >= 0, mu >= MU_MIN), a
+    primal residual of at most ``VALUE_MEMBERSHIP_TOL``, the feasibility
+    rule of :func:`dvs.model.is_feasible`, and the duality gap and the
+    complementarity residual at most ``TOL_GAP * (1 + |v|)`` with v the
+    objective at x; every other point is NoCertificate.
     """
     slack = q.A @ x - q.b
     primal = max(float(np.max(slack, initial=-np.inf)), 0.0)
@@ -373,8 +369,8 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     in_cone = (dual > -np.inf and not np.any(sigma < 0.0)
                and not np.any(mu < MU_MIN))
     tol = TOL_GAP * (1.0 + abs(value))
-    status = (CERTIFIED_GLOBAL if in_cone and max(primal, comp, gap) <= tol
-              else NO_CERTIFICATE)
+    status = (CERTIFIED_GLOBAL if in_cone and primal <= VALUE_MEMBERSHIP_TOL
+              and max(comp, gap) <= tol else NO_CERTIFICATE)
     return Certificate(primal_feas_residual=primal,
                        complementarity_residual=comp, gap=gap,
                        in_cone=in_cone, status=status)
@@ -383,8 +379,10 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
 def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint) -> Certificate:
     """:func:`certify` x at the tau-maximized dual value of one
     :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu); d.tau does not
-    enter."""
-    res = eliminate_tau(q, d.sigma, d.mu)
+    enter.  The kernel runs under the ascent's ``np.errstate``: data that
+    overflow it give a NaN or infinite value, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = eliminate_tau(q, d.sigma, d.mu)
     return certify(q, np.asarray(x, dtype=float), d.sigma, d.mu,
                    -np.inf if res is None else res[0])
 
@@ -398,10 +396,11 @@ def solve(p: DiscreteQP, *,
 
     When the certificate is not CertifiedGlobal and the lifted dimension
     is at most ``fallback_oracle_max_K``, the exhaustive oracle supplies
-    the answer and the report status becomes OracleFallback (the failed
-    certificate is still reported as computed); 0 disables the fallback,
-    and a value that is not an integer (a bool included) is a ValueError.
-    The reported objective is always recomputed from the original problem.
+    the answer and the report status becomes OracleFallback; the report's
+    certificate is then the oracle x's, judged at the ascent's final dual
+    point and dual value.  0 disables the fallback, and a value that is
+    not an integer (a bool included) is a ValueError.  The reported
+    objective is always recomputed from the original problem.
     """
     if (isinstance(fallback_oracle_max_K, bool)
             or not isinstance(fallback_oracle_max_K, (int, np.integer))):
@@ -415,10 +414,10 @@ def solve(p: DiscreteQP, *,
         log.info("certificate is %s; falling back to enumeration (K=%d)",
                  cert.status, q.K)
         x, _, _, _ = enumerate_discrete(p)
+        cert = certify(q, x, d.sigma, d.mu, trace.values[-1])
         status = ORACLE_FALLBACK
     return SolveReport(
         x=x, objective=objective(p, x), certificate=cert, dual_point=d,
-        y=trace.y, iterations=trace.iterations, status=status,
-        solver_status=trace.termination,
-        low_confidence_blocks=trace.low_confidence_blocks,
-        trace=trace.values, seconds=time.perf_counter() - t0)
+        iterations=trace.iterations, status=status,
+        solver_status=trace.termination, trace=trace.values,
+        seconds=time.perf_counter() - t0)

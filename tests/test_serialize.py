@@ -26,7 +26,7 @@ from dvs.serialize import (
     parse_problem,
     parse_report,
 )
-from dvs.solver import round_binary, solve, verify_kkt
+from dvs.solver import solve, verify_kkt
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,8 +119,8 @@ def test_report_round_trip_and_key_order(example1):
     doc = json.loads(data)
     assert list(doc.keys()) == [
         "version", "status", "x", "objective", "certificate", "dual_point",
-        "y", "iterations", "solver_status", "low_confidence_blocks",
-        "seconds"]
+        "iterations", "solver_status", "seconds"]
+    assert not hasattr(r, "y") and not hasattr(r, "low_confidence_blocks")
     assert list(doc["certificate"].keys()) == [
         "status", "primal_feas_residual", "complementarity_residual", "gap",
         "in_cone"]
@@ -213,13 +213,16 @@ def test_check_flags_tampered_certificate_status(example1):
 
 def test_check_flags_x_that_does_not_match_y(example1):
     doc = json.loads(emit_report(solve(example1)))
-    doc["x"] = [2.0, 2.0, 2.0, 2.0, 2.0]  # feasible but not decoded from y
-    # recompute the claimed objective so only the decode check can fire
+    doc["x"] = [2.0, 2.0, 2.0, 2.0, 2.0]  # feasible, not the ascent's x
+    # recompute the claimed objective so only the certificate, recomputed
+    # at this x, can fire
     x = np.array(doc["x"])
     doc["objective"] = float(0.5 * x @ example1.Q @ x - example1.c @ x)
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert not passed
-    assert any("decode" in f for f in failures)
+    assert any(f.startswith("certificate status: claimed 'CertifiedGlobal'")
+               for f in failures), failures
+    assert any(f.startswith("certificate gap") for f in failures), failures
 
 
 @pytest.mark.parametrize("path", [("certificate", "gap"),
@@ -244,9 +247,7 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     mu = r.dual_point.mu.copy()
     mu[0] = -1e3
     d = dataclasses.replace(r.dual_point, mu=mu)
-    q = lift(example1)
-    x, _ = round_binary(r.y, q)
-    cert = verify_kkt(q, x, d)
+    cert = verify_kkt(lift(example1), r.x, d)
     assert cert.gap == math.inf and cert.status == "NoCertificate"
     r = dataclasses.replace(r, dual_point=d, certificate=cert,
                             status="NoCertificate")
@@ -266,14 +267,19 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
 
 def test_check_requires_the_certificate_of_a_solver_report(example1):
     # A feasible selection far above the optimum, claimed CertifiedGlobal
-    # with its objective recomputed and y left out, must not skip the
-    # certificate's re-verification.
+    # with its objective recomputed and no y, must not skip the
+    # certificate's re-verification, and without its certificate it is a
+    # SchemaError.
     doc = json.loads(emit_report(solve(example1)))
     x = np.array([2.0, 2.0, 2.0, 2.0, 2.0])
     assert is_feasible(example1, x)
     doc["x"], doc["objective"] = x.tolist(), objective(example1, x)
-    del doc["y"]
-    with pytest.raises(SchemaError, match=r"^\$\.y: missing"):
+    assert "y" not in doc
+    passed, failures = check(emit_problem(example1), json.dumps(doc))
+    assert not passed
+    assert any(f.startswith("certificate status") for f in failures), failures
+    del doc["certificate"]
+    with pytest.raises(SchemaError, match=r"^\$\.certificate: missing"):
         check(emit_problem(example1), json.dumps(doc))
     doc = json.loads(emit_report(solve(example1)))
     for status in ("Certified", "KKTOnly"):
@@ -291,10 +297,8 @@ def test_check_judges_at_most_the_default_tol_gap(example1):
     x = q.U_flat[pick]
     cert = verify_kkt(q, x, r.dual_point)
     assert cert.in_cone and cert.gap > 100.0
-    y = np.zeros(q.K)
-    y[pick] = 1.0
     doc = json.loads(emit_report(dataclasses.replace(
-        r, x=x, objective=objective(example1, x), y=y,
+        r, x=x, objective=objective(example1, x),
         certificate=dataclasses.replace(cert, status="CertifiedGlobal"))))
     doc["tol_gap"] = 1e300
     passed, failures = check(emit_problem(example1), json.dumps(doc))
@@ -315,9 +319,10 @@ def test_check_ignores_a_tighter_report_tol_gap(example1):
 
 def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
         example1):
-    # Earlier versions also wrote "tol_gap" (1e-6) and the certificate's
-    # "dual_feas_residual" (0 on the cone).  check ignores both, whatever
-    # their value, so such a report gets its trimmed report's verdict.
+    # Earlier versions also wrote "tol_gap" (1e-6), the certificate's
+    # "dual_feas_residual" (0 on the cone), the selector "y" and its
+    # "low_confidence_blocks".  check ignores all four, whatever their
+    # value, so such a report gets its trimmed report's verdict.
     fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
     honest = solve(example1)
     forged = json.loads(emit_report(honest))
@@ -330,13 +335,42 @@ def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
         problem = emit_problem(p)
         trimmed = check(problem, data)
         verdicts.append(trimmed[0])
-        for tol_gap, dual_feas in ((1e-6, 0.0), (1e-6, -0.0), (1e300, 5.0),
-                                   (-1.0, float("nan")), ("x", None)):
+        K = lift(p).K
+        for tol_gap, dual_feas, y, flagged in (
+                (1e-6, 0.0, np.eye(K)[0].tolist(), []),
+                (1e-6, -0.0, [0.5] * K, [0, 1]), (1e300, 5.0, [0.0], [-1]),
+                (-1.0, float("nan"), [float("nan")] * K, [0.5]),
+                ("x", None, "y", None)):
             doc = json.loads(data)
             doc["tol_gap"] = tol_gap
             doc["certificate"]["dual_feas_residual"] = dual_feas
+            doc["y"], doc["low_confidence_blocks"] = y, flagged
             assert check(problem, json.dumps(doc)) == trimmed
     assert verdicts == [True, False, True, False]
+
+
+def test_check_certifies_the_reported_x_whatever_produced_it(example1):
+    # A certificate speaks for the report's x.  Example 1's x is replaced
+    # by another feasible selection, and the uncertified ascent of a
+    # fallback instance by its oracle optimum, which is not the rounding
+    # of any reported y: with the certificate recomputed at the new x the
+    # report PASSes, and under the certificate of the old x it FAILs.
+    fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
+    x_opt, _, _, _ = enumerate_discrete(fallback)
+    for p, r, x in ((example1, solve(example1), np.full(5, 2.0)),
+                    (fallback, solve(fallback, fallback_oracle_max_K=0),
+                     x_opt)):
+        assert is_feasible(p, x) and not np.array_equal(x, r.x)
+        moved = dataclasses.replace(r, x=x, objective=objective(p, x))
+        cert = verify_kkt(lift(p), x, r.dual_point)
+        assert cert.status == "NoCertificate" and cert != r.certificate
+        honest = dataclasses.replace(moved, certificate=cert,
+                                     status="NoCertificate")
+        assert check(emit_problem(p), emit_report(honest)) == (True, [])
+        passed, failures = check(emit_problem(p), emit_report(moved))
+        assert not passed
+        assert all(f.startswith("certificate") or f.startswith("report")
+                   for f in failures), failures
 
 
 def test_check_judges_at_the_fixed_cone_floor(example1):
@@ -499,9 +533,13 @@ def test_check_reruns_the_oracle_on_an_oracle_fallback_report():
     r = solve(p)
     assert r.status == "OracleFallback"
     assert check(emit_problem(p), emit_report(r)) == (True, [])
+    # A feasible x far above it, with its own recomputed certificate, so
+    # only the oracle re-run can fire.
     x = np.full(4, -1.0)
     assert is_feasible(p, x)
-    forged = emit_report(dataclasses.replace(r, x=x, objective=objective(p, x)))
+    forged = emit_report(dataclasses.replace(
+        r, x=x, objective=objective(p, x),
+        certificate=verify_kkt(lift(p), x, r.dual_point)))
     passed, failures = check(emit_problem(p), forged)
     assert not passed
     assert len(failures) == 1 and failures[0].startswith("optimality")

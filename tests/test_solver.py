@@ -99,24 +99,18 @@ def blocks_2_3():
 
 def test_round_binary_basics():
     y = np.array([0.8, 0.2, 0.1, 0.6, 0.3])
-    x, flagged = round_binary(y, blocks_2_3())
-    assert np.array_equal(x, [0, 3])
-    assert flagged == ()
-
-
-def test_round_binary_flags_low_confidence():
+    assert np.array_equal(round_binary(y, blocks_2_3()), [0, 3])
+    # a block's largest y picks its value even below 0.5
     y = np.array([0.8, 0.2, 0.35, 0.33, 0.32])
-    x, flagged = round_binary(y, blocks_2_3())
-    assert np.array_equal(x, [0, 2])
-    assert flagged == (1,)
+    assert np.array_equal(round_binary(y, blocks_2_3()), [0, 2])
 
 
 def test_round_binary_tie_takes_lowest_index():
     q = blocks_2_3()
-    x, _ = round_binary(np.array([0.5, 0.5, 0.2, 0.7, 0.7]), q)
+    x = round_binary(np.array([0.5, 0.5, 0.2, 0.7, 0.7]), q)
     assert np.array_equal(x, [0, 3])
     # the padding of the short block never wins, even on a tie
-    x, _ = round_binary(np.array([0.9, 0.9, 0.2, 0.2, 0.2]), q)
+    x = round_binary(np.array([0.9, 0.9, 0.2, 0.2, 0.2]), q)
     assert np.array_equal(x, [0, 2])
 
 
@@ -128,15 +122,10 @@ def test_round_binary_matches_per_block_loop():
         q = lift(DiscreteQP(Q=np.eye(6), c=np.zeros(6), A=np.zeros((0, 6)),
                             b=np.zeros(0), U=[range(s) for s in sizes]))
         for y in np.round(rng.random((20, q.K)), 1):
-            x, flagged = round_binary(y, q)
-            ref, ref_flagged = np.zeros(q.n), []
+            ref = np.zeros(q.n)
             for i, (s, e) in enumerate(q.blocks):
-                j = s + int(np.argmax(y[s:e]))
-                ref[i] = q.U_flat[j]
-                if y[j] < 0.5:
-                    ref_flagged.append(i)
-            assert np.array_equal(x, ref)
-            assert flagged == tuple(ref_flagged)
+                ref[i] = q.U_flat[s + int(np.argmax(y[s:e]))]
+            assert np.array_equal(round_binary(y, q), ref)
 
 
 def test_verify_kkt_certifies_reference_solution(example1):
@@ -180,7 +169,6 @@ def test_solve_first_reference_instance(example1):
     assert r.objective == pytest.approx(EX1_VALUE, abs=VALUE_TOL)
     assert r.solver_status == TERM_CERTIFIED
     assert r.certificate.gap <= 1e-6 * (1.0 + abs(r.objective))
-    assert r.low_confidence_blocks == ()
     assert r.seconds > 0.0
 
 
@@ -541,17 +529,39 @@ def criterion4_problems(count):
 
 def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
                                                             example2):
-    # The ascent certifies with the dual value it already has; check
-    # recomputes it.  Both must give the same certificate, bit for bit.
+    # The ascent certifies with the dual value it already has, and an
+    # oracle fallback certifies the oracle's x with the ascent's last one;
+    # check recomputes it.  Both must give the same certificate, bit for
+    # bit, whichever x the report states.
     problems = (criterion4_problems(40) + [generate(GenSpec(50, 5, 4292)),
                                            example1, example2]
                 + [indefinite(k) for k in INDEFINITE_KS])
     statuses = set()
     for p in problems:
+        for fallback in (0, solver.FALLBACK_ORACLE_MAX_K):
+            r = solve(p, fallback_oracle_max_K=fallback)
+            assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point)
+            statuses.add((r.status, r.certificate.status))
+    assert statuses == {("CertifiedGlobal", "CertifiedGlobal"),
+                        ("NoCertificate", "NoCertificate"),
+                        ("OracleFallback", "NoCertificate")}
+
+
+def test_a_point_that_violates_a_row_does_not_certify():
+    # The only feasible point is x = 0; x = 1 violates x <= 1 - 1e-7 by
+    # far less than the gap tolerance, but by more than the feasibility
+    # rule of is_feasible and check allows.
+    for slack in (1e-7, 5e-7, 1e-6):
+        p = DiscreteQP(Q=np.array([[1.0]]), c=np.array([2.0]),
+                       A=np.array([[1.0]]), b=np.array([1.0 - slack]),
+                       U=((0.0, 1.0),))
+        r = solve(p)
+        assert r.status == "OracleFallback"
+        assert np.array_equal(r.x, [0.0]) and r.objective == 0.0
+        assert check(emit_problem(p), emit_report(r)) == (True, [])
         r = solve(p, fallback_oracle_max_K=0)
-        assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point)
-        statuses.add(r.certificate.status)
-    assert statuses == {"CertifiedGlobal", "NoCertificate"}
+        assert r.status == "NoCertificate"
+        assert r.certificate.primal_feas_residual > 1e-9
 
 
 def test_translating_the_value_sets_moves_only_x():

@@ -16,8 +16,8 @@ The whole set is solved at ``fallback_oracle_max_K=24`` and then again at
 The script prints the report count, the count of each status, how many
 reports ``check`` PASSes, the total ascent iterations of each of the
 three families over both fallback settings (the ascent does not depend
-on the fallback, so each total is twice one pass's), and the sha256 of
-the reports concatenated in that order.
+on the fallback, so each total is twice one pass's), the total bytes of
+the reports and the sha256 of the reports concatenated in that order.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -69,13 +69,14 @@ def main():
     digest = hashlib.sha256()
     statuses = collections.Counter()
     iterations = collections.Counter()
-    reports = passed = 0
+    reports = passed = size = 0
     for fallback in FALLBACKS:
         for family, p, problem in problems:
             r = dataclasses.replace(
                 solve(p, fallback_oracle_max_K=fallback), seconds=0.0)
             data = emit_report(r, include_trace=True)
             digest.update(data)
+            size += len(data)
             reports += 1
             statuses[r.status] += 1
             iterations[family] += r.iterations
@@ -86,6 +87,7 @@ def main():
     print(f"check PASS {passed}")
     for family, total in iterations.items():
         print(f"iterations {family} {total}")
+    print(f"bytes {size}")
     print(f"sha256 {digest.hexdigest()}")
 
 
