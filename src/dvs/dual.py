@@ -11,9 +11,9 @@ and gradient (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y * (y - 1)).
 These tau-given functions (:func:`factorize_g`, :func:`recover_y`,
 :func:`dual_value`, :func:`dual_gradient`, :func:`in_dual_cone`) are the
 textbook definition, with G(mu) formed densely and factored by
-``scipy.linalg.cho_factor``; only the tests call them.  The solver and
-``dvs check`` call only :func:`eliminate_tau`, which forms no K-by-K
-matrix.
+``scipy.linalg.cho_factor``; only the tests call them, with tau as an
+argument.  The solver and ``dvs check`` call only :func:`eliminate_tau`,
+which forms no K-by-K matrix, at a (sigma, mu) point.
 
 :func:`eliminate_tau` maximizes P_dual over tau, i.e. minimizes
 0.5 y'G y - (F + H'tau)'y over {H y = 1}, which bounds every feasible 0-1
@@ -91,11 +91,11 @@ class GFactorization:
         return cho_solve(self.cho, F)
 
 
-def f_vector(q: BinaryQP, d: DualPoint) -> np.ndarray:
+def f_vector(q: BinaryQP, d: DualPoint, tau: np.ndarray) -> np.ndarray:
     """F = h - D'sigma - H'tau + mu."""
-    if d.tau.shape != (q.n,) or d.mu.shape != (q.K,) or d.sigma.shape != (q.m,):
+    if tau.shape != (q.n,) or d.mu.shape != (q.K,) or d.sigma.shape != (q.m,):
         raise ValueError("dual point dimensions do not match the problem")
-    return q.h + d.mu - d.tau[q.block_of] - q.D.T @ d.sigma
+    return q.h + d.mu - tau[q.block_of] - q.D.T @ d.sigma
 
 
 def factorize_g(q: BinaryQP, mu: np.ndarray) -> GFactorization:
@@ -161,22 +161,22 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray,
     return value, y, tau
 
 
-def dual_value(q: BinaryQP, d: DualPoint) -> float:
+def dual_value(q: BinaryQP, d: DualPoint, tau: np.ndarray) -> float:
     """P_dual = -0.5 F'G^-1F - sigma'b - tau'1 on the PD cone, -inf off it."""
     fact = factorize_g(q, d.mu)
     if not fact.positive_definite:
         return -np.inf
-    F = f_vector(q, d)
-    return float(-0.5 * F @ fact.solve(F) - d.tau.sum() - d.sigma @ q.b)
+    F = f_vector(q, d, tau)
+    return float(-0.5 * F @ fact.solve(F) - np.sum(tau) - d.sigma @ q.b)
 
 
-def dual_gradient(q: BinaryQP, d: DualPoint
+def dual_gradient(q: BinaryQP, d: DualPoint, tau: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascent gradient of P_dual, evaluated through y = G^-1F (G must be PD).
 
     Returns (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y*(y-1)).
     """
-    y = recover_y(factorize_g(q, d.mu), f_vector(q, d))
+    y = recover_y(factorize_g(q, d.mu), f_vector(q, d, tau))
     return q.D @ y - q.b, q.block_sums(y) - 1.0, y * (y - 1.0)
 
 

@@ -178,15 +178,14 @@ class BinaryQP:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Dual variables: sigma for Ax<=b rows, tau for the one-hot equalities
-    (sign-unconstrained), mu for the Hadamard constraint."""
+    """A point of the tau-eliminated dual: sigma for the Ax<=b rows, mu for
+    the Hadamard constraint; the one-hot multipliers tau are maximized out."""
 
     sigma: np.ndarray
-    tau: np.ndarray
     mu: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma", "tau", "mu"):
+        for name in ("sigma", "mu"):
             a = _freeze(np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
             if a.ndim != 1:
                 raise DimensionError(name, "(k,)", a.shape)

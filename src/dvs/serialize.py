@@ -110,11 +110,7 @@ def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
         f'"in_cone": {_fmt(cert.in_cone)}',
     ])
     d = r.dual_point
-    dual_pairs = ", ".join([
-        f'"sigma": {_vec(d.sigma)}',
-        f'"tau": {_vec(d.tau)}',
-        f'"mu": {_vec(d.mu)}',
-    ])
+    dual_pairs = f'"sigma": {_vec(d.sigma)}, "mu": {_vec(d.mu)}'
     pairs = [
         ("version", f'"{__version__}"'),
         ("status", f'"{r.status}"'),
@@ -296,11 +292,11 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     PASS requires: x feasible, the objective matching a recomputation
     within 1e-9, and — for every status but OracleExact — the
     certificate re-verifying (same residuals, gap, and status from the
-    reported sigma, mu and x; tau is recomputed, so the reported tau is
-    informational).  The certificate is judged on the fixed cone
-    mu >= MU_MIN and at the fixed gap tolerance TOL_GAP.  The ``y``,
-    ``low_confidence_blocks``, ``tol_gap``, ``mu_min`` and certificate
-    ``dual_feas_residual`` keys of older reports are ignored.  An
+    reported x, sigma and mu).  The certificate is judged on the fixed
+    cone mu >= MU_MIN and at the fixed gap tolerance TOL_GAP.  The ``y``,
+    ``low_confidence_blocks``, ``tol_gap``, ``mu_min``, certificate
+    ``dual_feas_residual`` and ``dual_point.tau`` keys of older reports
+    are ignored, whatever they hold.  An
     OracleExact or OracleFallback report claims the enumerated optimum,
     so the oracle is re-run, at its one limit: the objective may exceed
     its optimum by at most 1e-9*(1+|optimum|), and a problem beyond that
@@ -355,10 +351,9 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
         claimed = {key: (_require_gap if key == "gap" else _require_number)(
             cert[key], f"$.certificate.{key}") for key in CERTIFICATE_NUMBERS}
         dp = _require_object(rep["dual_point"], "$.dual_point",
-                             ("sigma", "tau", "mu"))
+                             ("sigma", "mu"))
         q = lift(p)
         d = DualPoint(sigma=_parse_vector(dp["sigma"], "$.dual_point.sigma", q.m, "sigma"),
-                      tau=_parse_vector(dp["tau"], "$.dual_point.tau", q.n, "tau"),
                       mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
         cert2 = verify_kkt(q, x, d)
         if cert2.status != cert["status"]:

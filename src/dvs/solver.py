@@ -32,7 +32,9 @@ and stops at the first that certifies.  The certified gap is therefore at
 most ``TOL_GAP * (1 + |objective|)`` rather than round-off.  Instances
 that never certify run the ascent to its other stopping rules; ``solve``
 reports the rounded x at the final iterate, or the oracle's x when it
-falls back, each with its certificate at the ascent's final dual point.
+falls back, each with its certificate at the ascent's final dual point
+(sigma, mu).  A dual value above the largest objective any selection can
+take proves the data infeasible, and the ascent stops there.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from scipy.linalg.lapack import dtrtrs
 from .dual import eliminate_tau
 # Not called here; perfbench/tracing.py wraps these two names.
 from .dual import factorize_g, recover_y  # noqa: F401
+from .errors import Infeasible
 from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
@@ -107,7 +110,7 @@ class AscentTrace:
 
 
 def initial_point(q: BinaryQP) -> DualPoint:
-    """sigma = 0, tau = 0, and a uniform mu that makes G(mu) safely PD.
+    """sigma = 0 and a uniform mu that makes G(mu) safely PD.
 
     mu0 = max(MU_MIN, delta0 - lambda_min(B)/2) with delta0 =
     1e-3 (1 + ||B||_inf) gives G(mu0) >= 2 delta0 I, inside the kernel's
@@ -132,20 +135,19 @@ def initial_point(q: BinaryQP) -> DualPoint:
     mu0 = max(MU_MIN, delta0 - lam_min / 2.0)
     if not math.isfinite(mu0):
         raise ValueError(_OVERFLOW)
-    return DualPoint(sigma=np.zeros(q.m), tau=np.zeros(q.n),
-                     mu=np.full(q.K, mu0))
+    return DualPoint(sigma=np.zeros(q.m), mu=np.full(q.K, mu0))
 
 
 def _evaluate(q: BinaryQP, w: np.ndarray, work: np.ndarray):
-    """(f, grad, y, tau) with f = -P_dual at the optimal tau and grad its
-    (sigma, mu)-gradient; None off the cone (infeasible trial point).
-    ``work`` is the ascent's Cholesky workspace."""
+    """(f, grad, y) at w = (sigma, mu): f = -P_dual at the optimal tau, grad
+    its gradient, y the selector; None off the cone (infeasible trial
+    point).  ``work`` is the ascent's Cholesky workspace."""
     grad = np.empty_like(w)
     res = eliminate_tau(q, w[:q.m], w[q.m:], work, grad)
     if res is None:
         return None
-    value, y, tau = res
-    return -value, grad, y, tau
+    value, y, _ = res
+    return -value, grad, y
 
 
 class _LBFGSMemory:
@@ -232,6 +234,11 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     round-off floor).
     Data whose initial point or dual value there overflows doubles are a
     ValueError, raised before the first step without a warning.
+    By weak duality a dual value on the cone bounds every feasible
+    selection's objective from below, and no selection's objective exceeds
+    top = a'|Q|a / 2 + |c|'a, a_i = max |U_i|: an iterate whose dual value
+    exceeds top + TOL_GAP (1 + |top|) proves the data infeasible, and the
+    ascent raises :class:`dvs.errors.Infeasible` there.
     """
     m, K = q.m, q.K
     # The Cholesky workspace of every evaluation of this ascent; it is not
@@ -241,10 +248,14 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
         start = initial_point(q)
         w = np.concatenate([start.sigma, start.mu])
         res = _evaluate(q, w, work)
+        # An overflowing or NaN top makes the comparison below never fire.
+        a = np.maximum.reduceat(np.abs(q.U_flat), q.starts)
+        top = 0.5 * (a @ np.abs(q.Q) @ a) + np.abs(q.c) @ a
     if res is None or not math.isfinite(res[0]):
         raise ValueError(_OVERFLOW)
+    ceiling = top + TOL_GAP * (1.0 + abs(top))
     lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
-    f, g, y, tau = res
+    f, g, y = res
     evaluations, rejections, resets = 1, 0, 0
     values = [-f]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
@@ -252,6 +263,10 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     flat_steps = 0
     selection = None
     for it in range(_MAX_ITER + 1):
+        if -f > ceiling:
+            raise Infeasible(f"no selection satisfies Ax <= b: the dual "
+                             f"value {-f:.6g} exceeds {top:.6g}, the "
+                             f"largest objective of any selection")
         # Only an x whose objective meets the dual value -f can certify;
         # the objective is recomputed only when the rounded x changes.
         x_it = round_binary(y, q)
@@ -311,14 +326,14 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             termination = TERM_STALL
             break
 
-        w_try, (f_try, g_try, y_try, tau_try) = accepted
+        w_try, (f_try, g_try, y_try) = accepted
         flat_steps = 0 if f_try < f else flat_steps + 1
         s_v = w_try - w
         y_v = g_try - g
         curv = s_v @ y_v
         if curv > 1e-12 * math.sqrt(s_v @ s_v) * math.sqrt(y_v @ y_v):
             memory.append(s_v, y_v)
-        w, f, g, y, tau = w_try, f_try, g_try, y_try, tau_try
+        w, f, g, y = w_try, f_try, g_try, y_try
         values.append(-f)
 
     log.info("dual ascent: %s after %d iterations, dual=%.12g, "
@@ -329,7 +344,7 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     # iterate.
     if cert is None:
         cert = certify(q, x, w[:m], w[m:], -f)
-    return (DualPoint(sigma=w[:m], tau=tau, mu=w[m:]),
+    return (DualPoint(sigma=w[:m], mu=w[m:]),
             AscentTrace(values=tuple(values), termination=termination, x=x,
                         certificate=cert))
 
@@ -378,9 +393,9 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
 
 def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint) -> Certificate:
     """:func:`certify` x at the tau-maximized dual value of one
-    :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu); d.tau does not
-    enter.  The kernel runs under the ascent's ``np.errstate``: data that
-    overflow it give a NaN or infinite value, not a warning."""
+    :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu).  The kernel
+    runs under the ascent's ``np.errstate``: data that overflow it give a
+    NaN or infinite value, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         res = eliminate_tau(q, d.sigma, d.mu)
     return certify(q, np.asarray(x, dtype=float), d.sigma, d.mu,
@@ -400,7 +415,8 @@ def solve(p: DiscreteQP, *,
     certificate is then the oracle x's, judged at the ascent's final dual
     point and dual value.  0 disables the fallback, and a value that is
     not an integer (a bool included) is a ValueError.  The reported
-    objective is always recomputed from the original problem.
+    objective is always recomputed from the original problem.  Data the
+    ascent or the oracle proves infeasible raise ``Infeasible``.
     """
     if (isinstance(fallback_oracle_max_K, bool)
             or not isinstance(fallback_oracle_max_K, (int, np.integer))):

@@ -53,11 +53,11 @@ def sweep_instances():
 
 
 def interior_cone_point(q, base_mu, rng):
-    d = DualPoint(sigma=0.1 + rng.random(q.m),
-                  tau=rng.standard_normal(q.n),
-                  mu=base_mu * (1.0 + rng.random(q.K)))
+    """(d, tau): a point of the tau-given cone and a tau to go with it."""
+    sigma, tau = 0.1 + rng.random(q.m), rng.standard_normal(q.n)
+    d = DualPoint(sigma=sigma, mu=base_mu * (1.0 + rng.random(q.K)))
     assert in_dual_cone(q, d)
-    return d
+    return d, tau
 
 
 def test_criterion_1_first_reference_instance(example1, capsys):
@@ -137,14 +137,15 @@ def test_criterion_5_gradient_check(capsys):
         base_mu = initial_point(q).mu
         rng = np.random.default_rng(seed)
         for _ in range(100):
-            d = interior_cone_point(q, base_mu, rng)
-            gs, gt, gm = dual_gradient(q, d)
+            d, tau = interior_cone_point(q, base_mu, rng)
+            gs, gt, gm = dual_gradient(q, d, tau)
             analytic = np.concatenate([gs, gt, gm])
-            w0 = np.concatenate([d.sigma, d.tau, d.mu])
+            w0 = np.concatenate([d.sigma, tau, d.mu])
 
             def value_at(w):
-                return dual_value(q, DualPoint(
-                    sigma=w[:q.m], tau=w[q.m:q.m + q.n], mu=w[q.m + q.n:]))
+                return dual_value(q, DualPoint(sigma=w[:q.m],
+                                               mu=w[q.m + q.n:]),
+                                  w[q.m:q.m + q.n])
 
             fd = np.empty_like(w0)
             for i in range(w0.size):
@@ -179,8 +180,8 @@ def test_criterion_6_weak_duality(capsys):
                 y[s + rng.integers(0, sizes[i])] = 1.0
             if np.any(q.D @ y > q.b):
                 continue
-            d = interior_cone_point(q, base_mu, rng)
-            if dual_value(q, d) > binary_objective(q, y) + 1e-6:
+            d, tau = interior_cone_point(q, base_mu, rng)
+            if dual_value(q, d, tau) > binary_objective(q, y) + 1e-6:
                 violations += 1
             pairs += 1
     ok = violations == 0

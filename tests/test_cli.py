@@ -356,13 +356,28 @@ def test_check_accepts_every_pipeline_report(example1_path, example2_path,
         assert run_cli("check", str(path), str(report)).returncode == 0
 
 
-def test_infeasible_problem_exits_two(tmp_path):
-    prob = tmp_path / "p.json"
+def test_infeasible_problem_exits_two(tmp_path, capsys):
+    prob, out = tmp_path / "p.json", tmp_path / "r.json"
     prob.write_text(json.dumps({
         "n": 1, "m": 1, "Q": [[1.0]], "c": [0.0],
         "A": [[1.0]], "b": [-10.0], "U": [[0.0, 1.0]]}))
     cp = run_cli("oracle", str(prob), "--out", str(tmp_path / "o.json"))
     assert cp.returncode == 2
+    # solve: the dual value passes the largest objective of any selection
+    # within a few steps, which proves the data infeasible, at K = 2 and
+    # at K = 52, beyond the oracle fallback.  One error line, no overflow
+    # warning (tier-1 turns a RuntimeWarning into an error), no report.
+    for n in (1, 26):
+        if n > 1:
+            prob.write_text(json.dumps({
+                "n": n, "m": 1, "Q": np.eye(n).tolist(), "c": [0.0] * n,
+                "A": [[1.0] * n], "b": [-1.0], "U": [[0.0, 1.0]] * n}))
+        assert cli.main(["solve", str(prob), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: no selection satisfies Ax <= b: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
 
 def test_log_env_controls_diagnostics(example1_path, tmp_path):
@@ -384,7 +399,7 @@ def test_solve_reports_are_byte_identical(example1_path, tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("dual_point", {}), ("dual_point", []), ("dual_point", "drop tau"),
+    ("dual_point", {}), ("dual_point", []), ("dual_point", "drop mu"),
     ("certificate", {}), ("certificate", []),
     ("certificate", "drop"), ("dual_point", "drop")])
 def test_check_malformed_certificate_objects_exit_two(example1_path, tmp_path,
@@ -392,8 +407,8 @@ def test_check_malformed_certificate_objects_exit_two(example1_path, tmp_path,
     report = tmp_path / "report.json"
     run_cli("solve", str(example1_path), "--out", str(report))
     doc = json.loads(report.read_bytes())
-    if value == "drop tau":
-        del doc[key]["tau"]
+    if value == "drop mu":
+        del doc[key]["mu"]
     elif value == "drop":
         del doc[key]
     else:

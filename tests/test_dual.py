@@ -55,9 +55,10 @@ def dense_g(q, mu):
 def test_f_vector_form(example1):
     q = lift(example1)
     rng = np.random.default_rng(0)
-    d = DualPoint(sigma=rng.random(4), tau=rng.random(5), mu=rng.random(15))
-    F = f_vector(q, d)
-    expected = q.h - q.D.T @ d.sigma - q.H.T @ d.tau + d.mu
+    sigma, tau = rng.random(4), rng.random(5)
+    d = DualPoint(sigma=sigma, mu=rng.random(15))
+    F = f_vector(q, d, tau)
+    expected = q.h - q.D.T @ d.sigma - q.H.T @ tau + d.mu
     assert np.allclose(F, expected, atol=1e-12)
 
 
@@ -101,8 +102,8 @@ def test_factorize_singular_g_is_not_positive_definite():
 def test_off_cone_dual_is_minus_infinity_and_uncertified():
     # G = -5 [[1, 2], [2, 4]] + 2 I is indefinite: P_dual gives no bound there.
     q = one_variable_qp(-5.0, c1=1.0)
-    d = DualPoint(sigma=np.zeros(0), tau=np.zeros(1), mu=np.ones(2))
-    assert dual_value(q, d) == -np.inf
+    d = DualPoint(sigma=np.zeros(0), mu=np.ones(2))
+    assert dual_value(q, d, np.zeros(1)) == -np.inf
     cert = verify_kkt(q, np.array([2.0]), d)
     assert not cert.in_cone
     assert cert.status == "NoCertificate"
@@ -114,10 +115,11 @@ def test_eliminate_tau_maximizes_over_tau(example1):
     d0 = initial_point(q)
     sigma = np.full(q.m, 0.1)
     value, y, tau = eliminate_tau(q, sigma, d0.mu)
-    d = DualPoint(sigma=sigma, tau=tau, mu=d0.mu)
-    assert value == pytest.approx(dual_value(q, d), abs=1e-9)
-    assert np.allclose(y, recover_y(factorize_g(q, d.mu), f_vector(q, d)))
-    _, gt, _ = dual_gradient(q, d)
+    d = DualPoint(sigma=sigma, mu=d0.mu)
+    assert value == pytest.approx(dual_value(q, d, tau), abs=1e-9)
+    assert np.allclose(y, recover_y(factorize_g(q, d.mu),
+                                    f_vector(q, d, tau)))
+    _, gt, _ = dual_gradient(q, d, tau)
     assert np.abs(gt).max() <= 1e-9  # the tau-gradient H y - 1 vanishes
     # off the cone there is nothing to maximize
     assert eliminate_tau(one_variable_qp(-5.0), np.zeros(0), np.ones(2)) is None
@@ -130,9 +132,9 @@ def test_tau_eliminated_cone_is_wider_than_g_cone():
     q = one_variable_qp(-5.0)
     mu = np.array([2.0, 2.0])
     assert not factorize_g(q, mu).positive_definite
-    value, _, tau = eliminate_tau(q, np.zeros(0), mu)
+    value, _, _ = eliminate_tau(q, np.zeros(0), mu)
     assert value <= min(-2.5 * u * u for u in (1.0, 2.0))
-    d = DualPoint(sigma=np.zeros(0), tau=tau, mu=mu)
+    d = DualPoint(sigma=np.zeros(0), mu=mu)
     assert verify_kkt(q, np.array([2.0]), d).in_cone
 
 
@@ -206,11 +208,11 @@ def test_structured_kernel_matches_dense_g():
             _, y, tau = eliminate_tau(q, sigma, mu)
             worst_hy = max(worst_hy, np.abs(q.H @ y - 1.0).max())
             pairs = [(tau, y)]
+            d = DualPoint(sigma=sigma, mu=mu)
             for t in (tau, tau + rng.standard_normal(q.n)):
-                F = f_vector(q, DualPoint(sigma=sigma, tau=t, mu=mu))
-                pairs.append((t, recover_y(fact, F)))
+                pairs.append((t, recover_y(fact, f_vector(q, d, t))))
             for t, yy in pairs:
-                F = f_vector(q, DualPoint(sigma=sigma, tau=t, mu=mu))
+                F = f_vector(q, d, t)
                 scale = (np.abs(G).sum(axis=1).max() * np.abs(yy).max()
                          + np.abs(F).max())
                 worst = max(worst, np.abs(G @ yy - F).max() / scale)
@@ -298,9 +300,9 @@ def test_eliminate_tau_reuses_its_workspace_without_leaks(monkeypatch):
 
 def test_dual_value_at_reference_point(example2):
     q = lift(example2)
-    d = DualPoint(sigma=np.zeros(5), tau=EX2_TAU, mu=EX2_MU)
+    d = DualPoint(sigma=np.zeros(5), mu=EX2_MU)
     assert in_dual_cone(q, d)
-    assert dual_value(q, d) == pytest.approx(45.54, abs=0.5)
+    assert dual_value(q, d, EX2_TAU) == pytest.approx(45.54, abs=0.5)
     # the reference primal value at x = ones, for comparison
     y = np.zeros(q.K)
     y[q.starts + [u.index(1.0) for u in example2.U]] = 1.0
@@ -311,15 +313,15 @@ def test_stationary_point_value_identity(example2):
     # The saddle function Xi(y, d) = 0.5 y'G y - F'y - sigma'b - tau'1 is
     # minimized over y at y = G^-1 F, where it equals P_dual(d).
     q = lift(example2)
-    d = DualPoint(sigma=np.zeros(5), tau=EX2_TAU, mu=EX2_MU)
+    d = DualPoint(sigma=np.zeros(5), mu=EX2_MU)
     G = dense_g(q, d.mu)
-    F = f_vector(q, d)
+    F = f_vector(q, d, EX2_TAU)
 
     def xi(z):
-        return 0.5 * z @ G @ z - F @ z - d.sigma @ q.b - d.tau.sum()
+        return 0.5 * z @ G @ z - F @ z - d.sigma @ q.b - EX2_TAU.sum()
 
     y = recover_y(factorize_g(q, d.mu), F)
-    assert xi(y) == pytest.approx(dual_value(q, d), abs=1e-9)
+    assert xi(y) == pytest.approx(dual_value(q, d, EX2_TAU), abs=1e-9)
     rng = np.random.default_rng(1)
     for _ in range(10):
         z = y + 0.1 * rng.standard_normal(q.K)
@@ -331,18 +333,16 @@ def test_dual_gradient_matches_finite_differences(example1):
     d0 = initial_point(q)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        d = DualPoint(sigma=rng.random(q.m),
-                      tau=rng.standard_normal(q.n),
-                      mu=d0.mu * (1.0 + rng.random(q.K)))
-        gs, gt, gm = dual_gradient(q, d)
+        sigma, tau = rng.random(q.m), rng.standard_normal(q.n)
+        d = DualPoint(sigma=sigma, mu=d0.mu * (1.0 + rng.random(q.K)))
+        gs, gt, gm = dual_gradient(q, d, tau)
         analytic = np.concatenate([gs, gt, gm])
 
         def value_at(w):
-            return dual_value(q, DualPoint(sigma=w[:q.m],
-                                           tau=w[q.m:q.m + q.n],
-                                           mu=w[q.m + q.n:]))
+            return dual_value(q, DualPoint(sigma=w[:q.m], mu=w[q.m + q.n:]),
+                              w[q.m:q.m + q.n])
 
-        w0 = np.concatenate([d.sigma, d.tau, d.mu])
+        w0 = np.concatenate([d.sigma, tau, d.mu])
         fd = np.empty_like(w0)
         for i in range(w0.size):
             h = 1e-6 * max(1.0, abs(w0[i]))
@@ -366,11 +366,10 @@ def test_weak_duality_sampling(example1):
             y[s + choice[i]] = 1.0
         if np.any(q.D @ y > q.b):
             continue
-        d = DualPoint(sigma=rng.random(q.m),
-                      tau=rng.standard_normal(q.n),
-                      mu=d0.mu * (1.0 + rng.random(q.K)))
+        sigma, tau = rng.random(q.m), rng.standard_normal(q.n)
+        d = DualPoint(sigma=sigma, mu=d0.mu * (1.0 + rng.random(q.K)))
         assert in_dual_cone(q, d)
-        assert dual_value(q, d) <= binary_objective(q, y) + 1e-6
+        assert dual_value(q, d, tau) <= binary_objective(q, y) + 1e-6
         checked += 1
     assert checked > 100
 
@@ -379,12 +378,11 @@ def test_in_dual_cone_rejections(example1):
     q = lift(example1)
     d0 = initial_point(q)
     assert in_dual_cone(q, d0)
-    bad_sigma = DualPoint(sigma=np.array([-1e-3, 0, 0, 0]),
-                          tau=d0.tau, mu=d0.mu)
+    bad_sigma = DualPoint(sigma=np.array([-1e-3, 0, 0, 0]), mu=d0.mu)
     assert not in_dual_cone(q, bad_sigma)
     mu = d0.mu.copy()
     mu[0] = MU_MIN / 10.0
-    assert not in_dual_cone(q, DualPoint(sigma=d0.sigma, tau=d0.tau, mu=mu))
+    assert not in_dual_cone(q, DualPoint(sigma=d0.sigma, mu=mu))
     # an indefinite Q makes B indefinite, so the minimal mu leaves G non-PD
     p_ind = DiscreteQP(Q=[[0.0, 1.0], [1.0, 0.0]], c=[0.0, 0.0],
                        A=[[1.0, 1.0]], b=[10.0], U=[[0.0, 1.0], [0.0, 1.0]])
@@ -392,4 +390,4 @@ def test_in_dual_cone_rejections(example1):
     tiny = np.full(q_ind.K, MU_MIN)
     assert not factorize_g(q_ind, tiny).positive_definite
     assert not in_dual_cone(
-        q_ind, DualPoint(sigma=np.zeros(1), tau=np.zeros(2), mu=tiny))
+        q_ind, DualPoint(sigma=np.zeros(1), mu=tiny))

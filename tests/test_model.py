@@ -1,5 +1,6 @@
 """Validation and objective arithmetic for the core problem types."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -137,7 +138,8 @@ def test_certificate_requires_cone_for_global_status():
 
 
 def test_dual_point_shapes_preserved():
-    d = DualPoint(sigma=np.zeros(3), tau=np.ones(2), mu=np.full(4, 0.5))
-    assert d.sigma.shape == (3,) and d.tau.shape == (2,) and d.mu.shape == (4,)
+    d = DualPoint(sigma=np.zeros(3), mu=np.full(4, 0.5))
+    assert d.sigma.shape == (3,) and d.mu.shape == (4,)
+    assert [f.name for f in dataclasses.fields(d)] == ["sigma", "mu"]
     with pytest.raises(ValueError):
         d.mu[0] = 2.0

@@ -1,11 +1,12 @@
 """The package surface: the names `dvs` exports, the README's Python quick
-start and command-line flags, and the module attributes the benchmark's
-tracer wraps."""
+start, command lines and command-line flags, and the module attributes the
+benchmark's tracer wraps."""
 
 import argparse
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import dvs
@@ -77,3 +78,49 @@ def test_readme_flags_exist_in_the_cli():
     for cmd, flag in named:
         options = subparsers.choices[cmd]._option_string_actions
         assert flag in options, f"README names {flag} for dvs {cmd}"
+
+
+def _readme_commands():
+    """[env, argv, stdout] for each ``dvs`` line of the README's ``sh``
+    blocks, in order: ``env`` holds the line's ``NAME=value`` prefixes and
+    ``stdout`` the ``# stdout:`` comment beneath the line, or None.  The
+    ``pip`` and ``pytest`` lines are skipped."""
+    commands = []
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if line.startswith("# stdout:"):
+                commands[-1][2] = line[len("# stdout:"):]
+                continue
+            words = shlex.split(line, comments=True)
+            env = {}
+            while words and re.fullmatch(r"[A-Z_]+=.*", words[0]):
+                name, value = words.pop(0).split("=", 1)
+                env[name] = value
+            assert words[0] in ("dvs", "pip", "pytest"), line
+            if words[0] == "dvs":
+                commands.append([env, words[1:], None])
+    return commands
+
+
+def _stdout_pattern(comment):
+    """A ``# stdout:`` comment as a regular expression: ``...`` is any
+    text, and a parenthesized remark at the end is dropped."""
+    text = re.sub(r"\(.*\)$", "", comment.strip()).strip()
+    return ".*".join(map(re.escape, text.split("...")))
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert {argv[0] for _, argv, _ in commands} == {
+        "gen", "solve", "oracle", "lift", "toy", "check"}
+    for env, argv, stdout in commands:
+        with monkeypatch.context() as mp:
+            for name, value in env.items():
+                mp.setenv(name, value)
+            assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if stdout is not None:
+            assert re.fullmatch(_stdout_pattern(stdout), out.strip(),
+                                re.S), (argv, out)

@@ -124,6 +124,7 @@ def test_report_round_trip_and_key_order(example1):
     assert list(doc["certificate"].keys()) == [
         "status", "primal_feas_residual", "complementarity_residual", "gap",
         "in_cone"]
+    assert list(doc["dual_point"].keys()) == ["sigma", "mu"]
     assert doc["status"] == "CertifiedGlobal"
     assert doc["certificate"]["in_cone"] is True
     assert "trace" not in doc
@@ -320,9 +321,10 @@ def test_check_ignores_a_tighter_report_tol_gap(example1):
 def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
         example1):
     # Earlier versions also wrote "tol_gap" (1e-6), the certificate's
-    # "dual_feas_residual" (0 on the cone), the selector "y" and its
-    # "low_confidence_blocks".  check ignores all four, whatever their
-    # value, so such a report gets its trimmed report's verdict.
+    # "dual_feas_residual" (0 on the cone), the selector "y", its
+    # "low_confidence_blocks" and the dual point's one-hot multipliers
+    # "tau".  check ignores all five, whatever their value, so such a
+    # report gets its trimmed report's verdict.
     fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
     honest = solve(example1)
     forged = json.loads(emit_report(honest))
@@ -335,16 +337,18 @@ def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
         problem = emit_problem(p)
         trimmed = check(problem, data)
         verdicts.append(trimmed[0])
-        K = lift(p).K
-        for tol_gap, dual_feas, y, flagged in (
-                (1e-6, 0.0, np.eye(K)[0].tolist(), []),
-                (1e-6, -0.0, [0.5] * K, [0, 1]), (1e300, 5.0, [0.0], [-1]),
-                (-1.0, float("nan"), [float("nan")] * K, [0.5]),
-                ("x", None, "y", None)):
+        K, n = lift(p).K, p.n
+        for tol_gap, dual_feas, y, flagged, tau in (
+                (1e-6, 0.0, np.eye(K)[0].tolist(), [], [-1.5] * n),
+                (1e-6, -0.0, [0.5] * K, [0, 1], [0.25] * (n + 1)),
+                (1e300, 5.0, [0.0], [-1], [float("nan")] * n),
+                (-1.0, float("nan"), [float("nan")] * K, [0.5], "tau"),
+                ("x", None, "y", None, None)):
             doc = json.loads(data)
             doc["tol_gap"] = tol_gap
             doc["certificate"]["dual_feas_residual"] = dual_feas
             doc["y"], doc["low_confidence_blocks"] = y, flagged
+            doc["dual_point"]["tau"] = tau
             assert check(problem, json.dumps(doc)) == trimmed
     assert verdicts == [True, False, True, False]
 

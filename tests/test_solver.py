@@ -55,7 +55,6 @@ def test_initial_point_is_interior(example1, example2):
         q = lift(p)
         d = initial_point(q)
         assert np.array_equal(d.sigma, np.zeros(q.m))
-        assert np.array_equal(d.tau, np.zeros(q.n))
         assert np.all(d.mu >= MU_MIN)
         assert factorize_g(q, d.mu).positive_definite
 
@@ -155,7 +154,7 @@ def test_verify_kkt_cone_failure_is_no_certificate(example1):
     # all constraints are inactive at the optimum, so this sign flip is too
     # small to move any residual or the gap but still leaves the cone
     sigma[int(np.argmin(sigma))] = -1e-12
-    d_bad = DualPoint(sigma=sigma, tau=d.tau, mu=d.mu)
+    d_bad = DualPoint(sigma=sigma, mu=d.mu)
     cert = verify_kkt(q, EX1_X, d_bad)
     assert not cert.in_cone
     assert cert.status == "NoCertificate"
@@ -282,19 +281,19 @@ def scripted_line_search(monkeypatch, problem, script):
     def stub(q, w, work):
         points.append(w.copy())
         if not start:
-            _, _, y, tau = real(q, w, work)
-            start.extend((w.copy(), np.full_like(w, -0.1), y, tau))
-            return 0.0, start[1], y, tau
-        w0, g0, y, tau = start
+            _, _, y = real(q, w, work)
+            start.extend((w.copy(), np.full_like(w, -0.1), y))
+            return 0.0, start[1], y
+        w0, g0, y = start
         k = len(points) - 2
         if k == len(script):
-            return -1.0, np.full_like(w, -0.05), y, tau
+            return -1.0, np.full_like(w, -0.05), y
         if script[k] is None:
             return None
         dg = g0 @ (w - w0)
         value = (np.nan if script[k] == "nan"
                  else dg - dg / (2.0 * script[k]))
-        return value, np.full_like(w, -0.05), y, tau
+        return value, np.full_like(w, -0.05), y
 
     monkeypatch.setattr(solver, "_evaluate", stub)
     monkeypatch.setattr(solver, "_MAX_ITER", 1)
@@ -562,6 +561,49 @@ def test_a_point_that_violates_a_row_does_not_certify():
         r = solve(p, fallback_oracle_max_K=0)
         assert r.status == "NoCertificate"
         assert r.certificate.primal_feas_residual > 1e-9
+
+
+INFEASIBLE_PROBLEMS = [
+    DiscreteQP(Q=[[1.0]], c=[0.0], A=[[1.0]], b=[-10.0], U=[[0.0, 1.0]]),
+    DiscreteQP(Q=np.eye(26), c=np.zeros(26), A=np.ones((1, 26)), b=[-1.0],
+               U=[[0.0, 1.0]] * 26),
+    DiscreteQP(Q=np.eye(2), c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0],
+               U=[[3.0], [4.0]]),
+    DiscreteQP(Q=np.eye(2), c=[1.0, 1.0], A=[[1.0, 1.0]], b=[-1.0],
+               U=[[0.0, 1.0]] * 2),
+    DiscreteQP(Q=[[2.0, 1.0], [1.0, 2.0]], c=[1.0, -1.0], A=[[1.0, 0.0]],
+               b=[1.0], U=[[5.0], [0.0, 1.0, 2.0]]),
+]
+
+
+@pytest.mark.parametrize("p", INFEASIBLE_PROBLEMS,
+                         ids=["n1", "n26", "single", "negative-b", "q21"])
+def test_the_ascent_proves_infeasible_data_infeasible(p, monkeypatch):
+    # Every selection's objective is at most a'|Q|a / 2 + |c|'a with
+    # a_i = max |U_i|; a dual value above it (plus the gap tolerance)
+    # proves that none is feasible.  These cross it within 10 steps, at
+    # every fallback setting, before the dual value overflows.
+    monkeypatch.setattr(solver, "_MAX_ITER", 10)
+    with pytest.raises(Infeasible, match="no selection satisfies Ax <= b"):
+        maximize_dual(lift(p))
+    for fallback in (24, 0):
+        with pytest.raises(Infeasible):
+            solve(p, fallback_oracle_max_K=fallback)
+
+
+def test_an_optimum_equal_to_the_objective_bound_still_certifies():
+    # Here the one selection is feasible and its objective is the bound
+    # a'|Q|a / 2 + |c|'a itself, as is the dual value at the initial
+    # point: only the margin above the bound tells it from infeasibility.
+    for p in (DiscreteQP(Q=[[1.0]], c=[-1.0], A=[[1.0]], b=[10.0],
+                         U=[[1.0]]),
+              DiscreteQP(Q=np.eye(2), c=[-1.0, -1.0], A=[[1.0, 1.0]],
+                         b=[10.0], U=[[1.0], [2.0]])):
+        r = solve(p, fallback_oracle_max_K=0)
+        assert r.status == "CertifiedGlobal" and r.iterations == 0
+        a = np.abs(r.x)
+        top = 0.5 * a @ np.abs(p.Q) @ a + np.abs(p.c) @ a
+        assert r.trace == (r.objective,) == (top,)
 
 
 def test_translating_the_value_sets_moves_only_x():

@@ -13,11 +13,14 @@ every instance of the set.  The set, solved in this order:
 
 The whole set is solved at ``fallback_oracle_max_K=24`` and then again at
 0.  Each report is emitted with its trace and with ``seconds`` set to 0.
-The script prints the report count, the count of each status, how many
-reports ``check`` PASSes, the total ascent iterations of each of the
-three families over both fallback settings (the ascent does not depend
-on the fallback, so each total is twice one pass's), the total bytes of
-the reports and the sha256 of the reports concatenated in that order.
+The script prints the report count, the count of each status, one
+``status <family> <status> <count>`` line per family and status (zeros
+included, so a family's lines sum to its report count and each status's
+lines to its total), how many reports ``check`` PASSes, the total ascent
+iterations of each of the three families over both fallback settings
+(the ascent does not depend on the fallback, so each total is twice one
+pass's), the total bytes of the reports and the sha256 of the reports
+concatenated in that order.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -68,6 +71,7 @@ def main():
     problems = [(family, p, emit_problem(p)) for family, p in instances()]
     digest = hashlib.sha256()
     statuses = collections.Counter()
+    family_statuses = collections.Counter()
     iterations = collections.Counter()
     reports = passed = size = 0
     for fallback in FALLBACKS:
@@ -79,11 +83,16 @@ def main():
             size += len(data)
             reports += 1
             statuses[r.status] += 1
+            family_statuses[family, r.status] += 1
             iterations[family] += r.iterations
             passed += check(problem, data)[0]
     print(f"reports {reports}")
     for status, count in sorted(statuses.items()):
         print(f"{status} {count}")
+    for family in iterations:
+        for status in sorted(statuses):
+            print(f"status {family} {status} "
+                  f"{family_statuses[family, status]}")
     print(f"check PASS {passed}")
     for family, total in iterations.items():
         print(f"iterations {family} {total}")
