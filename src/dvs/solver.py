@@ -9,12 +9,15 @@ direction formed on the free coordinates from the compact representation
 of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
 and their use in limited memory methods", Math. Prog. 63, 1994), with an
 Armijo backtracking line search that rejects any trial off that cone —
-feasibility before ascent.  A trial on the cone that fails the Armijo
-test shortens the step to the minimizer of the quadratic through the
-current value, the slope and the failed value (Nocedal & Wright,
-*Numerical Optimization*, 2nd ed., section 3.5), kept between 0.1 and
-0.5 of the failed step, so the value that trial cost is not thrown away;
-a trial off the cone, or with a value that is not finite, halves it.
+feasibility before ascent.  As in L-BFGS-B (Byrd, Lu, Nocedal & Zhu,
+SIAM J. Sci. Comput. 16, 1995) the curvature pairs model the free
+coordinates only: a pair's y is 0 on the coordinates the step held at
+their bound.  A trial on the cone that fails the Armijo test shortens
+the step to the minimizer of the quadratic through the current value,
+the slope and the failed value (Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
+failed step, so the value that trial cost is not thrown away; a trial
+off the cone, or with a value that is not finite, halves it.
 One ascent owns one n-by-n Cholesky workspace, which every evaluation
 overwrites, and keeps its curvature pairs in a window that slides over
 buffers of twice the memory size, so a step neither allocates the n-by-n
@@ -84,8 +87,8 @@ _MIN_STEP = 1e-16
 _LBFGS_MEMORY = 20
 _STALL_PATIENCE = 50
 _TOL_GRAD = 1e-8
-# The ascent's step budget, far above the most steps measured: 27 on
-# criterion 4's instances, 156 on the indefinite family, and 129 and 158
+# The ascent's step budget, far above the most steps measured: 15 on
+# criterion 4's instances, 330 on the indefinite family, and 21 and 19
 # on GenSpec(n, 5, 4242 + n) at n = 300 and 1000.
 _MAX_ITER = 5000
 # The lifted dimension up to which ``solve`` falls back to the oracle.
@@ -213,13 +216,20 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     The L-BFGS direction comes from the compact representation of the
     last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
     1994); a non-descent direction clears the memory and falls back to
-    steepest ascent.  The Armijo backtracking starts at the unit step;
-    after a failed trial on the cone with a finite value it multiplies the
-    step by the minimizer t* = -dg / (2 (f_try - f - dg)) of the quadratic
-    through the value f, the slope dg along the trial and the trial value
-    f_try (in the minimized form f = -P_dual), clamped to [0.1, 0.5], and
-    after a trial off the cone or with a value that is not finite it
-    halves the step.  Every accepted iterate stays on the cone of
+    steepest ascent.  A coordinate at its bound whose gradient pushes
+    outward is frozen: the direction and so the step s are 0 there, and
+    the stored pair (s, y) has y = 0 there too.  The gradient change of a
+    coordinate the step held fixed is no curvature along the step; left
+    in y it would enter y'y, the scale gamma = s'y / y'y and the products
+    with other pairs, whose s may be nonzero there (s'y itself does not
+    change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) likewise keeps its
+    model on the free variables.  The Armijo backtracking starts at the
+    unit step; after a failed trial on the cone with a finite value it
+    multiplies the step by the minimizer t* = -dg / (2 (f_try - f - dg))
+    of the quadratic through the value f, the slope dg along the trial
+    and the trial value f_try (in the minimized form f = -P_dual), clamped
+    to [0.1, 0.5], and after a trial off the cone or with a value that is
+    not finite it halves the step.  Every accepted iterate stays on the cone of
     :func:`dvs.dual.eliminate_tau` and never decreases the dual value; the
     trace records the dual value of the initial point and of each
     accepted step, and carries the rounded x and its certificate at the
@@ -261,7 +271,7 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
     termination = TERM_MAX_ITER
     flat_steps = 0
-    selection = None
+    selection = first_gap = None
     for it in range(_MAX_ITER + 1):
         if -f > ceiling:
             raise Infeasible(f"no selection satisfies Ax <= b: the dual "
@@ -275,6 +285,8 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             value = objective(q, x)
         cert = None
         if abs(value + f) <= TOL_GAP * (1.0 + abs(value)):
+            if first_gap is None:
+                first_gap = it
             cert = certify(q, x, w[:m], w[m:], -f)
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
@@ -330,16 +342,20 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
         flat_steps = 0 if f_try < f else flat_steps + 1
         s_v = w_try - w
         y_v = g_try - g
+        # A frozen coordinate takes no step (w_try = w = lb there): its
+        # gradient change is curvature outside the free subspace.
+        y_v[frozen] = 0.0
         curv = s_v @ y_v
         if curv > 1e-12 * math.sqrt(s_v @ s_v) * math.sqrt(y_v @ y_v):
             memory.append(s_v, y_v)
         w, f, g, y = w_try, f_try, g_try, y_try
         values.append(-f)
 
-    log.info("dual ascent: %s after %d iterations, dual=%.12g, "
-             "%d dual evaluations, %d cone rejections, %d L-BFGS resets",
-             termination, len(values) - 1, -f, evaluations, rejections,
-             resets)
+    log.info("dual ascent: %s after %d iterations, gap first met at "
+             "iteration %s, dual=%.12g, %d dual evaluations, %d cone "
+             "rejections, %d L-BFGS resets", termination, len(values) - 1,
+             "none" if first_gap is None else first_gap, -f, evaluations,
+             rejections, resets)
     # Every exit leaves x, and cert when it was computed, at the final
     # iterate.
     if cert is None:

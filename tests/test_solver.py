@@ -12,7 +12,7 @@ from dvs.dual import MU_MIN, eliminate_tau, factorize_g
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.lift import lift
-from dvs.model import TOL_GAP, BinaryQP, DiscreteQP, DualPoint
+from dvs.model import TOL_GAP, BinaryQP, DiscreteQP, DualPoint, objective
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
@@ -261,6 +261,42 @@ def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
     assert 0 <= int(resets.group(1)) <= iterations
 
 
+def test_ascent_log_reports_the_first_gap_iteration(example1, monkeypatch,
+                                                    caplog):
+    # The ascent certifies x exactly at the iterates whose x meets the
+    # dual value within the gap tolerance, and once more at the final
+    # iterate when none of them did: the first such certify is at the
+    # logged iteration, or there is just the final one.
+    duals = []
+
+    def recorded(q, x, sigma, mu, dual):
+        duals.append(dual)
+        return certify(q, x, sigma, mu, dual)
+
+    certify = solver.certify
+    monkeypatch.setattr(solver, "certify", recorded)
+    met = set()
+    for p in (example1, generate(GenSpec(50, 5, 4292)), indefinite(0),
+              indefinite(1), indefinite(2)):
+        duals.clear()
+        caplog.clear()
+        with caplog.at_level("INFO", logger="dvs.solver"):
+            _, trace = maximize_dual(lift(p))
+        line = next(rec.getMessage() for rec in caplog.records
+                    if rec.getMessage().startswith("dual ascent:"))
+        first = re.search(r", gap first met at iteration (\d+|none), ",
+                          line).group(1)
+        met.add(first == "none")
+        if first == "none":
+            assert duals == [trace.values[-1]]
+            cert = trace.certificate
+            assert cert.gap > TOL_GAP * (1.0 + abs(objective(p, trace.x)))
+        else:
+            assert 0 <= int(first) <= trace.iterations
+            assert duals[0] == trace.values[int(first)]
+    assert met == {True, False}
+
+
 def scripted_line_search(monkeypatch, problem, script):
     """The trial steps of the first line search of ``problem``'s ascent
     with the dual evaluation stubbed.
@@ -482,9 +518,10 @@ def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
         assert_matches_two_loop(memory.apply(r), memory, pairs, r)
 
 
-def test_compact_lbfgs_matches_two_loop_on_ascent_pairs(monkeypatch):
-    # Every direction of a real n = 50 ascent, against the two-loop run on
-    # the same pairs (pairs outlive a reset only in the reference list).
+def checked_ascent(p):
+    """The trace of ``p``'s ascent, with every L-BFGS direction checked
+    against the two-loop run on the same pairs (pairs outlive a reset only
+    in the reference list), and (memory.k, pairs appended) at each."""
     checked = []
 
     class Checked(solver._LBFGSMemory):
@@ -502,13 +539,70 @@ def test_compact_lbfgs_matches_two_loop_on_ascent_pairs(monkeypatch):
             checked.append((self.k, len(self.pairs)))
             return got
 
-    monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
-    _, trace = maximize_dual(lift(generate(GenSpec(50, 5, 4293))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_LBFGSMemory", Checked)
+        _, trace = maximize_dual(lift(p))
+    return trace, checked
+
+
+def test_compact_lbfgs_matches_two_loop_on_ascent_pairs():
+    # Every direction of two real ascents.  A certified n = 100 ascent
+    # fills the memory to each tested size ...
+    trace, checked = checked_ascent(generate(GenSpec(100, 5, 4342)))
     assert trace.termination == TERM_CERTIFIED
-    sizes = {k for k, _ in checked}
-    assert {1, 5, 20} <= sizes
-    # the memory rolled over: more pairs appended than it holds
+    assert {1, 5, 20} <= {k for k, _ in checked}
+    # ... and a converged indefinite one rolls the memory over: more pairs
+    # appended than it holds.  (Stalled ascents append more, but their
+    # last pairs sit at the round-off floor, where the two forms part by
+    # far more than 1e-12.)
+    trace, checked = checked_ascent(indefinite(37))
+    assert trace.termination == TERM_CONVERGED
     assert max(n for _, n in checked) >= 25
+
+
+def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
+    # A coordinate frozen at its bound takes no step, and the pair stored
+    # for that step has y = 0 there: the gradient change of a held
+    # coordinate is not curvature of the free subspace.
+    current, frozen, masked = [], [], [0]
+
+    def recorded(q, w, work):
+        res = evaluate(q, w, work)
+        if res is not None:
+            current[:] = [w.copy(), res[1].copy(), q.m]
+        return res
+
+    class Checked(solver._LBFGSMemory):
+        def apply(self, r):
+            # The last point on the cone evaluated is the current iterate.
+            w, g, m = current
+            lb = np.full(len(w), MU_MIN)
+            lb[:m] = 0.0
+            frozen[:] = [(w <= lb) & (g > 0)]
+            return super().apply(r)
+
+        def append(self, s, y):
+            assert np.all(s[frozen[0]] == 0.0)
+            assert np.all(y[frozen[0]] == 0.0)
+            masked[0] += int(frozen[0].sum())
+            super().append(s, y)
+
+    evaluate = solver._evaluate
+    monkeypatch.setattr(solver, "_evaluate", recorded)
+    monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
+    for p in (generate(GenSpec(50, 5, 4293)), indefinite(0)):
+        maximize_dual(lift(p))
+    assert masked[0] > 0
+
+
+@pytest.mark.parametrize("n, seed", [(50, 4292), (50, 4293), (50, 4294),
+                                     (20, 4262), (100, 4342), (300, 4542)])
+def test_generator_suite_certifies_within_30_steps(n, seed):
+    # 19 to 21 steps each; with the frozen coordinates' gradient change
+    # left in the curvature pairs they took 59 to 129.
+    _, trace = maximize_dual(lift(generate(GenSpec(n, 5, seed))))
+    assert trace.termination == TERM_CERTIFIED
+    assert trace.iterations <= 30
 
 
 def criterion4_problems(count):
