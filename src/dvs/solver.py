@@ -19,9 +19,8 @@ Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
 failed step, so the value that trial cost is not thrown away; a trial
 off the cone, or with a value that is not finite, halves it.
 One ascent owns one n-by-n Cholesky workspace, which every evaluation
-overwrites, and keeps its curvature pairs in a window that slides over
-buffers of twice the memory size, so a step neither allocates the n-by-n
-matrix nor shifts the stored pairs.
+overwrites, so a step does not allocate the n-by-n matrix, and keeps its
+curvature pairs in buffers of the memory size.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its residual, gap, cone and status
@@ -157,56 +156,49 @@ class _LBFGSMemory:
     """The newest curvature pairs (s, y) in the compact form of Byrd,
     Nocedal & Schnabel (1994).
 
-    The ``k`` stored pairs are rows ``first`` to ``first + k - 1`` of ``S``
-    and ``Y``, oldest first; ``R`` keeps the upper triangle of S Y' and
-    ``YY`` the Gram matrix Y Y' on the same window of rows and columns,
-    each updated by one matrix-vector product per pair.  The buffers hold
-    twice ``size`` rows: a full memory drops its oldest pair by moving the
-    window one row on, and the window is copied back to the top only when
-    it reaches the end, once every ``size + 1`` appends.  Setting ``k = 0``
-    clears the memory.  ``apply`` computes the L-BFGS inverse-Hessian
-    product with H0 = gamma I, gamma = s'y / y'y of the newest pair — the
-    direction of the two-loop recursion, in a fixed handful of BLAS calls.
+    The ``k`` stored pairs are the first ``k`` rows of ``S`` and ``Y``,
+    oldest first; ``R`` keeps the upper triangle of S Y' and ``YY`` the
+    Gram matrix Y Y' on the same rows and columns, each updated by one
+    matrix-vector product per pair.  A full memory drops its oldest pair
+    by shifting every row, and every column of ``R`` and ``YY``, up one.
+    Setting ``k = 0`` clears the memory.  ``apply`` computes the L-BFGS
+    inverse-Hessian product with H0 = gamma I, gamma = s'y / y'y of the
+    newest pair — the direction of the two-loop recursion, in a fixed
+    handful of BLAS calls.
     """
 
     def __init__(self, size: int, dim: int):
         self.size = size
-        self.S = np.empty((2 * size, dim))
-        self.Y = np.empty((2 * size, dim))
-        self.R = np.zeros((2 * size, 2 * size))
-        self.YY = np.zeros((2 * size, 2 * size))
-        self.first = 0
+        self.S = np.empty((size, dim))
+        self.Y = np.empty((size, dim))
+        self.R = np.zeros((size, size))
+        self.YY = np.zeros((size, size))
         self.k = 0
 
     def append(self, s: np.ndarray, y: np.ndarray):
-        o, k = self.first, self.k
+        k = self.k
         if k == self.size:
-            o, k = o + 1, k - 1
-        if o + k == len(self.S):
+            k -= 1
             for a in (self.S, self.Y):
-                a[:k] = a[o:o + k]
+                a[:k] = a[1:]
             for a in (self.R, self.YY):
-                a[:k, :k] = a[o:o + k, o:o + k]
-            o = 0
-        j = o + k
-        self.S[j] = s
-        self.Y[j] = y
-        self.R[o:j + 1, j] = self.S[o:j + 1] @ y
-        self.YY[o:j + 1, j] = self.YY[j, o:j + 1] = self.Y[o:j + 1] @ y
-        self.first, self.k = o, k + 1
+                a[:k, :k] = a[1:, 1:]
+        self.S[k] = s
+        self.Y[k] = y
+        self.R[:k + 1, k] = self.S[:k + 1] @ y
+        self.YY[:k + 1, k] = self.YY[k, :k + 1] = self.Y[:k + 1] @ y
+        self.k = k + 1
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """H r; with no pairs stored, r scaled to at most unit norm."""
         k = self.k
         if not k:
             return r / max(1.0, np.linalg.norm(r))
-        o = self.first
-        j = o + k
-        S, Y, R = self.S[o:j], self.Y[o:j], self.R[o:j, o:j]
-        gamma = R[-1, -1] / self.YY[j - 1, j - 1]
+        S, Y, R = self.S[:k], self.Y[:k], self.R[:k, :k]
+        gamma = R[-1, -1] / self.YY[k - 1, k - 1]
         t = dtrtrs(R, S @ r)[0]
         p = dtrtrs(R, R.diagonal() * t
-                   + gamma * (self.YY[o:j, o:j] @ t - Y @ r), trans=1)[0]
+                   + gamma * (self.YY[:k, :k] @ t - Y @ r), trans=1)[0]
         return gamma * r + S.T @ p - gamma * (Y.T @ t)
 
 

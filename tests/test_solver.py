@@ -487,9 +487,9 @@ def assert_matches_two_loop(got, memory, pairs, r):
 
 @pytest.mark.parametrize("size", [1, 5, 20])
 def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
-    # 3 size + 25 appends, a reset (k = 0) while the window sits part-way
-    # down its buffers, and 3 size + 25 appends more: on each side of the
-    # reset the window rolls back to the top of its buffers at least twice.
+    # 3 size + 25 appends, a reset (k = 0) of the full memory, and
+    # 3 size + 25 appends more: on each side of the reset the memory rolls
+    # over (drops its oldest pair) at least twice.
     rng = np.random.default_rng(size)
     dim = 60
     # y = M s + noise with M SPD keeps s'y > 0, as the curvature test does
@@ -503,17 +503,14 @@ def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
             s_v = rng.standard_normal(dim)
             y_v = M @ s_v + 0.01 * rng.standard_normal(dim)
             assert s_v @ y_v > 0.0
-            first = memory.first
             memory.append(s_v, y_v)
             pairs.append((s_v, y_v))
             appended += 1
-            rollovers += memory.first < first
+            rollovers += appended > size
             assert memory.k == min(appended, size)
             r = np.where(rng.random(dim) < 0.1, 0.0, rng.standard_normal(dim))
             assert_matches_two_loop(memory.apply(r), memory, pairs, r)
         assert rollovers >= 2
-        if phase == 0:
-            assert memory.first > 0  # the reset lands in a shifted window
         memory.k = 0
         assert_matches_two_loop(memory.apply(r), memory, pairs, r)
 
