@@ -5,9 +5,12 @@ x[i] drawn from a finite set U[i].  The solver lifts this to a 0-1
 quadratic program over one-hot selector blocks, maximizes a concave
 dual function with the one-hot multipliers tau eliminated over the cone
 {sigma >= 0, mu >= 1e-8, Q + diag(1/V) PD} (one n-by-n Cholesky per
-evaluation, see ``dvs.dual``), and turns a critical point in that cone
-into a machine-checked global-optimality certificate (cone membership +
-KKT residuals + duality gap).
+evaluation, see ``dvs.dual``), and certifies a candidate x with three
+entries: a status, x's largest violation of Ax <= b and the duality gap,
+infinite off the cone.  x is CertifiedGlobal when it satisfies Ax <= b
+within 1e-9 and the gap is at most 1e-6 (1 + |objective|): by weak duality
+the dual value on the cone is at most objective(z) + sigma'(Az - b) <=
+objective(z) for every feasible selection z, so none lies below it.
 
 The package exports only the quick-start entry points below; everything
 else is imported from its module (``dvs.model``, ``dvs.lift``,

@@ -42,8 +42,7 @@ from .solver import round_binary  # noqa: F401
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
 SOLVER_STATUSES = (CERTIFIED_GLOBAL, NO_CERTIFICATE, ORACLE_FALLBACK)
-CERTIFICATE_NUMBERS = ("primal_feas_residual", "complementarity_residual",
-                       "gap")
+CERTIFICATE_NUMBERS = ("primal_feas_residual", "gap")
 # The Python types json.loads gives a number; bool, a subclass of int,
 # is deliberately not one of them.
 _NUMBER_TYPES = {int, float}
@@ -105,9 +104,7 @@ def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
     cert_pairs = ", ".join([
         f'"status": "{cert.status}"',
         f'"primal_feas_residual": {_fmt(cert.primal_feas_residual)}',
-        f'"complementarity_residual": {_fmt(cert.complementarity_residual)}',
         f'"gap": {_fmt(cert.gap)}',
-        f'"in_cone": {_fmt(cert.in_cone)}',
     ])
     d = r.dual_point
     dual_pairs = f'"sigma": {_vec(d.sigma)}, "mu": {_vec(d.mu)}'
@@ -291,22 +288,20 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
 
     PASS requires: x feasible, the objective matching a recomputation
     within 1e-9, and — for every status but OracleExact — the
-    certificate re-verifying (same residuals, gap, and status from the
-    reported x, sigma and mu).  The certificate is judged on the fixed
-    cone mu >= MU_MIN and at the fixed gap tolerance TOL_GAP.  The ``y``,
-    ``low_confidence_blocks``, ``tol_gap``, ``mu_min``, certificate
-    ``dual_feas_residual`` and ``dual_point.tau`` keys of older reports
-    are ignored, whatever they hold.  An
-    OracleExact or OracleFallback report claims the enumerated optimum,
-    so the oracle is re-run, at its one limit: the objective may exceed
-    its optimum by at most 1e-9*(1+|optimum|), and a problem beyond that
-    limit fails.
+    certificate re-verifying (same primal residual, gap and status from
+    the reported x, sigma and mu).  The certificate is judged on the
+    fixed cone mu >= MU_MIN and at the fixed gap tolerance TOL_GAP.  The
+    ``y``, ``low_confidence_blocks``, ``tol_gap``, ``mu_min``, certificate
+    ``dual_feas_residual``, ``in_cone`` and ``complementarity_residual``,
+    and ``dual_point.tau`` keys of older reports are ignored, whatever
+    they hold.  An OracleExact or OracleFallback report claims the
+    enumerated optimum, so the oracle is re-run, at its one limit: the
+    objective may exceed its optimum by at most 1e-9*(1+|optimum|), and a
+    problem beyond that limit fails.
     Returns (passed, failures).
 
-    The claimed ``in_cone`` must be true or false and equal the
-    recomputed one.  A report with a solver status that lacks its
-    certificate or dual point, or with an unknown status, is a
-    SchemaError.
+    A report with a solver status that lacks its certificate or dual
+    point, or with an unknown status, is a SchemaError.
     """
     p = parse_problem(problem_data)
     rep = parse_report(report_data)
@@ -343,11 +338,7 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
 
     if status != ORACLE_EXACT:
         cert = _require_object(rep["certificate"], "$.certificate",
-                               ("status", "in_cone") + CERTIFICATE_NUMBERS)
-        if not isinstance(cert["in_cone"], bool):
-            raise SchemaError("$.certificate.in_cone",
-                              f"expected true or false, got "
-                              f"{type(cert['in_cone']).__name__}")
+                               ("status",) + CERTIFICATE_NUMBERS)
         claimed = {key: (_require_gap if key == "gap" else _require_number)(
             cert[key], f"$.certificate.{key}") for key in CERTIFICATE_NUMBERS}
         dp = _require_object(rep["dual_point"], "$.dual_point",
@@ -366,10 +357,6 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
                 failures.append(
                     f"certificate {key}: reported {cert[key]!r}, "
                     f"recomputed {got!r}")
-        if cert["in_cone"] != cert2.in_cone:
-            failures.append(
-                f"certificate in_cone: reported {cert['in_cone']!r}, "
-                f"recomputed {bool(cert2.in_cone)!r}")
         if status not in (cert2.status, ORACLE_FALLBACK):
             failures.append(
                 f"report status {status!r} inconsistent with certificate "

@@ -23,8 +23,9 @@ overwrites, so a step does not allocate the n-by-n matrix, and keeps its
 curvature pairs in buffers of the memory size.
 
 A certificate speaks for one point x with one value per block, whatever
-produced it: :func:`certify` holds its residual, gap, cone and status
-rules, with the fixed gap tolerance ``TOL_GAP`` = 1e-6, and
+produced it: :func:`certify` holds its feasibility, gap and status rules,
+with the fixed gap tolerance ``TOL_GAP`` = 1e-6 and a dual value of -inf
+off the cone, and
 :func:`verify_kkt` feeds it one :func:`dvs.dual.eliminate_tau` value, as
 ``dvs check`` does for the x a report states.  The ascent's candidate is
 the rounded point (each block's value at its largest y); it certifies with
@@ -370,33 +371,29 @@ def round_binary(y: np.ndarray, q: BinaryQP) -> np.ndarray:
 def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
             dual: float) -> Certificate:
     """Judge the point x with one value per block against the dual value
-    ``dual`` at (sigma, mu), -inf off the cone; a ``dual`` that is not
-    above -inf (NaN, say) counts as off the cone.
+    ``dual`` at (sigma, mu).
 
-    The one-hot and 0-1 residuals of x's selector vanish by construction,
-    so the primal residual is the largest violation of A x <= b and the
-    complementarity residual |sigma'(A x - b)|.  CertifiedGlobal requires
-    cone membership (a finite ``dual``, sigma >= 0, mu >= MU_MIN), a
-    primal residual of at most ``VALUE_MEMBERSHIP_TOL``, the feasibility
-    rule of :func:`dvs.model.is_feasible`, and the duality gap and the
-    complementarity residual at most ``TOL_GAP * (1 + |v|)`` with v the
-    objective at x; every other point is NoCertificate.
+    Off the cone (sigma < 0, mu < MU_MIN, or a ``dual`` that is not above
+    -inf: a failed Cholesky or a NaN) the dual value is -inf, so the gap
+    |objective(x) - dual| is infinite.  CertifiedGlobal requires x to
+    satisfy A x <= b within ``VALUE_MEMBERSHIP_TOL`` (the feasibility rule
+    of :func:`dvs.model.is_feasible`) and the gap to be at most
+    ``TOL_GAP * (1 + |v|)`` with v the objective at x; every other point
+    is NoCertificate.  Weak duality makes that a proof: on the cone the
+    dual value is at most the Lagrangian at x's selector, objective(x) +
+    sigma'(A x - b), which is at most objective(x) for a feasible x, so no
+    feasible selection's objective lies below it and |sigma'(A x - b)|
+    is at most the gap.
     """
     slack = q.A @ x - q.b
     primal = max(float(np.max(slack, initial=-np.inf)), 0.0)
-    comp = abs(float(sigma @ slack))
-    if not dual > -np.inf:
+    if not dual > -np.inf or np.any(sigma < 0.0) or np.any(mu < MU_MIN):
         dual = -np.inf
     value = objective(q, x)
     gap = float(abs(value - dual))
-    in_cone = (dual > -np.inf and not np.any(sigma < 0.0)
-               and not np.any(mu < MU_MIN))
-    tol = TOL_GAP * (1.0 + abs(value))
-    status = (CERTIFIED_GLOBAL if in_cone and primal <= VALUE_MEMBERSHIP_TOL
-              and max(comp, gap) <= tol else NO_CERTIFICATE)
-    return Certificate(primal_feas_residual=primal,
-                       complementarity_residual=comp, gap=gap,
-                       in_cone=in_cone, status=status)
+    status = (CERTIFIED_GLOBAL if primal <= VALUE_MEMBERSHIP_TOL
+              and gap <= TOL_GAP * (1.0 + abs(value)) else NO_CERTIFICATE)
+    return Certificate(status=status, primal_feas_residual=primal, gap=gap)
 
 
 def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint) -> Certificate:

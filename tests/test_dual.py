@@ -21,7 +21,7 @@ from dvs.dual import (
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.lift import lift
-from dvs.model import DiscreteQP, DualPoint, binary_objective
+from dvs.model import DiscreteQP, DualPoint, objective
 from dvs.oracle import enumerate_discrete
 from dvs.solver import initial_point, verify_kkt
 
@@ -105,7 +105,6 @@ def test_off_cone_dual_is_minus_infinity_and_uncertified():
     d = DualPoint(sigma=np.zeros(0), mu=np.ones(2))
     assert dual_value(q, d, np.zeros(1)) == -np.inf
     cert = verify_kkt(q, np.array([2.0]), d)
-    assert not cert.in_cone
     assert cert.status == "NoCertificate"
     assert cert.gap == np.inf
 
@@ -128,14 +127,15 @@ def test_eliminate_tau_maximizes_over_tau(example1):
 def test_tau_eliminated_cone_is_wider_than_g_cone():
     # mu = (2, 2): V = 1/8, so Q + 1/V = 3 > 0, while G = -5 [[1, 2], [2, 4]]
     # + 4 I has determinant -84.  The tau-eliminated dual still bounds the
-    # primal there, and a certificate at that point is on the cone.
+    # primal there, and a certificate at that point is on the cone: its
+    # gap is finite.
     q = one_variable_qp(-5.0)
     mu = np.array([2.0, 2.0])
     assert not factorize_g(q, mu).positive_definite
     value, _, _ = eliminate_tau(q, np.zeros(0), mu)
     assert value <= min(-2.5 * u * u for u in (1.0, 2.0))
     d = DualPoint(sigma=np.zeros(0), mu=mu)
-    assert verify_kkt(q, np.array([2.0]), d).in_cone
+    assert np.isfinite(verify_kkt(q, np.array([2.0]), d).gap)
 
 
 def test_tau_eliminated_value_bounds_indefinite_instances():
@@ -306,7 +306,7 @@ def test_dual_value_at_reference_point(example2):
     # the reference primal value at x = ones, for comparison
     y = np.zeros(q.K)
     y[q.starts + [u.index(1.0) for u in example2.U]] = 1.0
-    assert binary_objective(q, y) == pytest.approx(45.535, abs=1e-9)
+    assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(45.535, abs=1e-9)
 
 
 def test_stationary_point_value_identity(example2):
@@ -369,7 +369,14 @@ def test_weak_duality_sampling(example1):
         sigma, tau = rng.random(q.m), rng.standard_normal(q.n)
         d = DualPoint(sigma=sigma, mu=d0.mu * (1.0 + rng.random(q.K)))
         assert in_dual_cone(q, d)
-        assert dual_value(q, d, tau) <= binary_objective(q, y) + 1e-6
+        assert dual_value(q, d, tau) <= 0.5 * y @ q.B @ y - q.h @ y + 1e-6
+        # The certificate's bound: the tau-maximized value is at most the
+        # Lagrangian objective(x) + sigma'(Ax - b) at x = M'y, so the gap
+        # of a feasible x is at least |sigma'(Ax - b)|.
+        x = q.U_flat[q.starts + choice]
+        v = objective(example1, x)
+        assert v - eliminate_tau(q, sigma, d.mu)[0] >= (
+            -sigma @ (example1.A @ x - example1.b) - 1e-9 * (1.0 + abs(v)))
         checked += 1
     assert checked > 100
 

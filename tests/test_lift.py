@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dvs.lift import lift
-from dvs.model import DiscreteQP, binary_objective, objective
+from dvs.model import DiscreteQP, objective
 
 
 def test_lift_shapes_and_structure(example1):
@@ -61,7 +61,7 @@ def test_lifted_objective_matches_original(example1):
         x = np.array([u[j] for u, j in zip(example1.U, pick)])
         y = np.zeros(q.K)
         y[q.starts + pick] = 1.0
-        assert binary_objective(q, y) == pytest.approx(
+        assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(
             objective(example1, x), abs=1e-9)
 
 

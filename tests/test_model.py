@@ -1,6 +1,7 @@
 """Validation and objective arithmetic for the core problem types."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -12,7 +13,6 @@ from dvs.model import (
     Certificate,
     DiscreteQP,
     DualPoint,
-    binary_objective,
     is_feasible,
     objective,
 )
@@ -111,13 +111,17 @@ def test_binary_objective_matches_quadratic_form():
     # One coordinate: B = [[2]], h = [3].
     q = lift(DiscreteQP(Q=[[2.0]], c=[3.0], A=np.zeros((0, 1)),
                         b=np.zeros(0), U=[[1.0]]))
-    assert binary_objective(q, np.array([1.0])) == pytest.approx(-2.0)
-    assert binary_objective(q, np.array([0.0])) == pytest.approx(0.0)
-    # Through x = M'y it is 0.5 y'By - h'y on any y, one-hot or not.
-    q = lift(small_problem())
+    for y, value in (([1.0], -2.0), ([0.0], 0.0)):
+        y = np.array(y)
+        assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(value)
+    # The lifted 0.5 y'By - h'y is 0.5 x'Qx - c'x at x = M'y, on any y,
+    # one-hot or not.
+    p = small_problem()
+    q = lift(p)
     for y in np.random.default_rng(2).standard_normal((5, q.K)):
-        assert binary_objective(q, y) == pytest.approx(
-            0.5 * y @ q.B @ y - q.h @ y, abs=1e-12)
+        x = q.block_sums(q.U_flat * y)
+        assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(
+            objective(p, x), abs=1e-12)
 
 
 def test_lift_of_asymmetric_q_has_symmetric_b():
@@ -131,10 +135,15 @@ def test_lift_of_asymmetric_q_has_symmetric_b():
 
 
 def test_certificate_requires_cone_for_global_status():
-    with pytest.raises(ValueError):
-        Certificate(primal_feas_residual=0.0,
-                    complementarity_residual=0.0, gap=0.0,
-                    in_cone=False, status="CertifiedGlobal")
+    # Off the cone the gap is infinite (or NaN from a broken caller).
+    for gap in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite gap"):
+            Certificate(status="CertifiedGlobal", primal_feas_residual=0.0,
+                        gap=gap)
+    assert Certificate(status="NoCertificate", primal_feas_residual=0.0,
+                       gap=math.inf).gap == math.inf
+    assert [f.name for f in dataclasses.fields(Certificate)] == [
+        "status", "primal_feas_residual", "gap"]
 
 
 def test_dual_point_shapes_preserved():

@@ -132,10 +132,11 @@ def test_verify_kkt_certifies_reference_solution(example1):
     d, _ = maximize_dual(q)
     cert = verify_kkt(q, EX1_X, d)
     assert cert.status == "CertifiedGlobal"
-    assert cert.in_cone
     assert cert.gap <= 1e-6 * 230.0
     assert cert.primal_feas_residual <= 1e-9
-    assert cert.complementarity_residual <= 1e-6 * 230.0
+    # weak duality bounds the complementarity residual by the gap
+    slack = example1.A @ EX1_X - example1.b
+    assert abs(d.sigma @ slack) <= cert.gap
 
 
 def test_verify_kkt_detects_wrong_point(example1):
@@ -150,15 +151,17 @@ def test_verify_kkt_detects_wrong_point(example1):
 def test_verify_kkt_cone_failure_is_no_certificate(example1):
     q = lift(example1)
     d, _ = maximize_dual(q)
+    assert verify_kkt(q, EX1_X, d).status == "CertifiedGlobal"
     sigma = d.sigma.copy()
     # all constraints are inactive at the optimum, so this sign flip is too
-    # small to move any residual or the gap but still leaves the cone
+    # small to move the dual value, but it leaves the cone: the dual value
+    # there is -inf and the gap infinite
     sigma[int(np.argmin(sigma))] = -1e-12
     d_bad = DualPoint(sigma=sigma, mu=d.mu)
     cert = verify_kkt(q, EX1_X, d_bad)
-    assert not cert.in_cone
     assert cert.status == "NoCertificate"
-    assert cert.gap <= 1e-6 * 230.0
+    assert cert.gap == np.inf
+    assert cert.primal_feas_residual <= 1e-9
 
 
 def test_solve_first_reference_instance(example1):

@@ -20,8 +20,9 @@ lines to its total), how many reports ``check`` PASSes, the total ascent
 iterations of each of the three families over both fallback settings
 (the ascent does not depend on the fallback, so each total is twice one
 pass's), the total bytes of the reports and the sha256 of the reports
-concatenated in that order.  The ``status`` lines are committed as
-``tools/digest_status.txt``; CI fails when the run's differ from them.
+concatenated in that order.  The ``status``, ``check PASS`` and
+``iterations`` lines are committed as ``tools/digest_status.txt``; CI
+fails when the run's differ from them.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
