@@ -361,6 +361,40 @@ def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
     assert verdicts == [True, False, True, False]
 
 
+@pytest.mark.parametrize("claim", [False, "no", None, 1])
+def test_check_reads_the_certificate_in_cone(tmp_path, claim):
+    # Earlier reports wrote the certificate's "in_cone".  check reads the
+    # cone off the dual point alone, so a certified report whose "in_cone"
+    # claims false, or is not a boolean, still PASSes: `dvs check` exits 0.
+    p = generate(GenSpec(5, 3, 42))
+    r = solve(p)
+    assert r.status == "CertifiedGlobal"
+    doc = json.loads(emit_report(r))
+    assert "in_cone" not in doc["certificate"]
+    doc["certificate"]["in_cone"] = claim
+    problem, report = tmp_path / "p.json", tmp_path / "r.json"
+    problem.write_bytes(emit_problem(p))
+    report.write_text(json.dumps(doc))
+    assert check(problem.read_bytes(), report.read_bytes()) == (True, [])
+    assert cli.main(["check", str(problem), str(report)]) == 0
+
+
+def test_check_requires_the_certificate_in_cone(example1):
+    # The dual point of a CertifiedGlobal report must lie in the cone: a
+    # report without "in_cone" PASSes, and the same report at sigma_0 = -1
+    # FAILs, since off the cone the dual value is -inf and the gap infinite.
+    r = solve(example1)
+    doc = json.loads(emit_report(r))
+    assert "in_cone" not in doc["certificate"]
+    assert check(emit_problem(example1), json.dumps(doc)) == (True, [])
+    doc["dual_point"]["sigma"][0] = -1.0
+    passed, failures = check(emit_problem(example1), json.dumps(doc))
+    assert not passed
+    assert any(f.startswith("certificate status") for f in failures), failures
+    assert any(f.startswith("certificate gap") and f.endswith("inf")
+               for f in failures), failures
+
+
 def test_check_certifies_the_reported_x_whatever_produced_it(example1):
     # A certificate speaks for the report's x.  Example 1's x is replaced
     # by another feasible selection, and the uncertified ascent of a
