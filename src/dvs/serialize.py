@@ -1,12 +1,15 @@
 """JSON (de)serialization with byte-deterministic output.
 
 Problem files are objects with exactly the keys n, m, Q, c, A, b, U.
-Emitted JSON uses a fixed key order and formats every float with 17
+Every emitted file comes from one writer, :func:`_emit`, in one layout:
+the top-level object has one key per line with a two-space indent, and
+every nested object and array sits on one line.  Keys keep the order
+they are given in; ints are written as ints and floats with 17
 significant digits, which round-trips IEEE-754 doubles exactly — so
 serialize -> parse -> serialize is byte-identical and reports can be
-compared as bytes.  JSON has no infinity: the one non-finite number a
-report can carry, the off-cone certificate gap, is the string
-"Infinity".
+compared as bytes.  JSON has no non-finite numbers: they are the strings
+"Infinity", "-Infinity" and "NaN" (the one a report can carry is the
+off-cone certificate gap, "Infinity").
 
 :func:`check` re-verifies a report's certificate at the report's own x:
 a certificate speaks for that point, whatever produced it, so a report
@@ -48,104 +51,64 @@ CERTIFICATE_NUMBERS = ("primal_feas_residual", "gap")
 _NUMBER_TYPES = {int, float}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+def _json(v) -> str:
+    """One value on one line: objects and arrays nest, keys in order."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return format(v, ".17g")
+        return '"NaN"' if v != v else ('"Infinity"' if v > 0 else '"-Infinity"')
+    if isinstance(v, int):
         return str(int(v))
-    v = float(v)
-    if math.isfinite(v):
-        return format(v, ".17g")
-    # JSON has no non-finite numbers: write them as strings.
-    return '"NaN"' if v != v else ('"Infinity"' if v > 0 else '"-Infinity"')
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_json(k)}: {_json(x)}"
+                               for k, x in v.items()) + "}"
+    # As Python numbers, an array's entries format faster.
+    v = v.tolist() if isinstance(v, np.ndarray) else v
+    return "[" + ", ".join(map(_json, v)) + "]"
 
 
-def _vec(values) -> str:
-    return "[" + ", ".join(_fmt(v) for v in values) + "]"
-
-
-def _mat(rows) -> str:
-    return "[" + ", ".join(_vec(r) for r in rows) + "]"
-
-
-def _obj(pairs) -> str:
-    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in pairs) + "\n}"
+def _emit(doc: dict) -> bytes:
+    """A file's bytes: the top-level object, one key per line."""
+    body = ",\n".join(f"  {_json(k)}: {_json(v)}" for k, v in doc.items())
+    return f"{{\n{body}\n}}\n".encode()
 
 
 def emit_problem(p: DiscreteQP) -> bytes:
-    pairs = [
-        ("n", _fmt(p.n)),
-        ("m", _fmt(p.m)),
-        ("Q", _mat(p.Q)),
-        ("c", _vec(p.c)),
-        ("A", _mat(p.A)),
-        ("b", _vec(p.b)),
-        ("U", _mat(p.U)),
-    ]
-    return (_obj(pairs) + "\n").encode()
+    return _emit({key: getattr(p, key) for key in PROBLEM_KEYS})
 
 
 def emit_lifted(q: BinaryQP) -> bytes:
-    pairs = [
-        ("K", _fmt(q.K)),
-        ("blocks", _mat(q.blocks)),
-        ("B", _mat(q.B)),
-        ("h", _vec(q.h)),
-        ("D", _mat(q.D)),
-        ("H", _mat(q.H)),
-        ("b", _vec(q.b)),
-        ("U_flat", _vec(q.U_flat)),
-    ]
-    return (_obj(pairs) + "\n").encode()
+    return _emit({"K": q.K, "blocks": q.blocks, "B": q.B, "h": q.h,
+                  "D": q.D, "H": q.H, "b": q.b, "U_flat": q.U_flat})
 
 
 def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:
-    cert = r.certificate
-    cert_pairs = ", ".join([
-        f'"status": "{cert.status}"',
-        f'"primal_feas_residual": {_fmt(cert.primal_feas_residual)}',
-        f'"gap": {_fmt(cert.gap)}',
-    ])
-    d = r.dual_point
-    dual_pairs = f'"sigma": {_vec(d.sigma)}, "mu": {_vec(d.mu)}'
-    pairs = [
-        ("version", f'"{__version__}"'),
-        ("status", f'"{r.status}"'),
-        ("x", _vec(r.x)),
-        ("objective", _fmt(r.objective)),
-        ("certificate", "{" + cert_pairs + "}"),
-        ("dual_point", "{" + dual_pairs + "}"),
-        ("iterations", _fmt(r.iterations)),
-        ("solver_status", f'"{r.solver_status}"'),
-        ("seconds", _fmt(r.seconds)),
-    ]
+    doc = {
+        "version": __version__, "status": r.status, "x": r.x,
+        "objective": r.objective,
+        "certificate": {key: getattr(r.certificate, key)
+                        for key in ("status",) + CERTIFICATE_NUMBERS},
+        "dual_point": {"sigma": r.dual_point.sigma, "mu": r.dual_point.mu},
+        "iterations": r.iterations, "solver_status": r.solver_status,
+        "seconds": r.seconds,
+    }
     if include_trace:
-        pairs.append(("trace", _vec(r.trace)))
-    return (_obj(pairs) + "\n").encode()
+        doc["trace"] = r.trace
+    return _emit(doc)
 
 
 def emit_toy_solution(x, primal: float, dual: float, sigma1: float) -> bytes:
-    pairs = [
-        ("sigma1", _fmt(sigma1)),
-        ("x", _vec(x)),
-        ("primal_value", _fmt(primal)),
-        ("dual_value", _fmt(dual)),
-    ]
-    return (_obj(pairs) + "\n").encode()
+    return _emit({"sigma1": sigma1, "x": x, "primal_value": primal,
+                  "dual_value": dual})
 
 
 def emit_oracle_report(x, value: float, feasible_count: int,
                        total_count: int, seconds: float) -> bytes:
-    pairs = [
-        ("version", f'"{__version__}"'),
-        ("status", f'"{ORACLE_EXACT}"'),
-        ("x", _vec(x)),
-        ("objective", _fmt(value)),
-        ("feasible_count", _fmt(feasible_count)),
-        ("total_count", _fmt(total_count)),
-        ("seconds", _fmt(seconds)),
-    ]
-    return (_obj(pairs) + "\n").encode()
+    return _emit({"version": __version__, "status": ORACLE_EXACT, "x": x,
+                  "objective": value, "feasible_count": feasible_count,
+                  "total_count": total_count, "seconds": seconds})
 
 
 def _load(data) -> object:
@@ -294,10 +257,10 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     ``y``, ``low_confidence_blocks``, ``tol_gap``, ``mu_min``, certificate
     ``dual_feas_residual``, ``in_cone`` and ``complementarity_residual``,
     and ``dual_point.tau`` keys of older reports are ignored, whatever
-    they hold.  An OracleExact or OracleFallback report claims the
-    enumerated optimum, so the oracle is re-run, at its one limit: the
-    objective may exceed its optimum by at most 1e-9*(1+|optimum|), and a
-    problem beyond that limit fails.
+    they hold, as is every other key not read here.  An OracleExact or
+    OracleFallback report claims the enumerated optimum, so the oracle is
+    re-run, at its one limit: the objective may exceed its optimum by at
+    most 1e-9*(1+|optimum|), and a problem beyond that limit fails.
     Returns (passed, failures).
 
     A report with a solver status that lacks its certificate or dual

@@ -12,7 +12,15 @@ from dvs import cli
 from dvs.errors import DimensionError, SchemaError
 from dvs.generator import GenSpec, generate
 from dvs.lift import lift
-from dvs.model import DiscreteQP, is_feasible, objective
+from dvs.model import (
+    NO_CERTIFICATE,
+    Certificate,
+    DiscreteQP,
+    DualPoint,
+    SolveReport,
+    is_feasible,
+    objective,
+)
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import (
     _parse_matrix,
@@ -154,15 +162,59 @@ def test_emit_lifted_matches_pinned_bytes(name):
 
 
 def test_emit_toy_solution_shape():
-    doc = json.loads(emit_toy_solution([2.0], -1.0, -1.0, 0.25))
+    data = emit_toy_solution([2.0], -1.0, -1.0, 0.25)
+    doc = json.loads(data)
     assert list(doc.keys()) == ["sigma1", "x", "primal_value", "dual_value"]
+    assert data == (b'{\n'
+                    b'  "sigma1": 0.25,\n'
+                    b'  "x": [2],\n'
+                    b'  "primal_value": -1,\n'
+                    b'  "dual_value": -1\n'
+                    b'}\n')
 
 
 def test_emit_oracle_report_shape():
-    doc = json.loads(emit_oracle_report([1.0, 2.0], -5.0, 3, 4, 0.01))
+    data = emit_oracle_report([1.0, 2.0], -5.0, 3, 4, 0.01)
+    doc = json.loads(data)
     assert doc["status"] == "OracleExact"
     assert doc["feasible_count"] == 3
     assert doc["total_count"] == 4
+    assert data == (b'{\n'
+                    b'  "version": "0.1.0",\n'
+                    b'  "status": "OracleExact",\n'
+                    b'  "x": [1, 2],\n'
+                    b'  "objective": -5,\n'
+                    b'  "feasible_count": 3,\n'
+                    b'  "total_count": 4,\n'
+                    b'  "seconds": 0.01\n'
+                    b'}\n')
+
+
+def test_emit_report_matches_pinned_bytes():
+    # A hand-built report, so the bytes do not depend on the solver: ints
+    # stay ints, floats keep 17 significant digits, non-finite numbers are
+    # strings, and nested objects and arrays sit on one line.
+    r = SolveReport(
+        x=np.array([1.0, -2.0]), objective=0.1 + 0.2,
+        certificate=Certificate(NO_CERTIFICATE, 1.0 / 3.0, math.inf),
+        dual_point=DualPoint(sigma=[0.0], mu=[1e-8, 0.5]),
+        iterations=7, status=NO_CERTIFICATE, solver_status="Converged",
+        trace=(-math.inf, math.nan), seconds=0.125)
+    head = (b'{\n'
+            b'  "version": "0.1.0",\n'
+            b'  "status": "NoCertificate",\n'
+            b'  "x": [1, -2],\n'
+            b'  "objective": 0.30000000000000004,\n'
+            b'  "certificate": {"status": "NoCertificate", '
+            b'"primal_feas_residual": 0.33333333333333331, '
+            b'"gap": "Infinity"},\n'
+            b'  "dual_point": {"sigma": [0], "mu": [1e-08, 0.5]},\n'
+            b'  "iterations": 7,\n'
+            b'  "solver_status": "Converged",\n'
+            b'  "seconds": 0.125')
+    assert emit_report(r) == head + b'\n}\n'
+    assert emit_report(r, include_trace=True) == (
+        head + b',\n  "trace": ["-Infinity", "NaN"]\n}\n')
 
 
 def test_parse_report_minimal_shape():
@@ -176,6 +228,11 @@ def test_check_passes_fresh_report(example1):
     report = emit_report(solve(example1))
     passed, failures = check(emit_problem(example1), report)
     assert passed, failures
+    # check reads only the keys it needs: keys it does not know, at the
+    # top level or in a nested object, leave the verdict alone.
+    doc = json.loads(report)
+    doc["foo"], doc["certificate"]["bar"], doc["dual_point"]["baz"] = 1, "x", []
+    assert check(emit_problem(example1), json.dumps(doc)) == (True, [])
 
 
 def test_check_passes_oracle_report(example1):
