@@ -13,6 +13,17 @@ any library RNG:
 * Doubles: the top 53 bits of each 64-bit output, scaled by 2^-53,
   giving uniforms in [0, 1).
 
+Drawing many values at once gives the same stream, in the same order, as
+drawing them one by one.  xorshift64 is linear over GF(2)^64, so L steps
+of it are one fixed 64x64 bit matrix T^L (Haramoto et al., "Efficient
+jump ahead for F2-linear random number generators", INFORMS J. Computing
+20(3), 2008).  A draw of count values takes its first L states from the
+scalar recurrence and every later block of L states by applying T^L to
+the block before it, lane by lane, as eight byte-lookup tables; L is the
+power of two nearest 9.5 sqrt(count), so a draw of at most 64 values (any
+instance with n <= 6 and m <= 3) runs the scalar recurrence alone.  The star
+step, the top 53 bits and the scaling then run on the whole array.
+
 Draw order is Q row-major (n*n draws), then A row-major (m*n), then c
 (n).  Q is symmetrized as (Q+Q')/2 and, unless dominance_boost is off,
 its diagonal is replaced by (row absolute sum - diagonal) + 1, which
@@ -24,6 +35,8 @@ A >= 0.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +46,48 @@ from .model import DiscreteQP
 _GOLDEN = 0x9E3779B97F4A7C15
 _STAR = 0x2545F4914F6CDD1D
 _MASK = (1 << 64) - 1
+
+
+def _step(x: int) -> int:
+    """One xorshift64 step on a state held as a Python int."""
+    x ^= x >> 12
+    x ^= (x << 25) & _MASK
+    return x ^ (x >> 27)
+
+
+def _lanes(count: int) -> int:
+    """L for a draw of ``count`` values: the power of two nearest
+    9.5 sqrt(count), which balances the scalar head against the jumps."""
+    return 1 << max(0, round(math.log2(9.5 * math.sqrt(max(count, 1)))))
+
+
+@functools.cache
+def _jump_tables(steps: int) -> np.ndarray:
+    """T^steps for a power of two ``steps`` as eight byte-lookup tables:
+    T^steps(x) is the XOR over bytes b of ``tables[b, byte b of x]``."""
+    if steps == 1:
+        cols = np.array([_step(1 << j) for j in range(64)], dtype=np.uint64)
+    else:
+        half = _jump_tables(steps // 2)
+        units = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        cols = _jump(half, _jump(half, units))
+    # cols[j] is the image of bit j; tables[b, v] is the XOR of the images
+    # of the bits 8b + i for the bits i set in v.
+    tables = np.zeros((8, 256), dtype=np.uint64)
+    for bit in range(8):
+        lo = 1 << bit
+        tables[:, lo:2 * lo] = tables[:, :lo] ^ cols[bit::8, None]
+    tables.flags.writeable = False
+    return tables
+
+
+def _jump(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Advance every state in ``states`` by the jump ``tables`` encode."""
+    octets = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = np.take(tables[0], octets[:, 0])
+    for b in range(1, 8):
+        out ^= np.take(tables[b], octets[:, b])
+    return out
 
 
 class XorShift64Star:
@@ -49,21 +104,33 @@ class XorShift64Star:
         self.state = s if s else _STAR
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK
-        x ^= x >> 27
-        self.state = x
-        return (x * _STAR) & _MASK
+        self.state = _step(self.state)
+        return (self.state * _STAR) & _MASK
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def fill(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
-        span = hi - lo
-        return np.array([[lo + span * self.uniform() for _ in range(cols)]
-                         for _ in range(rows)])
+    def draw(self, count: int, lo: float, hi: float) -> np.ndarray:
+        """The next ``count`` values ``lo + (hi - lo) * uniform()``, equal bit
+        for bit to drawing them one by one, as one array."""
+        lanes = _lanes(count)
+        x, head = self.state, []
+        for _ in range(min(lanes, count)):
+            x = _step(x)
+            head.append(x)
+        states = np.empty(count, dtype=np.uint64)
+        states[:len(head)] = head
+        if count > lanes:
+            tables = _jump_tables(lanes)
+            for start in range(lanes, count, lanes):
+                stop = min(start + lanes, count)
+                states[start:stop] = _jump(tables,
+                                           states[start - lanes:stop - lanes])
+            x = int(states[-1])
+        self.state = x
+        u = ((states * np.uint64(_STAR)) >> np.uint64(11)) * (1.0 / (1 << 53))
+        return lo + (hi - lo) * u
 
 
 @dataclass(frozen=True)
@@ -94,15 +161,15 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> DiscreteQP:
     """Draw one instance; deterministic for a given GenSpec."""
-    rng = XorShift64Star(spec.seed)
-    lo, hi = spec.coeff_range
-    Q = rng.fill(spec.n, spec.n, lo, hi)
+    n, m = spec.n, spec.m
+    u = XorShift64Star(spec.seed).draw(n * n + m * n + n, *spec.coeff_range)
+    Q = u[:n * n].reshape(n, n)
     Q = (Q + Q.T) / 2.0
     if spec.dominance_boost:
         d = np.abs(Q).sum(axis=1) - np.abs(np.diag(Q))
         np.fill_diagonal(Q, d + 1.0)
-    A = rng.fill(spec.m, spec.n, lo, hi)
-    c = rng.fill(1, spec.n, lo, hi)[0]
+    A = u[n * n:n * n + m * n].reshape(m, n)
+    c = u[n * n + m * n:]
     l_vec = np.full(spec.n, min(spec.value_set))
     u_vec = np.full(spec.n, max(spec.value_set))
     b = A @ l_vec + 0.5 * (A @ u_vec - A @ l_vec)

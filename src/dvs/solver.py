@@ -48,8 +48,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork, dtrtrs
 
 from .dual import eliminate_tau
 # Not called here; perfbench/tracing.py wraps these two names.
@@ -112,6 +112,21 @@ class AscentTrace:
         return len(self.values) - 1
 
 
+def _smallest_eigenvalue(a: np.ndarray) -> float:
+    """The smallest eigenvalue of an exactly symmetric, C-ordered matrix,
+    which is overwritten: LAPACK dsyevr on the lower triangle, as
+    ``scipy.linalg.eigvalsh(a, subset_by_index=(0, 0))`` computes it."""
+    lwork, liwork, _ = dsyevr_lwork(a.shape[0], lower=1)
+    # a's transpose is the same matrix in Fortran order, which dsyevr
+    # takes without a copy.
+    w, _, _, _, info = dsyevr(a.T, compute_v=0, range="I", il=1, iu=1,
+                              lower=1, lwork=int(lwork), liwork=liwork,
+                              overwrite_a=1)
+    if info:
+        raise LinAlgError(f"dsyevr failed with info = {info}")
+    return float(w[0])
+
+
 def initial_point(q: BinaryQP) -> DualPoint:
     """sigma = 0 and a uniform mu that makes G(mu) safely PD.
 
@@ -130,8 +145,7 @@ def initial_point(q: BinaryQP) -> DualPoint:
     sqs = q.Q * np.multiply.outer(s, s)
     if not (math.isfinite(b_norm) and np.isfinite(sqs).all()):
         raise ValueError(_OVERFLOW)
-    lam_min = float(eigvalsh(sqs, subset_by_index=(0, 0),
-                             check_finite=False)[0])
+    lam_min = _smallest_eigenvalue(sqs)
     if q.K > q.n:
         lam_min = min(0.0, lam_min)
     delta0 = 1e-3 * (1.0 + b_norm)

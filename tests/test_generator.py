@@ -1,9 +1,11 @@
 """Pinned-PRNG instance generation: bit-reproducibility and family rules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from dvs.generator import GenSpec, XorShift64Star, generate
+from dvs.generator import GenSpec, XorShift64Star, _lanes, generate
 from dvs.model import is_feasible
 
 _MASK = (1 << 64) - 1
@@ -57,6 +59,56 @@ def test_uniform_uses_top_53_bits():
         got = [rng.uniform() for _ in range(20)]
         assert got == expected
         assert all(0.0 <= v < 1.0 for v in got)
+
+
+@pytest.mark.parametrize("count, lanes", [
+    (1, 8), (127, 128), (128, 128), (129, 128),  # 1, L - 1, L, L + 1
+    (300, 128),     # two jumped blocks and a remainder of 44
+    (5000, 512),    # nine jumped blocks and a remainder of 392
+])
+def test_array_draw_matches_the_scalar_stream(count, lanes):
+    assert _lanes(count) == lanes
+    for seed, (lo, hi) in ((0, (0.0, 1.0)), (42, (-1.0, 1.0)),
+                           (2**63, (-3.5, 7.25))):
+        rng = XorShift64Star(seed)
+        got = rng.draw(count, lo, hi)
+        ref = reference_stream(seed, count + 3)
+        expected = [lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
+                    for u in ref[:count]]
+        assert got.dtype == np.float64 and got.tolist() == expected
+        # The scalar stream goes on where the array draw stopped.
+        assert [rng.next_u64() for _ in range(3)] == ref[count:]
+
+
+# sha256 of the bytes of Q, A, c and b, recorded with the one-value-at-a-
+# time generator that the array draw replaced.
+GOLDEN_SHA256 = [
+    (GenSpec(20, 5, 4262),
+     "4be21bb954883aead697c97bb901c9e76e44396297d1e3c54d67101d11a33c90"),
+    (GenSpec(50, 5, 4292),
+     "9d42fe6d06b9b2f6e5adbefd1b09780a3f4ec024da9755f6139df7d1808eb178"),
+    (GenSpec(100, 5, 4342),
+     "c7b33ee78248981fb4f1d4de96ba7325f78d29a741ab5e6a989105f6b33cfa9b"),
+    (GenSpec(300, 5, 4542),
+     "f0170c1a377d803db48009fe856f21db2627a7255c04ee9677fd4c3bf8ccbc7b"),
+    (GenSpec(1000, 5, 5242),
+     "9b6430f61d3b24b6c123cdf6ae29003e2f4c04f5d6977502c347350dd0b91436"),
+    (GenSpec(8, 2, 7000, (0.0, 1.0), coeff_range=(-1.0, 1.0),
+             dominance_boost=False),
+     "f9539cc7a8b2309c6f98d3f5848330afe3f9e53f7884bab483b0c1500575a11e"),
+    (GenSpec(6, 3, 11, coeff_range=(-1.0, 1.0)),
+     "92e15ee3b5b39972ff2b3c34f71c076df54f04d144e47812752c234a031849ca"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GOLDEN_SHA256, ids=[
+    f"n{s.n}-seed{s.seed}" for s, _ in GOLDEN_SHA256])
+def test_generate_matches_pinned_bytes(spec, digest):
+    p = generate(spec)
+    h = hashlib.sha256()
+    for a in (p.Q, p.A, p.c, p.b):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_generate_is_deterministic():

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dvs import dual, solver
 from dvs.dual import MU_MIN, eliminate_tau, factorize_g
@@ -20,6 +21,7 @@ from dvs.solver import (
     TERM_CONVERGED,
     TERM_MAX_ITER,
     AscentTrace,
+    _smallest_eigenvalue,
     initial_point,
     maximize_dual,
     round_binary,
@@ -57,6 +59,28 @@ def test_initial_point_is_interior(example1, example2):
         assert np.array_equal(d.sigma, np.zeros(q.m))
         assert np.all(d.mu >= MU_MIN)
         assert factorize_g(q, d.mu).positive_definite
+
+
+def test_initial_point_matches_eigvalsh_bit_for_bit():
+    # initial_point calls LAPACK dsyevr itself; lambda_min and mu0 must be
+    # what scipy.linalg.eigvalsh gives.  On the PD families mu0 does not
+    # depend on lambda_min (K > n clips it at 0); on the indefinite one it
+    # does.
+    problems = (criterion4_problems(200)
+                + [generate(GenSpec(n, 5, seed)) for n, seed in
+                   ((50, 4292), (50, 4293), (50, 4294), (300, 4242))]
+                + [indefinite(k) for k in range(120)])
+    for p in problems:
+        q = lift(p)
+        s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
+        sqs = q.Q * np.multiply.outer(s, s)
+        lam = scipy.linalg.eigvalsh(sqs, subset_by_index=(0, 0))[0]
+        assert _smallest_eigenvalue(sqs.copy()) == lam
+        au = np.abs(q.U_flat)
+        b_norm = (np.maximum.reduceat(au, q.starts)
+                  * (np.abs(q.Q) @ q.block_sums(au))).max()
+        mu0 = max(MU_MIN, 1e-3 * (1.0 + b_norm) - min(0.0, lam) / 2.0)
+        assert np.array_equal(initial_point(q).mu, np.full(q.K, mu0))
 
 
 def test_maximize_dual_reaches_reference_value(example1):
