@@ -13,9 +13,10 @@ the dual value on the cone is at most objective(z) + sigma'(Az - b) <=
 objective(z) for every feasible selection z, so none lies below it.
 
 The package exports only the quick-start entry points below; everything
-else is imported from its module (``dvs.model``, ``dvs.lift``,
-``dvs.dual``, ``dvs.solver``, ``dvs.oracle``, ``dvs.generator``,
-``dvs.toy``, ``dvs.serialize``, ``dvs.errors``, ``dvs.cli``).
+else is imported from its module (``dvs.model``, ``dvs.dual``,
+``dvs.solver``, ``dvs.oracle``, ``dvs.generator``, ``dvs.toy``,
+``dvs.serialize``, ``dvs.errors``, ``dvs.cli``; ``lift`` is in
+``dvs.model``).
 """
 
 __version__ = "0.1.0"

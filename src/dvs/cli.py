@@ -21,8 +21,7 @@ from pathlib import Path
 
 from .errors import DvsError
 from .generator import GenSpec, generate
-from .lift import lift
-from .model import CERTIFIED_GLOBAL
+from .model import CERTIFIED_GLOBAL, lift
 from .oracle import enumerate_discrete
 from .serialize import (
     check,

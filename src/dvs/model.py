@@ -176,6 +176,13 @@ class BinaryQP:
         return np.add.reduceat(v, self.starts)
 
 
+def lift(p: DiscreteQP) -> BinaryQP:
+    """The lifted 0-1 problem for ``p``: with y one-hot per block, x = M'y
+    turns 0.5 x'Qx - c'x into 0.5 y'By - h'y and Ax <= b into Dy <= b;
+    ``B``, ``H``, ``h`` and ``D`` are derived when first read."""
+    return BinaryQP(p)
+
+
 @dataclass(frozen=True)
 class DualPoint:
     """A point of the tau-eliminated dual: sigma for the Ax<=b rows, mu for

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionError, Infeasible, SchemaError, TooLarge
-from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
     NO_CERTIFICATE,
@@ -36,6 +35,7 @@ from .model import (
     DualPoint,
     SolveReport,
     is_feasible,
+    lift,
     objective,
 )
 from .oracle import enumerate_discrete

@@ -38,6 +38,12 @@ reports the rounded x at the final iterate, or the oracle's x when it
 falls back, each with its certificate at the ascent's final dual point
 (sigma, mu).  A dual value above the largest objective any selection can
 take proves the data infeasible, and the ascent stops there.
+
+The ascent starts at :func:`initial_point`'s one rule for value sets of
+any size, mu0 = max(MU_MIN, delta0 - min(0, lambda)/2) with lambda the
+smallest eigenvalue of S Q S: an O(n^2) Gershgorin row test shows
+lambda >= 0 where S Q S is diagonally dominant, and only where it fails
+does one eigensolve run.
 """
 
 from __future__ import annotations
@@ -48,14 +54,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork, dtrtrs
+from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dtrtrs
 
 from .dual import eliminate_tau
 # Not called here; perfbench/tracing.py wraps these two names.
 from .dual import factorize_g, recover_y  # noqa: F401
 from .errors import Infeasible
-from .lift import lift
 from .model import (
     CERTIFIED_GLOBAL,
     MU_MIN,
@@ -68,6 +73,7 @@ from .model import (
     DiscreteQP,
     DualPoint,
     SolveReport,
+    lift,
     objective,
 )
 from .oracle import enumerate_discrete
@@ -112,30 +118,20 @@ class AscentTrace:
         return len(self.values) - 1
 
 
-def _smallest_eigenvalue(a: np.ndarray) -> float:
-    """The smallest eigenvalue of an exactly symmetric, C-ordered matrix,
-    which is overwritten: LAPACK dsyevr on the lower triangle, as
-    ``scipy.linalg.eigvalsh(a, subset_by_index=(0, 0))`` computes it."""
-    lwork, liwork, _ = dsyevr_lwork(a.shape[0], lower=1)
-    # a's transpose is the same matrix in Fortran order, which dsyevr
-    # takes without a copy.
-    w, _, _, _, info = dsyevr(a.T, compute_v=0, range="I", il=1, iu=1,
-                              lower=1, lwork=int(lwork), liwork=liwork,
-                              overwrite_a=1)
-    if info:
-        raise LinAlgError(f"dsyevr failed with info = {info}")
-    return float(w[0])
-
-
 def initial_point(q: BinaryQP) -> DualPoint:
     """sigma = 0 and a uniform mu that makes G(mu) safely PD.
 
-    mu0 = max(MU_MIN, delta0 - lambda_min(B)/2) with delta0 =
-    1e-3 (1 + ||B||_inf) gives G(mu0) >= 2 delta0 I, inside the kernel's
-    cone, so the very first Cholesky attempt cannot fail.  Both come from n-level data: B = M Q M'
-    has the nonzero spectrum of S Q S, S^2 = diag(sum u^2) = M'M, plus
-    K - n zeros, and row k of |B| sums to |u_k| (|Q| M'|u|)_i.
-    Data for which ||B||_inf, S Q S or mu0 overflow doubles are a
+    mu0 = max(MU_MIN, delta0 - min(0, lambda)/2) with delta0 =
+    1e-3 (1 + ||B||_inf) and lambda the smallest eigenvalue of S Q S,
+    S^2 = diag(sum u^2) = M'M.  B = M Q M' has the nonzero spectrum of
+    S Q S plus K - n zeros, so min(0, lambda) <= lambda_min(B) whatever
+    the sizes of the value sets, and G(mu0) >= 2 delta0 I: inside the
+    kernel's cone, so the very first Cholesky attempt cannot fail.  Row k
+    of |B| sums to |u_k| (|Q| M'|u|)_i, so both come from n-level data.
+    min(0, lambda) is 0 whenever Gershgorin's row test shows S Q S
+    diagonally dominant, 2 (SQS)_ii >= sum_j |(SQS)_ij| for every i, an
+    O(n^2) pass; only where it fails does one ``eigvalsh`` call compute
+    lambda.  Data for which ||B||_inf, S Q S or mu0 overflow doubles are a
     ValueError; the caller decides whether the overflow warns.
     """
     au = np.abs(q.U_flat)
@@ -145,11 +141,11 @@ def initial_point(q: BinaryQP) -> DualPoint:
     sqs = q.Q * np.multiply.outer(s, s)
     if not (math.isfinite(b_norm) and np.isfinite(sqs).all()):
         raise ValueError(_OVERFLOW)
-    lam_min = _smallest_eigenvalue(sqs)
-    if q.K > q.n:
-        lam_min = min(0.0, lam_min)
+    lam = 0.0
+    if not (2.0 * sqs.diagonal() >= np.abs(sqs).sum(axis=1)).all():
+        lam = min(0.0, float(eigvalsh(sqs, subset_by_index=(0, 0))[0]))
     delta0 = 1e-3 * (1.0 + b_norm)
-    mu0 = max(MU_MIN, delta0 - lam_min / 2.0)
+    mu0 = max(MU_MIN, delta0 - lam / 2.0)
     if not math.isfinite(mu0):
         raise ValueError(_OVERFLOW)
     return DualPoint(sigma=np.zeros(q.m), mu=np.full(q.K, mu0))
@@ -277,7 +273,6 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     values = [-f]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
     termination = TERM_MAX_ITER
-    flat_steps = 0
     selection = first_gap = None
     for it in range(_MAX_ITER + 1):
         if -f > ceiling:
@@ -298,7 +293,10 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
                 break
-        if flat_steps >= _STALL_PATIENCE:
+        # Accepted steps never lower the dual value, so equal values
+        # _STALL_PATIENCE steps apart mean that many exactly flat steps.
+        if (it >= _STALL_PATIENCE
+                and values[-1] == values[-1 - _STALL_PATIENCE]):
             termination = TERM_STALL
             break
         if it == _MAX_ITER:
@@ -346,7 +344,6 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             break
 
         w_try, (f_try, g_try, y_try) = accepted
-        flat_steps = 0 if f_try < f else flat_steps + 1
         s_v = w_try - w
         y_v = g_try - g
         # A frozen coordinate takes no step (w_try = w = lb there): its

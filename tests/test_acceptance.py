@@ -14,8 +14,7 @@ import pytest
 from dvs.dual import dual_value, in_dual_cone, dual_gradient
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.lift import lift
-from dvs.model import DualPoint
+from dvs.model import DualPoint, lift
 from dvs.oracle import enumerate_binary, enumerate_discrete
 from dvs.serialize import emit_oracle_report, emit_report, emit_toy_solution
 from dvs.solver import initial_point, solve

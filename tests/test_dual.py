@@ -20,8 +20,7 @@ from dvs.dual import (
 )
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.lift import lift
-from dvs.model import DiscreteQP, DualPoint, objective
+from dvs.model import DiscreteQP, DualPoint, lift, objective
 from dvs.oracle import enumerate_discrete
 from dvs.solver import initial_point, verify_kkt
 
@@ -352,6 +351,46 @@ def test_dual_gradient_matches_finite_differences(example1):
             fd[i] = (value_at(wp) - value_at(wm)) / (2.0 * h)
         rel = np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))
         assert rel.max() <= 1e-5
+
+
+def test_eliminate_tau_gradient_matches_finite_differences():
+    # The (sigma, mu)-gradient of -P_dual that eliminate_tau writes into
+    # grad, the one the ascent follows, against central differences of its
+    # value at interior points: sigma > 0 and mu above the start point.
+    rng = np.random.default_rng(17)
+    value_sets = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
+    problems = [(generate(GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
+                                  value_set=value_sets[k % 4])), 5)
+                for k in range(1, 31)]
+    problems += [(generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
+                                   coeff_range=(-1.0, 1.0),
+                                   dominance_boost=False)), 5)
+                 for k in range(20)]
+    problems.append((generate(GenSpec(20, 5, 4262)), 10))
+    points = 0
+    for p, count in problems:
+        q = lift(p)
+        base = initial_point(q).mu
+        for _ in range(count):
+            w0 = np.concatenate([rng.random(q.m),
+                                 base * (1.0 + rng.random(q.K))])
+            grad = np.empty_like(w0)
+            assert eliminate_tau(q, w0[:q.m], w0[q.m:], grad=grad) is not None
+
+            def value_at(w):
+                return -eliminate_tau(q, w[:q.m], w[q.m:])[0]
+
+            fd = np.empty_like(w0)
+            for i in range(w0.size):
+                h = 1e-6 * max(1.0, abs(w0[i]))
+                wp, wm = w0.copy(), w0.copy()
+                wp[i] += h
+                wm[i] -= h
+                fd[i] = (value_at(wp) - value_at(wm)) / (2.0 * h)
+            rel = np.abs(fd - grad) / np.maximum(1.0, np.abs(grad))
+            assert rel.max() <= 1e-6
+            points += 1
+    assert points == 260
 
 
 def test_weak_duality_sampling(example1):

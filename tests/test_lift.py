@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from dvs.lift import lift
-from dvs.model import DiscreteQP, objective
+from dvs.model import DiscreteQP, lift, objective
 
 
 def test_lift_shapes_and_structure(example1):

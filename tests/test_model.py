@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from dvs.errors import DimensionError
-from dvs.lift import lift
 from dvs.model import (
     Certificate,
     DiscreteQP,
     DualPoint,
     is_feasible,
+    lift,
     objective,
 )
 

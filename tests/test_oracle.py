@@ -5,8 +5,7 @@ import pytest
 
 from dvs import oracle
 from dvs.errors import Infeasible, TooLarge
-from dvs.lift import lift
-from dvs.model import DiscreteQP
+from dvs.model import DiscreteQP, lift
 from dvs.oracle import enumerate_binary, enumerate_discrete
 
 

@@ -11,7 +11,6 @@ import pytest
 from dvs import cli
 from dvs.errors import DimensionError, SchemaError
 from dvs.generator import GenSpec, generate
-from dvs.lift import lift
 from dvs.model import (
     NO_CERTIFICATE,
     Certificate,
@@ -19,6 +18,7 @@ from dvs.model import (
     DualPoint,
     SolveReport,
     is_feasible,
+    lift,
     objective,
 )
 from dvs.oracle import enumerate_discrete

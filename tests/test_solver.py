@@ -12,16 +12,22 @@ from dvs import dual, solver
 from dvs.dual import MU_MIN, eliminate_tau, factorize_g
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.lift import lift
-from dvs.model import TOL_GAP, BinaryQP, DiscreteQP, DualPoint, objective
+from dvs.model import (
+    TOL_GAP,
+    BinaryQP,
+    DiscreteQP,
+    DualPoint,
+    lift,
+    objective,
+)
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import (
     TERM_CERTIFIED,
     TERM_CONVERGED,
     TERM_MAX_ITER,
+    TERM_STALL,
     AscentTrace,
-    _smallest_eigenvalue,
     initial_point,
     maximize_dual,
     round_binary,
@@ -61,26 +67,69 @@ def test_initial_point_is_interior(example1, example2):
         assert factorize_g(q, d.mu).positive_definite
 
 
+def single_value_problems():
+    """Problems whose every value set holds one value, with a PD, an
+    indefinite and a negative definite Q, and a lone {0}: K = n, and
+    y = 1 whatever mu."""
+    rng = np.random.default_rng(23)
+    for shift in (4.0, 0.0, -4.0):
+        Q = rng.uniform(-1.0, 1.0, (4, 4)) + shift * np.eye(4)
+        yield DiscreteQP(Q=Q, c=rng.uniform(-1.0, 1.0, 4), A=np.ones((1, 4)),
+                         b=[10.0], U=[[2.0], [-1.0], [0.0], [3.0]])
+
+
+def start_rule_mu0(q):
+    """mu0 by the rule, with lambda from scipy.linalg.eigvalsh."""
+    s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
+    sqs = q.Q * np.multiply.outer(s, s)
+    lam = scipy.linalg.eigvalsh(sqs, subset_by_index=(0, 0))[0]
+    au = np.abs(q.U_flat)
+    b_norm = (np.maximum.reduceat(au, q.starts)
+              * (np.abs(q.Q) @ q.block_sums(au))).max()
+    return max(MU_MIN, 1e-3 * (1.0 + b_norm) - min(0.0, lam) / 2.0)
+
+
 def test_initial_point_matches_eigvalsh_bit_for_bit():
-    # initial_point calls LAPACK dsyevr itself; lambda_min and mu0 must be
-    # what scipy.linalg.eigvalsh gives.  On the PD families mu0 does not
-    # depend on lambda_min (K > n clips it at 0); on the indefinite one it
-    # does.
+    # mu0 is the one rule of initial_point, max(MU_MIN, delta0 -
+    # min(0, lambda_min(S Q S)) / 2), for every value-set shape: on the
+    # PD families mu0 does not depend on lambda_min, on the indefinite one
+    # and the indefinite single-value problems it does.
     problems = (criterion4_problems(200)
                 + [generate(GenSpec(n, 5, seed)) for n, seed in
                    ((50, 4292), (50, 4293), (50, 4294), (300, 4242))]
-                + [indefinite(k) for k in range(120)])
+                + [indefinite(k) for k in range(120)]
+                + list(single_value_problems()))
     for p in problems:
         q = lift(p)
-        s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
-        sqs = q.Q * np.multiply.outer(s, s)
-        lam = scipy.linalg.eigvalsh(sqs, subset_by_index=(0, 0))[0]
-        assert _smallest_eigenvalue(sqs.copy()) == lam
-        au = np.abs(q.U_flat)
-        b_norm = (np.maximum.reduceat(au, q.starts)
-                  * (np.abs(q.Q) @ q.block_sums(au))).max()
-        mu0 = max(MU_MIN, 1e-3 * (1.0 + b_norm) - min(0.0, lam) / 2.0)
+        mu0 = start_rule_mu0(q)
         assert np.array_equal(initial_point(q).mu, np.full(q.K, mu0))
+
+
+def test_initial_point_decides_dominant_data_without_an_eigensolve(
+        monkeypatch, example1, example2):
+    # Gershgorin's row test shows S Q S diagonally dominant on every
+    # dominance-boosted family and both fixtures, so no eigenvalue is
+    # computed there; the indefinite family still needs one each.
+    def refuse(*args, **kwargs):
+        raise AssertionError("initial_point computed an eigenvalue")
+
+    monkeypatch.setattr(solver, "eigvalsh", refuse)
+    for p in (criterion4_problems(200)
+              + [generate(GenSpec(n, 5, 4242 + n)) for n in (20, 50, 100, 300)]
+              + [example1, example2]):
+        q = lift(p)
+        assert np.array_equal(initial_point(q).mu,
+                              np.full(q.K, start_rule_mu0(q)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scipy.linalg.eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "eigvalsh", counted)
+    for k in range(5):
+        initial_point(lift(indefinite(k)))
+    assert len(calls) == 5
 
 
 def test_maximize_dual_reaches_reference_value(example1):
@@ -106,6 +155,18 @@ def test_max_iter_is_honoured(example1, monkeypatch):
     _, trace = maximize_dual(q)
     assert trace.termination == TERM_MAX_ITER
     assert trace.iterations == 3
+
+
+def test_ascent_stalls_after_fifty_exactly_flat_steps():
+    # These indefinite instances end on the flat-step rule: the ascent
+    # stops at the first iterate whose dual value equals the value 50
+    # accepted steps before it, and values never decrease, so the last
+    # 51 values are equal and the one before them is lower.
+    for k in (1, 4, 6):
+        _, trace = maximize_dual(lift(indefinite(k)))
+        v = trace.values
+        assert trace.termination == TERM_STALL
+        assert len(set(v[-51:])) == 1 and v[-52] < v[-1]
 
 
 def test_ascent_trace_iteration_count():
