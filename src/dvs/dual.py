@@ -34,12 +34,6 @@ M'y = x: y'G y = x'Q x + sum 2 mu y^2, and per block the least
 sum 2 mu y^2 subject to sum y = 0, sum u y = x_i is x_i^2 / V_i (at
 y = x_i rd du / V_i).  So G|ker H is PD iff Q + diag(1/V) is, and G(mu)
 PD implies it, never the other way round.
-
-The n-by-n matrix I + S Q S is formed and factored in place in a
-workspace the caller may pass: the ascent allocates one per solve and
-reuses it for every evaluation, ``dvs check`` lets its single call
-allocate.  The workspace holds nothing between calls, so reusing it
-changes no result bit.
 """
 
 from __future__ import annotations
@@ -53,22 +47,16 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .model import MU_MIN, BinaryQP, DualPoint
 
 
-def _cholesky(Q: np.ndarray, s: np.ndarray, work: np.ndarray = None):
+def _cholesky(Q: np.ndarray, s: np.ndarray):
     """The lower Cholesky factor of I + diag(s) Q diag(s), or None when that
-    matrix is not positive definite.
-
-    The matrix is formed and factored in place in ``work``, an n-by-n
-    C-ordered array that is overwritten (a fresh one when None); the factor
-    returned is a view of it.
-    """
-    if work is None:
-        work = np.empty_like(Q)
-    np.multiply(s[:, None], s, out=work)
-    work *= Q
-    work.flat[::work.shape[0] + 1] += 1.0
-    # work is symmetric, so its transpose is the same matrix in Fortran
-    # order, which dpotrf factors without a copy.
-    cho, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
+    matrix is not positive definite; the matrix is formed in a new array
+    and factored in place."""
+    a = np.multiply(s[:, None], s)
+    a *= Q
+    a.flat[::a.shape[0] + 1] += 1.0
+    # a is symmetric, so its transpose is the same matrix in Fortran order,
+    # which dpotrf factors without a copy.
+    cho, info = dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     return cho if info == 0 else None
 
 
@@ -117,16 +105,11 @@ def recover_y(fact: GFactorization, F: np.ndarray) -> np.ndarray:
     return fact.solve(np.asarray(F, dtype=float))
 
 
-def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray,
-                  work: np.ndarray = None, grad: np.ndarray = None):
+def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
     """Maximize P_dual over tau at fixed (sigma, mu).
 
     Returns (P_dual, y, tau) at the optimal tau, or None off the cone: some
-    mu_k <= 0, or Q + diag(1/V) not PD.  ``work`` is the n-by-n array the
-    Cholesky factor is formed in (see :func:`_cholesky`); the caller owns
-    it, and y and tau never alias it.  When ``grad``, an (m + K)-array, is
-    given it receives the (sigma, mu)-gradient of -P_dual,
-    (b - D y, -y * (y - 1)); off the cone its contents are undefined.
+    mu_k <= 0, or Q + diag(1/V) not PD.
     """
     mu = np.asarray(mu, dtype=float)
     if not mu.min() > 0.0:
@@ -137,7 +120,7 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray,
     du = u - ubar[at]
     rdu = rd * du
     sv = np.sqrt(np.add.reduceat(rdu * du, starts))
-    cho = _cholesky(q.Q, sv, work)
+    cho = _cholesky(q.Q, sv)
     if cho is None:
         return None
     cc = ubar + 0.5 * np.add.reduceat(du, starts)
@@ -153,11 +136,7 @@ def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray,
     alpha = (q.alpha_base - beta * np.add.reduceat(rdu, starts)) / e
     y = 0.5 + (alpha[at] + beta[at] * du) * rd
     tau = beta * ubar - alpha
-    yy = np.multiply(y, y - 1.0, out=None if grad is None else grad[q.m:])
-    value = 0.5 * (x @ Qx) - gamma @ x + mu @ yy - sigma @ q.b
-    if grad is not None:
-        np.subtract(q.b, q.D @ y, out=grad[:q.m])
-        np.negative(yy, out=yy)
+    value = 0.5 * (x @ Qx) - gamma @ x + mu @ (y * (y - 1.0)) - sigma @ q.b
     return value, y, tau
 
 

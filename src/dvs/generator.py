@@ -13,16 +13,17 @@ any library RNG:
 * Doubles: the top 53 bits of each 64-bit output, scaled by 2^-53,
   giving uniforms in [0, 1).
 
-Drawing many values at once gives the same stream, in the same order, as
-drawing them one by one.  xorshift64 is linear over GF(2)^64, so L steps
-of it are one fixed 64x64 bit matrix T^L (Haramoto et al., "Efficient
-jump ahead for F2-linear random number generators", INFORMS J. Computing
-20(3), 2008).  A draw of count values takes its first L states from the
-scalar recurrence and every later block of L states by applying T^L to
-the block before it, lane by lane, as eight byte-lookup tables; L is the
-power of two nearest 9.5 sqrt(count), so a draw of at most 64 values (any
-instance with n <= 6 and m <= 3) runs the scalar recurrence alone.  The star
-step, the top 53 bits and the scaling then run on the whole array.
+A draw of count values gives, in order, the doubles of the next count
+steps of the scalar recurrence x <- xorshift64(x).  xorshift64 is linear
+over GF(2)^64, so L steps of it are one fixed 64x64 bit matrix T^L
+(Haramoto et al., "Efficient jump ahead for F2-linear random number
+generators", INFORMS J. Computing 20(3), 2008).  A draw takes its first
+L states from the scalar recurrence and every later block of L states by
+applying T^L to the block before it, lane by lane, as eight byte-lookup
+tables; L is the power of two nearest 9.5 sqrt(count), so a draw of at
+most 64 values (any instance with n <= 6 and m <= 3) runs the scalar
+recurrence alone.  The star step, the top 53 bits and the scaling then
+run on the whole array.
 
 Draw order is Q row-major (n*n draws), then A row-major (m*n), then c
 (n).  Q is symmetrized as (Q+Q')/2 and, unless dominance_boost is off,
@@ -103,17 +104,9 @@ class XorShift64Star:
             s = z ^ (z >> 31)
         self.state = s if s else _STAR
 
-    def next_u64(self) -> int:
-        self.state = _step(self.state)
-        return (self.state * _STAR) & _MASK
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def draw(self, count: int, lo: float, hi: float) -> np.ndarray:
-        """The next ``count`` values ``lo + (hi - lo) * uniform()``, equal bit
-        for bit to drawing them one by one, as one array."""
+        """The next ``count`` doubles u of the stream, each in [0, 1), as
+        the array of ``lo + (hi - lo) * u``."""
         lanes = _lanes(count)
         x, head = self.state, []
         for _ in range(min(lanes, count)):

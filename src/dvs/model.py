@@ -66,7 +66,9 @@ class DiscreteQP:
         n = Q.shape[0]
         if n == 0:
             raise ValueError("n = 0: the problem has no variables")
-        Q = _freeze((Q + Q.T) / 2.0)
+        # The symmetrized Q is a new array, so it is frozen without a copy.
+        Q = (Q + Q.T) / 2.0
+        Q.flags.writeable = False
         c = _freeze(np.asarray(self.c, dtype=float))
         _check_shape("c", c, (n,))
         A = np.asarray(self.A, dtype=float)

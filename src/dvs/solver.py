@@ -13,14 +13,12 @@ feasibility before ascent.  As in L-BFGS-B (Byrd, Lu, Nocedal & Zhu,
 SIAM J. Sci. Comput. 16, 1995) the curvature pairs model the free
 coordinates only: a pair's y is 0 on the coordinates the step held at
 their bound.  A trial on the cone that fails the Armijo test shortens
-the step to the minimizer of the quadratic through the current value,
+the step to the maximizer of the quadratic through the current value,
 the slope and the failed value (Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
 failed step, so the value that trial cost is not thrown away; a trial
 off the cone, or with a value that is not finite, halves it.
-One ascent owns one n-by-n Cholesky workspace, which every evaluation
-overwrites, so a step does not allocate the n-by-n matrix, and keeps its
-curvature pairs in buffers of the memory size.
+The ascent keeps its curvature pairs in buffers of the memory size.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its feasibility, gap and status rules,
@@ -151,16 +149,11 @@ def initial_point(q: BinaryQP) -> DualPoint:
     return DualPoint(sigma=np.zeros(q.m), mu=np.full(q.K, mu0))
 
 
-def _evaluate(q: BinaryQP, w: np.ndarray, work: np.ndarray):
-    """(f, grad, y) at w = (sigma, mu): f = -P_dual at the optimal tau, grad
-    its gradient, y the selector; None off the cone (infeasible trial
-    point).  ``work`` is the ascent's Cholesky workspace."""
-    grad = np.empty_like(w)
-    res = eliminate_tau(q, w[:q.m], w[q.m:], work, grad)
-    if res is None:
-        return None
-    value, y, _ = res
-    return -value, grad, y
+def _gradient(q: BinaryQP, y: np.ndarray) -> np.ndarray:
+    """The (sigma, mu)-gradient of P_dual at the optimal tau, whose
+    selector is y: (D y - b, y * (y - 1)), the sigma and mu part of
+    :func:`dvs.dual.dual_gradient`."""
+    return np.concatenate([q.D @ y - q.b, y * (y - 1.0)])
 
 
 class _LBFGSMemory:
@@ -172,9 +165,12 @@ class _LBFGSMemory:
     Gram matrix Y Y' on the same rows and columns, each updated by one
     matrix-vector product per pair.  A full memory drops its oldest pair
     by shifting every row, and every column of ``R`` and ``YY``, up one.
-    Setting ``k = 0`` clears the memory.  ``apply`` computes the L-BFGS
-    inverse-Hessian product with H0 = gamma I, gamma = s'y / y'y of the
-    newest pair — the direction of the two-loop recursion, in a fixed
+    Setting ``k = 0`` clears the memory.  The ascent stores y = g - g_try,
+    the fall of the gradient of P_dual along s, so s'y > 0 where P_dual is
+    concave and H models the inverse of -hess P_dual, which is PD;
+    ``apply(g)`` is then an ascent direction.  ``apply`` computes the
+    L-BFGS inverse-Hessian product with H0 = gamma I, gamma = s'y / y'y of
+    the newest pair — the direction of the two-loop recursion, in a fixed
     handful of BLAS calls.
     """
 
@@ -218,21 +214,23 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
 
     The L-BFGS direction comes from the compact representation of the
     last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
-    1994); a non-descent direction clears the memory and falls back to
-    steepest ascent.  A coordinate at its bound whose gradient pushes
-    outward is frozen: the direction and so the step s are 0 there, and
-    the stored pair (s, y) has y = 0 there too.  The gradient change of a
-    coordinate the step held fixed is no curvature along the step; left
-    in y it would enter y'y, the scale gamma = s'y / y'y and the products
-    with other pairs, whose s may be nonzero there (s'y itself does not
-    change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) likewise keeps its
+    1994), each pair storing y = g - g_try, the fall of the gradient along
+    the step s; a direction d with g'd <= 0 clears the memory and falls
+    back to steepest ascent.  A coordinate at its bound whose gradient
+    pushes outward (g < 0) is frozen: the direction and so the step s are
+    0 there, and the stored pair (s, y) has y = 0 there too.  The
+    gradient change of a coordinate the step held fixed is no curvature
+    along the step; left in y it would enter y'y, the scale
+    gamma = s'y / y'y and the products with other pairs, whose s may be
+    nonzero there (s'y itself does not change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) likewise keeps its
     model on the free variables.  The Armijo backtracking starts at the
-    unit step; after a failed trial on the cone with a finite value it
-    multiplies the step by the minimizer t* = -dg / (2 (f_try - f - dg))
-    of the quadratic through the value f, the slope dg along the trial
-    and the trial value f_try (in the minimized form f = -P_dual), clamped
-    to [0.1, 0.5], and after a trial off the cone or with a value that is
-    not finite it halves the step.  Every accepted iterate stays on the cone of
+    unit step and accepts a trial with v_try >= v + 1e-4 dg, where v is
+    the dual value and dg = g'(w_try - w) > 0 the slope along the trial.
+    After a failed trial on the cone with a finite value it multiplies
+    the step by the maximizer t* = dg / (2 (dg - (v_try - v))) of the
+    quadratic through v, dg and v_try, clamped to [0.1, 0.5], and after a
+    trial off the cone or with a value that is not finite it halves the
+    step.  Every accepted iterate stays on the cone of
     :func:`dvs.dual.eliminate_tau` and never decreases the dual value; the
     trace records the dual value of the initial point and of each
     accepted step, and carries the rounded x and its certificate at the
@@ -254,13 +252,12 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     ascent raises :class:`dvs.errors.Infeasible` there.
     """
     m, K = q.m, q.K
-    # The Cholesky workspace of every evaluation of this ascent; it is not
-    # kept on q, which other solves may share.
-    work = np.empty((q.n, q.n))
     with np.errstate(over="ignore", invalid="ignore"):
         start = initial_point(q)
         w = np.concatenate([start.sigma, start.mu])
-        res = _evaluate(q, w, work)
+        res = eliminate_tau(q, start.sigma, start.mu)
+        if res is not None:
+            g = _gradient(q, res[1])
         # An overflowing or NaN top makes the comparison below never fire.
         a = np.maximum.reduceat(np.abs(q.U_flat), q.starts)
         top = 0.5 * (a @ np.abs(q.Q) @ a) + np.abs(q.c) @ a
@@ -268,28 +265,28 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
         raise ValueError(_OVERFLOW)
     ceiling = top + TOL_GAP * (1.0 + abs(top))
     lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
-    f, g, y = res
+    v, y, _ = res
     evaluations, rejections, resets = 1, 0, 0
-    values = [-f]
+    values = [v]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
     termination = TERM_MAX_ITER
     selection = first_gap = None
     for it in range(_MAX_ITER + 1):
-        if -f > ceiling:
+        if v > ceiling:
             raise Infeasible(f"no selection satisfies Ax <= b: the dual "
-                             f"value {-f:.6g} exceeds {top:.6g}, the "
+                             f"value {v:.6g} exceeds {top:.6g}, the "
                              f"largest objective of any selection")
-        # Only an x whose objective meets the dual value -f can certify;
+        # Only an x whose objective meets the dual value v can certify;
         # the objective is recomputed only when the rounded x changes.
         x_it = round_binary(y, q)
         if x_it.tobytes() != selection:
             x, selection = x_it, x_it.tobytes()
             value = objective(q, x)
         cert = None
-        if abs(value + f) <= TOL_GAP * (1.0 + abs(value)):
+        if abs(value - v) <= TOL_GAP * (1.0 + abs(value)):
             if first_gap is None:
                 first_gap = it
-            cert = certify(q, x, w[:m], w[m:], -f)
+            cert = certify(q, x, w[:m], w[m:], v)
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
                 break
@@ -303,21 +300,20 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             break
         # Bound-active coordinates whose gradient pushes outward are
         # frozen; the rest of the gradient, r, is the projected gradient.
-        frozen = (w <= lb) & (g > 0)
+        frozen = (w <= lb) & (g < 0)
         r = np.where(frozen, 0.0, g)
         pg_norm = float(np.abs(r).max())
         if pg_norm <= _TOL_GRAD:
             termination = TERM_CONVERGED
             break
-        if it % 50 == 0:
-            log.debug("iter %d dual=%.12g pg=%.3e", it, -f, pg_norm)
+        log.debug("iter %d dual=%.12g pg=%.3e", it, v, pg_norm)
 
         # L-BFGS on the free coordinates.
-        direction = -np.where(frozen, 0.0, memory.apply(r))
-        if g @ direction >= 0.0:
+        direction = np.where(frozen, 0.0, memory.apply(r))
+        if g @ direction <= 0.0:
             memory.k = 0
             resets += 1
-            direction = -memory.apply(r)
+            direction = memory.apply(r)
 
         step = 1.0
         accepted = None
@@ -325,45 +321,46 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             w_try = np.maximum(w + step * direction, lb)
             dg = g @ (w_try - w)
             shrink = 0.5
-            if dg < 0.0:
-                res = _evaluate(q, w_try, work)
+            if dg > 0.0:
+                res = eliminate_tau(q, w_try[:m], w_try[m:])
                 evaluations += 1
                 if res is None:
                     rejections += 1
-                elif res[0] <= f + _ARMIJO_C1 * dg:
+                elif res[0] >= v + _ARMIJO_C1 * dg:
                     accepted = (w_try, res)
                     break
                 elif math.isfinite(res[0]):
-                    # The minimizer of the quadratic through f, the slope
+                    # The maximizer of the quadratic through v, the slope
                     # dg and the failed value, as a fraction of this step.
-                    shrink = min(max(-dg / (2.0 * (res[0] - f - dg)),
+                    shrink = min(max(dg / (2.0 * (dg - (res[0] - v))),
                                      _BACKTRACK_MIN), _BACKTRACK_MAX)
             step *= shrink
         if accepted is None:
             termination = TERM_STALL
             break
 
-        w_try, (f_try, g_try, y_try) = accepted
+        w_try, (v_try, y_try, _) = accepted
+        g_try = _gradient(q, y_try)
         s_v = w_try - w
-        y_v = g_try - g
+        y_v = g - g_try
         # A frozen coordinate takes no step (w_try = w = lb there): its
         # gradient change is curvature outside the free subspace.
         y_v[frozen] = 0.0
         curv = s_v @ y_v
         if curv > 1e-12 * math.sqrt(s_v @ s_v) * math.sqrt(y_v @ y_v):
             memory.append(s_v, y_v)
-        w, f, g, y = w_try, f_try, g_try, y_try
-        values.append(-f)
+        w, v, g, y = w_try, v_try, g_try, y_try
+        values.append(v)
 
     log.info("dual ascent: %s after %d iterations, gap first met at "
              "iteration %s, dual=%.12g, %d dual evaluations, %d cone "
              "rejections, %d L-BFGS resets", termination, len(values) - 1,
-             "none" if first_gap is None else first_gap, -f, evaluations,
+             "none" if first_gap is None else first_gap, v, evaluations,
              rejections, resets)
     # Every exit leaves x, and cert when it was computed, at the final
     # iterate.
     if cert is None:
-        cert = certify(q, x, w[:m], w[m:], -f)
+        cert = certify(q, x, w[:m], w[m:], v)
     return (DualPoint(sigma=w[:m], mu=w[m:]),
             AscentTrace(values=tuple(values), termination=termination, x=x,
                         certificate=cert))

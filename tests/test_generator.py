@@ -36,29 +36,35 @@ def reference_stream(seed, count):
     return out
 
 
+def reference_uniforms(seed, count):
+    """The doubles of the reference stream: the top 53 bits, scaled."""
+    return [(u >> 11) * 2.0 ** -53 for u in reference_stream(seed, count)]
+
+
 def test_stream_matches_independent_implementation():
     for seed in (0, 1, 42, 123456789, 2**63):
         rng = XorShift64Star(seed)
-        assert [rng.next_u64() for _ in range(50)] == reference_stream(seed, 50)
+        assert rng.draw(50, 0.0, 1.0).tolist() == reference_uniforms(seed, 50)
 
 
 def test_stream_golden_values():
-    rng = XorShift64Star(0)
-    assert rng.next_u64() == 8439743556365901464
-    rng = XorShift64Star(1)
-    assert rng.next_u64() == 1785063901177896925
-    rng = XorShift64Star(42)
-    assert [rng.next_u64() for _ in range(3)] == [
-        17119605561945446605, 17024073657157633461, 7681490484071380900]
+    for seed, golden in ((0, [8439743556365901464]),
+                         (1, [1785063901177896925]),
+                         (42, [17119605561945446605, 17024073657157633461,
+                               7681490484071380900])):
+        got = XorShift64Star(seed).draw(len(golden), 0.0, 1.0)
+        assert got.tolist() == [(u >> 11) * 2.0 ** -53 for u in golden]
 
 
 def test_uniform_uses_top_53_bits():
     for seed in (0, 7):
-        expected = [(u >> 11) * 2.0 ** -53 for u in reference_stream(seed, 20)]
         rng = XorShift64Star(seed)
-        got = [rng.uniform() for _ in range(20)]
-        assert got == expected
+        got = rng.draw(20, 0.0, 1.0).tolist()
+        assert got == reference_uniforms(seed, 20)
         assert all(0.0 <= v < 1.0 for v in got)
+        # A second draw goes on where the first stopped.
+        assert (rng.draw(5, 0.0, 1.0).tolist()
+                == reference_uniforms(seed, 25)[20:])
 
 
 @pytest.mark.parametrize("count, lanes", [
@@ -72,12 +78,11 @@ def test_array_draw_matches_the_scalar_stream(count, lanes):
                            (2**63, (-3.5, 7.25))):
         rng = XorShift64Star(seed)
         got = rng.draw(count, lo, hi)
-        ref = reference_stream(seed, count + 3)
-        expected = [lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
-                    for u in ref[:count]]
+        ref = reference_uniforms(seed, count + 3)
+        expected = [lo + (hi - lo) * u for u in ref[:count]]
         assert got.dtype == np.float64 and got.tolist() == expected
-        # The scalar stream goes on where the array draw stopped.
-        assert [rng.next_u64() for _ in range(3)] == ref[count:]
+        # The stream goes on where the array draw stopped.
+        assert rng.draw(3, 0.0, 1.0).tolist() == ref[count:]
 
 
 # sha256 of the bytes of Q, A, c and b, recorded with the one-value-at-a-

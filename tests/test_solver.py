@@ -144,9 +144,31 @@ def test_maximize_dual_reaches_reference_value(example1):
 
 
 def test_trace_is_monotone_nondecreasing(example1, example2):
-    for p in (example1, example2):
+    # The indefinite instances backtrack far more than the examples, and
+    # end on each of the three rules that leave the ascent uncertified:
+    # k = 0 on a failed line search after 290 cone rejections, k = 1 on
+    # 50 exactly flat steps, k = 19 converged.
+    ends = {0: TERM_STALL, 1: TERM_STALL, 19: TERM_CONVERGED}
+    for k, end in ends.items():
+        _, trace = maximize_dual(lift(indefinite(k)))
+        assert trace.termination == end
+        assert all(b >= a for a, b in zip(trace.values, trace.values[1:]))
+    for p in [example1, example2] + criterion4_problems(20):
         values = maximize_dual(lift(p))[1].values
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_trace_log_level_logs_every_iteration(example1, caplog):
+    # DVS_LOG=trace is DEBUG: one "iter <i>" record for each iteration
+    # that tried a step, which for a certified ascent is every iteration
+    # before the certifying one.
+    with caplog.at_level("DEBUG", logger="dvs.solver"):
+        _, trace = maximize_dual(lift(example1))
+    assert trace.termination == TERM_CERTIFIED and trace.iterations > 1
+    logged = [int(match.group(1)) for match in
+              (re.match(r"iter (\d+) dual=", rec.getMessage())
+               for rec in caplog.records) if match]
+    assert logged == list(range(trace.iterations))
 
 
 def test_max_iter_is_honoured(example1, monkeypatch):
@@ -387,39 +409,44 @@ def test_ascent_log_reports_the_first_gap_iteration(example1, monkeypatch,
 
 def scripted_line_search(monkeypatch, problem, script):
     """The trial steps of the first line search of ``problem``'s ascent
-    with the dual evaluation stubbed.
+    with the dual evaluation and its gradient stubbed.
 
-    The start point gets the value 0 and the gradient -0.1 everywhere, so
+    The start point gets the value 0 and the gradient 0.1 everywhere, so
     the first direction is +0.1 everywhere and no trial is projected.
     Trial k answers by ``script[k]``: None leaves the cone, "nan" has a
     NaN value, and a number t is a failed Armijo trial whose quadratic
-    through the start value, the slope and its value has its minimizer t
+    through the start value, the slope and its value has its maximizer t
     of the way along the trial step.  The trial after the script is
     accepted.
     """
     q = lift(problem)
     assert q.m > 0  # the steps are read off sigma_1, which starts at 0
-    real = solver._evaluate
+    real = solver.eliminate_tau
     points, start = [], []
 
-    def stub(q, w, work):
-        points.append(w.copy())
+    def stub(q, sigma, mu):
+        w = np.concatenate([sigma, mu])
+        points.append(w)
         if not start:
-            _, _, y = real(q, w, work)
-            start.extend((w.copy(), np.full_like(w, -0.1), y))
-            return 0.0, start[1], y
-        w0, g0, y = start
+            _, y, tau = real(q, sigma, mu)
+            start.extend((w, np.full_like(w, 0.1), y, tau))
+            return 0.0, y, tau
+        w0, g0, y, tau = start
         k = len(points) - 2
         if k == len(script):
-            return -1.0, np.full_like(w, -0.05), y
+            return 1.0, y, tau
         if script[k] is None:
             return None
         dg = g0 @ (w - w0)
         value = (np.nan if script[k] == "nan"
                  else dg - dg / (2.0 * script[k]))
-        return value, np.full_like(w, -0.05), y
+        return value, y, tau
 
-    monkeypatch.setattr(solver, "_evaluate", stub)
+    def gradient(q, y):
+        return np.full(q.m + q.K, 0.1 if len(points) == 1 else 0.05)
+
+    monkeypatch.setattr(solver, "eliminate_tau", stub)
+    monkeypatch.setattr(solver, "_gradient", gradient)
     monkeypatch.setattr(solver, "_MAX_ITER", 1)
     maximize_dual(q)
     assert len(points) == len(script) + 2
@@ -431,6 +458,7 @@ def scripted_line_search(monkeypatch, problem, script):
     ([0.3, 0.2], [0.3, 0.2]),          # one failure after another
     ([0.01], [0.1]),                   # far too long a step: 0.1
     ([1e-9], [0.1]),
+    ([0.49999], [0.49999]),            # lowers the value by 2e-5 dg: fails
     ([None], [0.5]),                   # off the cone: halve
     (["nan"], [0.5]),                  # no value to interpolate: halve
     ([None, 0.25, "nan"], [0.5, 0.25, 0.5]),
@@ -649,21 +677,28 @@ def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
     # A coordinate frozen at its bound takes no step, and the pair stored
     # for that step has y = 0 there: the gradient change of a held
     # coordinate is not curvature of the free subspace.
-    current, frozen, masked = [], [], [0]
+    trial, current, frozen, masked = [], [], [], [0]
 
-    def recorded(q, w, work):
-        res = evaluate(q, w, work)
+    def evaluated(q, sigma, mu):
+        res = evaluate(q, sigma, mu)
         if res is not None:
-            current[:] = [w.copy(), res[1].copy(), q.m]
+            trial[:] = [np.concatenate([sigma, mu])]
         return res
+
+    def recorded(q, y):
+        # The gradient is formed at the start point and at each accepted
+        # trial, each the last point on the cone evaluated before it.
+        g = gradient(q, y)
+        current[:] = [trial[0], g.copy(), q.m]
+        return g
 
     class Checked(solver._LBFGSMemory):
         def apply(self, r):
-            # The last point on the cone evaluated is the current iterate.
+            # The last gradient formed is the current iterate's.
             w, g, m = current
             lb = np.full(len(w), MU_MIN)
             lb[:m] = 0.0
-            frozen[:] = [(w <= lb) & (g > 0)]
+            frozen[:] = [(w <= lb) & (g < 0)]
             return super().apply(r)
 
         def append(self, s, y):
@@ -672,8 +707,9 @@ def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
             masked[0] += int(frozen[0].sum())
             super().append(s, y)
 
-    evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", recorded)
+    evaluate, gradient = solver.eliminate_tau, solver._gradient
+    monkeypatch.setattr(solver, "eliminate_tau", evaluated)
+    monkeypatch.setattr(solver, "_gradient", recorded)
     monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
     for p in (generate(GenSpec(50, 5, 4293)), indefinite(0)):
         maximize_dual(lift(p))
