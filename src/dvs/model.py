@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -34,7 +35,12 @@ MU_MIN = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+    """A read-only float copy of an array the caller may still hold."""
+    return _readonly(np.array(a, dtype=float, copy=True))
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked read-only: for arrays no one else holds."""
     a.flags.writeable = False
     return a
 
@@ -51,6 +57,13 @@ class DiscreteQP:
     ``Q`` is symmetrized to ``(Q + Q') / 2`` on construction; the original
     matrix is not retained.  Value sets keep their user-given order, which
     fixes the coordinate order of the lifted 0-1 problem.
+
+    The value sets' flat layout is derived from ``U`` on first read, once
+    per problem, so no other module recomputes offsets: ``U_flat`` holds
+    the candidate values in block order, ``block_of[k]`` is the block of
+    coordinate k, and ``starts`` and ``sizes`` are each block's first
+    coordinate and length.  :func:`is_feasible` and :class:`BinaryQP`
+    read it; the oracle decodes ``U`` itself and does not.
     """
 
     Q: np.ndarray
@@ -78,7 +91,7 @@ class DiscreteQP:
         A = _freeze(A)
         b = _freeze(np.asarray(self.b, dtype=float))
         _check_shape("b", b, (m,))
-        U = tuple(tuple(float(v) for v in ui) for ui in self.U)
+        U = tuple(tuple(map(float, ui)) for ui in self.U)
         if len(U) != n:
             raise DimensionError("U", f"{n} value sets", f"{len(U)} value sets")
         for i, ui in enumerate(U):
@@ -102,6 +115,23 @@ class DiscreteQP:
     def m(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return _readonly(np.fromiter(map(len, self.U), np.intp, self.n))
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return _readonly(np.cumsum(self.sizes) - self.sizes)
+
+    @cached_property
+    def block_of(self) -> np.ndarray:
+        return _readonly(np.repeat(np.arange(self.n), self.sizes))
+
+    @cached_property
+    def U_flat(self) -> np.ndarray:
+        return _readonly(np.fromiter(chain.from_iterable(self.U), float,
+                                     int(self.sizes.sum())))
+
 
 @dataclass(frozen=True, eq=False)
 class BinaryQP:
@@ -110,46 +140,33 @@ class BinaryQP:
 
     With ``M`` the K-by-n block matrix of candidate values, ``B = MQM'``,
     ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  ``p``'s validated
-    ``Q``, ``c``, ``A``, ``b`` are shared, not copied; ``h``, ``D``, ``B``,
-    ``H``, ``blocks`` and ``alpha_base`` are derived on first read, and of
-    the lifted arrays the solve and check paths read only ``D``, in the
-    ascent's gradient.  ``U_flat``
-    holds the candidate values in block order, and the block index arrays
-    below are built once here, so no other module recomputes offsets:
-
-    * ``block_of[k]``: the block of coordinate k;
-    * ``starts``, ``sizes``: each block's first coordinate and length;
-    * ``pad``: an n-by-max(sizes) gather of each block's coordinates,
-      padded with the block's first coordinate.
+    ``Q``, ``c``, ``A``, ``b`` are shared, not copied, and so is its
+    value-set layout ``U_flat``, ``block_of``, ``starts`` and ``sizes``
+    (see :class:`DiscreteQP`).  ``h``, ``D``, ``B``, ``H``, ``blocks``,
+    ``alpha_base`` and ``pad`` are derived on first read, and of the
+    lifted arrays the solve and check paths read only ``D``, in the
+    ascent's gradient.
     """
 
     p: DiscreteQP = field(repr=False)
 
     def __post_init__(self):
         p = self.p
-        sizes = np.array([len(ui) for ui in p.U], dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        block_of = np.repeat(np.arange(p.n), sizes)
-        offset = np.arange(sizes.max())
-        pad = starts[:, None] + np.where(offset < sizes[:, None], offset, 0)
-        U_flat = np.concatenate(p.U)
-        for a in (sizes, starts, block_of, pad, U_flat):
-            a.flags.writeable = False
         for name, value in (("Q", p.Q), ("c", p.c), ("A", p.A), ("b", p.b),
-                            ("n", p.n), ("m", p.m), ("K", int(sizes.sum())),
-                            ("U_flat", U_flat), ("block_of", block_of),
-                            ("starts", starts), ("sizes", sizes), ("pad", pad)):
+                            ("n", p.n), ("m", p.m), ("K", len(p.U_flat)),
+                            ("U_flat", p.U_flat), ("block_of", p.block_of),
+                            ("starts", p.starts), ("sizes", p.sizes)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def h(self) -> np.ndarray:
         """The lifted linear term ``h[k] = c[i] u_k``."""
-        return _freeze(np.repeat(self.c, self.sizes) * self.U_flat)
+        return _readonly(np.repeat(self.c, self.sizes) * self.U_flat)
 
     @cached_property
     def D(self) -> np.ndarray:
         """The m-by-K lifted constraint rows ``D[r, k] = A[r, i] u_k``."""
-        return _freeze(np.repeat(self.A, self.sizes, axis=1) * self.U_flat)
+        return _readonly(np.repeat(self.A, self.sizes, axis=1) * self.U_flat)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -161,17 +178,26 @@ class BinaryQP:
     def B(self) -> np.ndarray:
         """The K-by-K lifted quadratic ``B[k, l] = Q[i, j] u_k u_l``."""
         i = self.block_of
-        return _freeze(self.Q[i][:, i] * np.outer(self.U_flat, self.U_flat))
+        return _readonly(self.Q[i][:, i] * np.outer(self.U_flat, self.U_flat))
 
     @cached_property
     def H(self) -> np.ndarray:
         """The n-by-K one-hot block selector: ``H[i, k] = 1`` iff k in block i."""
-        return _freeze(self.block_of == np.arange(self.n)[:, None])
+        return _readonly((self.block_of == np.arange(self.n)[:, None])
+                         .astype(float))
 
     @cached_property
     def alpha_base(self) -> np.ndarray:
         """``1 - sizes / 2``, the constant term of the kernel's alpha."""
-        return _freeze(1.0 - 0.5 * self.sizes)
+        return _readonly(1.0 - 0.5 * self.sizes)
+
+    @cached_property
+    def pad(self) -> np.ndarray:
+        """An n-by-max(sizes) gather of each block's coordinates, padded
+        with the block's first coordinate."""
+        offset = np.arange(self.sizes.max())
+        return _readonly(self.starts[:, None]
+                         + np.where(offset < self.sizes[:, None], offset, 0))
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """The per-block sums ``H v`` of a K-vector."""
@@ -254,12 +280,14 @@ def objective(p: DiscreteQP, x: np.ndarray) -> float:
 
 
 def is_feasible(p: DiscreteQP, x: np.ndarray) -> bool:
-    """True iff Ax <= b and every x[i] is in U[i], up to VALUE_MEMBERSHIP_TOL."""
+    """True iff Ax <= b and every x[i] is in U[i], up to VALUE_MEMBERSHIP_TOL.
+
+    Both tests ask that every row and every block be within tolerance, so
+    a NaN coordinate, which no comparison holds for, is infeasible.  The
+    blocks are read through ``p``'s value-set layout in one pass.
+    """
     x = np.asarray(x, dtype=float)
     _check_shape("x", x, (p.n,))
-    if np.any(p.A @ x > p.b + VALUE_MEMBERSHIP_TOL):
-        return False
-    for i, ui in enumerate(p.U):
-        if min(abs(x[i] - u) for u in ui) > VALUE_MEMBERSHIP_TOL:
-            return False
-    return True
+    tol = VALUE_MEMBERSHIP_TOL
+    return bool((p.A @ x <= p.b + tol).all() and (np.minimum.reduceat(
+        np.abs(x[p.block_of] - p.U_flat), p.starts) <= tol).all())

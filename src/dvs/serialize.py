@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -134,23 +135,34 @@ def _require_number(v, path: str) -> float:
     return f
 
 
-def _numbers(v: list, path: str) -> np.ndarray:
-    """The entries of a JSON array as a float array.
+def _bulk(v: list) -> np.ndarray | None:
+    """The entries of a flat JSON array as one float array, or None.
 
     One type test, one conversion and one finiteness test cover the whole
-    array; only when one fails does the per-entry check run, to raise the
-    SchemaError that names the first bad entry.
+    array; None means some entry is not a finite number, and the caller
+    walks the entries with :func:`_per_entry` to name the first bad one.
     """
     if set(map(type, v)) <= _NUMBER_TYPES:
         try:
             a = np.array(v, dtype=float)
         except OverflowError:
-            pass
-        else:
-            if np.isfinite(a).all():
-                return a
+            return None
+        if np.isfinite(a).all():
+            return a
+    return None
+
+
+def _per_entry(v: list, path: str) -> np.ndarray:
+    """The entries of a JSON array, tested one by one: the SchemaError
+    names the first entry that is not a finite number."""
     return np.array([_require_number(x, f"{path}[{i}]")
                      for i, x in enumerate(v)], dtype=float)
+
+
+def _numbers(v: list, path: str) -> np.ndarray:
+    """The entries of a JSON array as a float array."""
+    a = _bulk(v)
+    return _per_entry(v, path) if a is None else a
 
 
 def _require_gap(v, path: str) -> float:
@@ -186,8 +198,13 @@ def _parse_matrix(v, path: str, rows: int, cols: int, field: str) -> np.ndarray:
         raise SchemaError(path, "expected an array of arrays")
     if len(v) != rows:
         raise DimensionError(field, f"({rows}, {cols})", f"({len(v)}, ...)")
-    # Rows are converted one by one and stacked at the end, so the array
-    # never outgrows what the file holds, whatever size it declares.
+    # Every row's length is checked before anything is converted, so the
+    # array never outgrows what the file holds, whatever size it declares.
+    if all(isinstance(row, list) and len(row) == cols for row in v):
+        a = _bulk(list(chain.from_iterable(v)))
+        if a is not None:
+            return a.reshape(rows, cols)
+    # The row-major walk raises the error of the first bad row or entry.
     out = []
     for i, row in enumerate(v):
         if not isinstance(row, list):
@@ -195,8 +212,34 @@ def _parse_matrix(v, path: str, rows: int, cols: int, field: str) -> np.ndarray:
         if len(row) != cols:
             raise DimensionError(field, f"({rows}, {cols})",
                                  f"row {i} has {len(row)} entries")
-        out.append(_numbers(row, f"{path}[{i}]"))
+        out.append(_per_entry(row, f"{path}[{i}]"))
     return np.array(out, dtype=float).reshape(rows, cols)
+
+
+def _parse_value_sets(v, path: str, n: int) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(v, list) or len(v) != n:
+        raise SchemaError(path, f"expected {n} value sets")
+    # As for a matrix: every set is checked to be a non-empty array before
+    # all of them are converted together and sliced back out.
+    if all(isinstance(ui, list) and ui for ui in v):
+        a = _bulk(list(chain.from_iterable(v)))
+        if a is not None:
+            flat = iter(a.tolist())
+            U = tuple(tuple(islice(flat, len(ui))) for ui in v)
+            for i, ui in enumerate(U):
+                if len(set(ui)) != len(ui):
+                    raise SchemaError(f"{path}[{i}]", "duplicate value in set")
+            return U
+    # The set-by-set walk raises the error of the first bad set or entry.
+    U = []
+    for i, ui in enumerate(v):
+        if not isinstance(ui, list) or not ui:
+            raise SchemaError(f"{path}[{i}]", "expected a non-empty array")
+        vals = tuple(_per_entry(ui, f"{path}[{i}]").tolist())
+        if len(set(vals)) != len(vals):
+            raise SchemaError(f"{path}[{i}]", "duplicate value in set")
+        U.append(vals)
+    return tuple(U)
 
 
 def parse_problem(data) -> DiscreteQP:
@@ -218,17 +261,8 @@ def parse_problem(data) -> DiscreteQP:
     c = _parse_vector(doc["c"], "$.c", n, "c")
     A = _parse_matrix(doc["A"], "$.A", m, n, "A")
     b = _parse_vector(doc["b"], "$.b", m, "b")
-    if not isinstance(doc["U"], list) or len(doc["U"]) != n:
-        raise SchemaError("$.U", f"expected {n} value sets")
-    U = []
-    for i, ui in enumerate(doc["U"]):
-        if not isinstance(ui, list) or not ui:
-            raise SchemaError(f"$.U[{i}]", "expected a non-empty array")
-        vals = tuple(_numbers(ui, f"$.U[{i}]").tolist())
-        if len(set(vals)) != len(vals):
-            raise SchemaError(f"$.U[{i}]", "duplicate value in set")
-        U.append(vals)
-    return DiscreteQP(Q=Q, c=c, A=A, b=b, U=tuple(U))
+    U = _parse_value_sets(doc["U"], "$.U", n)
+    return DiscreteQP(Q=Q, c=c, A=A, b=b, U=U)
 
 
 def parse_report(data) -> dict:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dvs.dual import dual_value, in_dual_cone, dual_gradient
-from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.model import DualPoint, lift
 from dvs.oracle import enumerate_binary, enumerate_discrete
@@ -22,9 +21,6 @@ from dvs.toy import RESIDUAL_TOL, ToyInstance, toy_dual_roots, toy_solve
 
 from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
 
-SWEEP_VALUE_SETS = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
-
-
 def verdict(capsys, number, name, ok, detail=""):
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}"
     if detail:
@@ -32,23 +28,6 @@ def verdict(capsys, number, name, ok, detail=""):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def sweep_instances():
-    """200 small instances (n <= 4, |U_i| <= 3, K <= 12) with oracle answers."""
-    instances = []
-    k = 0
-    while len(instances) < 200:
-        k += 1
-        p = generate(GenSpec(n=2 + (k % 3), m=1 + (k % 2), seed=1000 + k,
-                             value_set=SWEEP_VALUE_SETS[k % 4]))
-        try:
-            x, value, _, _ = enumerate_discrete(p)
-        except Infeasible:
-            continue
-        instances.append((p, x, value))
-    return instances
 
 
 def interior_cone_point(q, base_mu, rng):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from dvs.errors import DimensionError
+from dvs.generator import GenSpec, generate
 from dvs.model import (
+    VALUE_MEMBERSHIP_TOL,
     Certificate,
     DiscreteQP,
     DualPoint,
@@ -16,6 +18,7 @@ from dvs.model import (
     lift,
     objective,
 )
+from dvs.solver import solve
 
 
 def small_problem():
@@ -52,6 +55,17 @@ def test_arrays_are_frozen():
     p = small_problem()
     with pytest.raises(ValueError):
         p.Q[0, 0] = 99.0
+    # The value-set layout is derived on first read, not on construction.
+    layout = ("U_flat", "block_of", "starts", "sizes")
+    assert not set(layout) & set(vars(p))
+    q = lift(p)
+    for name in layout + ("h", "D", "B", "H", "alpha_base", "pad"):
+        a = getattr(q, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a.flat[0] = 99
+    assert q.H.dtype == float
+    assert all(getattr(q, name) is getattr(p, name) for name in layout)
 
 
 def test_dimension_mismatch_rejected():
@@ -105,6 +119,53 @@ def test_is_feasible_checks_constraints_and_membership():
     assert not is_feasible(p, np.array([2.0, 2.0]))   # Ax <= b violated
     assert not is_feasible(p, np.array([1.5, 1.0]))   # 1.5 not in U_1
     assert is_feasible(p, np.array([2.0 + 1e-12, 1.0]))
+    # No comparison holds for NaN: a NaN coordinate is infeasible in a
+    # constrained coordinate, with no constraints at all, and in a value
+    # set of one value, as an infinite one is.
+    binary = DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=[[1.0, 1.0]], b=[1.0],
+                        U=[[0.0, 1.0]] * 2)
+    free = DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
+                      b=np.zeros(0), U=[[1.0], [0.0, 1.0]])
+    assert is_feasible(binary, [1.0, 0.0]) and is_feasible(free, [1.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not is_feasible(binary, [bad, 0.0])
+        assert not is_feasible(free, [1.0, bad])
+        assert not is_feasible(free, [bad, 0.0])
+
+
+def _reference_is_feasible(p, x):
+    """The per-coordinate loop the one-pass test replaced, kept as the
+    reference on finite x."""
+    if np.any(p.A @ x > p.b + VALUE_MEMBERSHIP_TOL):
+        return False
+    for i, ui in enumerate(p.U):
+        if min(abs(x[i] - u) for u in ui) > VALUE_MEMBERSHIP_TOL:
+            return False
+    return True
+
+
+def test_is_feasible_matches_per_coordinate_reference(sweep_instances):
+    # Criterion 4's instances at the oracle's x, with each coordinate and
+    # then all of them moved by up to twice the tolerance; the n = 50
+    # suite at the solver's x, moved the same way, and at random
+    # selections, which may violate Ax <= b.
+    tol = VALUE_MEMBERSHIP_TOL
+    cases = [(p, x) for p, x, _ in sweep_instances]
+    rng = np.random.default_rng(25)
+    for seed in (4292, 4293, 4294):
+        p = generate(GenSpec(50, 5, seed))
+        cases.append((p, solve(p).x))
+        cases += [(p, np.array([rng.choice(ui) for ui in p.U]))
+                  for _ in range(20)]
+    seen = set()
+    for p, x in cases:
+        for step in (0.0, 0.5 * tol, tol, 2.0 * tol, -tol, -2.0 * tol):
+            points = [x + step] + [x + step * e for e in np.eye(p.n)[:4]]
+            for point in points:
+                got = is_feasible(p, point)
+                assert got == _reference_is_feasible(p, point), (p, point)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_binary_objective_matches_quadratic_form():

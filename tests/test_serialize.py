@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvs import cli
+from dvs import cli, serialize
 from dvs.errors import DimensionError, SchemaError
 from dvs.generator import GenSpec, generate
 from dvs.model import (
@@ -24,6 +24,7 @@ from dvs.model import (
 from dvs.oracle import enumerate_discrete
 from dvs.serialize import (
     _parse_matrix,
+    _parse_value_sets,
     _parse_vector,
     check,
     emit_lifted,
@@ -504,9 +505,13 @@ def test_check_judges_at_the_fixed_cone_floor(example1):
 def _reference_number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    if not math.isfinite(v):
+    try:
+        f = float(v)
+    except OverflowError:
+        raise SchemaError(path, "number too large for a double") from None
+    if not math.isfinite(f):
         raise SchemaError(path, f"non-finite number {v}")
-    return float(v)
+    return f
 
 
 def _reference_vector(v, path, length, field):
@@ -535,12 +540,30 @@ def _reference_matrix(v, path, rows, cols, field):
     return out
 
 
+def _reference_value_sets(v, path, n):
+    if not isinstance(v, list) or len(v) != n:
+        raise SchemaError(path, f"expected {n} value sets")
+    out = []
+    for i, ui in enumerate(v):
+        if not isinstance(ui, list) or not ui:
+            raise SchemaError(f"{path}[{i}]", "expected a non-empty array")
+        vals = tuple(_reference_number(x, f"{path}[{i}][{j}]")
+                     for j, x in enumerate(ui))
+        if len(set(vals)) != len(vals):
+            raise SchemaError(f"{path}[{i}]", "duplicate value in set")
+        out.append(vals)
+    return tuple(out)
+
+
 def _outcome(parse, text, *args):
-    """The parsed array bit for bit, or the error type and message."""
+    """The parsed array or value sets bit for bit, or the error type and
+    message."""
     try:
         a = parse(json.loads(text), "$.v", *args)
     except (SchemaError, DimensionError) as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(a, tuple):
+        return tuple(tuple(map(float.hex, ui)) for ui in a)
     return a.dtype.str, a.shape, a.tobytes()
 
 
@@ -566,6 +589,57 @@ def test_bulk_vector_parse_matches_per_entry_reference(text):
 def test_bulk_matrix_parse_matches_per_entry_reference(text):
     assert (_outcome(_parse_matrix, text, 2, 3, "v")
             == _outcome(_reference_matrix, text, 2, 3, "v"))
+
+
+@pytest.mark.parametrize("text", [
+    "[[0, 1], [-1, 0, 2.5], [7]]", "[[0], [1, 2, 3, 4, 5], [-0.0, 6]]",
+    "[[5e-324, -1e308], [9007199254740993], [18446744073709551616, 1]]",
+    "[[0, 1], [], [2]]", "[[], [1], [2]]", "[[0, 1], 3, [2]]",
+    "[[0, 1], [2], {}]", "[[0, 1], [2], null]",
+    "[[0, true], [1], [2]]", "[[0, 1], [false], [2]]",
+    '[[0, 1], ["1"], [2]]', "[[0, 1], [2, null], [3]]",
+    "[[0, 1], [2, [3]], [4]]", "[[0, NaN], [1], [2]]",
+    "[[0, 1], [1e999], [2]]", "[[0, 1], [2], [-Infinity]]",
+    "[[0, 1], [%s, 2], [3]]" % ("1" + "0" * 400),
+    "[[0, 1], [2], [-%s]]" % ("9" * 400),
+    "[[0, 1, 0], [1], [2]]", "[[0, 1], [2, 2.0], [3]]",
+    "[[1], [-0.0, 0.0], [2]]", "[[0, 0], [1e999], [2]]",
+    "[[0, NaN], [1, 1], [2]]", "[[0, 1], [], [2, 2]]", "[[0, 1], [2]]",
+    "[[0], [1], [2], [3]]", "[]", "{}", "3"])
+def test_bulk_value_set_parse_matches_per_entry_reference(text):
+    assert (_outcome(_parse_value_sets, text, 3)
+            == _outcome(_reference_value_sets, text, 3))
+
+
+def test_parse_problem_converts_whole_fields_whatever_n(monkeypatch):
+    # One bulk conversion per field: the per-entry walk, which names the
+    # first bad entry, never runs on valid input, so a problem of n = 50
+    # makes as many conversions as one of n = 5.
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_bulk", "_per_entry"):
+        monkeypatch.setattr(serialize, name,
+                            counted(name, getattr(serialize, name)))
+    counts = []
+    for n in (5, 50):
+        data = emit_problem(generate(GenSpec(n, 5, 4242 + n)))
+        calls.update(_bulk=0, _per_entry=0)
+        parse_problem(data)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["_per_entry"] == 0 and counts[0]["_bulk"] > 0
+    doc = json.loads(data)
+    doc["U"][17][1] = True
+    calls.update(_bulk=0, _per_entry=0)
+    with pytest.raises(SchemaError, match=r"^\$\.U\[17\]\[1\]: expected a number"):
+        parse_problem(json.dumps(doc))
+    assert calls["_per_entry"] > 0
 
 
 def test_number_too_large_for_a_double_is_a_schema_error(example1, tmp_path,
