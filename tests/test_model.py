@@ -145,10 +145,10 @@ def _reference_is_feasible(p, x):
 
 
 def test_is_feasible_matches_per_coordinate_reference(sweep_instances):
-    # Criterion 4's instances at the oracle's x, with each coordinate and
-    # then all of them moved by up to twice the tolerance; the n = 50
-    # suite at the solver's x, moved the same way, and at random
-    # selections, which may violate Ax <= b.
+    # Criterion 4's instances at the oracle's x, with all coordinates and
+    # then each of the first four moved by up to twice the tolerance; the
+    # n = 50 suite at the solver's x and at random selections, which may
+    # violate Ax <= b, moved the same way.
     tol = VALUE_MEMBERSHIP_TOL
     cases = [(p, x) for p, x, _ in sweep_instances]
     rng = np.random.default_rng(25)
