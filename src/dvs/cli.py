@@ -37,18 +37,10 @@ from .toy import ToyInstance, toy_curves, toy_solve
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO,
                "trace": logging.DEBUG}
-
-
-def _setup_logging():
-    name = os.environ.get("DVS_LOG", "quiet").lower()
-    level = _LOG_LEVELS.get(name)
-    if level is None:
-        level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-    if name not in _LOG_LEVELS:
-        logging.getLogger("dvs").warning(
-            "unknown DVS_LOG value %r; using quiet", name)
+_LOG = logging.getLogger("dvs")
+# Attached to _LOG for one main() call at a time, on that call's stderr.
+_HANDLER = logging.StreamHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 def _read(path: str) -> bytes:
@@ -93,7 +85,11 @@ def _cmd_toy(args) -> int:
     # solution is printed.
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    lo, hi = (float(v) for v in args.range.rsplit(":", 1))
+    try:
+        lo, hi = (float(v) for v in args.range.split(":"))
+    except ValueError:
+        raise ValueError(f"--range must have the form lo:hi, got "
+                         f"{args.range!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("--range bounds must be finite")
     f = [float(v) for v in args.f.split(",")]
@@ -201,15 +197,28 @@ def _join_dash_values(argv):
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_join_dash_values(argv))
+    """Run one dvs command.  DVS_LOG is read on every call; the "dvs"
+    loggers write to this call's sys.stderr, and their handlers, level and
+    propagate flag are restored on return.  The root logger is untouched."""
+    name = os.environ.get("DVS_LOG", "quiet").lower()
+    saved = _LOG.level, _LOG.propagate
+    _HANDLER.stream = sys.stderr
+    _LOG.addHandler(_HANDLER)
+    _LOG.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
+    _LOG.propagate = False
     try:
+        if name not in _LOG_LEVELS:
+            _LOG.warning("unknown DVS_LOG value %r; using quiet", name)
+        args = _build_parser().parse_args(
+            _join_dash_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (DvsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _LOG.removeHandler(_HANDLER)
+        _LOG.setLevel(saved[0])
+        _LOG.propagate = saved[1]
 
 
 if __name__ == "__main__":

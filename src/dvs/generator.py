@@ -138,6 +138,11 @@ class GenSpec:
     dominance_boost: bool = True
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
         values = tuple(float(v) for v in self.value_set)

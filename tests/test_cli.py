@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, exit codes, and file outputs."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,15 +20,31 @@ from dvs.model import DiscreteQP
 from dvs.serialize import emit_problem, emit_report
 from dvs.solver import solve
 
+# Started only by the tests whose subject is a new interpreter; every
+# other test runs cli.main in the test process through run_cli.
 CLI = [sys.executable, "-m", "dvs.cli"]
 
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(CLI + list(args), capture_output=True,
-                          text=True, env=full_env)
+    """`dvs *args` run in this process, with ``env`` added to os.environ
+    for the call: its exit code (argparse's SystemExit included) and what
+    it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_process(*args, env=None):
+    """`python -m dvs.cli *args` in a new interpreter, with ``env`` added
+    to its environment."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env={**os.environ, **(env or {})})
 
 
 def test_solve_writes_report_and_exits_zero(example1_path, tmp_path):
@@ -305,6 +326,15 @@ def test_toy_non_finite_range_exits_two_before_printing(span, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("span", ["5", "", "1:2:3", "a:5", "-5:"])
+def test_toy_malformed_range_exits_two_naming_the_form(span):
+    cp = run_cli("toy", "--alpha", "1", "--lambda", "1", "--f", "1",
+                 "--range", span)
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr == (f"error: --range must have the form lo:hi, "
+                         f"got {span!r}\n")
+
+
 def test_check_round_trip(example1_path, tmp_path):
     report = tmp_path / "report.json"
     run_cli("solve", str(example1_path), "--out", str(report))
@@ -389,6 +419,71 @@ def test_log_env_controls_diagnostics(example1_path, tmp_path):
     assert "dual ascent" in info.stderr
 
 
+def _logger_state():
+    root, dvs_logger = logging.getLogger(), logging.getLogger("dvs")
+    return (list(root.handlers), root.level, list(dvs_logger.handlers),
+            dvs_logger.level, dvs_logger.propagate)
+
+
+def test_every_main_call_reads_dvs_log_and_restores_the_loggers(
+        example1_path, tmp_path):
+    # One process, one main() call per DVS_LOG value: each call's records
+    # go once to that call's stderr, and no call leaves a handler, level
+    # or propagate flag behind on the root or "dvs" logger.
+    before = _logger_state()
+    out = str(tmp_path / "r.json")
+    for value in ("quiet", "info", "quiet", "trace", "Loud"):
+        cp = run_cli("solve", str(example1_path), "--out", out,
+                     env={"DVS_LOG": value})
+        assert cp.returncode == 0, cp.stderr
+        assert _logger_state() == before
+        lines = cp.stderr.splitlines()
+        if value == "quiet":
+            assert cp.stderr == ""
+        elif value == "info":
+            assert sum("dual ascent" in line for line in lines) == 1
+            assert all(line.startswith("INFO dvs.") for line in lines)
+        elif value == "trace":
+            iterations = int(re.search(r"iterations=(\d+)",
+                                       cp.stdout).group(1))
+            steps = [int(m.group(1)) for m in
+                     (re.match(r"DEBUG dvs\.solver: iter (\d+) dual=", line)
+                      for line in lines) if m]
+            assert iterations > 1 and steps == list(range(iterations))
+        else:
+            assert lines == [
+                "WARNING dvs: unknown DVS_LOG value 'loud'; using quiet"]
+    # An error exit and argparse's SystemExit restore the loggers too.
+    cp = run_cli("solve", str(tmp_path / "nope.json"), "--out", out,
+                 env={"DVS_LOG": "info"})
+    assert cp.returncode == 2 and cp.stderr.startswith("error:")
+    assert _logger_state() == before
+    cp = run_cli("solve", str(example1_path), "--no-such-flag",
+                 "--out", out, env={"DVS_LOG": "trace"})
+    assert cp.returncode == 2 and "unrecognized arguments" in cp.stderr
+    assert _logger_state() == before
+
+
+def test_module_entry_point_exit_codes_and_log(example1_path, tmp_path):
+    # The one test of `python -m dvs.cli` itself, so it starts new
+    # interpreters: sys.exit(main()) carries exit codes 0, 3 and 2 out,
+    # and DVS_LOG=info reaches the process's real stderr.
+    prob, out = tmp_path / "p.json", tmp_path / "r.json"
+    cp = run_process("solve", str(example1_path), "--out", str(out),
+                     env={"DVS_LOG": "info"})
+    assert cp.returncode == 0 and "status=CertifiedGlobal" in cp.stdout
+    assert "INFO dvs.solver: dual ascent: " in cp.stderr
+    assert run_cli("gen", "--n", "3", "--m", "2", "--seed", "1",
+                   "--values", "-2,1", "--out", str(prob)).returncode == 0
+    cp = run_process("solve", str(prob), "--fallback-oracle", "0",
+                     "--out", str(out), env={"DVS_LOG": "quiet"})
+    assert cp.returncode == 3 and "status=NoCertificate" in cp.stdout
+    assert cp.stderr == ""
+    cp = run_process("check", str(tmp_path / "nope.json"), str(out))
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
 def test_solve_reports_are_byte_identical(example1_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("solve", str(example1_path), "--out", str(a))
@@ -421,14 +516,16 @@ def test_check_malformed_certificate_objects_exit_two(example1_path, tmp_path,
 
 
 def test_solve_reports_match_across_blas_threads(tmp_path):
+    # Each solve starts a new interpreter: OPENBLAS_NUM_THREADS is read
+    # once, when the BLAS library loads.
     prob = tmp_path / "p.json"
     assert run_cli("gen", "--n", "50", "--m", "5", "--seed", "4292",
                    "--out", str(prob)).returncode == 0
     docs = []
     for threads in ("1", "2"):
         out = tmp_path / f"r{threads}.json"
-        cp = run_cli("solve", str(prob), "--out", str(out),
-                     env={"OPENBLAS_NUM_THREADS": threads})
+        cp = run_process("solve", str(prob), "--out", str(out),
+                         env={"OPENBLAS_NUM_THREADS": threads})
         assert cp.returncode == 0, cp.stderr
         doc = json.loads(out.read_bytes())
         doc.pop("seconds")

@@ -177,6 +177,24 @@ def test_spec_validation():
         GenSpec(n=1, m=1, seed=0, coeff_range=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 1.9), ("seed", 1.0), ("seed", "7"),
+    ("seed", True), ("n", 2.0), ("n", True), ("m", 1.0), ("m", None)])
+def test_spec_refuses_non_integer_sizes_and_seed(field, value):
+    # A float seed would otherwise be truncated: seeds 1.5 and 1.9 would
+    # draw seed 1's instance under specs that compare unequal.
+    args = {"n": 2, "m": 1, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GenSpec(**args)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = GenSpec(n=np.int64(3), m=np.int32(2), seed=np.uint64(5))
+    p = generate(spec)
+    assert p.Q.shape == (3, 3)
+    assert np.array_equal(p.Q, generate(GenSpec(n=3, m=2, seed=5)).Q)
+
+
 def test_custom_value_set_is_used():
     p = generate(GenSpec(n=2, m=1, seed=0, value_set=(-1.0, 0.5)))
     assert p.U == ((-1.0, 0.5), (-1.0, 0.5))

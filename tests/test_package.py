@@ -11,6 +11,7 @@ from pathlib import Path
 
 import dvs
 from dvs import cli
+from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,17 +111,14 @@ def _stdout_pattern(comment):
     return ".*".join(map(re.escape, text.split("...")))
 
 
-def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+def test_readme_command_lines_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert {argv[0] for _, argv, _ in commands} == {
         "gen", "solve", "oracle", "lift", "toy", "check"}
     for env, argv, stdout in commands:
-        with monkeypatch.context() as mp:
-            for name, value in env.items():
-                mp.setenv(name, value)
-            assert cli.main(argv) == 0, argv
-        out = capsys.readouterr().out
+        cp = run_cli(*argv, env=env)
+        assert cp.returncode == 0, (argv, cp.stderr)
         if stdout is not None:
-            assert re.fullmatch(_stdout_pattern(stdout), out.strip(),
-                                re.S), (argv, out)
+            assert re.fullmatch(_stdout_pattern(stdout), cp.stdout.strip(),
+                                re.S), (argv, cp.stdout)
