@@ -46,18 +46,31 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import MU_MIN, BinaryQP, DualPoint
 
+_EPS = np.finfo(float).eps
+
 
 def _cholesky(Q: np.ndarray, s: np.ndarray):
-    """The lower Cholesky factor of I + diag(s) Q diag(s), or None when that
-    matrix is not positive definite; the matrix is formed in a new array
-    and factored in place."""
+    """The lower Cholesky factor L of A = I + diag(s) Q diag(s), or None
+    when A is not positive definite or numerically singular: a pivot with
+    min(diag L)^2 <= n eps max(diag A).  That floor is a floating-point
+    guard, not a proof: ``dpotrf`` accepts matrices whose smallest
+    eigenvalue is a round-off of their largest, and a solve through such
+    a factor can put the dual value above every selection's objective.
+    The matrix is formed in a new array and factored in place."""
+    n = Q.shape[0]
     a = np.multiply(s[:, None], s)
     a *= Q
-    a.flat[::a.shape[0] + 1] += 1.0
+    a.flat[::n + 1] += 1.0
+    # Python's max and min over the diagonals cost a third of two numpy
+    # reductions at the n of a few where the kernel's calls add up.
+    largest = max(a.diagonal().tolist())
     # a is symmetric, so its transpose is the same matrix in Fortran order,
     # which dpotrf factors without a copy.
     cho, info = dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
-    return cho if info == 0 else None
+    if info != 0:
+        return None
+    pivot = min(cho.diagonal().tolist())
+    return None if pivot * pivot <= n * _EPS * largest else cho
 
 
 @dataclass

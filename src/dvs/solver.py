@@ -7,12 +7,17 @@ iteration works on (sigma, mu) only, with the ascent gradient
 (D y - b, y * (y - 1)).  The outer loop is a projected L-BFGS, its
 direction formed on the free coordinates from the compact representation
 of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
-and their use in limited memory methods", Math. Prog. 63, 1994), with an
-Armijo backtracking line search that rejects any trial off that cone —
-feasibility before ascent.  As in L-BFGS-B (Byrd, Lu, Nocedal & Zhu,
-SIAM J. Sci. Comput. 16, 1995) the curvature pairs model the free
-coordinates only: a pair's y is 0 on the coordinates the step held at
-their bound.  A trial on the cone that fails the Armijo test shortens
+and their use in limited memory methods", Math. Prog. 63, 1994), which
+holds for any initial inverse Hessian H0.  H0 is diagonal and follows the
+multipliers (Gilbert & Lemarechal, "Some numerical experiments with
+variable-storage quasi-Newton algorithms", Math. Prog. 45, 1989): gamma
+max(mu_k, 3 mu0)^2 on mu_k and the mean of those on sigma, so the mu that
+climb from mu0 to a hundred times it each step on their own scale rather
+than on one shared by all K.  An Armijo backtracking line search rejects
+any trial off that cone — feasibility before ascent.  As in L-BFGS-B
+(Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) the curvature
+pairs model the free coordinates only: a pair's y is 0 on the
+coordinates the step held at their bound.  A trial on the cone that fails the Armijo test shortens
 the step to the maximizer of the quadratic through the current value,
 the slope and the failed value (Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
@@ -89,11 +94,14 @@ _BACKTRACK_MIN = 0.1
 _BACKTRACK_MAX = 0.5
 _MIN_STEP = 1e-16
 _LBFGS_MEMORY = 20
+# H0's mu-block scale is max(mu, _SCALE_FLOOR * mu0)^2: a multiplier's step
+# follows its own size once it has grown past a few times its start.
+_SCALE_FLOOR = 3.0
 _STALL_PATIENCE = 50
 _TOL_GRAD = 1e-8
-# The ascent's step budget, far above the most steps measured: 15 on
-# criterion 4's instances, 330 on the indefinite family, and 21 and 19
-# on GenSpec(n, 5, 4242 + n) at n = 300 and 1000.
+# The ascent's step budget, far above the most steps measured: 14 on
+# criterion 4's instances, 154 on the first 120 of the indefinite family,
+# and 14 on GenSpec(n, 5, 4242 + n) at both n = 300 and 1000.
 _MAX_ITER = 5000
 # The lifted dimension up to which ``solve`` falls back to the oracle.
 FALLBACK_ORACLE_MAX_K = 24
@@ -161,17 +169,18 @@ class _LBFGSMemory:
     Nocedal & Schnabel (1994).
 
     The ``k`` stored pairs are the first ``k`` rows of ``S`` and ``Y``,
-    oldest first; ``R`` keeps the upper triangle of S Y' and ``YY`` the
-    Gram matrix Y Y' on the same rows and columns, each updated by one
+    oldest first; ``R`` keeps the upper triangle of S Y', updated by one
     matrix-vector product per pair.  A full memory drops its oldest pair
-    by shifting every row, and every column of ``R`` and ``YY``, up one.
-    Setting ``k = 0`` clears the memory.  The ascent stores y = g - g_try,
-    the fall of the gradient of P_dual along s, so s'y > 0 where P_dual is
+    by shifting every row, and every column of ``R``, up one.  Setting
+    ``k = 0`` clears the memory.  The ascent stores y = g - g_try, the
+    fall of the gradient of P_dual along s, so s'y > 0 where P_dual is
     concave and H models the inverse of -hess P_dual, which is PD;
-    ``apply(g)`` is then an ascent direction.  ``apply`` computes the
-    L-BFGS inverse-Hessian product with H0 = gamma I, gamma = s'y / y'y of
-    the newest pair — the direction of the two-loop recursion, in a fixed
-    handful of BLAS calls.
+    ``apply(g, d)`` is then an ascent direction.  ``apply`` computes the
+    L-BFGS inverse-Hessian product with the diagonal H0 = gamma diag(d),
+    gamma = s'y / y'Dy of the newest pair (Gilbert & Lemarechal, Math.
+    Prog. 45, 1989) — the direction of the two-loop recursion with that
+    H0, in a fixed handful of BLAS calls.  The compact form holds for any
+    H0; the k-by-k Y D Y' it needs is formed once per direction.
     """
 
     def __init__(self, size: int, dim: int):
@@ -179,7 +188,6 @@ class _LBFGSMemory:
         self.S = np.empty((size, dim))
         self.Y = np.empty((size, dim))
         self.R = np.zeros((size, size))
-        self.YY = np.zeros((size, size))
         self.k = 0
 
     def append(self, s: np.ndarray, y: np.ndarray):
@@ -188,25 +196,26 @@ class _LBFGSMemory:
             k -= 1
             for a in (self.S, self.Y):
                 a[:k] = a[1:]
-            for a in (self.R, self.YY):
-                a[:k, :k] = a[1:, 1:]
+            self.R[:k, :k] = self.R[1:, 1:]
         self.S[k] = s
         self.Y[k] = y
         self.R[:k + 1, k] = self.S[:k + 1] @ y
-        self.YY[:k + 1, k] = self.YY[k, :k + 1] = self.Y[:k + 1] @ y
         self.k = k + 1
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """H r; with no pairs stored, r scaled to at most unit norm."""
+    def apply(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """H r with H0 = gamma diag(d), d > 0; with no pairs stored, r
+        scaled to at most unit norm."""
         k = self.k
         if not k:
             return r / max(1.0, np.linalg.norm(r))
         S, Y, R = self.S[:k], self.Y[:k], self.R[:k, :k]
-        gamma = R[-1, -1] / self.YY[k - 1, k - 1]
+        yd = Y * d
+        ydy = yd @ Y.T
+        gamma = R[-1, -1] / ydy[-1, -1]
         t = dtrtrs(R, S @ r)[0]
-        p = dtrtrs(R, R.diagonal() * t
-                   + gamma * (self.YY[:k, :k] @ t - Y @ r), trans=1)[0]
-        return gamma * r + S.T @ p - gamma * (Y.T @ t)
+        p = dtrtrs(R, R.diagonal() * t + gamma * (ydy @ t - yd @ r),
+                   trans=1)[0]
+        return gamma * (d * r) + S.T @ p - gamma * (yd.T @ t)
 
 
 def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
@@ -215,17 +224,22 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     The L-BFGS direction comes from the compact representation of the
     last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
     1994), each pair storing y = g - g_try, the fall of the gradient along
-    the step s; a direction d with g'd <= 0 clears the memory and falls
-    back to steepest ascent.  A coordinate at its bound whose gradient
-    pushes outward (g < 0) is frozen: the direction and so the step s are
-    0 there, and the stored pair (s, y) has y = 0 there too.  The
-    gradient change of a coordinate the step held fixed is no curvature
-    along the step; left in y it would enter y'y, the scale
-    gamma = s'y / y'y and the products with other pairs, whose s may be
-    nonzero there (s'y itself does not change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995) likewise keeps its
-    model on the free variables.  The Armijo backtracking starts at the
-    unit step and accepts a trial with v_try >= v + 1e-4 dg, where v is
-    the dual value and dg = g'(w_try - w) > 0 the slope along the trial.
+    the step s, with H0 = gamma diag(d) built once per iteration: d_k =
+    max(mu_k, 3 mu0)^2 on mu, with mu0 the start's uniform mu, and the
+    mean of those on sigma.  Below 3 mu0 every multiplier shares one
+    scale, as with H0 = gamma I; above it each steps on its own.  A
+    direction p with g'p <= 0 clears the memory and falls back to
+    steepest ascent.  A coordinate at its bound whose gradient pushes
+    outward (g < 0) is frozen: the direction and so the step s are 0
+    there, and the stored pair (s, y) has y = 0 there too.  The gradient
+    change of a coordinate the step held fixed is no curvature along the
+    step; left in y it would enter y'Dy, the scale gamma = s'y / y'Dy and
+    the products with other pairs, whose s may be nonzero there (s'y
+    itself does not change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995)
+    likewise keeps its model on the free variables.  The Armijo
+    backtracking starts at the unit step and accepts a trial with
+    v_try >= v + 1e-4 dg, where v is the dual value and
+    dg = g'(w_try - w) > 0 the slope along the trial.
     After a failed trial on the cone with a finite value it multiplies
     the step by the maximizer t* = dg / (2 (dg - (v_try - v))) of the
     quadratic through v, dg and v_try, clamped to [0.1, 0.5], and after a
@@ -269,6 +283,9 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     evaluations, rejections, resets = 1, 0, 0
     values = [v]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
+    # H0's diagonal: max(mu, floor)^2 on mu, its mean on sigma.
+    floor = _SCALE_FLOOR * start.mu[0]
+    scale = np.empty(m + K)
     termination = TERM_MAX_ITER
     selection = first_gap = None
     for it in range(_MAX_ITER + 1):
@@ -309,11 +326,14 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
         log.debug("iter %d dual=%.12g pg=%.3e", it, v, pg_norm)
 
         # L-BFGS on the free coordinates.
-        direction = np.where(frozen, 0.0, memory.apply(r))
+        np.maximum(w, floor, out=scale)
+        np.multiply(scale, scale, out=scale)
+        scale[:m] = scale[m:].sum() / K
+        direction = np.where(frozen, 0.0, memory.apply(r, scale))
         if g @ direction <= 0.0:
             memory.k = 0
             resets += 1
-            direction = memory.apply(r)
+            direction = memory.apply(r, scale)
 
         step = 1.0
         accepted = None

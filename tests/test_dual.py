@@ -6,6 +6,7 @@ tests form it densely, to compare the structured solves against.
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from dvs.dual import (
     MU_MIN,
@@ -19,8 +20,16 @@ from dvs.dual import (
 )
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
-from dvs.model import DiscreteQP, DualPoint, lift, objective
+from dvs.model import (
+    Certificate,
+    DiscreteQP,
+    DualPoint,
+    SolveReport,
+    lift,
+    objective,
+)
 from dvs.oracle import enumerate_discrete
+from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import _gradient, initial_point, verify_kkt
 
 # Reference dual solution for the second shipped instance (rounded to two
@@ -189,6 +198,33 @@ def differential_points(q, rng):
             elif kind == 2:
                 mu = 10.0 ** rng.uniform(-8.0, 3.0, q.K)
             yield rng.random(q.m), mu
+
+
+def test_kernel_refuses_a_factor_singular_to_round_off():
+    # At mu = 1/4 a {0, 1} block has V = 1, so the kernel factors
+    # I + Q = [[1, a], [a, 1]] with a = 1 - 2^-53: positive definite, but
+    # its eigenvalues are 2^-53 and 2, and dpotrf accepts it with a last
+    # pivot of 2^-52, at the floor n eps max(diag).  Through that factor
+    # the dual value at sigma = 0 comes out 0, above the optimum -1 at
+    # x = (1, 0), and x = (0, 0) would certify with gap 0.
+    a = 1.0 - 2.0 ** -53
+    p = DiscreteQP(Q=[[0.0, a], [a, 0.0]], c=[1.0, -1.0], A=[[1.0, 1.0]],
+                   b=[2.0], U=[[0.0, 1.0], [0.0, 1.0]])
+    assert dpotrf(np.eye(2) + p.Q)[1] == 0
+    assert enumerate_discrete(p)[1] == -1.0
+    q = lift(p)
+    d = DualPoint(sigma=np.zeros(1), mu=np.full(4, 0.25))
+    assert eliminate_tau(q, d.sigma, d.mu) is None
+    x = np.zeros(2)
+    cert = Certificate(status="CertifiedGlobal", primal_feas_residual=0.0,
+                       gap=0.0)
+    assert verify_kkt(q, x, d).status == "NoCertificate"
+    report = SolveReport(x=x, objective=0.0, certificate=cert, dual_point=d,
+                         iterations=0, status="CertifiedGlobal",
+                         solver_status="Certified")
+    passed, failures = check(emit_problem(p), emit_report(report))
+    assert not passed
+    assert any(f.startswith("certificate status") for f in failures)
 
 
 def test_structured_kernel_matches_dense_g():

@@ -19,9 +19,11 @@ included, so a family's lines sum to its report count and each status's
 lines to its total), how many reports ``check`` PASSes, the total ascent
 iterations of each of the three families over both fallback settings
 (the ascent does not depend on the fallback, so each total is twice one
-pass's), the total bytes of the reports and the sha256 of the reports
-concatenated in that order.  The ``status``, ``check PASS`` and
-``iterations`` lines are committed as ``tools/digest_status.txt``; CI
+pass's), the total dual evaluations (``dvs.solver.eliminate_tau`` calls,
+the ascent's hot loop) of each family's solves over both settings, the
+total bytes of the reports and the sha256 of the reports concatenated in
+that order.  The ``status``, ``check PASS``, ``iterations`` and
+``evaluations`` lines are committed as ``tools/digest_status.txt``; CI
 fails when the run's differ from them.
 
 Run from the repository root, with the BLAS pinned to one thread so the
@@ -36,6 +38,7 @@ import collections
 import dataclasses
 import hashlib
 
+from dvs import solver
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
 from dvs.oracle import enumerate_discrete
@@ -70,16 +73,29 @@ def instances():
 
 
 def main():
+    calls = [0]
+    evaluate = solver.eliminate_tau
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    # check reaches the kernel through dvs.solver too; only the calls
+    # made inside solve are counted.
+    solver.eliminate_tau = counted
     problems = [(family, p, emit_problem(p)) for family, p in instances()]
     digest = hashlib.sha256()
     statuses = collections.Counter()
     family_statuses = collections.Counter()
     iterations = collections.Counter()
+    evaluations = collections.Counter()
     reports = passed = size = 0
     for fallback in FALLBACKS:
         for family, p, problem in problems:
+            before = calls[0]
             r = dataclasses.replace(
                 solve(p, fallback_oracle_max_K=fallback), seconds=0.0)
+            evaluations[family] += calls[0] - before
             data = emit_report(r, include_trace=True)
             digest.update(data)
             size += len(data)
@@ -98,6 +114,8 @@ def main():
     print(f"check PASS {passed}")
     for family, total in iterations.items():
         print(f"iterations {family} {total}")
+    for family, total in evaluations.items():
+        print(f"evaluations {family} {total}")
     print(f"bytes {size}")
     print(f"sha256 {digest.hexdigest()}")
 
