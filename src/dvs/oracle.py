@@ -2,9 +2,10 @@
 
 Deliberately naive: every selection is evaluated from scratch (no
 pruning, no incremental updates) so the oracle cannot share failure
-modes with the solver.  Selections are visited in lexicographic block
-order (last block varies fastest), so a value tie goes to the
-lexicographically smallest selection: the first minimum visited.
+modes with the solver.  Both oracles number selection k as
+``np.unravel_index(k, sizes)`` (last block fastest) and share one loop
+that keeps the first minimum, so a value tie goes to the
+lexicographically smallest selection; only the scoring is kept apart.
 """
 
 from __future__ import annotations
@@ -20,12 +21,29 @@ DEFAULT_LIMIT = 20_000_000
 _CHUNK = 65536
 
 
-def _radices(sizes: list[int]) -> np.ndarray:
-    """Place values for mixed-radix decoding, last position fastest."""
-    rad = np.ones(len(sizes), dtype=np.int64)
-    for i in range(len(sizes) - 2, -1, -1):
-        rad[i] = rad[i + 1] * sizes[i + 1]
-    return rad
+def _search(sizes, chunk, evaluate, infeasible):
+    """First minimum over every selection, ``chunk`` selections at a time.
+
+    ``evaluate(idx)`` gets a C-ordered array with one row of value indices
+    per selection and returns the feasible rows' mask and their values.
+    Returns (the best row, value, feasible_count, total_count).
+    """
+    total = math.prod(sizes)
+    if total > DEFAULT_LIMIT:
+        raise TooLarge(total, DEFAULT_LIMIT)
+    best_value, best, feasible = math.inf, None, 0
+    for lo in range(0, total, chunk):
+        flat = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        idx = np.array(np.unravel_index(flat, sizes)).T.copy()
+        feas, vals = evaluate(idx)
+        feasible += vals.size
+        if vals.size:
+            k = int(np.argmin(vals))
+            if vals[k] < best_value:
+                best_value, best = float(vals[k]), idx[feas][k]
+    if feasible == 0:
+        raise Infeasible(infeasible)
+    return best, best_value, feasible, total
 
 
 def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
@@ -36,80 +54,42 @@ def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
     of ``solve`` and ``dvs check`` share that one limit, so every oracle
     answer can be verified again.
     """
-    sizes = [len(ui) for ui in p.U]
-    total = math.prod(sizes)
-    if total > DEFAULT_LIMIT:
-        raise TooLarge(total, DEFAULT_LIMIT)
-    rad = _radices(sizes)
     cols = [np.asarray(ui, dtype=float) for ui in p.U]
 
-    best_value = math.inf
-    best_index = -1
-    feasible = 0
-    for lo in range(0, total, _CHUNK):
-        flat = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        X = np.empty((flat.size, p.n))
-        for i in range(p.n):
-            X[:, i] = cols[i][(flat // rad[i]) % sizes[i]]
+    def evaluate(idx):
+        X = np.empty(idx.shape)
+        for i, u in enumerate(cols):
+            X[:, i] = u[idx[:, i]]
         feas = np.all(X @ p.A.T <= p.b + VALUE_MEMBERSHIP_TOL, axis=1)
-        nf = int(feas.sum())
-        feasible += nf
-        if nf == 0:
-            continue
         Xf = X[feas]
-        vals = 0.5 * np.einsum("ij,ij->i", Xf @ p.Q, Xf) - Xf @ p.c
-        k = int(np.argmin(vals))
-        v = float(vals[k])
-        if v < best_value:
-            best_value = v
-            best_index = int(flat[feas][k])
-    if feasible == 0:
-        raise Infeasible("no selection satisfies Ax <= b")
-    x = np.array([cols[i][(best_index // rad[i]) % sizes[i]]
-                  for i in range(p.n)])
-    return x, best_value, feasible, total
+        return feas, 0.5 * np.einsum("ij,ij->i", Xf @ p.Q, Xf) - Xf @ p.c
+
+    best, value, feasible, total = _search(
+        [len(ui) for ui in p.U], _CHUNK, evaluate,
+        "no selection satisfies Ax <= b")
+    return np.array([u[j] for u, j in zip(cols, best)]), value, feasible, total
 
 
 def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:
     """Minimize 0.5 y'By - h'y over one-hot y with Dy <= b.
 
-    Evaluates B, h, D directly through the selected coordinate indices —
+    Shares the numbering and loop of :func:`enumerate_discrete`, but scores
+    B, h, D directly through the selected coordinate indices —
     deliberately independent of the decoding in the lift module — so the
     equivalence of the lifted and original problems can be machine-checked.
     """
-    sizes, starts = q.sizes.tolist(), q.starts
-    total = math.prod(sizes)
-    if total > DEFAULT_LIMIT:
-        raise TooLarge(total, DEFAULT_LIMIT)
-    rad = _radices(sizes)
+    def evaluate(idx):
+        sel = q.starts + idx
+        feas = np.all(q.D.T[sel].sum(axis=1) <= q.b + VALUE_MEMBERSHIP_TOL,
+                      axis=1)
+        sf = sel[feas]
+        return feas, (0.5 * q.B[sf[:, :, None], sf[:, None, :]].sum(axis=(1, 2))
+                      - q.h[sf].sum(axis=1))
+
     # The B gather materializes chunk*n*n floats; keep it bounded.
     chunk = max(1, min(_CHUNK, 4_000_000 // (q.n * q.n)))
-
-    best_value = math.inf
-    best_index = -1
-    feasible = 0
-    for lo in range(0, total, chunk):
-        flat = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        sel = np.empty((flat.size, q.n), dtype=np.int64)
-        for i in range(q.n):
-            sel[:, i] = starts[i] + (flat // rad[i]) % sizes[i]
-        dy = q.D.T[sel].sum(axis=1)
-        feas = np.all(dy <= q.b + VALUE_MEMBERSHIP_TOL, axis=1)
-        nf = int(feas.sum())
-        feasible += nf
-        if nf == 0:
-            continue
-        sf = sel[feas]
-        vals = (0.5 * q.B[sf[:, :, None], sf[:, None, :]].sum(axis=(1, 2))
-                - q.h[sf].sum(axis=1))
-        k = int(np.argmin(vals))
-        v = float(vals[k])
-        if v < best_value:
-            best_value = v
-            best_index = int(flat[feas][k])
-    if feasible == 0:
-        raise Infeasible("no one-hot selection satisfies Dy <= b")
+    best, value, _, _ = _search(q.sizes.tolist(), chunk, evaluate,
+                                "no one-hot selection satisfies Dy <= b")
     y = np.zeros(q.K)
-    for i in range(q.n):
-        y[starts[i] + (best_index // rad[i]) % sizes[i]] = 1.0
-    return y, best_value
+    y[q.starts + best] = 1.0
+    return y, value

@@ -1,12 +1,88 @@
 """Exhaustive enumeration over value sets and one-hot selections."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from dvs import oracle
 from dvs.errors import Infeasible, TooLarge
-from dvs.model import DiscreteQP, lift
+from dvs.generator import GenSpec, generate
+from dvs.model import VALUE_MEMBERSHIP_TOL, DiscreteQP, lift
 from dvs.oracle import enumerate_binary, enumerate_discrete
+
+from conftest import SWEEP_VALUE_SETS
+
+
+def reference_discrete(p):
+    """First strict minimum of an itertools.product walk over the value
+    sets, one selection at a time: (x, value, feasible, total)."""
+    best_x, best_value, feasible, total = None, math.inf, 0, 0
+    for selection in itertools.product(*p.U):
+        total += 1
+        x = np.array(selection)
+        if np.all(p.A @ x <= p.b + VALUE_MEMBERSHIP_TOL):
+            feasible += 1
+            value = 0.5 * x @ p.Q @ x - p.c @ x
+            if value < best_value:
+                best_x, best_value = x, value
+    return best_x, best_value, feasible, total
+
+
+def reference_binary(q, p):
+    """The same walk over one-hot y, blocks laid out from ``p.U``."""
+    ends = list(itertools.accumulate(len(ui) for ui in p.U))
+    blocks = [range(e - len(ui), e) for e, ui in zip(ends, p.U)]
+    best_y, best_value = None, math.inf
+    for selection in itertools.product(*blocks):
+        y = np.zeros(ends[-1])
+        y[list(selection)] = 1.0
+        if np.all(q.D @ y <= q.b + VALUE_MEMBERSHIP_TOL):
+            value = 0.5 * y @ q.B @ y - q.h @ y
+            if value < best_value:
+                best_y, best_value = y, value
+    return best_y, best_value
+
+
+def without_constraints(p):
+    return DiscreteQP(Q=p.Q, c=p.c, A=np.zeros((0, p.n)), b=np.zeros(0),
+                      U=p.U)
+
+
+REFERENCE_SPECS = (
+    [GenSpec(2 + k % 3, 1 + k % 2, 1000 + k, SWEEP_VALUE_SETS[k % 4])
+     for k in range(1, 25)]
+    + [GenSpec(8, 2, 7000 + k, (0.0, 1.0), coeff_range=(-1.0, 1.0),
+               dominance_boost=False) for k in range(3)]
+    + [GenSpec(5, 2, 9900 + k, (-2, -1, 0, 1, 2), coeff_range=(-1, 1))
+       for k in range(2)])
+
+
+def assert_matches_reference(p):
+    x, value, feasible, total = enumerate_discrete(p)
+    ref_x, ref_value, ref_feasible, ref_total = reference_discrete(p)
+    assert np.array_equal(x, ref_x)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+    assert (feasible, total) == (ref_feasible, ref_total)
+    q = lift(p)
+    y, lifted_value = enumerate_binary(q)
+    ref_y, ref_lifted_value = reference_binary(q, p)
+    assert np.array_equal(y, ref_y)
+    assert lifted_value == pytest.approx(ref_lifted_value, rel=1e-12,
+                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: str(s.seed))
+@pytest.mark.parametrize("m0", [False, True], ids=["m", "m0"])
+def test_oracles_match_itertools_reference(spec, m0):
+    p = generate(spec)
+    assert_matches_reference(without_constraints(p) if m0 else p)
+
+
+def tie_problem(c, A, b, U):
+    n = len(U)
+    return DiscreteQP(Q=np.zeros((n, n)), c=c, A=A, b=b, U=U)
 
 
 def two_var_problem():
@@ -39,13 +115,31 @@ def test_enumerate_tie_break_is_lexicographic():
     x, value, _, _ = enumerate_discrete(p)
     assert np.array_equal(x, [3.0, 2.0])
     assert value == 0.0
+    # x1 + x2 <= 4 rules out only the first selection, (3, 2): both
+    # oracles must return (3, 1), the first feasible selection in product
+    # order, not the numerically smallest.
+    U = [[3.0, 1.0], [2.0, 1.0, 0.0]]
+    p = tie_problem(np.zeros(2), np.array([[1.0, 1.0]]), np.array([4.0]), U)
+    x, value, feasible, total = enumerate_discrete(p)
+    assert np.array_equal(x, [3.0, 1.0])
+    assert np.array_equal(x, reference_discrete(p)[0])
+    assert (value, feasible, total) == (0.0, 5, 6)
+    q = lift(p)
+    y, lifted_value = enumerate_binary(q)
+    assert np.array_equal(y, [1.0, 0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(y, reference_binary(q, p)[0])
+    assert lifted_value == 0.0
 
 
 def test_enumerate_infeasible():
     p = DiscreteQP(Q=np.eye(1), c=np.zeros(1),
                    A=np.array([[1.0]]), b=np.array([-10.0]), U=[[0.0, 1.0]])
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible) as exc:
         enumerate_discrete(p)
+    assert str(exc.value) == "no selection satisfies Ax <= b"
+    with pytest.raises(Infeasible) as exc:
+        enumerate_binary(lift(p))
+    assert str(exc.value) == "no one-hot selection satisfies Dy <= b"
 
 
 def test_enumerate_too_large(monkeypatch):
@@ -54,10 +148,16 @@ def test_enumerate_too_large(monkeypatch):
     with pytest.raises(TypeError):
         enumerate_discrete(p, limit=3)
     monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 3)
-    with pytest.raises(TooLarge) as exc:
-        enumerate_discrete(p)
-    assert exc.value.combinations == 4
-    assert exc.value.limit == 3
+    for enumerate_any, problem in ((enumerate_discrete, p),
+                                   (enumerate_binary, lift(p))):
+        with pytest.raises(TooLarge) as exc:
+            enumerate_any(problem)
+        assert exc.value.combinations == 4
+        assert exc.value.limit == 3
+    # At the limit itself both oracles still enumerate.
+    monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 4)
+    assert enumerate_discrete(p)[3] == 4
+    assert enumerate_binary(lift(p))[1] == pytest.approx(-5.0)
 
 
 def test_enumerate_spans_chunk_boundaries():
@@ -70,7 +170,57 @@ def test_enumerate_spans_chunk_boundaries():
                    U=[[0.0, 1.0]] * n)
     x, value, feasible, total = enumerate_discrete(p)
     assert total == feasible == 2 ** 17
-    assert value <= 0.0  # x = 0 is always available
+    X = np.array(list(itertools.product(*p.U)))
+    values = 0.5 * ((X @ p.Q) * X).sum(axis=1) - X @ p.c
+    k = int(np.argmin(values))
+    assert np.array_equal(x, X[k])
+    assert value == pytest.approx(values[k], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_oracles_match_reference_across_small_chunks(monkeypatch, chunk):
+    # Both oracles read the chunk size at call time; a small one makes
+    # every instance cross many chunk boundaries.
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for spec in REFERENCE_SPECS[::4]:
+        assert_matches_reference(generate(spec))
+
+
+def test_tie_straddling_a_chunk_boundary_goes_to_the_first(monkeypatch):
+    # Value -x2 over {0, 1}^3 in chunks of three selections: the minimum
+    # -1 is first reached by (0, 1, 0), the last selection of the first
+    # chunk, and again by (0, 1, 1), the first of the second chunk.
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    U = [[0.0, 1.0]] * 3
+    p = tie_problem(np.array([0.0, 1.0, 0.0]), np.zeros((0, 3)),
+                    np.zeros(0), U)
+    x, value, feasible, total = enumerate_discrete(p)
+    assert np.array_equal(x, [0.0, 1.0, 0.0])
+    assert (value, feasible, total) == (-1.0, 8, 8)
+    y, lifted_value = enumerate_binary(lift(p))
+    assert np.array_equal(y, [1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+    assert lifted_value == -1.0
+    # With x3 >= 1, (0, 1, 0) is infeasible: the tie is now between
+    # (0, 1, 1) in the second chunk and (1, 1, 1) in the third.
+    p = tie_problem(np.array([0.0, 1.0, 0.0]), np.array([[0.0, 0.0, -1.0]]),
+                    np.array([-1.0]), U)
+    x, _, feasible, _ = enumerate_discrete(p)
+    assert np.array_equal(x, [0.0, 1.0, 1.0])
+    assert feasible == 4
+    y, _ = enumerate_binary(lift(p))
+    assert np.array_equal(y, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+
+
+def test_first_chunk_without_feasible_selection(monkeypatch):
+    # x1 >= 1 leaves the first half of {0, 1}^3 infeasible: with chunks of
+    # two selections, the first two chunks have no feasible row at all.
+    monkeypatch.setattr(oracle, "_CHUNK", 2)
+    p = DiscreteQP(Q=np.eye(3), c=np.zeros(3), A=np.array([[-1.0, 0.0, 0.0]]),
+                   b=np.array([-1.0]), U=[[0.0, 1.0]] * 3)
+    assert_matches_reference(p)
+    x, value, feasible, total = enumerate_discrete(p)
+    assert np.array_equal(x, [1.0, 0.0, 0.0])
+    assert (value, feasible, total) == (0.5, 4, 8)
 
 
 def test_enumerate_binary_single_coordinate():
