@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import Infeasible, TooLarge
-from .model import VALUE_MEMBERSHIP_TOL, BinaryQP, DiscreteQP
+from .model import VALUE_MEMBERSHIP_TOL, BinaryQP, DiscreteQP, objective
 
 DEFAULT_LIMIT = 20_000_000
 _CHUNK = 65536
@@ -49,10 +49,12 @@ def _search(sizes, chunk, evaluate, infeasible):
 def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
     """Minimize over every selection from the value sets, subject to Ax<=b.
 
-    Returns (x_best, value, feasible_count, total_count).  More than
-    ``DEFAULT_LIMIT`` selections is TooLarge: ``dvs oracle``, the fallback
-    of ``solve`` and ``dvs check`` share that one limit, so every oracle
-    answer can be verified again.
+    Returns (x_best, value, feasible_count, total_count), ``value`` being
+    :func:`dvs.model.objective` at x_best, as in every report: the batch
+    scores, whose last bits depend on the chunk, only choose x_best.  More
+    than ``DEFAULT_LIMIT`` selections is TooLarge: ``dvs oracle``, the
+    fallback of ``solve`` and ``dvs check`` share that one limit, so every
+    oracle answer can be verified again.
     """
     cols = [np.asarray(ui, dtype=float) for ui in p.U]
 
@@ -64,10 +66,11 @@ def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
         Xf = X[feas]
         return feas, 0.5 * np.einsum("ij,ij->i", Xf @ p.Q, Xf) - Xf @ p.c
 
-    best, value, feasible, total = _search(
+    best, _, feasible, total = _search(
         [len(ui) for ui in p.U], _CHUNK, evaluate,
         "no selection satisfies Ax <= b")
-    return np.array([u[j] for u, j in zip(cols, best)]), value, feasible, total
+    x = np.array([u[j] for u, j in zip(cols, best)])
+    return x, objective(p, x), feasible, total
 
 
 def enumerate_binary(q: BinaryQP) -> tuple[np.ndarray, float]:

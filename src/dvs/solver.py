@@ -14,16 +14,18 @@ variable-storage quasi-Newton algorithms", Math. Prog. 45, 1989): gamma
 max(mu_k, 3 mu0)^2 on mu_k and the mean of those on sigma, so the mu that
 climb from mu0 to a hundred times it each step on their own scale rather
 than on one shared by all K.  An Armijo backtracking line search rejects
-any trial off that cone — feasibility before ascent.  As in L-BFGS-B
-(Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) the curvature
-pairs model the free coordinates only: a pair's y is 0 on the
-coordinates the step held at their bound.  A trial on the cone that fails the Armijo test shortens
-the step to the maximizer of the quadratic through the current value,
-the slope and the failed value (Nocedal & Wright, *Numerical
-Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
-failed step, so the value that trial cost is not thrown away; a trial
-off the cone, or with a value that is not finite, halves it.
-The ascent keeps its curvature pairs in buffers of the memory size.
+any trial off that cone — feasibility before ascent — and any trial that
+does not raise the dual value, so every accepted step raises it.  As in
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) the
+curvature pairs model the free coordinates only: a pair's y is 0 on the
+coordinates the step held at their bound.  A trial on the cone that
+fails the Armijo test shortens the step to the maximizer of the
+quadratic through the current value, the slope and the failed value
+(Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.5), kept
+between 0.1 and 0.5 of the failed step, so the value that trial cost is
+not thrown away; a trial off the cone, or with a value that is not
+finite, halves it.  The ascent keeps its curvature pairs in buffers of
+the memory size.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its feasibility, gap and status rules,
@@ -97,10 +99,9 @@ _LBFGS_MEMORY = 20
 # H0's mu-block scale is max(mu, _SCALE_FLOOR * mu0)^2: a multiplier's step
 # follows its own size once it has grown past a few times its start.
 _SCALE_FLOOR = 3.0
-_STALL_PATIENCE = 50
 _TOL_GRAD = 1e-8
 # The ascent's step budget, far above the most steps measured: 14 on
-# criterion 4's instances, 154 on the first 120 of the indefinite family,
+# criterion 4's instances, 114 on the first 120 of the indefinite family,
 # and 14 on GenSpec(n, 5, 4242 + n) at both n = 300 and 1000.
 _MAX_ITER = 5000
 # The lifted dimension up to which ``solve`` falls back to the oracle.
@@ -237,26 +238,23 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     the products with other pairs, whose s may be nonzero there (s'y
     itself does not change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995)
     likewise keeps its model on the free variables.  The Armijo
-    backtracking starts at the unit step and accepts a trial with
-    v_try >= v + 1e-4 dg, where v is the dual value and
-    dg = g'(w_try - w) > 0 the slope along the trial.
-    After a failed trial on the cone with a finite value it multiplies
+    backtracking starts at the unit step and accepts a trial whose rise
+    v_try - v over the dual value v is at least 1e-4 dg, dg = g'(w_try - w)
+    > 0 the slope along the trial, so a flat trial fails however small dg
+    is.  After a failed trial on the cone with a finite rise it multiplies
     the step by the maximizer t* = dg / (2 (dg - (v_try - v))) of the
     quadratic through v, dg and v_try, clamped to [0.1, 0.5], and after a
     trial off the cone or with a value that is not finite it halves the
     step.  Every accepted iterate stays on the cone of
-    :func:`dvs.dual.eliminate_tau` and never decreases the dual value; the
-    trace records the dual value of the initial point and of each
-    accepted step, and carries the rounded x and its certificate at the
-    final iterate.
+    :func:`dvs.dual.eliminate_tau` and raises the dual value; the trace
+    records the dual value of the initial point and of each accepted step,
+    and carries the rounded x and its certificate at the final iterate.
     Terminates at the first iterate (the initial point included) whose
     rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
     the projected gradient infinity-norm falls to 1e-8 ("Converged"),
-    after ``_MAX_ITER`` steps ("MaxIterations"), or when no further progress
-    is possible — the line search finds no ascent step above 1e-16, or
-    the dual value has been exactly flat for 50 consecutive accepted
-    steps ("LineSearchStall", best iterate returned — typically at the
-    round-off floor).
+    after ``_MAX_ITER`` steps ("MaxIterations"), or when no step along
+    the direction, down to 1e-16 of it, raises the dual value
+    ("LineSearchStall"; the last iterate, the best, is returned).
     Data whose initial point or dual value there overflows doubles are a
     ValueError, raised before the first step without a warning.
     By weak duality a dual value on the cone bounds every feasible
@@ -307,12 +305,6 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
                 break
-        # Accepted steps never lower the dual value, so equal values
-        # _STALL_PATIENCE steps apart mean that many exactly flat steps.
-        if (it >= _STALL_PATIENCE
-                and values[-1] == values[-1 - _STALL_PATIENCE]):
-            termination = TERM_STALL
-            break
         if it == _MAX_ITER:
             break
         # Bound-active coordinates whose gradient pushes outward are
@@ -346,14 +338,18 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
                 evaluations += 1
                 if res is None:
                     rejections += 1
-                elif res[0] >= v + _ARMIJO_C1 * dg:
-                    accepted = (w_try, res)
-                    break
-                elif math.isfinite(res[0]):
-                    # The maximizer of the quadratic through v, the slope
-                    # dg and the failed value, as a fraction of this step.
-                    shrink = min(max(dg / (2.0 * (dg - (res[0] - v))),
-                                     _BACKTRACK_MIN), _BACKTRACK_MAX)
+                else:
+                    # Not v_try >= v + c1 dg, whose sum rounds to v when
+                    # c1 dg is below half an ulp of v: a flat trial fails.
+                    rise = res[0] - v
+                    if rise >= _ARMIJO_C1 * dg:
+                        accepted = (w_try, res)
+                        break
+                    if math.isfinite(rise):
+                        # The maximizer of the quadratic through v, dg
+                        # and v_try, as a fraction of this step.
+                        shrink = min(max(dg / (2.0 * (dg - rise)),
+                                         _BACKTRACK_MIN), _BACKTRACK_MAX)
             step *= shrink
         if accepted is None:
             termination = TERM_STALL

@@ -9,7 +9,7 @@ import pytest
 from dvs import oracle
 from dvs.errors import Infeasible, TooLarge
 from dvs.generator import GenSpec, generate
-from dvs.model import VALUE_MEMBERSHIP_TOL, DiscreteQP, lift
+from dvs.model import VALUE_MEMBERSHIP_TOL, DiscreteQP, lift, objective
 from dvs.oracle import enumerate_binary, enumerate_discrete
 
 from conftest import SWEEP_VALUE_SETS
@@ -184,6 +184,22 @@ def test_oracles_match_reference_across_small_chunks(monkeypatch, chunk):
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     for spec in REFERENCE_SPECS[::4]:
         assert_matches_reference(generate(spec))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_oracle_value_is_the_objective_at_its_x(sweep_instances, monkeypatch,
+                                                chunk):
+    # The batch scores of a chunk can differ from objective(p, x) in the
+    # last bit, by the chunk's size and feasible rows; the returned value
+    # is objective's, whatever the chunk.
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    problems = [p for p, _, _ in sweep_instances] + [
+        generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0), coeff_range=(-1.0, 1.0),
+                         dominance_boost=False)) for k in range(120)]
+    for p in problems:
+        x, value, _, _ = enumerate_discrete(p)
+        assert value.hex() == objective(p, x).hex()
 
 
 def test_tie_straddling_a_chunk_boundary_goes_to_the_first(monkeypatch):

@@ -144,18 +144,18 @@ def test_maximize_dual_reaches_reference_value(example1):
 
 
 def test_trace_is_monotone_nondecreasing(example1, example2):
-    # The indefinite instances backtrack far more than the examples, and
-    # end on each of the three rules that leave the ascent uncertified:
-    # k = 0 on 50 exactly flat steps, k = 1 on a failed line search after
-    # 282 cone rejections, k = 19 converged.
+    # Every accepted step raises the dual value.  The indefinite instances
+    # backtrack far more than the examples, and end on both rules that
+    # leave the ascent uncertified: k = 0 and 1 on a line search that
+    # finds no rise, k = 19 converged.
     ends = {0: TERM_STALL, 1: TERM_STALL, 19: TERM_CONVERGED}
     for k, end in ends.items():
         _, trace = maximize_dual(lift(indefinite(k)))
         assert trace.termination == end
-        assert all(b >= a for a, b in zip(trace.values, trace.values[1:]))
+        assert all(b > a for a, b in zip(trace.values, trace.values[1:]))
     for p in [example1, example2] + criterion4_problems(20):
         values = maximize_dual(lift(p))[1].values
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_trace_log_level_logs_every_iteration(example1, caplog):
@@ -179,16 +179,40 @@ def test_max_iter_is_honoured(example1, monkeypatch):
     assert trace.iterations == 3
 
 
-def test_ascent_stalls_after_fifty_exactly_flat_steps():
-    # These indefinite instances end on the flat-step rule: the ascent
-    # stops at the first iterate whose dual value equals the value 50
-    # accepted steps before it, and values never decrease, so the last
-    # 51 values are equal and the one before them is lower.
+def test_ascent_stalls_when_no_step_raises_the_value():
+    # These indefinite instances stop where the line search finds no step
+    # that raises the dual value; every step before it did.
     for k in (0, 4, 5):
         _, trace = maximize_dual(lift(indefinite(k)))
         v = trace.values
         assert trace.termination == TERM_STALL
-        assert len(set(v[-51:])) == 1 and v[-52] < v[-1]
+        assert all(b > a for a, b in zip(v, v[1:]))
+
+
+def test_an_exactly_flat_trial_is_rejected(monkeypatch):
+    # Every trial returns exactly the start value 1e8.  The gradient,
+    # 1e-3 everywhere, makes 1e-4 of the slope along a trial at most
+    # 2e-9, below half an ulp of 1e8 (7.5e-9), so 1e8 + 1e-4 dg rounds to
+    # 1e8; the measured rise, 0, still fails, and the ascent stalls at
+    # its start.  U up to 2e4 puts the objective bound (4e8) above 1e8.
+    p = DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.ones((1, 2)),
+                   b=np.array([1e5]), U=((0.0, 1e4, 2e4), (0.0, 2e4)))
+    q = lift(p)
+    real = solver.eliminate_tau
+    calls = []
+
+    def flat(q, sigma, mu):
+        calls.append(1)
+        _, y, tau = real(q, sigma, mu)
+        return 1e8, y, tau
+
+    monkeypatch.setattr(solver, "eliminate_tau", flat)
+    monkeypatch.setattr(solver, "_gradient",
+                        lambda q, y: np.full(q.m + q.K, 1e-3))
+    _, trace = maximize_dual(q)
+    assert trace.termination == TERM_STALL
+    assert trace.values == (1e8,)
+    assert len(calls) > 2  # the start and more than one trial
 
 
 def test_ascent_trace_iteration_count():

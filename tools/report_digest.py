@@ -20,11 +20,16 @@ lines to its total), how many reports ``check`` PASSes, the total ascent
 iterations of each of the three families over both fallback settings
 (the ascent does not depend on the fallback, so each total is twice one
 pass's), the total dual evaluations (``dvs.solver.eliminate_tau`` calls,
-the ascent's hot loop) of each family's solves over both settings, the
+the ascent's hot loop) of each family's solves over both settings, one
+``bound <family> <median> <max>`` line for criterion4 and indefinite, the
 total bytes of the reports and the sha256 of the reports concatenated in
-that order.  The ``status``, ``check PASS``, ``iterations`` and
-``evaluations`` lines are committed as ``tools/digest_status.txt``; CI
-fails when the run's differ from them.
+that order.  A ``bound`` line gives, to three significant digits, the
+median and largest relative shortfall (optimum - final dual value) /
+(1 + |optimum|) of the family's fallback-0 pass, against the oracle's
+optimum: how far below the optimum the ascent's bound ends.  The
+``status``, ``check PASS``, ``iterations``, ``evaluations`` and ``bound``
+lines are committed as ``tools/digest_status.txt``; CI fails when the
+run's differ from them.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -37,6 +42,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
+import statistics
 
 from dvs import solver
 from dvs.errors import Infeasible
@@ -50,8 +56,8 @@ FALLBACKS = (24, 0)
 
 
 def instances():
-    """(family, problem) for the set, in the order of the module
-    docstring."""
+    """(family, problem, oracle optimum or None) for the set, in the
+    order of the module docstring; the n50 family has no optimum."""
     out = []
     k = 0
     while len(out) < 200:
@@ -59,15 +65,15 @@ def instances():
         p = generate(GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
                              value_set=SWEEP_VALUE_SETS[k % 4]))
         try:
-            enumerate_discrete(p)
+            optimum = enumerate_discrete(p)[1]
         except Infeasible:
             continue
-        out.append(("criterion4", p))
-    out += [("indefinite",
-             generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
-                              coeff_range=(-1.0, 1.0), dominance_boost=False)))
-            for k in range(120)]
-    out += [("n50", generate(GenSpec(50, 5, seed)))
+        out.append(("criterion4", p, optimum))
+    for k in range(120):
+        p = generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
+                             coeff_range=(-1.0, 1.0), dominance_boost=False))
+        out.append(("indefinite", p, enumerate_discrete(p)[1]))
+    out += [("n50", generate(GenSpec(50, 5, seed)), None)
             for seed in (4292, 4293, 4294)]
     return out
 
@@ -83,15 +89,17 @@ def main():
     # check reaches the kernel through dvs.solver too; only the calls
     # made inside solve are counted.
     solver.eliminate_tau = counted
-    problems = [(family, p, emit_problem(p)) for family, p in instances()]
+    problems = [(family, p, emit_problem(p), optimum)
+                for family, p, optimum in instances()]
     digest = hashlib.sha256()
     statuses = collections.Counter()
     family_statuses = collections.Counter()
     iterations = collections.Counter()
     evaluations = collections.Counter()
+    shortfalls = collections.defaultdict(list)
     reports = passed = size = 0
     for fallback in FALLBACKS:
-        for family, p, problem in problems:
+        for family, p, problem, optimum in problems:
             before = calls[0]
             r = dataclasses.replace(
                 solve(p, fallback_oracle_max_K=fallback), seconds=0.0)
@@ -104,6 +112,9 @@ def main():
             family_statuses[family, r.status] += 1
             iterations[family] += r.iterations
             passed += check(problem, data)[0]
+            if fallback == 0 and optimum is not None:
+                shortfalls[family].append(
+                    (optimum - r.trace[-1]) / (1.0 + abs(optimum)))
     print(f"reports {reports}")
     for status, count in sorted(statuses.items()):
         print(f"{status} {count}")
@@ -116,6 +127,9 @@ def main():
         print(f"iterations {family} {total}")
     for family, total in evaluations.items():
         print(f"evaluations {family} {total}")
+    for family, values in shortfalls.items():
+        print(f"bound {family} {statistics.median(values):.3g} "
+              f"{max(values):.3g}")
     print(f"bytes {size}")
     print(f"sha256 {digest.hexdigest()}")
 
