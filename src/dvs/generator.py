@@ -148,6 +148,8 @@ class GenSpec:
         values = tuple(float(v) for v in self.value_set)
         if not values:
             raise ValueError("value_set must be non-empty")
+        if not all(map(math.isfinite, values)):
+            raise ValueError("value_set has a non-finite entry")
         if len(set(values)) != len(values):
             raise ValueError("value_set contains duplicate values")
         lo, hi = (float(self.coeff_range[0]), float(self.coeff_range[1]))
@@ -170,5 +172,8 @@ def generate(spec: GenSpec) -> DiscreteQP:
     c = u[n * n + m * n:]
     l_vec = np.full(spec.n, min(spec.value_set))
     u_vec = np.full(spec.n, max(spec.value_set))
-    b = A @ l_vec + 0.5 * (A @ u_vec - A @ l_vec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = A @ l_vec + 0.5 * (A @ u_vec - A @ l_vec)
+    if not all(map(math.isfinite, b.tolist())):
+        raise ValueError("the value set's range overflows b")
     return DiscreteQP(Q=Q, c=c, A=A, b=b, U=tuple(spec.value_set for _ in range(spec.n)))

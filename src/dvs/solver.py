@@ -219,6 +219,7 @@ class _LBFGSMemory:
         return gamma * (d * r) + S.T @ p - gamma * (yd.T @ t)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
@@ -255,8 +256,11 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     after ``_MAX_ITER`` steps ("MaxIterations"), or when no step along
     the direction, down to 1e-16 of it, raises the dual value
     ("LineSearchStall"; the last iterate, the best, is returned).
+    The whole ascent runs with numpy's overflow and invalid warnings off.
     Data whose initial point or dual value there overflows doubles are a
-    ValueError, raised before the first step without a warning.
+    ValueError, raised before the first step; an overflow later, such as
+    H0's max(mu, 3 mu0)^2 once mu0 passes about 1e154, leaves the line
+    search no rising step ("LineSearchStall"), not a warning.
     By weak duality a dual value on the cone bounds every feasible
     selection's objective from below, and no selection's objective exceeds
     top = a'|Q|a / 2 + |c|'a, a_i = max |U_i|: an iterate whose dual value
@@ -264,15 +268,14 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     ascent raises :class:`dvs.errors.Infeasible` there.
     """
     m, K = q.m, q.K
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = initial_point(q)
-        w = np.concatenate([start.sigma, start.mu])
-        res = eliminate_tau(q, start.sigma, start.mu)
-        if res is not None:
-            g = _gradient(q, res[1])
-        # An overflowing or NaN top makes the comparison below never fire.
-        a = np.maximum.reduceat(np.abs(q.U_flat), q.starts)
-        top = 0.5 * (a @ np.abs(q.Q) @ a) + np.abs(q.c) @ a
+    start = initial_point(q)
+    w = np.concatenate([start.sigma, start.mu])
+    res = eliminate_tau(q, start.sigma, start.mu)
+    if res is not None:
+        g = _gradient(q, res[1])
+    # An overflowing or NaN top makes the comparison below never fire.
+    a = np.maximum.reduceat(np.abs(q.U_flat), q.starts)
+    top = 0.5 * (a @ np.abs(q.Q) @ a) + np.abs(q.c) @ a
     if res is None or not math.isfinite(res[0]):
         raise ValueError(_OVERFLOW)
     ceiling = top + TOL_GAP * (1.0 + abs(top))

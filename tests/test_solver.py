@@ -785,6 +785,19 @@ def test_diagonal_h0_certifies_the_suite_in_few_steps(n, seeds, most):
         assert trace.iterations <= most
 
 
+@pytest.mark.parametrize("seed", [500, 503, 507])
+def test_h0_scale_overflow_stalls_without_a_warning(seed):
+    # H0 squares max(mu, 3 mu0), which overflows once mu0 passes about
+    # 1e154; under tier-1's filter a leaked overflow warning is an error.
+    # Every scale ends as the x1e100 copy does: a stall before any step.
+    p = generate(GenSpec(4, 2, seed, (0, 1, 3)))
+    for factor in (1e100, 1e150, 1e160, 1e200, 1e250, 1e300):
+        r = solve(dataclasses.replace(p, Q=p.Q * factor, c=p.c * factor),
+                  fallback_oracle_max_K=0)
+        assert (r.status, r.solver_status, r.iterations) == (
+            "NoCertificate", TERM_STALL, 0)
+
+
 def criterion4_problems(count):
     problems, k = [], 0
     while len(problems) < count:

@@ -6,7 +6,7 @@ every instance of the set.  The set, solved in this order:
 1. criterion 4's 200 instances: for k = 1, 2, ...,
    ``GenSpec(2 + k % 3, 1 + k % 2, 1000 + k, SWEEP_VALUE_SETS[k % 4])``,
    skipping those the oracle finds infeasible, until 200 are kept (the
-   rule of ``sweep_instances`` in tests/test_acceptance.py);
+   rule of the ``sweep_instances`` fixture in tests/conftest.py);
 2. the indefinite family ``GenSpec(8, 2, 7000 + k, (0, 1),
    coeff_range=(-1, 1), dominance_boost=False)`` for k = 0..119;
 3. ``GenSpec(50, 5, seed)`` for seed = 4292, 4293, 4294.
