@@ -12,8 +12,8 @@ These tau-given functions (:func:`factorize_g`, :func:`recover_y`,
 :func:`dual_value`, :func:`dual_gradient`, :func:`in_dual_cone`) are the
 textbook definition, with G(mu) formed densely and factored by
 ``scipy.linalg.cho_factor``; only the tests call them, with tau as an
-argument.  The solver and ``dvs check`` call only :func:`eliminate_tau`,
-which forms no K-by-K matrix, at a (sigma, mu) point.
+argument, on the lifted ``BinaryQP``.  The solver and ``dvs check`` call
+only :func:`eliminate_tau`, on the ``DiscreteQP``, which forms no lifted array.
 
 :func:`eliminate_tau` maximizes P_dual over tau, i.e. minimizes
 0.5 y'G y - (F + H'tau)'y over {H y = 1}, which bounds every feasible 0-1
@@ -27,7 +27,7 @@ c = ubar + sum du / 2, the minimizer is
 
 where x solves (Q + diag(1/V)) x = gamma + c/V, gamma = c_problem - A'sigma,
 as (I + S Q S) z = S (gamma - Q c), S = diag(sqrt V).  The centring keeps
-alpha and beta on the scale of mu, and H y = 1 holds by construction.
+alpha and beta on the scale of mu; H y = 1 and M'y = x by construction.
 
 That one Cholesky is also the cone test.  For mu > 0 take y in ker H with
 M'y = x: y'G y = x'Q x + sum 2 mu y^2, and per block the least
@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import MU_MIN, BinaryQP, DualPoint
+from .model import MU_MIN, BinaryQP, DiscreteQP, DualPoint
 
 _EPS = np.finfo(float).eps
 
@@ -118,39 +118,39 @@ def recover_y(fact: GFactorization, F: np.ndarray) -> np.ndarray:
     return fact.solve(np.asarray(F, dtype=float))
 
 
-def eliminate_tau(q: BinaryQP, sigma: np.ndarray, mu: np.ndarray):
+def eliminate_tau(p: DiscreteQP, sigma: np.ndarray, mu: np.ndarray):
     """Maximize P_dual over tau at fixed (sigma, mu).
 
-    Returns (P_dual, y, tau) at the optimal tau, or None off the cone: some
-    mu_k <= 0, or Q + diag(1/V) not PD.
+    Returns (P_dual, x, y, tau) at the optimal tau, x = M'y, or None off
+    the cone: some mu_k <= 0, or Q + diag(1/V) not PD.
     """
     mu = np.asarray(mu, dtype=float)
     if not mu.min() > 0.0:
         return None
-    u, rd, at, starts = q.U_flat, 0.5 / mu, q.block_of, q.starts
+    u, rd, at, starts = p.U_flat, 0.5 / mu, p.block_of, p.starts
     e = np.add.reduceat(rd, starts)
     ubar = np.add.reduceat(u * rd, starts) / e
     du = u - ubar[at]
     rdu = rd * du
     sv = np.sqrt(np.add.reduceat(rdu * du, starts))
-    cho = _cholesky(q.Q, sv)
+    cho = _cholesky(p.Q, sv)
     if cho is None:
         return None
     cc = ubar + 0.5 * np.add.reduceat(du, starts)
-    gamma = q.c - q.A.T @ sigma
+    gamma = p.c - p.A.T @ sigma
     # (Q + diag(1/V)) x = gamma + c/V as (I + S Q S) z = S (gamma - Q c),
     # x = c + S z with S = diag(sqrt V), so beta = (x - c)/V = z/sqrt V.  A
     # one-value block has V = 0 and x = c; its beta is read off the
     # stationarity condition beta = gamma - Q x.
-    z = dpotrs(cho, sv * (gamma - q.Q @ cc), lower=1)[0]
+    z = dpotrs(cho, sv * (gamma - p.Q @ cc), lower=1)[0]
     x = cc + sv * z
-    Qx = q.Q @ x
+    Qx = p.Q @ x
     beta = np.divide(z, sv, out=gamma - Qx, where=sv > 0.0)
-    alpha = (q.alpha_base - beta * np.add.reduceat(rdu, starts)) / e
+    alpha = (p.alpha_base - beta * np.add.reduceat(rdu, starts)) / e
     y = 0.5 + (alpha[at] + beta[at] * du) * rd
     tau = beta * ubar - alpha
-    value = 0.5 * (x @ Qx) - gamma @ x + mu @ (y * (y - 1.0)) - sigma @ q.b
-    return value, y, tau
+    value = 0.5 * (x @ Qx) - gamma @ x + mu @ (y * (y - 1.0)) - sigma @ p.b
+    return value, x, y, tau
 
 
 def dual_value(q: BinaryQP, d: DualPoint, tau: np.ndarray) -> float:
@@ -169,7 +169,7 @@ def dual_gradient(q: BinaryQP, d: DualPoint, tau: np.ndarray
     Returns (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y*(y-1)).
     """
     y = recover_y(factorize_g(q, d.mu), f_vector(q, d, tau))
-    return q.D @ y - q.b, q.block_sums(y) - 1.0, y * (y - 1.0)
+    return q.D @ y - q.b, q.H @ y - 1.0, y * (y - 1.0)
 
 
 def in_dual_cone(q: BinaryQP, d: DualPoint) -> bool:

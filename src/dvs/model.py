@@ -60,10 +60,10 @@ class DiscreteQP:
 
     The value sets' flat layout is derived from ``U`` on first read, once
     per problem, so no other module recomputes offsets: ``U_flat`` holds
-    the candidate values in block order, ``block_of[k]`` is the block of
+    the K candidate values in block order, ``block_of[k]`` is the block of
     coordinate k, and ``starts`` and ``sizes`` are each block's first
-    coordinate and length.  :func:`is_feasible` and :class:`BinaryQP`
-    read it; the oracle decodes ``U`` itself and does not.
+    coordinate and length.  The solver, ``dvs check``, :func:`is_feasible`
+    and :class:`BinaryQP` read it; the oracle decodes ``U`` itself.
     """
 
     Q: np.ndarray
@@ -132,6 +132,27 @@ class DiscreteQP:
         return _readonly(np.fromiter(chain.from_iterable(self.U), float,
                                      int(self.sizes.sum())))
 
+    @property
+    def K(self) -> int:
+        return len(self.U_flat)
+
+    @cached_property
+    def alpha_base(self) -> np.ndarray:
+        """``1 - sizes / 2``, the constant term of the kernel's alpha."""
+        return _readonly(1.0 - 0.5 * self.sizes)
+
+    @cached_property
+    def pad(self) -> np.ndarray:
+        """An n-by-max(sizes) gather of each block's coordinates, padded
+        with the block's first coordinate."""
+        offset = np.arange(self.sizes.max())
+        return _readonly(self.starts[:, None]
+                         + np.where(offset < self.sizes[:, None], offset, 0))
+
+    def block_sums(self, v: np.ndarray) -> np.ndarray:
+        """The per-block sums of a K-vector."""
+        return np.add.reduceat(v, self.starts)
+
 
 @dataclass(frozen=True, eq=False)
 class BinaryQP:
@@ -140,23 +161,20 @@ class BinaryQP:
 
     With ``M`` the K-by-n block matrix of candidate values, ``B = MQM'``,
     ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  ``p``'s validated
-    ``Q``, ``c``, ``A``, ``b`` are shared, not copied, and so is its
-    value-set layout ``U_flat``, ``block_of``, ``starts`` and ``sizes``
-    (see :class:`DiscreteQP`).  ``h``, ``D``, ``B``, ``H``, ``blocks``,
-    ``alpha_base`` and ``pad`` are derived on first read, and of the
-    lifted arrays the solve and check paths read only ``D``, in the
-    ascent's gradient.
+    ``Q``, ``c``, ``A``, ``b``, ``K`` and value-set layout ``U_flat``,
+    ``block_of``, ``starts`` and ``sizes`` are shared, not copied (see
+    :class:`DiscreteQP`).  ``h``, ``D``, ``B``, ``H`` and ``blocks`` are
+    derived on first read, for ``dvs lift`` and the tau-given reference
+    in :mod:`dvs.dual`; ``solve`` and ``dvs check`` work on ``p`` alone.
     """
 
     p: DiscreteQP = field(repr=False)
 
     def __post_init__(self):
         p = self.p
-        for name, value in (("Q", p.Q), ("c", p.c), ("A", p.A), ("b", p.b),
-                            ("n", p.n), ("m", p.m), ("K", len(p.U_flat)),
-                            ("U_flat", p.U_flat), ("block_of", p.block_of),
-                            ("starts", p.starts), ("sizes", p.sizes)):
-            object.__setattr__(self, name, value)
+        for name in ("Q", "c", "A", "b", "n", "m", "K", "U_flat", "block_of",
+                     "starts", "sizes"):
+            object.__setattr__(self, name, getattr(p, name))
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -185,23 +203,6 @@ class BinaryQP:
         """The n-by-K one-hot block selector: ``H[i, k] = 1`` iff k in block i."""
         return _readonly((self.block_of == np.arange(self.n)[:, None])
                          .astype(float))
-
-    @cached_property
-    def alpha_base(self) -> np.ndarray:
-        """``1 - sizes / 2``, the constant term of the kernel's alpha."""
-        return _readonly(1.0 - 0.5 * self.sizes)
-
-    @cached_property
-    def pad(self) -> np.ndarray:
-        """An n-by-max(sizes) gather of each block's coordinates, padded
-        with the block's first coordinate."""
-        offset = np.arange(self.sizes.max())
-        return _readonly(self.starts[:, None]
-                         + np.where(offset < self.sizes[:, None], offset, 0))
-
-    def block_sums(self, v: np.ndarray) -> np.ndarray:
-        """The per-block sums ``H v`` of a K-vector."""
-        return np.add.reduceat(v, self.starts)
 
 
 def lift(p: DiscreteQP) -> BinaryQP:

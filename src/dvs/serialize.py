@@ -5,11 +5,12 @@ Every emitted file comes from one writer, :func:`_emit`, in one layout:
 the top-level object has one key per line with a two-space indent, and
 every nested object and array sits on one line.  Keys keep the order
 they are given in; ints are written as ints and floats with 17
-significant digits, which round-trips IEEE-754 doubles exactly — so
-serialize -> parse -> serialize is byte-identical and reports can be
-compared as bytes.  JSON has no non-finite numbers: they are the strings
-"Infinity", "-Infinity" and "NaN" (the one a report can carry is the
-off-cone certificate gap, "Infinity").
+significant digits, which round-trips IEEE-754 doubles exactly (-0.0 is
+written "-0.0", since "-0" reads back as an int) — so serialize -> parse
+-> serialize is byte-identical and reports can be compared as bytes.
+JSON has no non-finite numbers: they are the strings "Infinity",
+"-Infinity" and "NaN" (the one a report can carry is the off-cone
+certificate gap, "Infinity").
 
 :func:`check` re-verifies a report's certificate at the report's own x:
 a certificate speaks for that point, whatever produced it, so a report
@@ -36,12 +37,12 @@ from .model import (
     DualPoint,
     SolveReport,
     is_feasible,
-    lift,
     objective,
 )
 from .oracle import enumerate_discrete
 from .solver import verify_kkt
-# Not called here; perfbench/tracing.py wraps this name.
+# Not called here; perfbench/tracing.py wraps these names.
+from .model import lift  # noqa: F401
 from .solver import round_binary  # noqa: F401
 
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
@@ -56,7 +57,8 @@ def _json(v) -> str:
     """One value on one line: objects and arrays nest, keys in order."""
     if isinstance(v, float):
         if math.isfinite(v):
-            return format(v, ".17g")
+            text = format(v, ".17g")
+            return "-0.0" if text == "-0" else text
         return '"NaN"' if v != v else ('"Infinity"' if v > 0 else '"-Infinity"')
     if isinstance(v, int):
         return str(int(v))
@@ -340,10 +342,9 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
             cert[key], f"$.certificate.{key}") for key in CERTIFICATE_NUMBERS}
         dp = _require_object(rep["dual_point"], "$.dual_point",
                              ("sigma", "mu"))
-        q = lift(p)
-        d = DualPoint(sigma=_parse_vector(dp["sigma"], "$.dual_point.sigma", q.m, "sigma"),
-                      mu=_parse_vector(dp["mu"], "$.dual_point.mu", q.K, "mu"))
-        cert2 = verify_kkt(q, x, d)
+        d = DualPoint(sigma=_parse_vector(dp["sigma"], "$.dual_point.sigma", p.m, "sigma"),
+                      mu=_parse_vector(dp["mu"], "$.dual_point.mu", p.K, "mu"))
+        cert2 = verify_kkt(p, x, d)
         if cert2.status != cert["status"]:
             failures.append(
                 f"certificate status: claimed {cert['status']!r}, "

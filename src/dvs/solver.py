@@ -4,7 +4,7 @@ The dual P_dual(sigma, tau, mu) is maximized with tau eliminated
 (:func:`dvs.dual.eliminate_tau`, one n-by-n Cholesky per evaluation) over
 the cone {sigma >= 0, mu >= 1e-8, Q + diag(1/V) PD}, so the outer
 iteration works on (sigma, mu) only, with the ascent gradient
-(D y - b, y * (y - 1)).  The outer loop is a projected L-BFGS, its
+(A x - b, y * (y - 1)), x = M'y.  The outer loop is a projected L-BFGS, its
 direction formed on the free coordinates from the compact representation
 of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
 and their use in limited memory methods", Math. Prog. 63, 1994), which
@@ -63,8 +63,6 @@ from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dtrtrs
 
 from .dual import eliminate_tau
-# Not called here; perfbench/tracing.py wraps these two names.
-from .dual import factorize_g, recover_y  # noqa: F401
 from .errors import Infeasible
 from .model import (
     CERTIFIED_GLOBAL,
@@ -73,15 +71,16 @@ from .model import (
     ORACLE_FALLBACK,
     TOL_GAP,
     VALUE_MEMBERSHIP_TOL,
-    BinaryQP,
     Certificate,
     DiscreteQP,
     DualPoint,
     SolveReport,
-    lift,
     objective,
 )
 from .oracle import enumerate_discrete
+# Not called here; perfbench/tracing.py wraps these names.
+from .dual import factorize_g, recover_y  # noqa: F401
+from .model import lift  # noqa: F401
 
 log = logging.getLogger("dvs.solver")
 
@@ -125,7 +124,7 @@ class AscentTrace:
         return len(self.values) - 1
 
 
-def initial_point(q: BinaryQP) -> DualPoint:
+def initial_point(p: DiscreteQP) -> DualPoint:
     """sigma = 0 and a uniform mu that makes G(mu) safely PD.
 
     mu0 = max(MU_MIN, delta0 - min(0, lambda)/2) with delta0 =
@@ -141,11 +140,11 @@ def initial_point(q: BinaryQP) -> DualPoint:
     lambda.  Data for which ||B||_inf, S Q S or mu0 overflow doubles are a
     ValueError; the caller decides whether the overflow warns.
     """
-    au = np.abs(q.U_flat)
-    b_norm = float((np.maximum.reduceat(au, q.starts)
-                    * (np.abs(q.Q) @ q.block_sums(au))).max())
-    s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
-    sqs = q.Q * np.multiply.outer(s, s)
+    au = np.abs(p.U_flat)
+    b_norm = float((np.maximum.reduceat(au, p.starts)
+                    * (np.abs(p.Q) @ p.block_sums(au))).max())
+    s = np.sqrt(p.block_sums(p.U_flat * p.U_flat))
+    sqs = p.Q * np.multiply.outer(s, s)
     if not (math.isfinite(b_norm) and np.isfinite(sqs).all()):
         raise ValueError(_OVERFLOW)
     lam = 0.0
@@ -155,14 +154,14 @@ def initial_point(q: BinaryQP) -> DualPoint:
     mu0 = max(MU_MIN, delta0 - lam / 2.0)
     if not math.isfinite(mu0):
         raise ValueError(_OVERFLOW)
-    return DualPoint(sigma=np.zeros(q.m), mu=np.full(q.K, mu0))
+    return DualPoint(sigma=np.zeros(p.m), mu=np.full(p.K, mu0))
 
 
-def _gradient(q: BinaryQP, y: np.ndarray) -> np.ndarray:
+def _gradient(p: DiscreteQP, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (sigma, mu)-gradient of P_dual at the optimal tau, whose
-    selector is y: (D y - b, y * (y - 1)), the sigma and mu part of
-    :func:`dvs.dual.dual_gradient`."""
-    return np.concatenate([q.D @ y - q.b, y * (y - 1.0)])
+    selector is y and x = M'y: (A x - b, y * (y - 1)), the sigma and mu
+    part of :func:`dvs.dual.dual_gradient`, whose D y is A x."""
+    return np.concatenate([p.A @ x - p.b, y * (y - 1.0)])
 
 
 class _LBFGSMemory:
@@ -220,7 +219,7 @@ class _LBFGSMemory:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
+def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
     The L-BFGS direction comes from the compact representation of the
@@ -267,20 +266,19 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     exceeds top + TOL_GAP (1 + |top|) proves the data infeasible, and the
     ascent raises :class:`dvs.errors.Infeasible` there.
     """
-    m, K = q.m, q.K
-    start = initial_point(q)
+    m, K = p.m, p.K
+    start = initial_point(p)
     w = np.concatenate([start.sigma, start.mu])
-    res = eliminate_tau(q, start.sigma, start.mu)
-    if res is not None:
-        g = _gradient(q, res[1])
-    # An overflowing or NaN top makes the comparison below never fire.
-    a = np.maximum.reduceat(np.abs(q.U_flat), q.starts)
-    top = 0.5 * (a @ np.abs(q.Q) @ a) + np.abs(q.c) @ a
+    res = eliminate_tau(p, start.sigma, start.mu)
     if res is None or not math.isfinite(res[0]):
         raise ValueError(_OVERFLOW)
+    v, x_start, y, _ = res
+    g = _gradient(p, x_start, y)
+    # An overflowing or NaN top makes the comparison below never fire.
+    a = np.maximum.reduceat(np.abs(p.U_flat), p.starts)
+    top = 0.5 * (a @ np.abs(p.Q) @ a) + np.abs(p.c) @ a
     ceiling = top + TOL_GAP * (1.0 + abs(top))
     lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
-    v, y, _ = res
     evaluations, rejections, resets = 1, 0, 0
     values = [v]
     memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
@@ -296,15 +294,15 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
                              f"largest objective of any selection")
         # Only an x whose objective meets the dual value v can certify;
         # the objective is recomputed only when the rounded x changes.
-        x_it = round_binary(y, q)
+        x_it = round_binary(y, p)
         if x_it.tobytes() != selection:
             x, selection = x_it, x_it.tobytes()
-            value = objective(q, x)
+            value = objective(p, x)
         cert = None
         if abs(value - v) <= TOL_GAP * (1.0 + abs(value)):
             if first_gap is None:
                 first_gap = it
-            cert = certify(q, x, w[:m], w[m:], v)
+            cert = certify(p, x, w[:m], w[m:], v)
             if cert.status == CERTIFIED_GLOBAL:
                 termination = TERM_CERTIFIED
                 break
@@ -337,7 +335,7 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             dg = g @ (w_try - w)
             shrink = 0.5
             if dg > 0.0:
-                res = eliminate_tau(q, w_try[:m], w_try[m:])
+                res = eliminate_tau(p, w_try[:m], w_try[m:])
                 evaluations += 1
                 if res is None:
                     rejections += 1
@@ -358,8 +356,8 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
             termination = TERM_STALL
             break
 
-        w_try, (v_try, y_try, _) = accepted
-        g_try = _gradient(q, y_try)
+        w_try, (v_try, x_try, y_try, _) = accepted
+        g_try = _gradient(p, x_try, y_try)
         s_v = w_try - w
         y_v = g - g_try
         # A frozen coordinate takes no step (w_try = w = lb there): its
@@ -379,23 +377,23 @@ def maximize_dual(q: BinaryQP) -> tuple[DualPoint, AscentTrace]:
     # Every exit leaves x, and cert when it was computed, at the final
     # iterate.
     if cert is None:
-        cert = certify(q, x, w[:m], w[m:], v)
+        cert = certify(p, x, w[:m], w[m:], v)
     return (DualPoint(sigma=w[:m], mu=w[m:]),
             AscentTrace(values=tuple(values), termination=termination, x=x,
                         certificate=cert))
 
 
-def round_binary(y: np.ndarray, q: BinaryQP) -> np.ndarray:
+def round_binary(y: np.ndarray, p: DiscreteQP) -> np.ndarray:
     """Argmax rounding per block: x takes each block's value at its
     largest y, ties to the lowest index.
 
-    One gather through ``q.pad`` lines the blocks up as rows; its padding
+    One gather through ``p.pad`` lines the blocks up as rows; its padding
     repeats each block's first coordinate, which can never win a tie.
     """
-    return q.U_flat[q.starts + y[q.pad].argmax(axis=1)]
+    return p.U_flat[p.starts + y[p.pad].argmax(axis=1)]
 
 
-def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
+def certify(p: DiscreteQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
             dual: float) -> Certificate:
     """Judge the point x with one value per block against the dual value
     ``dual`` at (sigma, mu).
@@ -412,31 +410,31 @@ def certify(q: BinaryQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     feasible selection's objective lies below it and |sigma'(A x - b)|
     is at most the gap.
     """
-    slack = q.A @ x - q.b
+    slack = p.A @ x - p.b
     primal = max(float(np.max(slack, initial=-np.inf)), 0.0)
     if not dual > -np.inf or np.any(sigma < 0.0) or np.any(mu < MU_MIN):
         dual = -np.inf
-    value = objective(q, x)
+    value = objective(p, x)
     gap = float(abs(value - dual))
     status = (CERTIFIED_GLOBAL if primal <= VALUE_MEMBERSHIP_TOL
               and gap <= TOL_GAP * (1.0 + abs(value)) else NO_CERTIFICATE)
     return Certificate(status=status, primal_feas_residual=primal, gap=gap)
 
 
-def verify_kkt(q: BinaryQP, x: np.ndarray, d: DualPoint) -> Certificate:
+def verify_kkt(p: DiscreteQP, x: np.ndarray, d: DualPoint) -> Certificate:
     """:func:`certify` x at the tau-maximized dual value of one
     :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu).  The kernel
     runs under the ascent's ``np.errstate``: data that overflow it give a
     NaN or infinite value, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        res = eliminate_tau(q, d.sigma, d.mu)
-    return certify(q, np.asarray(x, dtype=float), d.sigma, d.mu,
+        res = eliminate_tau(p, d.sigma, d.mu)
+    return certify(p, np.asarray(x, dtype=float), d.sigma, d.mu,
                    -np.inf if res is None else res[0])
 
 
 def solve(p: DiscreteQP, *,
           fallback_oracle_max_K: int = FALLBACK_ORACLE_MAX_K) -> SolveReport:
-    """Lift and maximize the dual, then fall back.
+    """Maximize the dual, then fall back.
 
     The ascent hands over the rounded x at its final iterate and x's
     certificate, certified or not.
@@ -454,15 +452,14 @@ def solve(p: DiscreteQP, *,
             or not isinstance(fallback_oracle_max_K, (int, np.integer))):
         raise ValueError("fallback_oracle_max_K must be an integer")
     t0 = time.perf_counter()
-    q = lift(p)
-    d, trace = maximize_dual(q)
+    d, trace = maximize_dual(p)
     cert, x = trace.certificate, trace.x
     status = cert.status
-    if cert.status != CERTIFIED_GLOBAL and q.K <= fallback_oracle_max_K:
+    if cert.status != CERTIFIED_GLOBAL and p.K <= fallback_oracle_max_K:
         log.info("certificate is %s; falling back to enumeration (K=%d)",
-                 cert.status, q.K)
+                 cert.status, p.K)
         x, _, _, _ = enumerate_discrete(p)
-        cert = certify(q, x, d.sigma, d.mu, trace.values[-1])
+        cert = certify(p, x, d.sigma, d.mu, trace.values[-1])
         status = ORACLE_FALLBACK
     return SolveReport(
         x=x, objective=objective(p, x), certificate=cert, dual_point=d,

@@ -113,7 +113,7 @@ def test_criterion_5_gradient_check(capsys):
         p = generate(GenSpec(n=2 + seed % 3, m=1 + seed % 2, seed=7000 + seed,
                              value_set=(1.0, 2.0, 3.0)))
         q = lift(p)
-        base_mu = initial_point(q).mu
+        base_mu = initial_point(p).mu
         rng = np.random.default_rng(seed)
         for _ in range(100):
             d, tau = interior_cone_point(q, base_mu, rng)
@@ -148,7 +148,7 @@ def test_criterion_6_weak_duality(capsys):
         p = generate(GenSpec(n=2 + instance % 3, m=1 + instance % 2,
                              seed=8000 + instance, value_set=(1.0, 2.0, 3.0)))
         q = lift(p)
-        base_mu = initial_point(q).mu
+        base_mu = initial_point(p).mu
         rng = np.random.default_rng(instance)
         sizes = [e - s for s, e in q.blocks]
         for _ in range(600):

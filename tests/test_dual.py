@@ -111,16 +111,16 @@ def test_off_cone_dual_is_minus_infinity_and_uncertified():
     q = one_variable_qp(-5.0, c1=1.0)
     d = DualPoint(sigma=np.zeros(0), mu=np.ones(2))
     assert dual_value(q, d, np.zeros(1)) == -np.inf
-    cert = verify_kkt(q, np.array([2.0]), d)
+    cert = verify_kkt(q.p, np.array([2.0]), d)
     assert cert.status == "NoCertificate"
     assert cert.gap == np.inf
 
 
 def test_eliminate_tau_maximizes_over_tau(example1):
     q = lift(example1)
-    d0 = initial_point(q)
+    d0 = initial_point(example1)
     sigma = np.full(q.m, 0.1)
-    value, y, tau = eliminate_tau(q, sigma, d0.mu)
+    value, _, y, tau = eliminate_tau(example1, sigma, d0.mu)
     d = DualPoint(sigma=sigma, mu=d0.mu)
     assert value == pytest.approx(dual_value(q, d, tau), abs=1e-9)
     assert np.allclose(y, recover_y(factorize_g(q, d.mu),
@@ -128,7 +128,8 @@ def test_eliminate_tau_maximizes_over_tau(example1):
     _, gt, _ = dual_gradient(q, d, tau)
     assert np.abs(gt).max() <= 1e-9  # the tau-gradient H y - 1 vanishes
     # off the cone there is nothing to maximize
-    assert eliminate_tau(one_variable_qp(-5.0), np.zeros(0), np.ones(2)) is None
+    assert eliminate_tau(one_variable_qp(-5.0).p, np.zeros(0),
+                         np.ones(2)) is None
 
 
 def test_tau_eliminated_cone_is_wider_than_g_cone():
@@ -139,10 +140,10 @@ def test_tau_eliminated_cone_is_wider_than_g_cone():
     q = one_variable_qp(-5.0)
     mu = np.array([2.0, 2.0])
     assert not factorize_g(q, mu).positive_definite
-    value, _, _ = eliminate_tau(q, np.zeros(0), mu)
+    value, _, _, _ = eliminate_tau(q.p, np.zeros(0), mu)
     assert value <= min(-2.5 * u * u for u in (1.0, 2.0))
     d = DualPoint(sigma=np.zeros(0), mu=mu)
-    assert np.isfinite(verify_kkt(q, np.array([2.0]), d).gap)
+    assert np.isfinite(verify_kkt(q.p, np.array([2.0]), d).gap)
 
 
 def test_tau_eliminated_value_bounds_indefinite_instances():
@@ -158,14 +159,13 @@ def test_tau_eliminated_value_bounds_indefinite_instances():
             _, optimum, _, _ = enumerate_discrete(p)
         except Infeasible:
             continue
-        q = lift(p)
         for _ in range(40):
-            mu = 10.0 ** rng.uniform(-2.0, 1.0, q.K)
-            res = eliminate_tau(q, rng.random(q.m), mu)
+            mu = 10.0 ** rng.uniform(-2.0, 1.0, p.K)
+            res = eliminate_tau(p, rng.random(p.m), mu)
             if res is None:
                 continue
             accepted += 1
-            outside_g += not factorize_g(q, mu).positive_definite
+            outside_g += not factorize_g(lift(p), mu).positive_definite
             assert res[0] <= optimum + 1e-9 * (1.0 + abs(optimum))
     assert accepted > 100
     assert outside_g > 0
@@ -186,18 +186,18 @@ def differential_problems():
                      b=[6.0], U=[[0.0], [0.0, 1.0, 2.0], [5.0], [-1.0, 0.0]])
 
 
-def differential_points(q, rng):
+def differential_points(p, rng):
     """Interior points, points with about 30% of mu at MU_MIN, and mu
     spread over 1e-8 ... 1e3, each with sigma >= 0."""
-    base = initial_point(q).mu
+    base = initial_point(p).mu
     for kind in range(3):
         for _ in range(3):
-            mu = base * (1.0 + rng.random(q.K))
+            mu = base * (1.0 + rng.random(p.K))
             if kind == 1:
-                mu[rng.random(q.K) < 0.3] = MU_MIN
+                mu[rng.random(p.K) < 0.3] = MU_MIN
             elif kind == 2:
-                mu = 10.0 ** rng.uniform(-8.0, 3.0, q.K)
-            yield rng.random(q.m), mu
+                mu = 10.0 ** rng.uniform(-8.0, 3.0, p.K)
+            yield rng.random(p.m), mu
 
 
 def test_kernel_refuses_a_factor_singular_to_round_off():
@@ -212,13 +212,12 @@ def test_kernel_refuses_a_factor_singular_to_round_off():
                    b=[2.0], U=[[0.0, 1.0], [0.0, 1.0]])
     assert dpotrf(np.eye(2) + p.Q)[1] == 0
     assert enumerate_discrete(p)[1] == -1.0
-    q = lift(p)
     d = DualPoint(sigma=np.zeros(1), mu=np.full(4, 0.25))
-    assert eliminate_tau(q, d.sigma, d.mu) is None
+    assert eliminate_tau(p, d.sigma, d.mu) is None
     x = np.zeros(2)
     cert = Certificate(status="CertifiedGlobal", primal_feas_residual=0.0,
                        gap=0.0)
-    assert verify_kkt(q, x, d).status == "NoCertificate"
+    assert verify_kkt(p, x, d).status == "NoCertificate"
     report = SolveReport(x=x, objective=0.0, certificate=cert, dual_point=d,
                          iterations=0, status="CertifiedGlobal",
                          solver_status="Certified")
@@ -234,12 +233,12 @@ def test_structured_kernel_matches_dense_g():
     worst = worst_hy = 0.0
     for p in differential_problems():
         q = lift(p)
-        for sigma, mu in differential_points(q, rng):
+        for sigma, mu in differential_points(p, rng):
             G = dense_g(q, mu)
             np.linalg.cholesky(G)  # the dense verdict: positive definite
             fact = factorize_g(q, mu)
             assert fact.positive_definite
-            _, y, tau = eliminate_tau(q, sigma, mu)
+            _, _, y, tau = eliminate_tau(p, sigma, mu)
             worst_hy = max(worst_hy, np.abs(q.H @ y - 1.0).max())
             pairs = [(tau, y)]
             d = DualPoint(sigma=sigma, mu=mu)
@@ -252,6 +251,28 @@ def test_structured_kernel_matches_dense_g():
                 worst = max(worst, np.abs(G @ yy - F).max() / scale)
     assert worst <= 1e-12
     assert worst_hy <= 1e-12
+
+
+def test_eliminate_tau_x_is_m_transpose_y():
+    # The x the kernel solves for is M'y, so the ascent's sigma-gradient
+    # A x - b is the lifted D y - b.  Each is checked against the sum it
+    # replaces, to within round-off of that sum's magnitude; a one-value
+    # block (V = 0) has x equal to its one value exactly.
+    rng = np.random.default_rng(19)
+    one_value = 0
+    for p in differential_problems():
+        q = lift(p)
+        single = p.sizes == 1
+        for sigma, mu in differential_points(p, rng):
+            _, x, y, _ = eliminate_tau(p, sigma, mu)
+            uy = p.U_flat * y
+            assert np.all(np.abs(x - p.block_sums(uy))
+                          <= 1e-12 * p.block_sums(np.abs(uy)))
+            assert np.all(np.abs((p.A @ x - p.b) - (q.D @ y - q.b))
+                          <= 1e-12 * (np.abs(q.D) @ np.abs(y) + np.abs(q.b)))
+            assert np.array_equal(x[single], p.U_flat[p.starts[single]])
+            one_value += int(single.sum())
+    assert one_value > 0
 
 
 def test_structured_cone_test_matches_dense_cholesky():
@@ -275,7 +296,7 @@ def test_structured_cone_test_matches_dense_cholesky():
                 dense_pd = False
             assert dense_pd == (t > 1)
             if dense_pd:
-                assert eliminate_tau(q, rng.random(q.m), mu) is not None
+                assert eliminate_tau(q.p, rng.random(q.m), mu) is not None
             verdicts.add(dense_pd)
     assert verdicts == {True, False}
 
@@ -312,7 +333,7 @@ def test_stationary_point_value_identity(example2):
 
 def test_dual_gradient_matches_finite_differences(example1):
     q = lift(example1)
-    d0 = initial_point(q)
+    d0 = initial_point(example1)
     rng = np.random.default_rng(7)
     for _ in range(5):
         sigma, tau = rng.random(q.m), rng.standard_normal(q.n)
@@ -352,17 +373,16 @@ def test_eliminate_tau_gradient_matches_finite_differences():
     problems.append((generate(GenSpec(20, 5, 4262)), 10))
     points = 0
     for p, count in problems:
-        q = lift(p)
-        base = initial_point(q).mu
+        base = initial_point(p).mu
         for _ in range(count):
-            w0 = np.concatenate([rng.random(q.m),
-                                 base * (1.0 + rng.random(q.K))])
-            res = eliminate_tau(q, w0[:q.m], w0[q.m:])
+            w0 = np.concatenate([rng.random(p.m),
+                                 base * (1.0 + rng.random(p.K))])
+            res = eliminate_tau(p, w0[:p.m], w0[p.m:])
             assert res is not None
-            grad = _gradient(q, res[1])
+            grad = _gradient(p, res[1], res[2])
 
             def value_at(w):
-                return eliminate_tau(q, w[:q.m], w[q.m:])[0]
+                return eliminate_tau(p, w[:p.m], w[p.m:])[0]
 
             fd = np.empty_like(w0)
             for i in range(w0.size):
@@ -379,7 +399,7 @@ def test_eliminate_tau_gradient_matches_finite_differences():
 
 def test_weak_duality_sampling(example1):
     q = lift(example1)
-    d0 = initial_point(q)
+    d0 = initial_point(example1)
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(300):
@@ -398,7 +418,7 @@ def test_weak_duality_sampling(example1):
         # of a feasible x is at least |sigma'(Ax - b)|.
         x = q.U_flat[q.starts + choice]
         v = objective(example1, x)
-        assert v - eliminate_tau(q, sigma, d.mu)[0] >= (
+        assert v - eliminate_tau(example1, sigma, d.mu)[0] >= (
             -sigma @ (example1.A @ x - example1.b) - 1e-9 * (1.0 + abs(v)))
         checked += 1
     assert checked > 100
@@ -406,7 +426,7 @@ def test_weak_duality_sampling(example1):
 
 def test_in_dual_cone_rejections(example1):
     q = lift(example1)
-    d0 = initial_point(q)
+    d0 = initial_point(example1)
     assert in_dual_cone(q, d0)
     bad_sigma = DualPoint(sigma=np.array([-1e-3, 0, 0, 0]), mu=d0.mu)
     assert not in_dual_cone(q, bad_sigma)

@@ -59,11 +59,13 @@ def test_arrays_are_frozen():
     layout = ("U_flat", "block_of", "starts", "sizes")
     assert not set(layout) & set(vars(p))
     q = lift(p)
-    for name in layout + ("h", "D", "B", "H", "alpha_base", "pad"):
-        a = getattr(q, name)
-        assert not a.flags.writeable, name
-        with pytest.raises(ValueError):
-            a.flat[0] = 99
+    for owner, names in ((p, layout + ("alpha_base", "pad")),
+                         (q, ("h", "D", "B", "H"))):
+        for name in names:
+            a = getattr(owner, name)
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.flat[0] = 99
     assert q.H.dtype == float
     assert all(getattr(q, name) is getattr(p, name) for name in layout)
 
@@ -180,7 +182,7 @@ def test_binary_objective_matches_quadratic_form():
     p = small_problem()
     q = lift(p)
     for y in np.random.default_rng(2).standard_normal((5, q.K)):
-        x = q.block_sums(q.U_flat * y)
+        x = p.block_sums(p.U_flat * y)
         assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(
             objective(p, x), abs=1e-12)
 

@@ -37,9 +37,8 @@ def assert_matches_reference(p):
     assert np.array_equal(x, ref_x)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
     assert (feasible, total) == (ref_feasible, ref_total)
-    q = lift(p)
-    y, lifted_value = reference_binary(q, p)
-    assert np.array_equal(q.block_sums(q.U_flat * y), ref_x)
+    y, lifted_value = reference_binary(lift(p), p)
+    assert np.array_equal(p.block_sums(p.U_flat * y), ref_x)
     assert lifted_value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
 
@@ -214,13 +213,12 @@ def test_lifted_optimum_two_coordinate_block():
 
 def test_lifted_enumeration_matches_original(example1):
     x, value, _, _ = enumerate_discrete(example1)
-    q = lift(example1)
-    y, lifted_value = reference_binary(q, example1)
+    y, lifted_value = reference_binary(lift(example1), example1)
     assert abs(lifted_value - value) <= 1e-9
     # y is one-hot per block and selects the oracle's x.
-    assert np.array_equal(q.block_sums(y), np.ones(q.n))
+    assert np.array_equal(example1.block_sums(y), np.ones(example1.n))
     assert set(y.tolist()) <= {0.0, 1.0}
-    assert np.array_equal(q.block_sums(q.U_flat * y), x)
+    assert np.array_equal(example1.block_sums(example1.U_flat * y), x)
 
 
 def test_binary_enumeration_respects_constraints():

@@ -66,6 +66,22 @@ def test_emitted_floats_round_trip_exactly():
     assert q.U[0][0] == p.U[0][0]
 
 
+def test_negative_zero_round_trips_byte_for_byte():
+    # Written as "-0", -0.0 would read back as the integer 0 and re-emit
+    # as "0".  In U, Q and c it keeps its sign and its bytes, also in the
+    # problem `dvs gen --n 2 --m 1 --seed 1 --values -0,1` writes.
+    p = DiscreteQP(Q=[[-0.0, 1.0], [1.0, 2.0]], c=[-0.0, 1.0],
+                   A=[[1.0, 1.0]], b=[3.0], U=[[-0.0, 1.0], [1.0, -0.0]])
+    generated = generate(GenSpec(n=2, m=1, seed=1, value_set=(-0.0, 1.0)))
+    for problem in (p, generated):
+        data = emit_problem(problem)
+        assert b"-0.0" in data
+        assert emit_problem(parse_problem(data)) == data
+    again = parse_problem(emit_problem(p))
+    for v in (again.Q[0, 0], again.c[0], again.U[0][0], again.U[1][1]):
+        assert v == 0.0 and math.copysign(1.0, v) < 0.0
+
+
 def test_emitted_problem_is_valid_json(example1):
     doc = json.loads(emit_problem(example1))
     assert list(doc.keys()) == ["n", "m", "Q", "c", "A", "b", "U"]
@@ -304,7 +320,7 @@ def test_off_cone_report_round_trips_and_rechecks(example1):
     mu = r.dual_point.mu.copy()
     mu[0] = -1e3
     d = dataclasses.replace(r.dual_point, mu=mu)
-    cert = verify_kkt(lift(example1), r.x, d)
+    cert = verify_kkt(example1, r.x, d)
     assert cert.gap == math.inf and cert.status == "NoCertificate"
     r = dataclasses.replace(r, dual_point=d, certificate=cert,
                             status="NoCertificate")
@@ -349,10 +365,9 @@ def test_check_judges_at_most_the_default_tol_gap(example1):
     # A feasible selection 156 above the optimum, with its recomputed
     # certificate numbers, claimed CertifiedGlobal under "tol_gap": 1e300.
     r = solve(example1)
-    q = lift(example1)
     pick = [0, 3, 6, 9, 12]
-    x = q.U_flat[pick]
-    cert = verify_kkt(q, x, r.dual_point)
+    x = example1.U_flat[pick]
+    cert = verify_kkt(example1, x, r.dual_point)
     assert math.isfinite(cert.gap) and cert.gap > 100.0
     doc = json.loads(emit_report(dataclasses.replace(
         r, x=x, objective=objective(example1, x),
@@ -395,7 +410,7 @@ def test_check_gives_older_reports_the_verdict_of_the_trimmed_report(
         problem = emit_problem(p)
         trimmed = check(problem, data)
         verdicts.append(trimmed[0])
-        K, n = lift(p).K, p.n
+        K, n = p.K, p.n
         assert not {"in_cone", "complementarity_residual"} & set(
             json.loads(data)["certificate"])
         for tol_gap, dual_feas, in_cone, comp, y, flagged, tau in (
@@ -466,7 +481,7 @@ def test_check_certifies_the_reported_x_whatever_produced_it(example1):
                      x_opt)):
         assert is_feasible(p, x) and not np.array_equal(x, r.x)
         moved = dataclasses.replace(r, x=x, objective=objective(p, x))
-        cert = verify_kkt(lift(p), x, r.dual_point)
+        cert = verify_kkt(p, x, r.dual_point)
         assert cert.status == "NoCertificate" and cert != r.certificate
         honest = dataclasses.replace(moved, certificate=cert,
                                      status="NoCertificate")
@@ -489,7 +504,7 @@ def test_check_judges_at_the_fixed_cone_floor(example1):
         moved = getattr(r.dual_point, name).copy()
         moved[index] = value
         d = dataclasses.replace(r.dual_point, **{name: moved})
-        cert = verify_kkt(lift(example1), r.x, d)
+        cert = verify_kkt(example1, r.x, d)
         assert cert.status == "NoCertificate" and cert.gap == math.inf
         doc = json.loads(emit_report(dataclasses.replace(r, dual_point=d)))
         doc["mu_min"] = 1e-300
@@ -687,7 +702,7 @@ def test_check_reruns_the_oracle_on_an_oracle_fallback_report():
     assert is_feasible(p, x)
     forged = emit_report(dataclasses.replace(
         r, x=x, objective=objective(p, x),
-        certificate=verify_kkt(lift(p), x, r.dual_point)))
+        certificate=verify_kkt(p, x, r.dual_point)))
     passed, failures = check(emit_problem(p), forged)
     assert not passed
     assert len(failures) == 1 and failures[0].startswith("optimality")

@@ -55,16 +55,15 @@ def test_config_validation(example1):
         with pytest.raises(TypeError):
             solve(example1, **{name: 1e-8})
     with pytest.raises(TypeError):
-        maximize_dual(lift(example1), 10)
+        maximize_dual(example1, 10)
 
 
 def test_initial_point_is_interior(example1, example2):
     for p in (example1, example2):
-        q = lift(p)
-        d = initial_point(q)
-        assert np.array_equal(d.sigma, np.zeros(q.m))
+        d = initial_point(p)
+        assert np.array_equal(d.sigma, np.zeros(p.m))
         assert np.all(d.mu >= MU_MIN)
-        assert factorize_g(q, d.mu).positive_definite
+        assert factorize_g(lift(p), d.mu).positive_definite
 
 
 def single_value_problems():
@@ -78,14 +77,14 @@ def single_value_problems():
                          b=[10.0], U=[[2.0], [-1.0], [0.0], [3.0]])
 
 
-def start_rule_mu0(q):
+def start_rule_mu0(p):
     """mu0 by the rule, with lambda from scipy.linalg.eigvalsh."""
-    s = np.sqrt(q.block_sums(q.U_flat * q.U_flat))
-    sqs = q.Q * np.multiply.outer(s, s)
+    s = np.sqrt(p.block_sums(p.U_flat * p.U_flat))
+    sqs = p.Q * np.multiply.outer(s, s)
     lam = scipy.linalg.eigvalsh(sqs, subset_by_index=(0, 0))[0]
-    au = np.abs(q.U_flat)
-    b_norm = (np.maximum.reduceat(au, q.starts)
-              * (np.abs(q.Q) @ q.block_sums(au))).max()
+    au = np.abs(p.U_flat)
+    b_norm = (np.maximum.reduceat(au, p.starts)
+              * (np.abs(p.Q) @ p.block_sums(au))).max()
     return max(MU_MIN, 1e-3 * (1.0 + b_norm) - min(0.0, lam) / 2.0)
 
 
@@ -100,9 +99,8 @@ def test_initial_point_matches_eigvalsh_bit_for_bit():
                 + [indefinite(k) for k in range(120)]
                 + list(single_value_problems()))
     for p in problems:
-        q = lift(p)
-        mu0 = start_rule_mu0(q)
-        assert np.array_equal(initial_point(q).mu, np.full(q.K, mu0))
+        mu0 = start_rule_mu0(p)
+        assert np.array_equal(initial_point(p).mu, np.full(p.K, mu0))
 
 
 def test_initial_point_decides_dominant_data_without_an_eigensolve(
@@ -117,9 +115,8 @@ def test_initial_point_decides_dominant_data_without_an_eigensolve(
     for p in (criterion4_problems(200)
               + [generate(GenSpec(n, 5, 4242 + n)) for n in (20, 50, 100, 300)]
               + [example1, example2]):
-        q = lift(p)
-        assert np.array_equal(initial_point(q).mu,
-                              np.full(q.K, start_rule_mu0(q)))
+        assert np.array_equal(initial_point(p).mu,
+                              np.full(p.K, start_rule_mu0(p)))
     calls = []
 
     def counted(*args, **kwargs):
@@ -128,19 +125,18 @@ def test_initial_point_decides_dominant_data_without_an_eigensolve(
 
     monkeypatch.setattr(solver, "eigvalsh", counted)
     for k in range(5):
-        initial_point(lift(indefinite(k)))
+        initial_point(indefinite(k))
     assert len(calls) == 5
 
 
 def test_maximize_dual_reaches_reference_value(example1):
-    q = lift(example1)
-    d, trace = maximize_dual(q)
+    d, trace = maximize_dual(example1)
     assert trace.termination == TERM_CERTIFIED
     assert trace.values[-1] == pytest.approx(EX1_VALUE, abs=VALUE_TOL)
     # iterate respects the cone bounds
     assert np.all(d.sigma >= 0.0)
     assert np.all(d.mu >= MU_MIN)
-    assert factorize_g(q, d.mu).positive_definite
+    assert factorize_g(lift(example1), d.mu).positive_definite
 
 
 def test_trace_is_monotone_nondecreasing(example1, example2):
@@ -150,11 +146,11 @@ def test_trace_is_monotone_nondecreasing(example1, example2):
     # finds no rise, k = 19 converged.
     ends = {0: TERM_STALL, 1: TERM_STALL, 19: TERM_CONVERGED}
     for k, end in ends.items():
-        _, trace = maximize_dual(lift(indefinite(k)))
+        _, trace = maximize_dual(indefinite(k))
         assert trace.termination == end
         assert all(b > a for a, b in zip(trace.values, trace.values[1:]))
     for p in [example1, example2] + criterion4_problems(20):
-        values = maximize_dual(lift(p))[1].values
+        values = maximize_dual(p)[1].values
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -163,7 +159,7 @@ def test_trace_log_level_logs_every_iteration(example1, caplog):
     # that tried a step, which for a certified ascent is every iteration
     # before the certifying one.
     with caplog.at_level("DEBUG", logger="dvs.solver"):
-        _, trace = maximize_dual(lift(example1))
+        _, trace = maximize_dual(example1)
     assert trace.termination == TERM_CERTIFIED and trace.iterations > 1
     logged = [int(match.group(1)) for match in
               (re.match(r"iter (\d+) dual=", rec.getMessage())
@@ -172,9 +168,8 @@ def test_trace_log_level_logs_every_iteration(example1, caplog):
 
 
 def test_max_iter_is_honoured(example1, monkeypatch):
-    q = lift(example1)
     monkeypatch.setattr(solver, "_MAX_ITER", 3)
-    _, trace = maximize_dual(q)
+    _, trace = maximize_dual(example1)
     assert trace.termination == TERM_MAX_ITER
     assert trace.iterations == 3
 
@@ -183,7 +178,7 @@ def test_ascent_stalls_when_no_step_raises_the_value():
     # These indefinite instances stop where the line search finds no step
     # that raises the dual value; every step before it did.
     for k in (0, 4, 5):
-        _, trace = maximize_dual(lift(indefinite(k)))
+        _, trace = maximize_dual(indefinite(k))
         v = trace.values
         assert trace.termination == TERM_STALL
         assert all(b > a for a, b in zip(v, v[1:]))
@@ -197,19 +192,18 @@ def test_an_exactly_flat_trial_is_rejected(monkeypatch):
     # its start.  U up to 2e4 puts the objective bound (4e8) above 1e8.
     p = DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.ones((1, 2)),
                    b=np.array([1e5]), U=((0.0, 1e4, 2e4), (0.0, 2e4)))
-    q = lift(p)
     real = solver.eliminate_tau
     calls = []
 
-    def flat(q, sigma, mu):
+    def flat(p, sigma, mu):
         calls.append(1)
-        _, y, tau = real(q, sigma, mu)
-        return 1e8, y, tau
+        _, x, y, tau = real(p, sigma, mu)
+        return 1e8, x, y, tau
 
     monkeypatch.setattr(solver, "eliminate_tau", flat)
     monkeypatch.setattr(solver, "_gradient",
-                        lambda q, y: np.full(q.m + q.K, 1e-3))
-    _, trace = maximize_dual(q)
+                        lambda p, x, y: np.full(p.m + p.K, 1e-3))
+    _, trace = maximize_dual(p)
     assert trace.termination == TERM_STALL
     assert trace.values == (1e8,)
     assert len(calls) > 2  # the start and more than one trial
@@ -221,10 +215,10 @@ def test_ascent_trace_iteration_count():
 
 
 def blocks_2_3():
-    """A lifted problem with blocks ((0, 2), (2, 5)); U_flat = 0, 1, 2, 3, 4
-    names each coordinate."""
-    return lift(DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
-                           b=np.zeros(0), U=[[0.0, 1.0], [2.0, 3.0, 4.0]]))
+    """A problem with blocks ((0, 2), (2, 5)); U_flat = 0, 1, 2, 3, 4 names
+    each coordinate."""
+    return DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
+                      b=np.zeros(0), U=[[0.0, 1.0], [2.0, 3.0, 4.0]])
 
 
 def test_round_binary_basics():
@@ -249,19 +243,18 @@ def test_round_binary_matches_per_block_loop():
     rng = np.random.default_rng(4)
     for _ in range(5):
         sizes = rng.integers(1, 5, size=6)
-        q = lift(DiscreteQP(Q=np.eye(6), c=np.zeros(6), A=np.zeros((0, 6)),
-                            b=np.zeros(0), U=[range(s) for s in sizes]))
-        for y in np.round(rng.random((20, q.K)), 1):
-            ref = np.zeros(q.n)
-            for i, (s, e) in enumerate(q.blocks):
-                ref[i] = q.U_flat[s + int(np.argmax(y[s:e]))]
-            assert np.array_equal(round_binary(y, q), ref)
+        p = DiscreteQP(Q=np.eye(6), c=np.zeros(6), A=np.zeros((0, 6)),
+                       b=np.zeros(0), U=[range(s) for s in sizes])
+        for y in np.round(rng.random((20, p.K)), 1):
+            ref = np.zeros(p.n)
+            for i, (s, z) in enumerate(zip(p.starts, p.sizes)):
+                ref[i] = p.U_flat[s + int(np.argmax(y[s:s + z]))]
+            assert np.array_equal(round_binary(y, p), ref)
 
 
 def test_verify_kkt_certifies_reference_solution(example1):
-    q = lift(example1)
-    d, _ = maximize_dual(q)
-    cert = verify_kkt(q, EX1_X, d)
+    d, _ = maximize_dual(example1)
+    cert = verify_kkt(example1, EX1_X, d)
     assert cert.status == "CertifiedGlobal"
     assert cert.gap <= 1e-6 * 230.0
     assert cert.primal_feas_residual <= 1e-9
@@ -271,25 +264,23 @@ def test_verify_kkt_certifies_reference_solution(example1):
 
 
 def test_verify_kkt_detects_wrong_point(example1):
-    q = lift(example1)
-    d, _ = maximize_dual(q)
-    x = q.U_flat[[0, 3, 6, 9, 12]]  # a valid selection, but not the optimum
-    cert = verify_kkt(q, x, d)
+    d, _ = maximize_dual(example1)
+    x = example1.U_flat[[0, 3, 6, 9, 12]]  # a valid selection, not the optimum
+    cert = verify_kkt(example1, x, d)
     assert cert.status == "NoCertificate"
     assert cert.gap > 1.0
 
 
 def test_verify_kkt_cone_failure_is_no_certificate(example1):
-    q = lift(example1)
-    d, _ = maximize_dual(q)
-    assert verify_kkt(q, EX1_X, d).status == "CertifiedGlobal"
+    d, _ = maximize_dual(example1)
+    assert verify_kkt(example1, EX1_X, d).status == "CertifiedGlobal"
     sigma = d.sigma.copy()
     # all constraints are inactive at the optimum, so this sign flip is too
     # small to move the dual value, but it leaves the cone: the dual value
     # there is -inf and the gap infinite
     sigma[int(np.argmin(sigma))] = -1e-12
     d_bad = DualPoint(sigma=sigma, mu=d.mu)
-    cert = verify_kkt(q, EX1_X, d_bad)
+    cert = verify_kkt(example1, EX1_X, d_bad)
     assert cert.status == "NoCertificate"
     assert cert.gap == np.inf
     assert cert.primal_feas_residual <= 1e-9
@@ -362,7 +353,7 @@ def test_solve_report_records_tolerances(example1):
 @pytest.mark.parametrize("name, most", [("example1", 103), ("example2", 187)])
 def test_reference_instances_stop_certified_early(name, most, request):
     # Run to the round-off floor these took 206 and 375 iterations.
-    _, trace = maximize_dual(lift(request.getfixturevalue(name)))
+    _, trace = maximize_dual(request.getfixturevalue(name))
     assert trace.termination == TERM_CERTIFIED
     assert trace.iterations <= most
     assert trace.certificate.status == "CertifiedGlobal"
@@ -378,7 +369,7 @@ def test_certified_stop_reports_pass_check(example1, monkeypatch):
     # The ascent stops at the first iterate that certifies, so the gap is
     # not at round-off: the iterate before it fails the gap test.
     monkeypatch.setattr(solver, "_MAX_ITER", r.iterations - 1)
-    _, trace = maximize_dual(lift(example1))
+    _, trace = maximize_dual(example1)
     assert trace.termination == TERM_MAX_ITER
     gap = trace.certificate.gap
     assert gap > TOL_GAP * (1.0 + abs(objective(example1, trace.x)))
@@ -386,7 +377,7 @@ def test_certified_stop_reports_pass_check(example1, monkeypatch):
 
 def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
     with caplog.at_level("INFO", logger="dvs.solver"):
-        maximize_dual(lift(example1))
+        maximize_dual(example1)
     line = next(rec.getMessage() for rec in caplog.records
                 if rec.getMessage().startswith("dual ascent:"))
     found = re.search(r"after (\d+) iterations, .* (\d+) dual evaluations, "
@@ -409,9 +400,9 @@ def test_ascent_log_reports_the_first_gap_iteration(example1, monkeypatch,
     # logged iteration, or there is just the final one.
     duals = []
 
-    def recorded(q, x, sigma, mu, dual):
+    def recorded(p, x, sigma, mu, dual):
         duals.append(dual)
-        return certify(q, x, sigma, mu, dual)
+        return certify(p, x, sigma, mu, dual)
 
     certify = solver.certify
     monkeypatch.setattr(solver, "certify", recorded)
@@ -421,7 +412,7 @@ def test_ascent_log_reports_the_first_gap_iteration(example1, monkeypatch,
         duals.clear()
         caplog.clear()
         with caplog.at_level("INFO", logger="dvs.solver"):
-            _, trace = maximize_dual(lift(p))
+            _, trace = maximize_dual(p)
         line = next(rec.getMessage() for rec in caplog.records
                     if rec.getMessage().startswith("dual ascent:"))
         first = re.search(r", gap first met at iteration (\d+|none), ",
@@ -449,36 +440,35 @@ def scripted_line_search(monkeypatch, problem, script):
     of the way along the trial step.  The trial after the script is
     accepted.
     """
-    q = lift(problem)
-    assert q.m > 0  # the steps are read off sigma_1, which starts at 0
+    assert problem.m > 0  # the steps are read off sigma_1, which starts at 0
     real = solver.eliminate_tau
     points, start = [], []
 
-    def stub(q, sigma, mu):
+    def stub(p, sigma, mu):
         w = np.concatenate([sigma, mu])
         points.append(w)
         if not start:
-            _, y, tau = real(q, sigma, mu)
-            start.extend((w, np.full_like(w, 0.1), y, tau))
-            return 0.0, y, tau
-        w0, g0, y, tau = start
+            _, x, y, tau = real(p, sigma, mu)
+            start.extend((w, np.full_like(w, 0.1), x, y, tau))
+            return 0.0, x, y, tau
+        w0, g0, x, y, tau = start
         k = len(points) - 2
         if k == len(script):
-            return 1.0, y, tau
+            return 1.0, x, y, tau
         if script[k] is None:
             return None
         dg = g0 @ (w - w0)
         value = (np.nan if script[k] == "nan"
                  else dg - dg / (2.0 * script[k]))
-        return value, y, tau
+        return value, x, y, tau
 
-    def gradient(q, y):
-        return np.full(q.m + q.K, 0.1 if len(points) == 1 else 0.05)
+    def gradient(p, x, y):
+        return np.full(p.m + p.K, 0.1 if len(points) == 1 else 0.05)
 
     monkeypatch.setattr(solver, "eliminate_tau", stub)
     monkeypatch.setattr(solver, "_gradient", gradient)
     monkeypatch.setattr(solver, "_MAX_ITER", 1)
-    maximize_dual(q)
+    maximize_dual(problem)
     assert len(points) == len(script) + 2
     return [(w[0] - points[0][0]) / 0.1 for w in points[1:]]
 
@@ -509,7 +499,7 @@ def test_n50_suite_certifies_in_fewer_dual_evaluations(caplog):
     for seed in (4292, 4293, 4294):
         caplog.clear()
         with caplog.at_level("INFO", logger="dvs.solver"):
-            _, trace = maximize_dual(lift(generate(GenSpec(50, 5, seed))))
+            _, trace = maximize_dual(generate(GenSpec(50, 5, seed)))
         assert trace.termination == TERM_CERTIFIED
         assert trace.certificate.status == "CertifiedGlobal"
         assert np.array_equal(trace.x, np.ones(50))
@@ -528,23 +518,33 @@ def test_solve_n100_certifies_and_checks():
     assert passed, failures
 
 
-def test_solve_and_check_never_form_b_or_h(monkeypatch):
-    # Of the lifted arrays only D is read, by the ascent's sigma-gradient;
-    # check reads none of them.
+def test_solve_and_check_never_build_the_lifted_problem(monkeypatch, example1):
+    # solve and check work on the DiscreteQP alone: building a BinaryQP,
+    # which lift does, fails the test.  The instances cover a certified
+    # ascent, the n = 50 suite, an oracle fallback and an indefinite
+    # instance that certifies only on the tau-eliminated cone.
     def refuse(self):
-        raise AssertionError("a lifted array was formed")
+        raise AssertionError("a BinaryQP was built")
 
-    for name in ("B", "H", "h"):
-        monkeypatch.setattr(BinaryQP, name, property(refuse))
-    p = generate(GenSpec(50, 5, 4292))
-    r = solve(p)
-    assert r.status == "CertifiedGlobal"
-    monkeypatch.setattr(BinaryQP, "D", property(refuse))
-    passed, failures = check(emit_problem(p), emit_report(r))
-    assert passed, failures
+    monkeypatch.setattr(BinaryQP, "__post_init__", refuse)
+    fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
+    for p, status in ((example1, "CertifiedGlobal"),
+                      (generate(GenSpec(50, 5, 4292)), "CertifiedGlobal"),
+                      (fallback, "OracleFallback"),
+                      (indefinite(32), "CertifiedGlobal")):
+        r = solve(p)
+        assert r.status == status
+        passed, failures = check(emit_problem(p), emit_report(r))
+        assert passed, failures
+        with pytest.raises(AssertionError, match="a BinaryQP was built"):
+            lift(p)
+    # lift still derives B, H, h and D on first read, not on construction.
+    monkeypatch.undo()
+    q = lift(generate(GenSpec(50, 5, 4292)))
     for name in ("B", "H", "h", "D"):
-        with pytest.raises(AssertionError):
-            getattr(lift(p), name)
+        assert name not in vars(q)
+        getattr(q, name)
+        assert name in vars(q)
 
 
 def test_solve_and_check_take_one_cholesky_per_dual_evaluation(monkeypatch,
@@ -700,7 +700,7 @@ def checked_ascent(p):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_LBFGSMemory", Checked)
-        _, trace = maximize_dual(lift(p))
+        _, trace = maximize_dual(p)
     return trace, checked
 
 
@@ -726,17 +726,17 @@ def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
     # coordinate is not curvature of the free subspace.
     trial, current, frozen, masked = [], [], [], [0]
 
-    def evaluated(q, sigma, mu):
-        res = evaluate(q, sigma, mu)
+    def evaluated(p, sigma, mu):
+        res = evaluate(p, sigma, mu)
         if res is not None:
             trial[:] = [np.concatenate([sigma, mu])]
         return res
 
-    def recorded(q, y):
+    def recorded(p, x, y):
         # The gradient is formed at the start point and at each accepted
         # trial, each the last point on the cone evaluated before it.
-        g = gradient(q, y)
-        current[:] = [trial[0], g.copy(), q.m]
+        g = gradient(p, x, y)
+        current[:] = [trial[0], g.copy(), p.m]
         return g
 
     class Checked(solver._LBFGSMemory):
@@ -759,7 +759,7 @@ def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
     monkeypatch.setattr(solver, "_gradient", recorded)
     monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
     for p in (generate(GenSpec(50, 5, 4293)), indefinite(0)):
-        maximize_dual(lift(p))
+        maximize_dual(p)
     assert masked[0] > 0
 
 
@@ -769,7 +769,7 @@ def test_generator_suite_certifies_within_30_steps(n, seed):
     # 14 to 17 steps each (18 to 22 with H0 = gamma I); with the frozen
     # coordinates' gradient change left in the curvature pairs they took
     # 59 to 129.
-    _, trace = maximize_dual(lift(generate(GenSpec(n, 5, seed))))
+    _, trace = maximize_dual(generate(GenSpec(n, 5, seed)))
     assert trace.termination == TERM_CERTIFIED
     assert trace.iterations <= 30
 
@@ -780,7 +780,7 @@ def test_diagonal_h0_certifies_the_suite_in_few_steps(n, seeds, most):
     # With H0 = gamma I these ascents took 20, 20, 20 and 21, 20, 19 steps;
     # H0 = gamma diag(max(mu, 3 mu0)^2) takes 15, 16, 15 and 14, 14, 14.
     for seed in seeds:
-        _, trace = maximize_dual(lift(generate(GenSpec(n, 5, seed))))
+        _, trace = maximize_dual(generate(GenSpec(n, 5, seed)))
         assert trace.termination == TERM_CERTIFIED
         assert trace.iterations <= most
 
@@ -826,7 +826,7 @@ def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
     for p in problems:
         for fallback in (0, solver.FALLBACK_ORACLE_MAX_K):
             r = solve(p, fallback_oracle_max_K=fallback)
-            assert r.certificate == verify_kkt(lift(p), r.x, r.dual_point)
+            assert r.certificate == verify_kkt(p, r.x, r.dual_point)
             statuses.add((r.status, r.certificate.status))
     assert statuses == {("CertifiedGlobal", "CertifiedGlobal"),
                         ("NoCertificate", "NoCertificate"),
@@ -872,7 +872,7 @@ def test_the_ascent_proves_infeasible_data_infeasible(p, monkeypatch):
     # every fallback setting, before the dual value overflows.
     monkeypatch.setattr(solver, "_MAX_ITER", 10)
     with pytest.raises(Infeasible, match="no selection satisfies Ax <= b"):
-        maximize_dual(lift(p))
+        maximize_dual(p)
     for fallback in (24, 0):
         with pytest.raises(Infeasible):
             solve(p, fallback_oracle_max_K=fallback)
