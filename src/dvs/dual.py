@@ -8,12 +8,13 @@ For dual variables (sigma, tau, mu) define
 
 where G(mu) is positive definite, with stationary primal point y = G^-1 F
 and gradient (d/dsigma, d/dtau, d/dmu) = (Dy - b, Hy - 1, y * (y - 1)).
-These tau-given functions (:func:`factorize_g`, :func:`recover_y`,
-:func:`dual_value`, :func:`dual_gradient`, :func:`in_dual_cone`) are the
-textbook definition, with G(mu) formed densely and factored by
-``scipy.linalg.cho_factor``; only the tests call them, with tau as an
-argument, on the lifted ``BinaryQP``.  The solver and ``dvs check`` call
-only :func:`eliminate_tau`, on the ``DiscreteQP``, which forms no lifted array.
+These tau-given functions (:func:`f_vector`, :func:`factorize_g`,
+:func:`recover_y`, :func:`dual_value`, :func:`dual_gradient`,
+:func:`in_dual_cone`) are the textbook definition on the ``BinaryQP`` that
+:func:`dvs.model.lift` builds, with F and G(mu) formed densely as above and
+G(mu) factored by ``scipy.linalg.cho_factor``; only the tests call them,
+with tau as an argument.  The solver and ``dvs check`` call only
+:func:`eliminate_tau`, on the ``DiscreteQP``, which forms no lifted array.
 
 :func:`eliminate_tau` maximizes P_dual over tau, i.e. minimizes
 0.5 y'G y - (F + H'tau)'y over {H y = 1}, which bounds every feasible 0-1
@@ -96,7 +97,7 @@ def f_vector(q: BinaryQP, d: DualPoint, tau: np.ndarray) -> np.ndarray:
     """F = h - D'sigma - H'tau + mu."""
     if tau.shape != (q.n,) or d.mu.shape != (q.K,) or d.sigma.shape != (q.m,):
         raise ValueError("dual point dimensions do not match the problem")
-    return q.h + d.mu - tau[q.block_of] - q.D.T @ d.sigma
+    return q.h + d.mu - q.H.T @ tau - q.D.T @ d.sigma
 
 
 def factorize_g(q: BinaryQP, mu: np.ndarray) -> GFactorization:

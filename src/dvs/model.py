@@ -12,7 +12,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import ClassVar
@@ -63,7 +63,7 @@ class DiscreteQP:
     the K candidate values in block order, ``block_of[k]`` is the block of
     coordinate k, and ``starts`` and ``sizes`` are each block's first
     coordinate and length.  The solver, ``dvs check``, :func:`is_feasible`
-    and :class:`BinaryQP` read it; the oracle decodes ``U`` itself.
+    and :func:`lift` read it; the oracle decodes ``U`` itself.
     """
 
     Q: np.ndarray
@@ -156,60 +156,45 @@ class DiscreteQP:
 
 @dataclass(frozen=True, eq=False)
 class BinaryQP:
-    """The lifted 0-1 problem of ``p``: minimize 0.5 y'By - h'y over one-hot
-    blocks with Dy <= b.
+    """A lifted 0-1 problem: minimize 0.5 y'By - h'y over one-hot y with
+    Dy <= b, ``blocks`` holding each block's half-open coordinate range.
+    Its fields are the keys of the file ``dvs lift`` writes, in file order,
+    and its arrays are read-only.  Only ``dvs lift`` and the tests build
+    one; ``solve`` and ``dvs check`` work on the DiscreteQP alone."""
 
-    With ``M`` the K-by-n block matrix of candidate values, ``B = MQM'``,
-    ``h = Mc``, ``D = AM'`` and ``H`` sums each block.  ``p``'s validated
-    ``Q``, ``c``, ``A``, ``b``, ``K`` and value-set layout ``U_flat``,
-    ``block_of``, ``starts`` and ``sizes`` are shared, not copied (see
-    :class:`DiscreteQP`).  ``h``, ``D``, ``B``, ``H`` and ``blocks`` are
-    derived on first read, for ``dvs lift`` and the tau-given reference
-    in :mod:`dvs.dual`; ``solve`` and ``dvs check`` work on ``p`` alone.
-    """
+    K: int
+    blocks: tuple[tuple[int, int], ...]
+    B: np.ndarray
+    h: np.ndarray
+    D: np.ndarray
+    H: np.ndarray
+    b: np.ndarray
+    U_flat: np.ndarray
 
-    p: DiscreteQP = field(repr=False)
+    @property
+    def n(self) -> int:
+        return self.H.shape[0]
 
-    def __post_init__(self):
-        p = self.p
-        for name in ("Q", "c", "A", "b", "n", "m", "K", "U_flat", "block_of",
-                     "starts", "sizes"):
-            object.__setattr__(self, name, getattr(p, name))
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        """The lifted linear term ``h[k] = c[i] u_k``."""
-        return _readonly(np.repeat(self.c, self.sizes) * self.U_flat)
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        """The m-by-K lifted constraint rows ``D[r, k] = A[r, i] u_k``."""
-        return _readonly(np.repeat(self.A, self.sizes, axis=1) * self.U_flat)
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """Each block's half-open coordinate range ``(start, end)``."""
-        return tuple((int(s), int(s + z))
-                     for s, z in zip(self.starts, self.sizes))
-
-    @cached_property
-    def B(self) -> np.ndarray:
-        """The K-by-K lifted quadratic ``B[k, l] = Q[i, j] u_k u_l``."""
-        i = self.block_of
-        return _readonly(self.Q[i][:, i] * np.outer(self.U_flat, self.U_flat))
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """The n-by-K one-hot block selector: ``H[i, k] = 1`` iff k in block i."""
-        return _readonly((self.block_of == np.arange(self.n)[:, None])
-                         .astype(float))
+    @property
+    def m(self) -> int:
+        return self.D.shape[0]
 
 
 def lift(p: DiscreteQP) -> BinaryQP:
     """The lifted 0-1 problem for ``p``: with y one-hot per block, x = M'y
-    turns 0.5 x'Qx - c'x into 0.5 y'By - h'y and Ax <= b into Dy <= b;
-    ``B``, ``H``, ``h`` and ``D`` are derived when first read."""
-    return BinaryQP(p)
+    turns 0.5 x'Qx - c'x into 0.5 y'By - h'y and Ax <= b into Dy <= b.
+    For coordinate k of block i and l of block j, ``B[k, l] = Q[i, j] u_k
+    u_l``, ``h[k] = c[i] u_k``, ``D[r, k] = A[r, i] u_k`` and ``H[i, k] =
+    1``; ``b`` and ``U_flat`` are ``p``'s."""
+    i, u = p.block_of, p.U_flat
+    return BinaryQP(
+        K=p.K,
+        blocks=tuple((int(s), int(s + z)) for s, z in zip(p.starts, p.sizes)),
+        B=_readonly(p.Q[i][:, i] * np.outer(u, u)),
+        h=_readonly(p.c[i] * u),
+        D=_readonly(p.A[:, i] * u),
+        H=_readonly((i == np.arange(p.n)[:, None]).astype(float)),
+        b=p.b, U_flat=u)
 
 
 @dataclass(frozen=True)
@@ -234,9 +219,10 @@ class Certificate:
     the gap |objective - dual value|, infinite off the cone (dual -inf).
 
     CertifiedGlobal means x satisfies Ax <= b within VALUE_MEMBERSHIP_TOL
-    and the gap is at most TOL_GAP (1 + |objective|): by weak duality the
-    dual value bounds every feasible selection's objective from below.
-    Only that status's finite gap is checked here.
+    and the gap is at most TOL_GAP (1 + |objective|), so by weak duality
+    no feasible selection lies more than TOL_GAP (1 + |objective|) below
+    x; x itself need not be a minimizer.  Only that status's finite gap is
+    checked here.
     """
 
     status: str

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from itertools import chain, islice
 
 import numpy as np
@@ -83,8 +84,7 @@ def emit_problem(p: DiscreteQP) -> bytes:
 
 
 def emit_lifted(q: BinaryQP) -> bytes:
-    return _emit({"K": q.K, "blocks": q.blocks, "B": q.B, "h": q.h,
-                  "D": q.D, "H": q.H, "b": q.b, "U_flat": q.U_flat})
+    return _emit({f.name: getattr(q, f.name) for f in fields(q)})
 
 
 def emit_report(r: SolveReport, include_trace: bool = False) -> bytes:

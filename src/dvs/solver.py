@@ -404,10 +404,11 @@ def certify(p: DiscreteQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     satisfy A x <= b within ``VALUE_MEMBERSHIP_TOL`` (the feasibility rule
     of :func:`dvs.model.is_feasible`) and the gap to be at most
     ``TOL_GAP * (1 + |v|)`` with v the objective at x; every other point
-    is NoCertificate.  Weak duality makes that a proof: on the cone the
-    dual value is at most the Lagrangian at x's selector, objective(x) +
-    sigma'(A x - b), which is at most objective(x) for a feasible x, so no
-    feasible selection's objective lies below it and |sigma'(A x - b)|
+    is NoCertificate.  Weak duality makes that a proof that no feasible
+    selection lies more than ``TOL_GAP * (1 + |v|)`` below x: on the cone
+    the dual value is at most the Lagrangian at x's selector, objective(x)
+    + sigma'(A x - b), which is at most objective(x) for a feasible x, so
+    no feasible selection's objective lies below it and |sigma'(A x - b)|
     is at most the gap.
     """
     slack = p.A @ x - p.b

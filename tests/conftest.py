@@ -27,6 +27,19 @@ VALUE_TOL = 0.5
 SWEEP_VALUE_SETS = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
 
 
+def criterion4_spec(k):
+    """The k-th spec of criterion 4's family: n <= 4, |U_i| <= 3, K <= 12."""
+    return GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
+                   value_set=SWEEP_VALUE_SETS[k % 4])
+
+
+def indefinite_spec(k):
+    """The k-th spec of the indefinite family: n = 8 over {0, 1}, with
+    signed coefficients and no dominance boost, so Q is often indefinite."""
+    return GenSpec(8, 2, 7000 + k, (0.0, 1.0), coeff_range=(-1.0, 1.0),
+                   dominance_boost=False)
+
+
 def reference_discrete(p):
     """First strict minimum of an itertools.product walk over the value
     sets, one selection at a time: (x, value, feasible, total)."""
@@ -86,8 +99,7 @@ def sweep_instances():
     k = 0
     while len(instances) < 200:
         k += 1
-        p = generate(GenSpec(n=2 + (k % 3), m=1 + (k % 2), seed=1000 + k,
-                             value_set=SWEEP_VALUE_SETS[k % 4]))
+        p = generate(criterion4_spec(k))
         try:
             x, value, _, _ = enumerate_discrete(p)
         except Infeasible:

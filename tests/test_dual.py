@@ -32,6 +32,8 @@ from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import _gradient, initial_point, verify_kkt
 
+from conftest import criterion4_spec, indefinite_spec
+
 # Reference dual solution for the second shipped instance (rounded to two
 # decimals in the source material, like the problem data itself).
 EX2_TAU = np.array([-19.99, -20.12, -18.13, -18.37, -14.32,
@@ -48,10 +50,15 @@ EX2_MU = np.array([9.51, 0.97, 21.93, 53.36, 74.34,
                    6.26, 4.03, 24.60, 55.48, 76.04])
 
 
+def one_variable_problem(q11, c1=0.0):
+    """One variable with U = {1, 2}."""
+    return DiscreteQP(Q=[[q11]], c=[c1], A=np.zeros((0, 1)), b=np.zeros(0),
+                      U=[[1.0, 2.0]])
+
+
 def one_variable_qp(q11, c1=0.0):
-    """One variable with U = {1, 2}: B = q11 [[1, 2], [2, 4]], h = c1 (1, 2)."""
-    return lift(DiscreteQP(Q=[[q11]], c=[c1], A=np.zeros((0, 1)),
-                           b=np.zeros(0), U=[[1.0, 2.0]]))
+    """Its lift: B = q11 [[1, 2], [2, 4]], h = c1 (1, 2)."""
+    return lift(one_variable_problem(q11, c1))
 
 
 def dense_g(q, mu):
@@ -108,10 +115,10 @@ def test_factorize_singular_g_is_not_positive_definite():
 
 def test_off_cone_dual_is_minus_infinity_and_uncertified():
     # G = -5 [[1, 2], [2, 4]] + 2 I is indefinite: P_dual gives no bound there.
-    q = one_variable_qp(-5.0, c1=1.0)
+    p = one_variable_problem(-5.0, c1=1.0)
     d = DualPoint(sigma=np.zeros(0), mu=np.ones(2))
-    assert dual_value(q, d, np.zeros(1)) == -np.inf
-    cert = verify_kkt(q.p, np.array([2.0]), d)
+    assert dual_value(lift(p), d, np.zeros(1)) == -np.inf
+    cert = verify_kkt(p, np.array([2.0]), d)
     assert cert.status == "NoCertificate"
     assert cert.gap == np.inf
 
@@ -128,7 +135,7 @@ def test_eliminate_tau_maximizes_over_tau(example1):
     _, gt, _ = dual_gradient(q, d, tau)
     assert np.abs(gt).max() <= 1e-9  # the tau-gradient H y - 1 vanishes
     # off the cone there is nothing to maximize
-    assert eliminate_tau(one_variable_qp(-5.0).p, np.zeros(0),
+    assert eliminate_tau(one_variable_problem(-5.0), np.zeros(0),
                          np.ones(2)) is None
 
 
@@ -137,13 +144,13 @@ def test_tau_eliminated_cone_is_wider_than_g_cone():
     # + 4 I has determinant -84.  The tau-eliminated dual still bounds the
     # primal there, and a certificate at that point is on the cone: its
     # gap is finite.
-    q = one_variable_qp(-5.0)
+    p = one_variable_problem(-5.0)
     mu = np.array([2.0, 2.0])
-    assert not factorize_g(q, mu).positive_definite
-    value, _, _, _ = eliminate_tau(q.p, np.zeros(0), mu)
+    assert not factorize_g(lift(p), mu).positive_definite
+    value, _, _, _ = eliminate_tau(p, np.zeros(0), mu)
     assert value <= min(-2.5 * u * u for u in (1.0, 2.0))
     d = DualPoint(sigma=np.zeros(0), mu=mu)
-    assert np.isfinite(verify_kkt(q.p, np.array([2.0]), d).gap)
+    assert np.isfinite(verify_kkt(p, np.array([2.0]), d).gap)
 
 
 def test_tau_eliminated_value_bounds_indefinite_instances():
@@ -174,10 +181,8 @@ def test_tau_eliminated_value_bounds_indefinite_instances():
 def differential_problems():
     """Criterion-4 instances, the n = 50 and n = 100 suites, and value sets
     with a 0, a lone {0} and single values."""
-    value_sets = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
     for k in range(1, 13):
-        yield generate(GenSpec(n=2 + (k % 3), m=1 + (k % 2), seed=1000 + k,
-                               value_set=value_sets[k % 4]))
+        yield generate(criterion4_spec(k))
     yield generate(GenSpec(50, 5, 4292))
     yield generate(GenSpec(100, 5, 4342))
     yield DiscreteQP(Q=[[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.2, 0.3],
@@ -285,7 +290,8 @@ def test_structured_cone_test_matches_dense_cholesky():
     verdicts = set()
     for p in differential_problems():
         Q = p.Q - 1.5 * abs(np.linalg.eigvalsh(p.Q)[0]) * np.eye(p.n) - 0.5
-        q = lift(DiscreteQP(Q=Q, c=p.c, A=p.A, b=p.b, U=p.U))
+        p = DiscreteQP(Q=Q, c=p.c, A=p.A, b=p.b, U=p.U)
+        q = lift(p)
         mu_star = -0.5 * np.linalg.eigvalsh(q.B)[0]
         for t in (0.5, 0.9, 1.1, 2.0):
             mu = t * mu_star * (1.0 + 0.05 * rng.random(q.K))
@@ -296,7 +302,7 @@ def test_structured_cone_test_matches_dense_cholesky():
                 dense_pd = False
             assert dense_pd == (t > 1)
             if dense_pd:
-                assert eliminate_tau(q.p, rng.random(q.m), mu) is not None
+                assert eliminate_tau(p, rng.random(q.m), mu) is not None
             verdicts.add(dense_pd)
     assert verdicts == {True, False}
 
@@ -308,7 +314,7 @@ def test_dual_value_at_reference_point(example2):
     assert dual_value(q, d, EX2_TAU) == pytest.approx(45.54, abs=0.5)
     # the reference primal value at x = ones, for comparison
     y = np.zeros(q.K)
-    y[q.starts + [u.index(1.0) for u in example2.U]] = 1.0
+    y[example2.starts + [u.index(1.0) for u in example2.U]] = 1.0
     assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(45.535, abs=1e-9)
 
 
@@ -362,14 +368,8 @@ def test_eliminate_tau_gradient_matches_finite_differences():
     # from eliminate_tau's y, against central differences of its value at
     # interior points: sigma > 0 and mu above the start point.
     rng = np.random.default_rng(17)
-    value_sets = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
-    problems = [(generate(GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
-                                  value_set=value_sets[k % 4])), 5)
-                for k in range(1, 31)]
-    problems += [(generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
-                                   coeff_range=(-1.0, 1.0),
-                                   dominance_boost=False)), 5)
-                 for k in range(20)]
+    problems = [(generate(criterion4_spec(k)), 5) for k in range(1, 31)]
+    problems += [(generate(indefinite_spec(k)), 5) for k in range(20)]
     problems.append((generate(GenSpec(20, 5, 4262)), 10))
     points = 0
     for p, count in problems:
@@ -416,7 +416,7 @@ def test_weak_duality_sampling(example1):
         # The certificate's bound: the tau-maximized value is at most the
         # Lagrangian objective(x) + sigma'(Ax - b) at x = M'y, so the gap
         # of a feasible x is at least |sigma'(Ax - b)|.
-        x = q.U_flat[q.starts + choice]
+        x = q.U_flat[example1.starts + choice]
         v = objective(example1, x)
         assert v - eliminate_tau(example1, sigma, d.mu)[0] >= (
             -sigma @ (example1.A @ x - example1.b) - 1e-9 * (1.0 + abs(v)))

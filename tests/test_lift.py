@@ -59,7 +59,7 @@ def test_lifted_objective_matches_original(example1):
         pick = rng.integers(0, 3, size=5)
         x = np.array([u[j] for u, j in zip(example1.U, pick)])
         y = np.zeros(q.K)
-        y[q.starts + pick] = 1.0
+        y[example1.starts + pick] = 1.0
         assert 0.5 * y @ q.B @ y - q.h @ y == pytest.approx(
             objective(example1, x), abs=1e-9)
 

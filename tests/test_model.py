@@ -60,14 +60,13 @@ def test_arrays_are_frozen():
     assert not set(layout) & set(vars(p))
     q = lift(p)
     for owner, names in ((p, layout + ("alpha_base", "pad")),
-                         (q, ("h", "D", "B", "H"))):
+                         (q, ("B", "h", "D", "H", "b", "U_flat"))):
         for name in names:
             a = getattr(owner, name)
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
                 a.flat[0] = 99
     assert q.H.dtype == float
-    assert all(getattr(q, name) is getattr(p, name) for name in layout)
 
 
 def test_dimension_mismatch_rejected():
@@ -188,13 +187,14 @@ def test_binary_objective_matches_quadratic_form():
 
 
 def test_lift_of_asymmetric_q_has_symmetric_b():
-    # DiscreteQP symmetrizes Q and the lift shares that Q, so B = M Q M' is
+    # DiscreteQP symmetrizes Q and the lift reads that Q, so B = M Q M' is
     # exactly symmetric whatever Q the caller passed.
-    q = lift(DiscreteQP(Q=[[1.0, 0.3], [0.1, 2.0]], c=np.zeros(2),
-                        A=np.zeros((0, 2)), b=np.zeros(0),
-                        U=[[0.0, 1.0], [1.0, 2.0]]))
+    p = DiscreteQP(Q=[[1.0, 0.3], [0.1, 2.0]], c=np.zeros(2),
+                   A=np.zeros((0, 2)), b=np.zeros(0),
+                   U=[[0.0, 1.0], [1.0, 2.0]])
+    q = lift(p)
     assert np.array_equal(q.B, q.B.T)
-    assert np.array_equal(q.Q, [[1.0, 0.2], [0.2, 2.0]])
+    assert np.array_equal(p.Q, [[1.0, 0.2], [0.2, 2.0]])
 
 
 def test_certificate_requires_cone_for_global_status():

@@ -12,7 +12,8 @@ from dvs.generator import GenSpec, generate
 from dvs.model import DiscreteQP, lift, objective
 from dvs.oracle import enumerate_discrete
 
-from conftest import SWEEP_VALUE_SETS, reference_binary, reference_discrete
+from conftest import (criterion4_spec, indefinite_spec, reference_binary,
+                      reference_discrete)
 
 
 def without_constraints(p):
@@ -21,10 +22,8 @@ def without_constraints(p):
 
 
 REFERENCE_SPECS = (
-    [GenSpec(2 + k % 3, 1 + k % 2, 1000 + k, SWEEP_VALUE_SETS[k % 4])
-     for k in range(1, 25)]
-    + [GenSpec(8, 2, 7000 + k, (0.0, 1.0), coeff_range=(-1.0, 1.0),
-               dominance_boost=False) for k in range(3)]
+    [criterion4_spec(k) for k in range(1, 25)]
+    + [indefinite_spec(k) for k in range(3)]
     + [GenSpec(5, 2, 9900 + k, (-2, -1, 0, 1, 2), coeff_range=(-1, 1))
        for k in range(2)])
 
@@ -154,8 +153,7 @@ def test_oracle_value_is_the_objective_at_its_x(sweep_instances, monkeypatch,
     if chunk is not None:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
     problems = [p for p, _, _ in sweep_instances] + [
-        generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0), coeff_range=(-1.0, 1.0),
-                         dominance_boost=False)) for k in range(120)]
+        generate(indefinite_spec(k)) for k in range(120)]
     for p in problems:
         x, value, _, _ = enumerate_discrete(p)
         assert value.hex() == objective(p, x).hex()

@@ -9,8 +9,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 import dvs
 from dvs import cli
+from dvs.dual import factorize_g
+from dvs.model import lift
 from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,17 +40,35 @@ def test_readme_python_quick_start_runs(capsys):
     assert "CertifiedGlobal" in capsys.readouterr().out
 
 
-def test_traced_module_attributes_exist():
-    # perfbench/tracing.py swaps these attributes for timing wrappers; a
-    # name deleted or inlined here would break the traced benchmark.
+def _load_tracing():
     spec = importlib.util.spec_from_file_location(
         "_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_module_attributes_exist():
+    # perfbench/tracing.py swaps these attributes for timing wrappers; a
+    # name deleted or inlined here would break the traced benchmark.
+    tracing = _load_tracing()
     assert tracing.WRAPPED
     for module_name, attr, *_ in tracing.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_attribute_readers_read_real_results(example1):
+    # No workload calls lift or factorize_g, so only here do the tracer's
+    # span attributes meet a real BinaryQP and GFactorization: a renamed
+    # field would otherwise go unnoticed.
+    tracing = _load_tracing()
+    q = lift(example1)
+    assert tracing._lift_attrs((example1,), q) == {
+        "bytes": q.B.nbytes + q.D.nbytes + q.H.nbytes + q.h.nbytes}
+    for mu, pd in ((np.ones(q.K), True), (np.zeros(q.K), False)):
+        fact = factorize_g(q, mu)
+        assert tracing._factorize_attrs((q, mu), fact) == {"pd": pd}
 
 
 def _readme_flags():

@@ -35,7 +35,8 @@ from dvs.solver import (
     verify_kkt,
 )
 
-from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
+from conftest import (EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL,
+                      indefinite_spec)
 
 
 def test_config_validation(example1):
@@ -88,12 +89,12 @@ def start_rule_mu0(p):
     return max(MU_MIN, 1e-3 * (1.0 + b_norm) - min(0.0, lam) / 2.0)
 
 
-def test_initial_point_matches_eigvalsh_bit_for_bit():
+def test_initial_point_matches_eigvalsh_bit_for_bit(criterion4_problems):
     # mu0 is the one rule of initial_point, max(MU_MIN, delta0 -
     # min(0, lambda_min(S Q S)) / 2), for every value-set shape: on the
     # PD families mu0 does not depend on lambda_min, on the indefinite one
     # and the indefinite single-value problems it does.
-    problems = (criterion4_problems(200)
+    problems = (criterion4_problems
                 + [generate(GenSpec(n, 5, seed)) for n, seed in
                    ((50, 4292), (50, 4293), (50, 4294), (300, 4242))]
                 + [indefinite(k) for k in range(120)]
@@ -104,7 +105,7 @@ def test_initial_point_matches_eigvalsh_bit_for_bit():
 
 
 def test_initial_point_decides_dominant_data_without_an_eigensolve(
-        monkeypatch, example1, example2):
+        monkeypatch, example1, example2, criterion4_problems):
     # Gershgorin's row test shows S Q S diagonally dominant on every
     # dominance-boosted family and both fixtures, so no eigenvalue is
     # computed there; the indefinite family still needs one each.
@@ -112,7 +113,7 @@ def test_initial_point_decides_dominant_data_without_an_eigensolve(
         raise AssertionError("initial_point computed an eigenvalue")
 
     monkeypatch.setattr(solver, "eigvalsh", refuse)
-    for p in (criterion4_problems(200)
+    for p in (criterion4_problems
               + [generate(GenSpec(n, 5, 4242 + n)) for n in (20, 50, 100, 300)]
               + [example1, example2]):
         assert np.array_equal(initial_point(p).mu,
@@ -139,7 +140,8 @@ def test_maximize_dual_reaches_reference_value(example1):
     assert factorize_g(lift(example1), d.mu).positive_definite
 
 
-def test_trace_is_monotone_nondecreasing(example1, example2):
+def test_trace_is_monotone_nondecreasing(example1, example2,
+                                         criterion4_problems):
     # Every accepted step raises the dual value.  The indefinite instances
     # backtrack far more than the examples, and end on both rules that
     # leave the ascent uncertified: k = 0 and 1 on a line search that
@@ -149,7 +151,7 @@ def test_trace_is_monotone_nondecreasing(example1, example2):
         _, trace = maximize_dual(indefinite(k))
         assert trace.termination == end
         assert all(b > a for a, b in zip(trace.values, trace.values[1:]))
-    for p in [example1, example2] + criterion4_problems(20):
+    for p in [example1, example2] + criterion4_problems[:20]:
         values = maximize_dual(p)[1].values
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -523,10 +525,10 @@ def test_solve_and_check_never_build_the_lifted_problem(monkeypatch, example1):
     # which lift does, fails the test.  The instances cover a certified
     # ascent, the n = 50 suite, an oracle fallback and an indefinite
     # instance that certifies only on the tau-eliminated cone.
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("a BinaryQP was built")
 
-    monkeypatch.setattr(BinaryQP, "__post_init__", refuse)
+    monkeypatch.setattr(BinaryQP, "__init__", refuse)
     fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
     for p, status in ((example1, "CertifiedGlobal"),
                       (generate(GenSpec(50, 5, 4292)), "CertifiedGlobal"),
@@ -538,13 +540,6 @@ def test_solve_and_check_never_build_the_lifted_problem(monkeypatch, example1):
         assert passed, failures
         with pytest.raises(AssertionError, match="a BinaryQP was built"):
             lift(p)
-    # lift still derives B, H, h and D on first read, not on construction.
-    monkeypatch.undo()
-    q = lift(generate(GenSpec(50, 5, 4292)))
-    for name in ("B", "H", "h", "D"):
-        assert name not in vars(q)
-        getattr(q, name)
-        assert name in vars(q)
 
 
 def test_solve_and_check_take_one_cholesky_per_dual_evaluation(monkeypatch,
@@ -586,8 +581,7 @@ INDEFINITE_KS = (30, 31, 32, 33, 55)
 
 
 def indefinite(k):
-    return generate(GenSpec(8, 2, 7000 + k, (0.0, 1.0),
-                            coeff_range=(-1.0, 1.0), dominance_boost=False))
+    return generate(indefinite_spec(k))
 
 
 def test_indefinite_certificates_match_the_oracle():
@@ -798,28 +792,37 @@ def test_h0_scale_overflow_stalls_without_a_warning(seed):
             "NoCertificate", TERM_STALL, 0)
 
 
-def criterion4_problems(count):
-    problems, k = [], 0
-    while len(problems) < count:
-        k += 1
-        p = generate(GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
-                             value_set=((0.0, 1.0), (1.0, 2.0, 3.0),
-                                        (-1.0, 0.0, 2.0), (2.0, 5.0))[k % 4]))
-        try:
-            enumerate_discrete(p)
-        except Infeasible:
+@pytest.fixture
+def criterion4_problems(sweep_instances):
+    """Criterion 4's 200 feasible instances, in sweep order."""
+    return [p for p, _, _ in sweep_instances]
+
+
+def test_certified_objective_is_within_the_gap_tolerance_of_the_optimum():
+    # CertifiedGlobal claims that no feasible selection lies more than
+    # TOL_GAP (1 + |objective|) below x, not that x is the minimizer.  With
+    # Q = sI and c = (s, 0) the optimum is x = (1, 0) at -s/2, and at the
+    # smaller scales x = (0, 0) is certified, within that tolerance of it.
+    certified = 0
+    for s in (1.0, 1e-4, 1e-6, 1e-8, 1e-12):
+        p = DiscreteQP(Q=s * np.eye(2), c=[s, 0.0], A=[[1.0, 1.0]], b=[5.0],
+                       U=[[0.0, 1.0, 2.0]] * 2)
+        r = solve(p, fallback_oracle_max_K=0)
+        if r.status != "CertifiedGlobal":
             continue
-        problems.append(p)
-    return problems
+        certified += 1
+        _, optimum, _, _ = enumerate_discrete(p)
+        assert r.objective - optimum <= TOL_GAP * (1.0 + abs(r.objective))
+    assert certified > 0
 
 
-def test_solve_certificate_is_verify_kkt_of_the_reported_x(example1,
-                                                            example2):
+def test_solve_certificate_is_verify_kkt_of_the_reported_x(
+        example1, example2, criterion4_problems):
     # The ascent certifies with the dual value it already has, and an
     # oracle fallback certifies the oracle's x with the ascent's last one;
     # check recomputes it.  Both must give the same certificate, bit for
     # bit, whichever x the report states.
-    problems = (criterion4_problems(40) + [generate(GenSpec(50, 5, 4292)),
+    problems = (criterion4_problems[:40] + [generate(GenSpec(50, 5, 4292)),
                                            example1, example2]
                 + [indefinite(k) for k in INDEFINITE_KS])
     statuses = set()
@@ -893,10 +896,10 @@ def test_an_optimum_equal_to_the_objective_bound_still_certifies():
         assert r.trace == (r.objective,) == (top,)
 
 
-def test_translating_the_value_sets_moves_only_x():
+def test_translating_the_value_sets_moves_only_x(criterion4_problems):
     # x' = x + t over U + t is the same problem with c + Qt and b + At.
     # Every status is unchanged and every certified x moves by exactly t.
-    problems = criterion4_problems(200)
+    problems = criterion4_problems
     base = [solve(p, fallback_oracle_max_K=0) for p in problems]
     assert sum(r.status == "CertifiedGlobal" for r in base) >= 50
     for t in (-1.0, 3.0):

@@ -26,10 +26,13 @@ total bytes of the reports and the sha256 of the reports concatenated in
 that order.  A ``bound`` line gives, to three significant digits, the
 median and largest relative shortfall (optimum - final dual value) /
 (1 + |optimum|) of the family's fallback-0 pass, against the oracle's
-optimum: how far below the optimum the ascent's bound ends.  The
-``status``, ``check PASS``, ``iterations``, ``evaluations`` and ``bound``
-lines are committed as ``tools/digest_status.txt``; CI fails when the
-run's differ from them.
+optimum: how far below the optimum the ascent's bound ends.  One
+``lift <bytes> <sha256>`` line comes before the report bytes, over the
+files ``dvs lift`` writes for the set's problems, concatenated in set
+order.  The
+``status``, ``check PASS``, ``iterations``, ``evaluations``, ``bound``
+and ``lift`` lines are committed as ``tools/digest_status.txt``; CI fails
+when the run's differ from them.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -47,8 +50,9 @@ import statistics
 from dvs import solver
 from dvs.errors import Infeasible
 from dvs.generator import GenSpec, generate
+from dvs.model import lift
 from dvs.oracle import enumerate_discrete
-from dvs.serialize import check, emit_problem, emit_report
+from dvs.serialize import check, emit_lifted, emit_problem, emit_report
 from dvs.solver import solve
 
 SWEEP_VALUE_SETS = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
@@ -76,6 +80,17 @@ def instances():
     out += [("n50", generate(GenSpec(50, 5, seed)), None)
             for seed in (4292, 4293, 4294)]
     return out
+
+
+def lifted_digest(problems):
+    """Total bytes and sha256 of the files ``dvs lift`` writes for the
+    problems, concatenated in order."""
+    digest, size = hashlib.sha256(), 0
+    for p in problems:
+        data = emit_lifted(lift(p))
+        digest.update(data)
+        size += len(data)
+    return size, digest.hexdigest()
 
 
 def main():
@@ -130,6 +145,8 @@ def main():
     for family, values in shortfalls.items():
         print(f"bound {family} {statistics.median(values):.3g} "
               f"{max(values):.3g}")
+    lifted_size, lifted_sha = lifted_digest(p for _, p, _, _ in problems)
+    print(f"lift {lifted_size} {lifted_sha}")
     print(f"bytes {size}")
     print(f"sha256 {digest.hexdigest()}")
 
