@@ -100,7 +100,7 @@ _LBFGS_MEMORY = 20
 _SCALE_FLOOR = 3.0
 _TOL_GRAD = 1e-8
 # The ascent's step budget, far above the most steps measured: 14 on
-# criterion 4's instances, 114 on the first 120 of the indefinite family,
+# criterion 4's instances, 133 on the indefinite family's 120 (k = 0..119),
 # and 14 on GenSpec(n, 5, 4242 + n) at both n = 300 and 1000.
 _MAX_ITER = 5000
 # The lifted dimension up to which ``solve`` falls back to the oracle.
@@ -445,13 +445,14 @@ def solve(p: DiscreteQP, *,
     the answer and the report status becomes OracleFallback; the report's
     certificate is then the oracle x's, judged at the ascent's final dual
     point and dual value.  0 disables the fallback, and a value that is
-    not an integer (a bool included) is a ValueError.  The reported
-    objective is always recomputed from the original problem.  Data the
-    ascent or the oracle proves infeasible raise ``Infeasible``.
+    negative or not an integer (a bool included) is a ValueError.  The
+    reported objective is always recomputed from the original problem.
+    Data the ascent or the oracle proves infeasible raise ``Infeasible``.
     """
     if (isinstance(fallback_oracle_max_K, bool)
-            or not isinstance(fallback_oracle_max_K, (int, np.integer))):
-        raise ValueError("fallback_oracle_max_K must be an integer")
+            or not isinstance(fallback_oracle_max_K, (int, np.integer))
+            or fallback_oracle_max_K < 0):
+        raise ValueError("fallback_oracle_max_K must be an integer >= 0")
     t0 = time.perf_counter()
     d, trace = maximize_dual(p)
     cert, x = trace.certificate, trace.x

@@ -1,6 +1,7 @@
 """Shared fixtures: the two shipped reference instances and their knowns,
-and the itertools references the exhaustive oracle and the lift are
-checked against."""
+the instance families of families.py with their oracle answers, and the
+itertools references the exhaustive oracle and the lift are checked
+against."""
 
 import itertools
 import math
@@ -9,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvs.errors import Infeasible
-from dvs.generator import GenSpec, generate
 from dvs.model import VALUE_MEMBERSHIP_TOL
-from dvs.oracle import enumerate_discrete
 from dvs.serialize import parse_problem
+
+import families
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,20 +24,6 @@ EX1_VALUE = -227.87
 EX2_X = np.ones(10)
 EX2_VALUE = 45.54
 VALUE_TOL = 0.5
-SWEEP_VALUE_SETS = ((0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (2.0, 5.0))
-
-
-def criterion4_spec(k):
-    """The k-th spec of criterion 4's family: n <= 4, |U_i| <= 3, K <= 12."""
-    return GenSpec(n=2 + k % 3, m=1 + k % 2, seed=1000 + k,
-                   value_set=SWEEP_VALUE_SETS[k % 4])
-
-
-def indefinite_spec(k):
-    """The k-th spec of the indefinite family: n = 8 over {0, 1}, with
-    signed coefficients and no dominance boost, so Q is often indefinite."""
-    return GenSpec(8, 2, 7000 + k, (0.0, 1.0), coeff_range=(-1.0, 1.0),
-                   dominance_boost=False)
 
 
 def reference_discrete(p):
@@ -93,16 +79,11 @@ def example2_path():
 
 @pytest.fixture(scope="session")
 def sweep_instances():
-    """Criterion 4's 200 small instances (n <= 4, |U_i| <= 3, K <= 12) with
-    their oracle answers."""
-    instances = []
-    k = 0
-    while len(instances) < 200:
-        k += 1
-        p = generate(criterion4_spec(k))
-        try:
-            x, value, _, _ = enumerate_discrete(p)
-        except Infeasible:
-            continue
-        instances.append((p, x, value))
-    return instances
+    """Criterion 4's 200 instances with their oracle answers."""
+    return families.criterion4_instances()
+
+
+@pytest.fixture(scope="session")
+def indefinite_instances():
+    """The indefinite family's 120 instances with their oracle answers."""
+    return families.indefinite_instances()

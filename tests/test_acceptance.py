@@ -21,6 +21,7 @@ from dvs.toy import RESIDUAL_TOL, ToyInstance, toy_dual_roots, toy_solve
 
 from conftest import (EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL,
                       reference_binary)
+from families import suite_spec
 
 def verdict(capsys, number, name, ok, detail=""):
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}"
@@ -184,7 +185,7 @@ def test_criterion_8_scaling(capsys):
     details = []
     ok = True
     for n, budget in budgets.items():
-        p = generate(GenSpec(n=n, m=5, seed=4242 + n))
+        p = generate(suite_spec(n))
         t0 = time.perf_counter()
         r = solve(p)
         elapsed = time.perf_counter() - t0

@@ -82,6 +82,13 @@ def test_solve_exit_three_without_certificate(tmp_path):
     assert "status=OracleFallback" in cp.stdout
 
 
+def test_solve_negative_fallback_exits_two(example1_path, tmp_path):
+    cp = run_cli("solve", str(example1_path), "--fallback-oracle", "-1",
+                 "--out", str(tmp_path / "r.json"))
+    assert cp.returncode == 2
+    assert "fallback_oracle_max_K must be an integer >= 0" in cp.stderr
+
+
 def test_solve_missing_file_exits_two(tmp_path):
     cp = run_cli("solve", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r.json"))

@@ -32,7 +32,7 @@ from dvs.oracle import enumerate_discrete
 from dvs.serialize import check, emit_problem, emit_report
 from dvs.solver import _gradient, initial_point, verify_kkt
 
-from conftest import criterion4_spec, indefinite_spec
+from families import criterion4_spec, indefinite_spec, suite_spec
 
 # Reference dual solution for the second shipped instance (rounded to two
 # decimals in the source material, like the problem data itself).
@@ -183,8 +183,8 @@ def differential_problems():
     with a 0, a lone {0} and single values."""
     for k in range(1, 13):
         yield generate(criterion4_spec(k))
-    yield generate(GenSpec(50, 5, 4292))
-    yield generate(GenSpec(100, 5, 4342))
+    yield generate(suite_spec(50))
+    yield generate(suite_spec(100))
     yield DiscreteQP(Q=[[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.2, 0.3],
                         [0.1, 0.2, 3.0, 0.4], [0.0, 0.3, 0.4, 1.5]],
                      c=[1.0, -3.0, 2.0, 0.5], A=[[1.0, 1.0, 1.0, 1.0]],
@@ -370,7 +370,7 @@ def test_eliminate_tau_gradient_matches_finite_differences():
     rng = np.random.default_rng(17)
     problems = [(generate(criterion4_spec(k)), 5) for k in range(1, 31)]
     problems += [(generate(indefinite_spec(k)), 5) for k in range(20)]
-    problems.append((generate(GenSpec(20, 5, 4262)), 10))
+    problems.append((generate(suite_spec(20)), 10))
     points = 0
     for p, count in problems:
         base = initial_point(p).mu

@@ -8,6 +8,8 @@ import pytest
 from dvs.generator import GenSpec, XorShift64Star, _lanes, generate
 from dvs.model import is_feasible
 
+from families import criterion4_spec, indefinite_spec, suite_spec
+
 _MASK = (1 << 64) - 1
 
 
@@ -88,18 +90,17 @@ def test_array_draw_matches_the_scalar_stream(count, lanes):
 # sha256 of the bytes of Q, A, c and b, recorded with the one-value-at-a-
 # time generator that the array draw replaced.
 GOLDEN_SHA256 = [
-    (GenSpec(20, 5, 4262),
+    (suite_spec(20),
      "4be21bb954883aead697c97bb901c9e76e44396297d1e3c54d67101d11a33c90"),
-    (GenSpec(50, 5, 4292),
+    (suite_spec(50),
      "9d42fe6d06b9b2f6e5adbefd1b09780a3f4ec024da9755f6139df7d1808eb178"),
-    (GenSpec(100, 5, 4342),
+    (suite_spec(100),
      "c7b33ee78248981fb4f1d4de96ba7325f78d29a741ab5e6a989105f6b33cfa9b"),
-    (GenSpec(300, 5, 4542),
+    (suite_spec(300),
      "f0170c1a377d803db48009fe856f21db2627a7255c04ee9677fd4c3bf8ccbc7b"),
-    (GenSpec(1000, 5, 5242),
+    (suite_spec(1000),
      "9b6430f61d3b24b6c123cdf6ae29003e2f4c04f5d6977502c347350dd0b91436"),
-    (GenSpec(8, 2, 7000, (0.0, 1.0), coeff_range=(-1.0, 1.0),
-             dominance_boost=False),
+    (indefinite_spec(0),
      "f9539cc7a8b2309c6f98d3f5848330afe3f9e53f7884bab483b0c1500575a11e"),
     (GenSpec(6, 3, 11, coeff_range=(-1.0, 1.0)),
      "92e15ee3b5b39972ff2b3c34f71c076df54f04d144e47812752c234a031849ca"),
@@ -152,10 +153,15 @@ def test_generated_q_is_positive_definite():
 
 
 def test_generated_instance_has_feasible_point():
-    for seed in range(10):
-        p = generate(GenSpec(n=4, m=3, seed=seed))
-        low = np.full(4, min(p.U[0]))
-        assert is_feasible(p, low)
+    # A >= 0 and b = A l + (A u - A l) / 2 put the lower corner
+    # (min U_1, ..., min U_n) inside Ax <= b.  So every k of criterion 4's
+    # family is feasible, at its base seed 1000 and at others the
+    # benchmark sweeps, and the family needs no infeasibility skip.
+    specs = [GenSpec(n=4, m=3, seed=seed) for seed in range(10)]
+    specs += [criterion4_spec(k, base) for base in (1000, 5, 41, 2500, 7717)
+              for k in range(1, 201)]
+    for p in map(generate, specs):
+        assert is_feasible(p, np.array([min(ui) for ui in p.U]))
 
 
 def test_dominance_boost_can_be_disabled():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dvs.errors import DimensionError
-from dvs.generator import GenSpec, generate
+from dvs.generator import generate
 from dvs.model import (
     VALUE_MEMBERSHIP_TOL,
     Certificate,
@@ -19,6 +19,8 @@ from dvs.model import (
     objective,
 )
 from dvs.solver import solve
+
+from families import suite_spec
 
 
 def small_problem():
@@ -153,8 +155,8 @@ def test_is_feasible_matches_per_coordinate_reference(sweep_instances):
     tol = VALUE_MEMBERSHIP_TOL
     cases = [(p, x) for p, x, _ in sweep_instances]
     rng = np.random.default_rng(25)
-    for seed in (4292, 4293, 4294):
-        p = generate(GenSpec(50, 5, seed))
+    for i in range(3):
+        p = generate(suite_spec(50, i))
         cases.append((p, solve(p).x))
         cases += [(p, np.array([rng.choice(ui) for ui in p.U]))
                   for _ in range(20)]

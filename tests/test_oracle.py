@@ -12,8 +12,8 @@ from dvs.generator import GenSpec, generate
 from dvs.model import DiscreteQP, lift, objective
 from dvs.oracle import enumerate_discrete
 
-from conftest import (criterion4_spec, indefinite_spec, reference_binary,
-                      reference_discrete)
+from conftest import reference_binary, reference_discrete
+from families import criterion4_spec, indefinite_spec
 
 
 def without_constraints(p):
@@ -145,16 +145,15 @@ def test_oracles_match_reference_across_small_chunks(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
-def test_oracle_value_is_the_objective_at_its_x(sweep_instances, monkeypatch,
-                                                chunk):
+def test_oracle_value_is_the_objective_at_its_x(sweep_instances,
+                                                indefinite_instances,
+                                                monkeypatch, chunk):
     # The batch scores of a chunk can differ from objective(p, x) in the
     # last bit, by the chunk's size and feasible rows; the returned value
     # is objective's, whatever the chunk.
     if chunk is not None:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    problems = [p for p, _, _ in sweep_instances] + [
-        generate(indefinite_spec(k)) for k in range(120)]
-    for p in problems:
+    for p, _, _ in sweep_instances + indefinite_instances:
         x, value, _, _ = enumerate_discrete(p)
         assert value.hex() == objective(p, x).hex()
 

@@ -37,6 +37,8 @@ from dvs.serialize import (
 )
 from dvs.solver import solve, verify_kkt
 
+from families import suite_spec
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -643,7 +645,7 @@ def test_parse_problem_converts_whole_fields_whatever_n(monkeypatch):
                             counted(name, getattr(serialize, name)))
     counts = []
     for n in (5, 50):
-        data = emit_problem(generate(GenSpec(n, 5, 4242 + n)))
+        data = emit_problem(generate(suite_spec(n)))
         calls.update(_bulk=0, _per_entry=0)
         parse_problem(data)
         counts.append(dict(calls))

@@ -35,14 +35,14 @@ from dvs.solver import (
     verify_kkt,
 )
 
-from conftest import (EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL,
-                      indefinite_spec)
+from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
+from families import indefinite_spec, suite_spec
 
 
 def test_config_validation(example1):
-    # The fallback threshold is solve's one setting: an integer, and a
-    # bool (an int subclass) is not one.
-    for bad in (2.5, True, False, np.True_, "24"):
+    # The fallback threshold is solve's one setting: an integer >= 0, and
+    # a bool (an int subclass) is not one.  0 is the one off switch.
+    for bad in (2.5, True, False, np.True_, "24", -1, np.int64(-24)):
         with pytest.raises(ValueError,
                            match="fallback_oracle_max_K must be an integer"):
             solve(example1, fallback_oracle_max_K=bad)
@@ -89,15 +89,16 @@ def start_rule_mu0(p):
     return max(MU_MIN, 1e-3 * (1.0 + b_norm) - min(0.0, lam) / 2.0)
 
 
-def test_initial_point_matches_eigvalsh_bit_for_bit(criterion4_problems):
+def test_initial_point_matches_eigvalsh_bit_for_bit(criterion4_problems,
+                                                    indefinite_instances):
     # mu0 is the one rule of initial_point, max(MU_MIN, delta0 -
     # min(0, lambda_min(S Q S)) / 2), for every value-set shape: on the
     # PD families mu0 does not depend on lambda_min, on the indefinite one
     # and the indefinite single-value problems it does.
     problems = (criterion4_problems
-                + [generate(GenSpec(n, 5, seed)) for n, seed in
-                   ((50, 4292), (50, 4293), (50, 4294), (300, 4242))]
-                + [indefinite(k) for k in range(120)]
+                + [generate(suite_spec(50, i)) for i in range(3)]
+                + [generate(GenSpec(300, 5, 4242))]
+                + [p for p, _, _ in indefinite_instances]
                 + list(single_value_problems()))
     for p in problems:
         mu0 = start_rule_mu0(p)
@@ -114,7 +115,7 @@ def test_initial_point_decides_dominant_data_without_an_eigensolve(
 
     monkeypatch.setattr(solver, "eigvalsh", refuse)
     for p in (criterion4_problems
-              + [generate(GenSpec(n, 5, 4242 + n)) for n in (20, 50, 100, 300)]
+              + [generate(suite_spec(n)) for n in (20, 50, 100, 300)]
               + [example1, example2]):
         assert np.array_equal(initial_point(p).mu,
                               np.full(p.K, start_rule_mu0(p)))
@@ -409,7 +410,7 @@ def test_ascent_log_reports_the_first_gap_iteration(example1, monkeypatch,
     certify = solver.certify
     monkeypatch.setattr(solver, "certify", recorded)
     met = set()
-    for p in (example1, generate(GenSpec(50, 5, 4292)), indefinite(0),
+    for p in (example1, generate(suite_spec(50)), indefinite(0),
               indefinite(1), indefinite(2)):
         duals.clear()
         caplog.clear()
@@ -498,10 +499,10 @@ def test_n50_suite_certifies_in_fewer_dual_evaluations(caplog):
     # Halving after every failed Armijo trial took 112 + 107 + 115 = 334
     # evaluations for the same three certificates.
     evaluations = 0
-    for seed in (4292, 4293, 4294):
+    for i in range(3):
         caplog.clear()
         with caplog.at_level("INFO", logger="dvs.solver"):
-            _, trace = maximize_dual(generate(GenSpec(50, 5, seed)))
+            _, trace = maximize_dual(generate(suite_spec(50, i)))
         assert trace.termination == TERM_CERTIFIED
         assert trace.certificate.status == "CertifiedGlobal"
         assert np.array_equal(trace.x, np.ones(50))
@@ -513,7 +514,7 @@ def test_n50_suite_certifies_in_fewer_dual_evaluations(caplog):
 
 def test_solve_n100_certifies_and_checks():
     # K = 500: the n-by-n kernel makes this a fraction of a second.
-    p = generate(GenSpec(100, 5, 4342))
+    p = generate(suite_spec(100))
     r = solve(p)
     assert r.status == "CertifiedGlobal"
     passed, failures = check(emit_problem(p), emit_report(r))
@@ -531,7 +532,7 @@ def test_solve_and_check_never_build_the_lifted_problem(monkeypatch, example1):
     monkeypatch.setattr(BinaryQP, "__init__", refuse)
     fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
     for p, status in ((example1, "CertifiedGlobal"),
-                      (generate(GenSpec(50, 5, 4292)), "CertifiedGlobal"),
+                      (generate(suite_spec(50)), "CertifiedGlobal"),
                       (fallback, "OracleFallback"),
                       (indefinite(32), "CertifiedGlobal")):
         r = solve(p)
@@ -565,7 +566,7 @@ def test_solve_and_check_take_one_cholesky_per_dual_evaluation(monkeypatch,
     monkeypatch.setattr(dual, "_cholesky", counted("choleskys", dual._cholesky))
     fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
     for p, status in ((example1, "CertifiedGlobal"),
-                      (generate(GenSpec(50, 5, 4292)), "CertifiedGlobal"),
+                      (generate(suite_spec(50)), "CertifiedGlobal"),
                       (fallback, "OracleFallback")):
         r = solve(p)
         assert r.status == status
@@ -584,15 +585,14 @@ def indefinite(k):
     return generate(indefinite_spec(k))
 
 
-def test_indefinite_certificates_match_the_oracle():
+def test_indefinite_certificates_match_the_oracle(indefinite_instances):
     certified = 0
     for k in INDEFINITE_KS:
-        p = indefinite(k)
+        p, _, value = indefinite_instances[k]
         r = solve(p, fallback_oracle_max_K=0)
         if r.status != "CertifiedGlobal":
             continue
         certified += 1
-        _, value, _, _ = enumerate_discrete(p)
         assert r.objective == pytest.approx(value, abs=1e-9)
         assert not factorize_g(lift(p), r.dual_point.mu).positive_definite
     assert certified >= 1
@@ -701,7 +701,7 @@ def checked_ascent(p):
 def test_compact_lbfgs_matches_two_loop_on_ascent_pairs():
     # Every direction of two real ascents.  A certified n = 100 ascent
     # certifies in 15 steps, with up to 14 pairs stored ...
-    trace, checked = checked_ascent(generate(GenSpec(100, 5, 4342)))
+    trace, checked = checked_ascent(generate(suite_spec(100)))
     assert trace.termination == TERM_CERTIFIED
     assert {1, 5, 14} <= {k for k, _ in checked}
     # ... and a converged indefinite one fills the memory to each tested
@@ -752,29 +752,30 @@ def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
     monkeypatch.setattr(solver, "eliminate_tau", evaluated)
     monkeypatch.setattr(solver, "_gradient", recorded)
     monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
-    for p in (generate(GenSpec(50, 5, 4293)), indefinite(0)):
+    for p in (generate(suite_spec(50, 1)), indefinite(0)):
         maximize_dual(p)
     assert masked[0] > 0
 
 
-@pytest.mark.parametrize("n, seed", [(50, 4292), (50, 4293), (50, 4294),
-                                     (20, 4262), (100, 4342), (300, 4542)])
-def test_generator_suite_certifies_within_30_steps(n, seed):
+@pytest.mark.parametrize(
+    "spec", [suite_spec(50, i) for i in range(3)]
+    + [suite_spec(n) for n in (20, 100, 300)],
+    ids=lambda spec: f"{spec.n}-{spec.seed}")
+def test_generator_suite_certifies_within_30_steps(spec):
     # 14 to 17 steps each (18 to 22 with H0 = gamma I); with the frozen
     # coordinates' gradient change left in the curvature pairs they took
     # 59 to 129.
-    _, trace = maximize_dual(generate(GenSpec(n, 5, seed)))
+    _, trace = maximize_dual(generate(spec))
     assert trace.termination == TERM_CERTIFIED
     assert trace.iterations <= 30
 
 
-@pytest.mark.parametrize("n, seeds, most", [(50, (4292, 4293, 4294), 16),
-                                            (300, (4542, 4543, 4544), 15)])
-def test_diagonal_h0_certifies_the_suite_in_few_steps(n, seeds, most):
+@pytest.mark.parametrize("n, most", [(50, 16), (300, 15)])
+def test_diagonal_h0_certifies_the_suite_in_few_steps(n, most):
     # With H0 = gamma I these ascents took 20, 20, 20 and 21, 20, 19 steps;
     # H0 = gamma diag(max(mu, 3 mu0)^2) takes 15, 16, 15 and 14, 14, 14.
-    for seed in seeds:
-        _, trace = maximize_dual(generate(GenSpec(n, 5, seed)))
+    for i in range(3):
+        _, trace = maximize_dual(generate(suite_spec(n, i)))
         assert trace.termination == TERM_CERTIFIED
         assert trace.iterations <= most
 
@@ -822,7 +823,7 @@ def test_solve_certificate_is_verify_kkt_of_the_reported_x(
     # oracle fallback certifies the oracle's x with the ascent's last one;
     # check recomputes it.  Both must give the same certificate, bit for
     # bit, whichever x the report states.
-    problems = (criterion4_problems[:40] + [generate(GenSpec(50, 5, 4292)),
+    problems = (criterion4_problems[:40] + [generate(suite_spec(50)),
                                            example1, example2]
                 + [indefinite(k) for k in INDEFINITE_KS])
     statuses = set()
@@ -923,7 +924,7 @@ def test_solve_evaluates_the_dual_once_per_logged_evaluation(example1,
         return eliminate_tau(*args)
 
     fallback = generate(GenSpec(n=3, m=2, seed=1, value_set=(-2.0, 1.0)))
-    for p in (example1, generate(GenSpec(50, 5, 4292)), fallback):
+    for p in (example1, generate(suite_spec(50)), fallback):
         calls.clear()
         caplog.clear()
         with pytest.MonkeyPatch.context() as mp, \
