@@ -48,6 +48,8 @@ def _read(path: str) -> bytes:
 
 
 def _cmd_solve(args) -> int:
+    if args.fallback_oracle < 0:
+        raise ValueError("--fallback-oracle must be >= 0")
     p = parse_problem(_read(args.problem))
     report = solve(p, fallback_oracle_max_K=args.fallback_oracle)
     Path(args.out).write_bytes(emit_report(report, include_trace=args.trace))

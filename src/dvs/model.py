@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import ClassVar
 
 import numpy as np
@@ -91,16 +91,23 @@ class DiscreteQP:
         A = _freeze(A)
         b = _freeze(np.asarray(self.b, dtype=float))
         _check_shape("b", b, (m,))
-        U = tuple(tuple(map(float, ui)) for ui in self.U)
+        # Each set's entries as floats, mapped without a Python-level loop.
+        U = tuple(map(tuple, map(map, repeat(float), self.U)))
         if len(U) != n:
             raise DimensionError("U", f"{n} value sets", f"{len(U)} value sets")
-        for i, ui in enumerate(U):
-            if not ui:
-                raise ValueError(f"U[{i}] is empty")
-            if len(set(ui)) != len(ui):
-                raise ValueError(f"U[{i}] contains duplicate values")
-            if not all(map(math.isfinite, ui)):
-                raise ValueError(f"U[{i}] has a non-finite entry")
+        # All sets are tested in one pass: set() drops a set's duplicate
+        # values, and a non-finite entry makes the sum non-finite (so does
+        # a finite sum that overflows, which the walk below then passes).
+        if not (all(U) and sum(map(len, map(set, U))) == sum(map(len, U))
+                and math.isfinite(sum(chain.from_iterable(U)))):
+            # The set-by-set walk names the first bad set.
+            for i, ui in enumerate(U):
+                if not ui:
+                    raise ValueError(f"U[{i}] is empty")
+                if len(set(ui)) != len(ui):
+                    raise ValueError(f"U[{i}] contains duplicate values")
+                if not all(map(math.isfinite, ui)):
+                    raise ValueError(f"U[{i}] has a non-finite entry")
         for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} has a non-finite entry")

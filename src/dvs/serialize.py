@@ -12,6 +12,15 @@ JSON has no non-finite numbers: they are the strings "Infinity",
 "-Infinity" and "NaN" (the one a report can carry is the off-cone
 certificate gap, "Infinity").
 
+Every file is decoded by :func:`_load`.  Input holding at most 1,024 "["
+and "{" (a count that bounds its nesting depth) is read by orjson,
+which has no depth limit of its own.  Deeper input, and input orjson
+refuses, is read by the stdlib's ``json``: NaN and Infinity literals,
+numbers out of a double's range and lone surrogates keep the outcome they
+have always had, so such a number is still rejected at its JSON path, and
+nesting past the interpreter's recursion limit is invalid JSON.  orjson
+reads an integer outside [-2**63, 2**64) as a float.
+
 :func:`check` re-verifies a report's certificate at the report's own x:
 a certificate speaks for that point, whatever produced it, so a report
 carries no selector y and no rounding rule.
@@ -25,6 +34,7 @@ from dataclasses import fields
 from itertools import chain, islice
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .errors import DimensionError, Infeasible, SchemaError, TooLarge
@@ -49,7 +59,11 @@ from .solver import round_binary  # noqa: F401
 PROBLEM_KEYS = ("n", "m", "Q", "c", "A", "b", "U")
 SOLVER_STATUSES = (CERTIFIED_GLOBAL, NO_CERTIFICATE, ORACLE_FALLBACK)
 CERTIFICATE_NUMBERS = ("primal_feas_residual", "gap")
-# The Python types json.loads gives a number; bool, a subclass of int,
+# orjson has no depth limit: nesting deep enough overflows the C stack and
+# kills the process (about 4,000 levels on a 256 KiB thread stack).  Input
+# with at most this many openers, so at most this deep, is read by orjson.
+_ORJSON_MAX_OPENERS = 1024
+# The Python types either decoder gives a number; bool, a subclass of int,
 # is deliberately not one of them.
 _NUMBER_TYPES = {int, float}
 
@@ -114,14 +128,29 @@ def emit_oracle_report(x, value: float, feasible_count: int,
                   "total_count": total_count, "seconds": seconds})
 
 
+def _openers(data) -> int:
+    """The number of "[" and "{" in ``data``, an upper bound on its depth."""
+    if isinstance(data, str):
+        return data.count("[") + data.count("{")
+    # "[" (0x5b) and "{" (0x7b) are the only bytes that | 0x20 makes 0x7b.
+    return int(np.count_nonzero((np.frombuffer(data, np.uint8) | 0x20)
+                                == 0x7B))
+
+
 def _load(data) -> object:
+    if _openers(data) <= _ORJSON_MAX_OPENERS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass  # the stdlib reads what orjson refuses, or names its fault
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         return json.loads(data)
-    except ValueError as exc:
-        # A JSONDecodeError, bytes that are not UTF-8, or an integer
-        # literal longer than the interpreter converts (4300 digits).
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, bytes that are not UTF-8, an integer literal
+        # longer than the interpreter converts (4300 digits), or nesting
+        # deeper than the interpreter's recursion limit.
         raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 

@@ -86,7 +86,7 @@ def test_solve_negative_fallback_exits_two(example1_path, tmp_path):
     cp = run_cli("solve", str(example1_path), "--fallback-oracle", "-1",
                  "--out", str(tmp_path / "r.json"))
     assert cp.returncode == 2
-    assert "fallback_oracle_max_K must be an integer >= 0" in cp.stderr
+    assert cp.stderr == "error: --fallback-oracle must be >= 0\n"
 
 
 def test_solve_missing_file_exits_two(tmp_path):
@@ -101,6 +101,31 @@ def test_solve_invalid_problem_exits_two(tmp_path):
     bad.write_text('{"n": 1}')
     cp = run_cli("solve", str(bad), "--out", str(tmp_path / "r.json"))
     assert cp.returncode == 2
+
+
+def test_solve_n_past_two_to_the_64_exits_two(example1_path, tmp_path):
+    doc = json.loads(example1_path.read_bytes())
+    doc["n"] = 2 ** 64
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    cp = run_cli("solve", str(bad), "--out", str(tmp_path / "r.json"))
+    assert cp.returncode == 2
+    assert cp.stderr == "error: $.n: expected a non-negative integer\n"
+
+
+def test_deeply_nested_input_exits_two(tmp_path):
+    # 10**6 nested arrays, closed: past the bound on the openers orjson
+    # reads, so the stdlib's recursion limit refuses them.  A new
+    # interpreter runs each command, so a crash fails only this test.
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 10 ** 6 + b"]" * 10 ** 6)
+    for args in (("check", str(deep), str(deep)),
+                 ("solve", str(deep), "--out", str(tmp_path / "r.json"))):
+        cp = run_process(*args)
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stderr.startswith(
+            "error: $: not valid JSON: maximum recursion depth exceeded")
+        assert cp.stderr.count("\n") == 1 and cp.stdout == ""
 
 
 @pytest.mark.parametrize("flag,value", [("--tol-gap", "0"),

@@ -681,6 +681,73 @@ def test_number_too_large_for_a_double_is_a_schema_error(example1, tmp_path,
     assert not out.exists()
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("json.loads called")
+
+
+def test_load_reads_back_every_float_written_bit_for_bit(monkeypatch):
+    # Random bit patterns reach every exponent, subnormals included.
+    bits = np.random.default_rng(34).integers(0, 2 ** 64, 120_000,
+                                              dtype=np.uint64)
+    finite = bits.view(float)[np.isfinite(bits.view(float))]
+    info = np.finfo(float)
+    values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, info.tiny,
+                              -info.tiny, info.max, -info.max], finite])
+    assert len(values) > 100_000
+    data = serialize._json(values).encode()
+    monkeypatch.setattr(json, "loads", _refuse)
+    got = np.array(serialize._load(data), dtype=float)
+    assert got.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 50])
+def test_emitted_files_parse_without_the_stdlib_decoder(n, monkeypatch):
+    p = generate(suite_spec(n))
+    problem = emit_problem(p)
+    reports = [emit_report(solve(p))]
+    if n == 5:
+        x, value, feasible, total = enumerate_discrete(p)
+        reports.append(emit_oracle_report(x, value, feasible, total, 0.0))
+    verdicts = [check(problem, r) for r in reports]
+    parsed = [json.loads(r) for r in reports]
+    monkeypatch.setattr(json, "loads", _refuse)
+    assert emit_problem(parse_problem(problem)) == problem
+    for report, doc, verdict in zip(reports, parsed, verdicts):
+        rep = parse_report(report)
+        assert rep["x"].tolist() == doc["x"] and rep["status"] == doc["status"]
+        assert check(problem, report) == verdict
+
+
+def test_input_past_the_opener_bound_is_read_by_the_stdlib(monkeypatch):
+    # A problem of n = 1 holds m + 8 openers: the object, Q and its row,
+    # c, A and its m rows, b, and U and its set.
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda s: calls.append(len(s)) or loads(s))
+    for m, openers in ((1016, 1024), (1017, 1025)):
+        data = emit_problem(generate(GenSpec(1, m, 34)))
+        assert data.count(b"[") + data.count(b"{") == openers
+        for form in (data, data.decode()):
+            calls.clear()
+            assert emit_problem(parse_problem(form)) == data
+            assert len(calls) == (openers > 1024)
+
+
+def test_integer_past_two_to_the_64_is_a_float(example1):
+    # orjson reads an integer outside [-2**63, 2**64) as a float, so such
+    # an n is refused as a non-integer; the exit code stays 2.
+    doc = json.loads(emit_problem(example1))
+    for n, error in ((2 ** 64 - 1, DimensionError),
+                     (2 ** 64, SchemaError)):
+        doc["n"] = n
+        with pytest.raises(error):
+            parse_problem(json.dumps(doc))
+    with pytest.raises(SchemaError,
+                       match=r"^\$\.n: expected a non-negative integer$"):
+        parse_problem(json.dumps(doc))
+
+
 def test_check_reruns_the_oracle_on_an_oracle_exact_report(example1):
     # A feasible selection 156 above the optimum claimed as the oracle's.
     x = np.full(5, 2.0)
