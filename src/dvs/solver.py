@@ -24,8 +24,8 @@ quadratic through the current value, the slope and the failed value
 (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.5), kept
 between 0.1 and 0.5 of the failed step, so the value that trial cost is
 not thrown away; a trial off the cone, or with a value that is not
-finite, halves it.  The ascent keeps its curvature pairs in buffers of
-the memory size.
+finite, halves it.  The ascent keeps its newest 3 curvature pairs in
+buffers of that size.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its feasibility, gap and status rules,
@@ -94,14 +94,19 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK_MIN = 0.1
 _BACKTRACK_MAX = 0.5
 _MIN_STEP = 1e-16
-_LBFGS_MEMORY = 20
+# H0 follows the multipliers, which grow about 40-fold over an ascent, so a
+# pair older than a few steps holds curvature at a scale the ascent has
+# left; 3 pairs (Liu & Nocedal, Math. Prog. 45, 1989, found 3 to 7 enough)
+# certify the n = 50 suite in 12 steps where 20 took 15 or 16.
+_LBFGS_MEMORY = 3
 # H0's mu-block scale is max(mu, _SCALE_FLOOR * mu0)^2: a multiplier's step
 # follows its own size once it has grown past a few times its start.
 _SCALE_FLOOR = 3.0
 _TOL_GRAD = 1e-8
-# The ascent's step budget, far above the most steps measured: 14 on
-# criterion 4's instances, 133 on the indefinite family's 120 (k = 0..119),
-# and 14 on GenSpec(n, 5, 4242 + n) at both n = 300 and 1000.
+# The ascent's step budget, far above the most steps measured: 12 on
+# criterion 4's instances, 403 on the indefinite family's 120 (k = 0..119),
+# and 13 on GenSpec(n, 5, 4242 + n) at both n = 300 and 1000.  Most of the
+# signed and planted instances of tests/families.py at n = 12-30 use it all.
 _MAX_ITER = 5000
 # The lifted dimension up to which ``solve`` falls back to the oracle.
 FALLBACK_ORACLE_MAX_K = 24
@@ -223,7 +228,7 @@ def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
     The L-BFGS direction comes from the compact representation of the
-    last 20 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
+    last 3 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
     1994), each pair storing y = g - g_try, the fall of the gradient along
     the step s, with H0 = gamma diag(d) built once per iteration: d_k =
     max(mu_k, 3 mu0)^2 on mu, with mu0 the start's uniform mu, and the

@@ -13,7 +13,7 @@ from dvs.model import DiscreteQP, lift, objective
 from dvs.oracle import enumerate_discrete
 
 from conftest import reference_binary, reference_discrete
-from families import criterion4_spec, indefinite_spec
+from families import criterion4_spec, indefinite_spec, planted
 
 
 def without_constraints(p):
@@ -73,6 +73,16 @@ def test_enumerate_first_reference_instance(example1):
     assert value == pytest.approx(-227.87, abs=0.5)
     assert total == 3 ** 5
     assert 0 < feasible <= total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_finds_the_planted_optimum(n):
+    # Q is positive definite and c = Q x*, so x* is the one minimizer,
+    # with a unit slack on every row and with every row tight at x*.
+    for i in range(3):
+        for slack in (1.0, 0.0):
+            p, x_star = planted(n, i, slack)
+            assert np.array_equal(enumerate_discrete(p)[0], x_star)
 
 
 def test_enumerate_tie_break_is_lexicographic():

@@ -7,18 +7,20 @@ tests/families.py in that order, solved at ``fallback_oracle_max_K=24``
 and then at 0.  Each report is emitted with its trace and ``seconds`` 0.
 
 Printed in order: the report count; each status's count; ``status
-<family> <status> <count>`` for every pair, zeros included; ``check
-PASS`` and its count; each family's ascent ``iterations`` (twice one
-pass's: the ascent does not depend on the fallback) and dual
-``evaluations`` (``dvs.solver.eliminate_tau`` calls inside ``solve``)
-over both passes; ``bound <family> <median> <max>`` to three significant
-digits, the relative shortfall (optimum - final dual value) /
-(1 + |optimum|) of the fallback-0 pass for each family with an oracle
-optimum; ``lift <bytes> <sha256>`` over the ``dvs lift`` files of the
-set's problems; and the bytes and sha256 of the reports concatenated.
-CI fails when the ``status``, ``check PASS``, ``iterations``,
-``evaluations``, ``bound`` or ``lift`` lines differ from the committed
-``tools/digest_status.txt``.
+<family> <status> <count>`` for every pair, zeros included;
+``termination <family> <reason> <count>``, why the fallback-0 pass's
+ascents stopped, for every family and each of the four reasons, zeros
+included; ``check PASS`` and its count; each family's ascent
+``iterations`` (twice one pass's: the ascent does not depend on the
+fallback) and dual ``evaluations`` (``dvs.solver.eliminate_tau`` calls
+inside ``solve``) over both passes; ``bound <family> <median> <max>`` to
+three significant digits, the relative shortfall (optimum - final dual
+value) / (1 + |optimum|) of the fallback-0 pass for each family with an
+oracle optimum; ``lift <bytes> <sha256>`` over the ``dvs lift`` files of
+the set's problems; and the bytes and sha256 of the reports
+concatenated.  CI fails when the ``status``, ``termination``, ``check
+PASS``, ``iterations``, ``evaluations``, ``bound`` or ``lift`` lines
+differ from the committed ``tools/digest_status.txt``.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -37,10 +39,12 @@ from dvs import solver
 from dvs.generator import generate
 from dvs.model import lift
 from dvs.serialize import check, emit_lifted, emit_problem, emit_report
-from dvs.solver import solve
+from dvs.solver import (TERM_CERTIFIED, TERM_CONVERGED, TERM_MAX_ITER,
+                        TERM_STALL, solve)
 from families import criterion4_instances, indefinite_instances, suite_spec
 
 FALLBACKS = (24, 0)
+TERMINATIONS = (TERM_CERTIFIED, TERM_CONVERGED, TERM_STALL, TERM_MAX_ITER)
 
 
 def instances():
@@ -67,6 +71,7 @@ def main():
     digest = hashlib.sha256()
     statuses = collections.Counter()
     family_statuses = collections.Counter()
+    terminations = collections.Counter()
     iterations = collections.Counter()
     evaluations = collections.Counter()
     shortfalls = collections.defaultdict(list)
@@ -84,9 +89,11 @@ def main():
             family_statuses[family, r.status] += 1
             iterations[family] += r.iterations
             passed += check(problem, data)[0]
-            if fallback == 0 and optimum is not None:
-                shortfalls[family].append(
-                    (optimum - r.trace[-1]) / (1.0 + abs(optimum)))
+            if fallback == 0:
+                terminations[family, r.solver_status] += 1
+                if optimum is not None:
+                    shortfalls[family].append(
+                        (optimum - r.trace[-1]) / (1.0 + abs(optimum)))
     print(f"reports {sum(statuses.values())}")
     for status, count in sorted(statuses.items()):
         print(f"{status} {count}")
@@ -94,6 +101,10 @@ def main():
         for status in sorted(statuses):
             print(f"status {family} {status} "
                   f"{family_statuses[family, status]}")
+    for family in iterations:
+        for reason in TERMINATIONS:
+            print(f"termination {family} {reason} "
+                  f"{terminations[family, reason]}")
     print(f"check PASS {passed}")
     for family, total in iterations.items():
         print(f"iterations {family} {total}")
