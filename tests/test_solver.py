@@ -771,16 +771,32 @@ def test_generator_suite_certifies_within_30_steps(spec):
     assert trace.iterations <= 30
 
 
-@pytest.mark.parametrize("n, most", [(50, 12), (300, 13)])
-def test_diagonal_h0_certifies_the_suite_in_few_steps(n, most):
-    # With H0 = gamma I and 20 curvature pairs these ascents took 20, 20,
-    # 20 and 21, 20, 19 steps; H0 = gamma diag(max(mu, 3 mu0)^2) took 15,
-    # 16, 15 and 14, 14, 14 with 20 pairs, and takes 12, 12, 12 and 13, 13,
-    # 13 with 3.
+def _suite_ascent_steps(n):
+    """Steps of the certified dual ascents on the first 3 suite
+    instances at size n."""
+    steps = []
     for i in range(3):
         _, trace = maximize_dual(generate(suite_spec(n, i)))
         assert trace.termination == TERM_CERTIFIED
-        assert trace.iterations <= most
+        steps.append(trace.iterations)
+    return steps
+
+
+@pytest.mark.parametrize("n, most", [(50, 16), (300, 15)])
+def test_diagonal_h0_certifies_the_suite_in_few_steps(n, most):
+    # With H0 = gamma I and 20 curvature pairs these ascents took 20, 20,
+    # 20 and 21, 20, 19 steps; H0 = gamma diag(max(mu, 3 mu0)^2) took 15,
+    # 16, 15 and 14, 14, 14 with 20 pairs.
+    assert max(_suite_ascent_steps(n)) <= most
+
+
+@pytest.mark.parametrize("n, most", [(50, 12), (300, 13)])
+def test_three_curvature_pairs_certify_the_suite_in_fewer_steps(n, most):
+    # With the newest 3 pairs kept the ascents above take 12, 12, 12 and
+    # 13, 13, 13 steps: older pairs describe a multiplier scale the ascent
+    # has left.
+    assert solver._LBFGS_MEMORY == 3
+    assert max(_suite_ascent_steps(n)) <= most
 
 
 @pytest.mark.parametrize("seed", [500, 503, 507])
