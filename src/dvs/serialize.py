@@ -3,14 +3,15 @@
 Problem files are objects with exactly the keys n, m, Q, c, A, b, U.
 Every emitted file comes from one writer, :func:`_emit`, in one layout:
 the top-level object has one key per line with a two-space indent, and
-every nested object and array sits on one line.  Keys keep the order
-they are given in; ints are written as ints and floats with 17
-significant digits, which round-trips IEEE-754 doubles exactly (-0.0 is
-written "-0.0", since "-0" reads back as an int) — so serialize -> parse
--> serialize is byte-identical and reports can be compared as bytes.
-JSON has no non-finite numbers: they are the strings "Infinity",
-"-Infinity" and "NaN" (the one a report can carry is the off-cone
-certificate gap, "Infinity").
+every nested object and array sits on one line, written by one orjson
+call with its compact separators.  Keys keep the order they are given
+in; ints are written as ints and floats in orjson's shortest spelling
+that round-trips the IEEE-754 double exactly, always with a "." or an
+exponent (2.0 is "2.0", -0.0 is "-0.0") — so serialize -> parse ->
+serialize is byte-identical and reports can be compared as bytes.  JSON
+has no non-finite numbers: they are the strings "Infinity", "-Infinity"
+and "NaN" wherever they appear (the one a report can carry is the
+off-cone certificate gap, "Infinity").
 
 Every file is decoded by :func:`_load`.  Input holding at most 1,024 "["
 and "{" (a count that bounds its nesting depth) is read by orjson,
@@ -68,29 +69,40 @@ _ORJSON_MAX_OPENERS = 1024
 _NUMBER_TYPES = {int, float}
 
 
-def _json(v) -> str:
-    """One value on one line: objects and arrays nest, keys in order."""
-    if isinstance(v, float):
-        if math.isfinite(v):
-            text = format(v, ".17g")
-            return "-0.0" if text == "-0" else text
-        return '"NaN"' if v != v else ('"Infinity"' if v > 0 else '"-Infinity"')
-    if isinstance(v, int):
-        return str(int(v))
-    if isinstance(v, str):
-        return json.dumps(v)
+def _strings(v):
+    """``v`` with every non-finite float its JSON string, which orjson
+    would write as null."""
     if isinstance(v, dict):
-        return "{" + ", ".join(f"{_json(k)}: {_json(x)}"
-                               for k, x in v.items()) + "}"
-    # As Python numbers, an array's entries format faster.
-    v = v.tolist() if isinstance(v, np.ndarray) else v
-    return "[" + ", ".join(map(_json, v)) + "]"
+        return {k: _strings(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return list(map(_strings, v.tolist() if isinstance(v, np.ndarray)
+                        else v))
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    return v
+
+
+def _dumps(v) -> bytes:
+    """One value on one line, arrays included, in one orjson call; an
+    array orjson refuses, one not C-contiguous, is handed back for a
+    contiguous copy."""
+    data = orjson.dumps(v, default=np.ascontiguousarray,
+                        option=orjson.OPT_SERIALIZE_NUMPY)
+    # orjson writes a non-finite float as null.  An array's numbers test
+    # faster than its bytes scan; a string holding "null" costs a re-spell.
+    if (np.isfinite(v).all() if isinstance(v, np.ndarray)
+            else b"null" not in data):
+        return data
+    return orjson.dumps(_strings(v), option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 def _emit(doc: dict) -> bytes:
     """A file's bytes: the top-level object, one key per line."""
-    body = ",\n".join(f"  {_json(k)}: {_json(v)}" for k, v in doc.items())
-    return f"{{\n{body}\n}}\n".encode()
+    parts = [b"{"]
+    for key, value in doc.items():
+        parts += (b"\n  ", _dumps(key), b": ", _dumps(value), b",")
+    parts[-1] = b"\n}\n"
+    return b"".join(parts)
 
 
 def emit_problem(p: DiscreteQP) -> bytes:

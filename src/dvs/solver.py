@@ -140,20 +140,26 @@ def initial_point(p: DiscreteQP) -> DualPoint:
     kernel's cone, so the very first Cholesky attempt cannot fail.  Row k
     of |B| sums to |u_k| (|Q| M'|u|)_i, so both come from n-level data.
     min(0, lambda) is 0 whenever Gershgorin's row test shows S Q S
-    diagonally dominant, 2 (SQS)_ii >= sum_j |(SQS)_ij| for every i, an
-    O(n^2) pass; only where it fails does one ``eigvalsh`` call compute
-    lambda.  Data for which ||B||_inf, S Q S or mu0 overflow doubles are a
-    ValueError; the caller decides whether the overflow warns.
+    diagonally dominant, 2 (SQS)_ii >= sum_j |(SQS)_ij| for every i.  Row
+    i of |S Q S| sums to s_i (|Q| s)_i, so the test reads the |Q| that
+    ||B||_inf uses, and S Q S itself is formed only where it fails, for
+    the one ``eigvalsh`` call that computes lambda.  Data for which
+    ||B||_inf, a row sum of |S Q S| (which bounds the row's entries) or
+    mu0 overflow doubles are a ValueError; the caller decides whether the
+    overflow warns.
     """
     au = np.abs(p.U_flat)
+    abs_q = np.abs(p.Q)
     b_norm = float((np.maximum.reduceat(au, p.starts)
-                    * (np.abs(p.Q) @ p.block_sums(au))).max())
+                    * (abs_q @ p.block_sums(au))).max())
     s = np.sqrt(p.block_sums(p.U_flat * p.U_flat))
-    sqs = p.Q * np.multiply.outer(s, s)
-    if not (math.isfinite(b_norm) and np.isfinite(sqs).all()):
+    row_sums = s * (abs_q @ s)
+    if not (math.isfinite(b_norm) and np.isfinite(row_sums).all()):
         raise ValueError(_OVERFLOW)
     lam = 0.0
-    if not (2.0 * sqs.diagonal() >= np.abs(sqs).sum(axis=1)).all():
+    if not (2.0 * p.Q.diagonal() * (s * s) >= row_sums).all():
+        sqs = np.multiply.outer(s, s)
+        sqs *= p.Q
         lam = min(0.0, float(eigvalsh(sqs, subset_by_index=(0, 0))[0]))
     delta0 = 1e-3 * (1.0 + b_norm)
     mu0 = max(MU_MIN, delta0 - lam / 2.0)

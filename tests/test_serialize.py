@@ -36,10 +36,29 @@ from dvs.serialize import (
     parse_report,
 )
 from dvs.solver import solve, verify_kkt
+from dvs.toy import ToyInstance, toy_solve
 
 from families import suite_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _spelled(v, ints=True):
+    """``v`` as a file spells it, for exact comparison: each finite float
+    as its hex form, which tells every bit, each non-finite one as its
+    string, and each int as itself (or, with ``ints`` false, as the hex
+    form of the same float)."""
+    if isinstance(v, dict):
+        return {k: _spelled(x, ints) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_spelled(x, ints) for x in
+                (v.tolist() if isinstance(v, np.ndarray) else v)]
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    if isinstance(v, float) or (isinstance(v, int) and not ints
+                                and not isinstance(v, bool)):
+        return float(v).hex()
+    return v
 
 
 def two_var_problem():
@@ -186,9 +205,9 @@ def test_emit_toy_solution_shape():
     assert list(doc.keys()) == ["sigma1", "x", "primal_value", "dual_value"]
     assert data == (b'{\n'
                     b'  "sigma1": 0.25,\n'
-                    b'  "x": [2],\n'
-                    b'  "primal_value": -1,\n'
-                    b'  "dual_value": -1\n'
+                    b'  "x": [2.0],\n'
+                    b'  "primal_value": -1.0,\n'
+                    b'  "dual_value": -1.0\n'
                     b'}\n')
 
 
@@ -201,18 +220,37 @@ def test_emit_oracle_report_shape():
     assert data == (b'{\n'
                     b'  "version": "0.1.0",\n'
                     b'  "status": "OracleExact",\n'
-                    b'  "x": [1, 2],\n'
-                    b'  "objective": -5,\n'
+                    b'  "x": [1.0,2.0],\n'
+                    b'  "objective": -5.0,\n'
                     b'  "feasible_count": 3,\n'
                     b'  "total_count": 4,\n'
                     b'  "seconds": 0.01\n'
                     b'}\n')
 
 
+# The bytes the hand-built report below had when floats were written with
+# 17 significant digits and ", " separators: files written so still read.
+SEVENTEEN_DIGIT_REPORT = (
+    b'{\n'
+    b'  "version": "0.1.0",\n'
+    b'  "status": "NoCertificate",\n'
+    b'  "x": [1, -2],\n'
+    b'  "objective": 0.30000000000000004,\n'
+    b'  "certificate": {"status": "NoCertificate", '
+    b'"primal_feas_residual": 0.33333333333333331, '
+    b'"gap": "Infinity"},\n'
+    b'  "dual_point": {"sigma": [0], "mu": [1e-08, 0.5]},\n'
+    b'  "iterations": 7,\n'
+    b'  "solver_status": "Converged",\n'
+    b'  "seconds": 0.125,\n'
+    b'  "trace": ["-Infinity", "NaN"]\n'
+    b'}\n')
+
+
 def test_emit_report_matches_pinned_bytes():
     # A hand-built report, so the bytes do not depend on the solver: ints
-    # stay ints, floats keep 17 significant digits, non-finite numbers are
-    # strings, and nested objects and arrays sit on one line.
+    # stay ints, floats take their shortest round-trip spelling, non-finite
+    # numbers are strings, and nested objects and arrays sit on one line.
     r = SolveReport(
         x=np.array([1.0, -2.0]), objective=0.1 + 0.2,
         certificate=Certificate(NO_CERTIFICATE, 1.0 / 3.0, math.inf),
@@ -222,18 +260,124 @@ def test_emit_report_matches_pinned_bytes():
     head = (b'{\n'
             b'  "version": "0.1.0",\n'
             b'  "status": "NoCertificate",\n'
-            b'  "x": [1, -2],\n'
+            b'  "x": [1.0,-2.0],\n'
             b'  "objective": 0.30000000000000004,\n'
-            b'  "certificate": {"status": "NoCertificate", '
-            b'"primal_feas_residual": 0.33333333333333331, '
-            b'"gap": "Infinity"},\n'
-            b'  "dual_point": {"sigma": [0], "mu": [1e-08, 0.5]},\n'
+            b'  "certificate": {"status":"NoCertificate",'
+            b'"primal_feas_residual":0.3333333333333333,'
+            b'"gap":"Infinity"},\n'
+            b'  "dual_point": {"sigma":[0.0],"mu":[1e-8,0.5]},\n'
             b'  "iterations": 7,\n'
             b'  "solver_status": "Converged",\n'
             b'  "seconds": 0.125')
     assert emit_report(r) == head + b'\n}\n'
-    assert emit_report(r, include_trace=True) == (
-        head + b',\n  "trace": ["-Infinity", "NaN"]\n}\n')
+    data = emit_report(r, include_trace=True)
+    assert data == head + b',\n  "trace": ["-Infinity","NaN"]\n}\n'
+    # Where the old file has an int, the new one has the same float.
+    old, new = parse_report(SEVENTEEN_DIGIT_REPORT), parse_report(data)
+    assert _spelled(old, ints=False) == _spelled(new, ints=False)
+
+
+def test_tricky_doubles_keep_their_pinned_spelling():
+    # orjson's shortest round-trip spelling, pinned: a release that
+    # respells a float changes every file's bytes and fails here first.
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, 1e22,
+              2.0 ** 53, 1.7976931348623157e308]
+    line = (b'  "x": [-0.0,5e-324,2.2250738585072014e-308,0.1,1e16,1e22,'
+            b'9007199254740992.0,1.7976931348623157e308],\n')
+    for x in (values, np.array(values)):
+        assert line in emit_oracle_report(x, 0.0, 1, 1, 0.0)
+
+
+@pytest.fixture(scope="module")
+def emitted_kinds(example1):
+    """Each kind of file, with the values its keys hold, in file order."""
+    p = example1
+    r = solve(p)
+    report = {
+        "version": "0.1.0", "status": r.status, "x": r.x,
+        "objective": r.objective,
+        "certificate": {"status": r.certificate.status,
+                        "primal_feas_residual":
+                            r.certificate.primal_feas_residual,
+                        "gap": r.certificate.gap},
+        "dual_point": {"sigma": r.dual_point.sigma, "mu": r.dual_point.mu},
+        "iterations": r.iterations, "solver_status": r.solver_status,
+        "seconds": r.seconds}
+    q = lift(p)
+    x, value, feasible, total = enumerate_discrete(p)
+    tx, primal, dual, sigma1 = toy_solve(ToyInstance(alpha=1.0, lam=2.0,
+                                                     f=[0.5, -0.25]))
+    return {
+        "problem": (emit_problem(p), {k: getattr(p, k) for k in
+                                      ("n", "m", "Q", "c", "A", "b", "U")}),
+        "report": (emit_report(r), report),
+        "report with trace": (emit_report(r, include_trace=True),
+                              {**report, "trace": r.trace}),
+        "lifted": (emit_lifted(q), {f.name: getattr(q, f.name)
+                                    for f in dataclasses.fields(q)}),
+        "oracle": (emit_oracle_report(x, value, feasible, total, 0.25),
+                   {"version": "0.1.0", "status": "OracleExact", "x": x,
+                    "objective": value, "feasible_count": feasible,
+                    "total_count": total, "seconds": 0.25}),
+        "toy": (emit_toy_solution(tx, primal, dual, sigma1),
+                {"sigma1": sigma1, "x": tx, "primal_value": primal,
+                 "dual_value": dual}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["problem", "report", "report with trace",
+                                  "lifted", "oracle", "toy"])
+def test_every_emitted_kind_reads_back_bit_for_bit(emitted_kinds, kind):
+    data, values = emitted_kinds[kind]
+    # One key per line, two-space indent, each value on one line.
+    lines = data.split(b"\n")
+    assert lines[0] == b"{" and lines[-2:] == [b"}", b""]
+    assert len(lines) == len(values) + 3
+    assert all(line.startswith(b'  "') for line in lines[1:-2])
+    # Both decoders read every value back, ints as ints, floats bit for
+    # bit, and the values re-emit as the same bytes.
+    for doc in (serialize._load(data), json.loads(data)):
+        assert list(doc) == list(values)
+        assert _spelled(doc) == _spelled(values)
+        assert serialize._emit(doc) == data
+
+
+def test_non_finite_values_are_strings_wherever_they_appear():
+    # A scalar, arrays, a nested object's scalar and array, and the trace
+    # tuple; orjson alone would write each as null.  A numpy scalar beside
+    # them is still a number.
+    r = SolveReport(
+        x=np.array([math.nan, 1.0]), objective=-math.inf,
+        certificate=Certificate(NO_CERTIFICATE, np.float64(0.5), math.inf),
+        dual_point=DualPoint(sigma=[-math.inf], mu=[math.inf, 0.5]),
+        iterations=3, status=NO_CERTIFICATE, solver_status="Converged",
+        trace=(-math.inf, math.nan, 1.0), seconds=0.0)
+    data = emit_report(r, include_trace=True)
+    assert b"null" not in data
+    for line in (b'  "x": ["NaN",1.0],\n', b'  "objective": "-Infinity",\n',
+                 b'"primal_feas_residual":0.5,"gap":"Infinity"}',
+                 b'{"sigma":["-Infinity"],"mu":["Infinity",0.5]}',
+                 b'["-Infinity","NaN",1.0]'):
+        assert line in data
+    assert json.loads(data) == serialize._load(data)
+
+
+def test_problem_past_the_opener_bound_round_trips_through_the_stdlib(
+        monkeypatch):
+    # n = 520 at m = 5 holds 1,051 openers, so the stdlib reads it: the
+    # arrays come back bit for bit, and the solve's report PASSes check.
+    p = generate(GenSpec(520, 5, 4762))
+    data = emit_problem(p)
+    assert data.count(b"[") + data.count(b"{") == 1051
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda s: calls.append(len(s)) or loads(s))
+    q = parse_problem(data)
+    assert len(calls) == 1
+    for name in ("Q", "c", "A", "b", "sizes", "U_flat"):
+        assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+    assert check(data, emit_report(solve(q))) == (True, [])
 
 
 def test_parse_report_minimal_shape():
@@ -686,7 +830,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_load_reads_back_every_float_written_bit_for_bit(monkeypatch):
-    # Random bit patterns reach every exponent, subnormals included.
+    # Random bit patterns reach every exponent, subnormals included.  The
+    # array and the list of the same floats are written alike, and the
+    # stdlib reads back what orjson reads.
     bits = np.random.default_rng(34).integers(0, 2 ** 64, 120_000,
                                               dtype=np.uint64)
     finite = bits.view(float)[np.isfinite(bits.view(float))]
@@ -694,10 +840,13 @@ def test_load_reads_back_every_float_written_bit_for_bit(monkeypatch):
     values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, info.tiny,
                               -info.tiny, info.max, -info.max], finite])
     assert len(values) > 100_000
-    data = serialize._json(values).encode()
+    data = emit_oracle_report(values, 0.0, 1, 1, 0.0)
+    assert emit_oracle_report(values.tolist(), 0.0, 1, 1, 0.0) == data
+    by_stdlib = np.array(json.loads(data)["x"], dtype=float)
     monkeypatch.setattr(json, "loads", _refuse)
-    got = np.array(serialize._load(data), dtype=float)
-    assert got.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+    got = np.array(serialize._load(data)["x"], dtype=float)
+    for read in (got, by_stdlib):
+        assert read.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("n", [5, 50])

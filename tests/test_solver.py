@@ -36,7 +36,13 @@ from dvs.solver import (
 )
 
 from conftest import EX1_VALUE, EX1_X, EX2_VALUE, EX2_X, VALUE_TOL
-from families import indefinite_spec, suite_spec
+from families import (
+    indefinite_spec,
+    interior_spec,
+    planted,
+    signed_spec,
+    suite_spec,
+)
 
 
 def test_config_validation(example1):
@@ -129,6 +135,53 @@ def test_initial_point_decides_dominant_data_without_an_eigensolve(
     for k in range(5):
         initial_point(indefinite(k))
     assert len(calls) == 5
+
+
+def dense_row_test_mu0(p):
+    """(mu0, dominant) by the rule as it reads with S Q S formed densely:
+    Gershgorin's row test on |S Q S| itself, and lambda from eigvalsh only
+    where the test fails."""
+    s = np.sqrt(p.block_sums(p.U_flat * p.U_flat))
+    sqs = p.Q * np.multiply.outer(s, s)
+    dominant = bool((2.0 * sqs.diagonal() >= np.abs(sqs).sum(axis=1)).all())
+    lam = 0.0 if dominant else min(
+        0.0, scipy.linalg.eigvalsh(sqs, subset_by_index=(0, 0))[0])
+    au = np.abs(p.U_flat)
+    b_norm = (np.maximum.reduceat(au, p.starts)
+              * (np.abs(p.Q) @ p.block_sums(au))).max()
+    return max(MU_MIN, 1e-3 * (1.0 + b_norm) - lam / 2.0), dominant
+
+
+def test_initial_point_row_test_from_abs_q_matches_the_dense_one(
+        monkeypatch, criterion4_problems):
+    # The row test reads s_i (|Q| s)_i for row i of |S Q S|: on every
+    # family it decides as the dense test does, so mu0 is the same to the
+    # bit and eigvalsh runs on exactly the same problems.
+    problems = (
+        criterion4_problems
+        + [indefinite(k) for k in range(600)]
+        + [generate(suite_spec(n, i)) for n in (20, 50, 100, 300)
+           for i in range(3)]
+        + [generate(spec(n, i)) for spec in (interior_spec, signed_spec)
+           for n in (12, 20, 30) for i in range(3)]
+        + [planted(n, i)[0] for n in (12, 30) for i in range(3)]
+        + [planted(300)[0]])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scipy.linalg.eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "eigvalsh", counted)
+    dominant = 0
+    for p in problems:
+        mu0, is_dominant = dense_row_test_mu0(p)
+        calls.clear()
+        assert np.array_equal(initial_point(p).mu, np.full(p.K, mu0))
+        assert len(calls) == (not is_dominant)
+        dominant += is_dominant
+    # Both verdicts occur.
+    assert 0 < dominant < len(problems)
 
 
 def test_maximize_dual_reaches_reference_value(example1):
