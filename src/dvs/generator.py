@@ -17,27 +17,36 @@ A draw of count values gives, in order, the doubles of the next count
 steps of the scalar recurrence x <- xorshift64(x).  xorshift64 is linear
 over GF(2)^64, so L steps of it are one fixed 64x64 bit matrix T^L
 (Haramoto et al., "Efficient jump ahead for F2-linear random number
-generators", INFORMS J. Computing 20(3), 2008).  A draw takes its first
-L states from the scalar recurrence and every later block of L states by
-applying T^L to the block before it, lane by lane, as eight byte-lookup
-tables; L is the power of two nearest 9.5 sqrt(count), so a draw of at
-most 64 values (any instance with n <= 6 and m <= 3) runs the scalar
-recurrence alone.  The star step, the top 53 bits and the scaling then
-run on the whole array.
+generators", INFORMS J. Computing 20(3), 2008), applied as eight
+byte-lookup tables.  A draw fills one array of states:
+
+* Head: the first min(count, 64) states come from the scalar recurrence,
+  so a draw of at most 64 values (any instance with n <= 6 and m <= 3)
+  runs it alone.
+* Doubling: while k < 8192, states [k, 2k) are T^k applied to states
+  [0, k), so the filled prefix doubles at each step.
+* Blocks: past 8192 states, each block of 8192 is T^8192 applied to the
+  block before it, so the lookups stay in a cache-sized window.
+
+The star step, the top 53 bits and the scaling then run in place on that
+array, in the same floating-point operations as lo + (hi - lo) * u.
 
 Draw order is Q row-major (n*n draws), then A row-major (m*n), then c
 (n).  Q is symmetrized as (Q+Q')/2 and, unless dominance_boost is off,
 its diagonal is replaced by (row absolute sum - diagonal) + 1, which
 makes Q strictly diagonally dominant and hence positive definite.  The
-right-hand side is the midpoint rule b = A l + 0.5 (A u - A l) with l, u
-the smallest/largest candidate value, so x = l is always feasible when
-A >= 0.
+sum Q+Q' is the one n*n array formed and is halved in place; A and c are
+copied out of the draw, whose buffer is then freed, so no more than two
+n*n arrays are alive at once.  The right-hand side is the midpoint rule
+b = A l + 0.5 (A u - A l) with l, u the smallest/largest candidate value,
+so x = l is always feasible when A >= 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +56,11 @@ from .model import DiscreteQP
 _GOLDEN = 0x9E3779B97F4A7C15
 _STAR = 0x2545F4914F6CDD1D
 _MASK = (1 << 64) - 1
+_HALF_MAX = sys.float_info.max / 2
+# States drawn by the scalar recurrence, and the largest jump (the
+# doubling's last step and the lag of every block after it).
+_HEAD = 64
+_BLOCK = 8192
 
 
 def _step(x: int) -> int:
@@ -54,12 +68,6 @@ def _step(x: int) -> int:
     x ^= x >> 12
     x ^= (x << 25) & _MASK
     return x ^ (x >> 27)
-
-
-def _lanes(count: int) -> int:
-    """L for a draw of ``count`` values: the power of two nearest
-    9.5 sqrt(count), which balances the scalar head against the jumps."""
-    return 1 << max(0, round(math.log2(9.5 * math.sqrt(max(count, 1)))))
 
 
 @functools.cache
@@ -82,10 +90,14 @@ def _jump_tables(steps: int) -> np.ndarray:
     return tables
 
 
-def _jump(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Advance every state in ``states`` by the jump ``tables`` encode."""
+def _jump(tables: np.ndarray, states: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Advance every state in ``states`` by the jump ``tables`` encode,
+    into ``out`` (which must not overlap ``states``) when given."""
     octets = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    out = np.take(tables[0], octets[:, 0])
+    # mode="clip" lets take write straight into out (the default "raise"
+    # buffers it); byte indices are always in range.
+    out = np.take(tables[0], octets[:, 0], out=out, mode="clip")
     for b in range(1, 8):
         out ^= np.take(tables[b], octets[:, b])
     return out
@@ -107,23 +119,28 @@ class XorShift64Star:
     def draw(self, count: int, lo: float, hi: float) -> np.ndarray:
         """The next ``count`` doubles u of the stream, each in [0, 1), as
         the array of ``lo + (hi - lo) * u``."""
-        lanes = _lanes(count)
         x, head = self.state, []
-        for _ in range(min(lanes, count)):
+        for _ in range(min(count, _HEAD)):
             x = _step(x)
             head.append(x)
         states = np.empty(count, dtype=np.uint64)
         states[:len(head)] = head
-        if count > lanes:
-            tables = _jump_tables(lanes)
-            for start in range(lanes, count, lanes):
-                stop = min(start + lanes, count)
-                states[start:stop] = _jump(tables,
-                                           states[start - lanes:stop - lanes])
+        k = _HEAD
+        while k < count:
+            lag = min(k, _BLOCK)
+            stop = min(k + lag, count)
+            _jump(_jump_tables(lag), states[k - lag:stop - lag],
+                  out=states[k:stop])
+            k = stop
+        if count > _HEAD:
             x = int(states[-1])
         self.state = x
-        u = ((states * np.uint64(_STAR)) >> np.uint64(11)) * (1.0 / (1 << 53))
-        return lo + (hi - lo) * u
+        states *= np.uint64(_STAR)
+        states >>= np.uint64(11)
+        u = states * (1.0 / (1 << 53))
+        u *= hi - lo
+        u += lo
+        return u
 
 
 @dataclass(frozen=True)
@@ -153,8 +170,12 @@ class GenSpec:
         if len(set(values)) != len(values):
             raise ValueError("value_set contains duplicate values")
         lo, hi = (float(self.coeff_range[0]), float(self.coeff_range[1]))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("coeff_range has a non-finite bound")
         if not lo < hi:
             raise ValueError("coeff_range must be a non-empty interval")
+        if not math.isfinite(hi - lo):
+            raise ValueError("coeff_range is wider than the largest double")
         object.__setattr__(self, "value_set", values)
         object.__setattr__(self, "coeff_range", (lo, hi))
 
@@ -162,18 +183,31 @@ class GenSpec:
 def generate(spec: GenSpec) -> DiscreteQP:
     """Draw one instance; deterministic for a given GenSpec."""
     n, m = spec.n, spec.m
-    u = XorShift64Star(spec.seed).draw(n * n + m * n + n, *spec.coeff_range)
+    lo, hi = spec.coeff_range
+    u = XorShift64Star(spec.seed).draw(n * n + m * n + n, lo, hi)
+    A = u[n * n:n * n + m * n].reshape(m, n).copy()
+    c = u[n * n + m * n:].copy()
     Q = u[:n * n].reshape(n, n)
-    Q = (Q + Q.T) / 2.0
-    if spec.dominance_boost:
-        d = np.abs(Q).sum(axis=1) - np.abs(np.diag(Q))
-        np.fill_diagonal(Q, d + 1.0)
-    A = u[n * n:n * n + m * n].reshape(m, n)
-    c = u[n * n + m * n:]
-    l_vec = np.full(spec.n, min(spec.value_set))
-    u_vec = np.full(spec.n, max(spec.value_set))
+    l_vec = np.full(n, min(spec.value_set))
+    u_vec = np.full(n, max(spec.value_set))
+    # An overflow here is reported below, naming the input at fault.
     with np.errstate(over="ignore", invalid="ignore"):
+        Q = Q + Q.T
+        del u           # frees the draw: A and c are copies
+        Q /= 2.0
+        if spec.dominance_boost:
+            d = np.abs(Q).sum(axis=1) - np.abs(np.diag(Q))
+            np.fill_diagonal(Q, d + 1.0)
         b = A @ l_vec + 0.5 * (A @ u_vec - A @ l_vec)
+    # DiscreteQP forms Q + Q' again, so no entry of Q may pass half the
+    # largest double.  None passes n max(|lo|, |hi|) + 1 (the dominance
+    # step sums a row), so Q is tested entry by entry only when that bound
+    # comes near; a NaN fails both comparisons.  A needs no test: GenSpec
+    # keeps lo, hi and hi - lo finite, so each lo + (hi - lo) u with u in
+    # [0, 1) rounds to a finite value of at most max(|lo|, |hi|).
+    if n * max(-lo, hi) >= _HALF_MAX / 2 and not (
+            -_HALF_MAX <= Q.min() and Q.max() <= _HALF_MAX):
+        raise ValueError("coeff_range is too wide: Q overflows")
     if not all(map(math.isfinite, b.tolist())):
         raise ValueError("the value set's range overflows b")
-    return DiscreteQP(Q=Q, c=c, A=A, b=b, U=tuple(spec.value_set for _ in range(spec.n)))
+    return DiscreteQP(Q=Q, c=c, A=A, b=b, U=(spec.value_set,) * n)

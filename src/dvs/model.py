@@ -79,8 +79,10 @@ class DiscreteQP:
         n = Q.shape[0]
         if n == 0:
             raise ValueError("n = 0: the problem has no variables")
-        # The symmetrized Q is a new array, so it is frozen without a copy.
-        Q = (Q + Q.T) / 2.0
+        # The symmetrized Q is a new array, halved in place and frozen
+        # without a copy.
+        Q = Q + Q.T
+        Q /= 2.0
         Q.flags.writeable = False
         c = _freeze(np.asarray(self.c, dtype=float))
         _check_shape("c", c, (n,))

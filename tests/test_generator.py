@@ -1,11 +1,13 @@
 """Pinned-PRNG instance generation: bit-reproducibility and family rules."""
 
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dvs.generator import GenSpec, XorShift64Star, _lanes, generate
+from dvs.generator import GenSpec, XorShift64Star, generate
 from dvs.model import is_feasible
 
 from families import criterion4_spec, indefinite_spec, suite_spec
@@ -69,13 +71,22 @@ def test_uniform_uses_top_53_bits():
                 == reference_uniforms(seed, 25)[20:])
 
 
-@pytest.mark.parametrize("count, lanes", [
-    (1, 8), (127, 128), (128, 128), (129, 128),  # 1, L - 1, L, L + 1
-    (300, 128),     # two jumped blocks and a remainder of 44
-    (5000, 512),    # nine jumped blocks and a remainder of 392
+# The cases of counts 1 to 5000 keep the ids they were first run under,
+# count-L with L the lane count of an earlier fixed-lane draw, so their
+# results stay comparable by name across versions.
+@pytest.mark.parametrize("count", [
+    pytest.param(1, id="1-8"),
+    63, 64, 65,           # inside, at and one past the scalar head
+    pytest.param(127, id="127-128"),      # around one doubling step's end
+    pytest.param(128, id="128-128"),
+    pytest.param(129, id="129-128"),
+    pytest.param(300, id="300-128"),      # a doubling step cut short
+    pytest.param(5000, id="5000-512"),    # six doublings and part of one
+    8191, 8192, 8193,     # around the end of the last doubling step
+    16384, 16385,         # around the end of the first 8192-state block
+    20000,                # a second block cut short, at 3616 states
 ])
-def test_array_draw_matches_the_scalar_stream(count, lanes):
-    assert _lanes(count) == lanes
+def test_array_draw_matches_the_scalar_stream(count):
     for seed, (lo, hi) in ((0, (0.0, 1.0)), (42, (-1.0, 1.0)),
                            (2**63, (-3.5, 7.25))):
         rng = XorShift64Star(seed)
@@ -183,6 +194,34 @@ def test_spec_validation():
         GenSpec(n=1, m=1, seed=0, coeff_range=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("coeff_range, message", [
+    ((0.0, float("inf")), "coeff_range has a non-finite bound"),
+    ((float("-inf"), 0.0), "coeff_range has a non-finite bound"),
+    ((-1e308, 1e308), "coeff_range is wider than the largest double"),
+], ids=["upper-inf", "lower-inf", "width-overflows"])
+def test_spec_refuses_a_coeff_range_the_draw_cannot_scale(coeff_range,
+                                                          message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            GenSpec(n=3, m=2, seed=1, coeff_range=coeff_range)
+
+
+@pytest.mark.parametrize("coeff_range, dominance_boost", [
+    ((0.0, 1e308), True),           # the dominance step's row sums overflow
+    ((1e308, 1.5e308), False),      # Q + Q' overflows
+], ids=["dominance-step", "symmetrization"])
+def test_generate_blames_coeff_range_when_q_overflows(coeff_range,
+                                                      dominance_boost):
+    spec = GenSpec(n=3, m=2, seed=1, coeff_range=coeff_range,
+                   dominance_boost=dominance_boost)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^coeff_range is too wide: Q overflows$"):
+            generate(spec)
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.5), ("seed", 1.9), ("seed", 1.0), ("seed", "7"),
     ("seed", True), ("n", 2.0), ("n", True), ("m", 1.0), ("m", None)])
@@ -204,3 +243,16 @@ def test_spec_accepts_numpy_integers():
 def test_custom_value_set_is_used():
     p = generate(GenSpec(n=2, m=1, seed=0, value_set=(-1.0, 0.5)))
     assert p.U == ((-1.0, 0.5), (-1.0, 0.5))
+
+
+def test_generate_peak_memory_stays_near_two_q():
+    # The draw's buffer is freed once Q + Q' is formed, and Q is halved and
+    # symmetrized in place, so at most two n*n arrays are alive at once.
+    spec = GenSpec(1000, 5, 5242)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * spec.n ** 2

@@ -116,6 +116,15 @@ def test_unconstrained_problem_allowed():
     assert is_feasible(p, np.array([1.0, 0.0]))
 
 
+def test_value_sets_equal_in_value_keep_their_zero_signs():
+    # (0.0, 1.0) == (-0.0, 1.0): each set is converted on its own, so
+    # neither takes the other's zero.
+    p = DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
+                   b=np.zeros(0), U=((0.0, 1.0), (-0.0, 1.0)))
+    assert [math.copysign(1.0, ui[0]) for ui in p.U] == [1.0, -1.0]
+    assert np.signbit(p.U_flat).tolist() == [False, False, True, False]
+
+
 def test_is_feasible_checks_constraints_and_membership():
     p = small_problem()
     assert is_feasible(p, np.array([2.0, 1.0]))

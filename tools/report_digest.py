@@ -16,11 +16,13 @@ fallback) and dual ``evaluations`` (``dvs.solver.eliminate_tau`` calls
 inside ``solve``) over both passes; ``bound <family> <median> <max>`` to
 three significant digits, the relative shortfall (optimum - final dual
 value) / (1 + |optimum|) of the fallback-0 pass for each family with an
-oracle optimum; ``lift <bytes> <sha256>`` over the ``dvs lift`` files of
-the set's problems; and the bytes and sha256 of the reports
-concatenated.  CI fails when the ``status``, ``termination``, ``check
-PASS``, ``iterations``, ``evaluations``, ``bound`` or ``lift`` lines
-differ from the committed ``tools/digest_status.txt``.
+oracle optimum; ``problems <bytes> <sha256>`` over the problem files
+(``emit_problem``) of the set, so one bit moved in a generated instance
+shows; ``lift <bytes> <sha256>`` over the ``dvs lift`` files of the set's
+problems; and the bytes and sha256 of the reports concatenated.  CI fails
+when the ``status``, ``termination``, ``check PASS``, ``iterations``,
+``evaluations``, ``bound``, ``problems`` or ``lift`` lines differ from
+the committed ``tools/digest_status.txt``.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -113,6 +115,8 @@ def main():
     for family, values in shortfalls.items():
         print(f"bound {family} {statistics.median(values):.3g} "
               f"{max(values):.3g}")
+    files = b"".join(problem for _, _, problem, _ in problems)
+    print(f"problems {len(files)} {hashlib.sha256(files).hexdigest()}")
     lifted = b"".join(emit_lifted(lift(p)) for _, p, _, _ in problems)
     print(f"lift {len(lifted)} {hashlib.sha256(lifted).hexdigest()}")
     print(f"bytes {size}")
