@@ -209,5 +209,7 @@ def generate(spec: GenSpec) -> DiscreteQP:
             -_HALF_MAX <= Q.min() and Q.max() <= _HALF_MAX):
         raise ValueError("coeff_range is too wide: Q overflows")
     if not all(map(math.isfinite, b.tolist())):
-        raise ValueError("the value set's range overflows b")
+        # Coefficients past 1 in size scale the values up: name them too.
+        raise ValueError("the value set's range overflows b" + (
+            f" at coeff_range {spec.coeff_range}" if max(-lo, hi) > 1 else ""))
     return DiscreteQP(Q=Q, c=c, A=A, b=b, U=(spec.value_set,) * n)

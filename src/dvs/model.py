@@ -80,8 +80,10 @@ class DiscreteQP:
         if n == 0:
             raise ValueError("n = 0: the problem has no variables")
         # The symmetrized Q is a new array, halved in place and frozen
-        # without a copy.
-        Q = Q + Q.T
+        # without a copy.  An overflow in it is named below, not warned of.
+        raw = Q
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = raw + raw.T
         Q /= 2.0
         Q.flags.writeable = False
         c = _freeze(np.asarray(self.c, dtype=float))
@@ -112,6 +114,8 @@ class DiscreteQP:
                     raise ValueError(f"U[{i}] has a non-finite entry")
         for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b)):
             if not np.isfinite(value).all():
+                if value is Q and np.isfinite(raw).all():
+                    raise ValueError("the symmetrization of Q overflows")
                 raise ValueError(f"{name} has a non-finite entry")
         for name, value in (("Q", Q), ("c", c), ("A", A), ("b", b), ("U", U)):
             object.__setattr__(self, name, value)

@@ -4,28 +4,28 @@ The dual P_dual(sigma, tau, mu) is maximized with tau eliminated
 (:func:`dvs.dual.eliminate_tau`, one n-by-n Cholesky per evaluation) over
 the cone {sigma >= 0, mu >= 1e-8, Q + diag(1/V) PD}, so the outer
 iteration works on (sigma, mu) only, with the ascent gradient
-(A x - b, y * (y - 1)), x = M'y.  The outer loop is a projected L-BFGS, its
-direction formed on the free coordinates from the compact representation
-of Byrd, Nocedal & Schnabel ("Representations of quasi-Newton matrices
-and their use in limited memory methods", Math. Prog. 63, 1994), which
-holds for any initial inverse Hessian H0.  H0 is diagonal and follows the
-multipliers (Gilbert & Lemarechal, "Some numerical experiments with
-variable-storage quasi-Newton algorithms", Math. Prog. 45, 1989): gamma
-max(mu_k, 3 mu0)^2 on mu_k and the mean of those on sigma, so the mu that
-climb from mu0 to a hundred times it each step on their own scale rather
-than on one shared by all K.  An Armijo backtracking line search rejects
-any trial off that cone — feasibility before ascent — and any trial that
-does not raise the dual value, so every accepted step raises it.  As in
-L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) the
-curvature pairs model the free coordinates only: a pair's y is 0 on the
-coordinates the step held at their bound.  A trial on the cone that
-fails the Armijo test shortens the step to the maximizer of the
-quadratic through the current value, the slope and the failed value
-(Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.5), kept
-between 0.1 and 0.5 of the failed step, so the value that trial cost is
-not thrown away; a trial off the cone, or with a value that is not
-finite, halves it.  The ascent keeps its newest 3 curvature pairs in
-buffers of that size.
+(A x - b, y * (y - 1)), x = M'y.  The outer loop is a projected L-BFGS
+(Liu & Nocedal, "On the limited memory BFGS method for large scale
+optimization", Math. Prog. 45, 1989), its direction formed on the free
+coordinates by the two-loop recursion (Nocedal, "Updating quasi-Newton
+matrices with limited storage", Math. Comp. 35, 1980), which takes any
+initial inverse Hessian H0.  H0 is diagonal and follows the multipliers
+(Gilbert & Lemarechal, "Some numerical experiments with variable-storage
+quasi-Newton algorithms", Math. Prog. 45, 1989): gamma max(mu_k, 3 mu0)^2
+on mu_k and the mean of those on sigma, so the mu that climb from mu0 to a
+hundred times it each step on their own scale rather than on one shared by
+all K.  An Armijo backtracking line search rejects any trial off that cone
+— feasibility before ascent — and any trial that does not raise the dual
+value, so every accepted step raises it.  As in L-BFGS-B (Byrd, Lu,
+Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) the curvature pairs model
+the free coordinates only: a pair's y is 0 on the coordinates the step
+held at their bound.  A trial on the cone that fails the Armijo test
+shortens the step to the maximizer of the quadratic through the current
+value, the slope and the failed value (Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
+failed step, so the value that trial cost is not thrown away; a trial off
+the cone, or with a value that is not finite, halves it.  The ascent keeps
+its newest 3 curvature pairs in a deque of that length.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its feasibility, gap and status rules,
@@ -56,11 +56,11 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh
-from scipy.linalg.lapack import dtrtrs
 
 from .dual import eliminate_tau
 from .errors import Infeasible
@@ -175,107 +175,71 @@ def _gradient(p: DiscreteQP, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([p.A @ x - p.b, y * (y - 1.0)])
 
 
-class _LBFGSMemory:
-    """The newest curvature pairs (s, y) in the compact form of Byrd,
-    Nocedal & Schnabel (1994).
-
-    The ``k`` stored pairs are the first ``k`` rows of ``S`` and ``Y``,
-    oldest first; ``R`` keeps the upper triangle of S Y', updated by one
-    matrix-vector product per pair.  A full memory drops its oldest pair
-    by shifting every row, and every column of ``R``, up one.  Setting
-    ``k = 0`` clears the memory.  The ascent stores y = g - g_try, the
-    fall of the gradient of P_dual along s, so s'y > 0 where P_dual is
-    concave and H models the inverse of -hess P_dual, which is PD;
-    ``apply(g, d)`` is then an ascent direction.  ``apply`` computes the
-    L-BFGS inverse-Hessian product with the diagonal H0 = gamma diag(d),
-    gamma = s'y / y'Dy of the newest pair (Gilbert & Lemarechal, Math.
-    Prog. 45, 1989) — the direction of the two-loop recursion with that
-    H0, in a fixed handful of BLAS calls.  The compact form holds for any
-    H0; the k-by-k Y D Y' it needs is formed once per direction.
-    """
-
-    def __init__(self, size: int, dim: int):
-        self.size = size
-        self.S = np.empty((size, dim))
-        self.Y = np.empty((size, dim))
-        self.R = np.zeros((size, size))
-        self.k = 0
-
-    def append(self, s: np.ndarray, y: np.ndarray):
-        k = self.k
-        if k == self.size:
-            k -= 1
-            for a in (self.S, self.Y):
-                a[:k] = a[1:]
-            self.R[:k, :k] = self.R[1:, 1:]
-        self.S[k] = s
-        self.Y[k] = y
-        self.R[:k + 1, k] = self.S[:k + 1] @ y
-        self.k = k + 1
-
-    def apply(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """H r with H0 = gamma diag(d), d > 0; with no pairs stored, r
-        scaled to at most unit norm."""
-        k = self.k
-        if not k:
-            return r / max(1.0, np.linalg.norm(r))
-        S, Y, R = self.S[:k], self.Y[:k], self.R[:k, :k]
-        yd = Y * d
-        ydy = yd @ Y.T
-        gamma = R[-1, -1] / ydy[-1, -1]
-        t = dtrtrs(R, S @ r)[0]
-        p = dtrtrs(R, R.diagonal() * t + gamma * (ydy @ t - yd @ r),
-                   trans=1)[0]
-        return gamma * (d * r) + S.T @ p - gamma * (yd.T @ t)
+def _direction(pairs, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """H r by the two-loop recursion (Nocedal, Math. Comp. 35, 1980) over
+    the pairs (s, y, 1/s'y), oldest first, with H0 = gamma diag(d), d > 0,
+    gamma = s'y / y'Dy of the newest pair; with no pairs, r / max(1, |r|).
+    Where P_dual is concave y = g - g_try gives s'y > 0, so H r ascends."""
+    if not pairs:
+        return r / max(1.0, np.linalg.norm(r))
+    q = r.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    q *= (s @ y) / (y @ (d * y)) * d
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
-    The L-BFGS direction comes from the compact representation of the
-    last 3 curvature pairs (Byrd, Nocedal & Schnabel, Math. Prog. 63,
-    1994), each pair storing y = g - g_try, the fall of the gradient along
-    the step s, with H0 = gamma diag(d) built once per iteration: d_k =
-    max(mu_k, 3 mu0)^2 on mu, with mu0 the start's uniform mu, and the
-    mean of those on sigma.  Below 3 mu0 every multiplier shares one
-    scale, as with H0 = gamma I; above it each steps on its own.  A
-    direction p with g'p <= 0 clears the memory and falls back to
-    steepest ascent.  A coordinate at its bound whose gradient pushes
-    outward (g < 0) is frozen: the direction and so the step s are 0
-    there, and the stored pair (s, y) has y = 0 there too.  The gradient
-    change of a coordinate the step held fixed is no curvature along the
-    step; left in y it would enter y'Dy, the scale gamma = s'y / y'Dy and
-    the products with other pairs, whose s may be nonzero there (s'y
-    itself does not change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995)
-    likewise keeps its model on the free variables.  The Armijo
-    backtracking starts at the unit step and accepts a trial whose rise
-    v_try - v over the dual value v is at least 1e-4 dg, dg = g'(w_try - w)
-    > 0 the slope along the trial, so a flat trial fails however small dg
-    is.  After a failed trial on the cone with a finite rise it multiplies
-    the step by the maximizer t* = dg / (2 (dg - (v_try - v))) of the
-    quadratic through v, dg and v_try, clamped to [0.1, 0.5], and after a
-    trial off the cone or with a value that is not finite it halves the
-    step.  Every accepted iterate stays on the cone of
-    :func:`dvs.dual.eliminate_tau` and raises the dual value; the trace
+    The L-BFGS direction comes from the two-loop recursion (Nocedal, Math.
+    Comp. 35, 1980; Liu & Nocedal, Math. Prog. 45, 1989) over the last 3
+    curvature pairs, each pair storing y = g - g_try, the fall of the
+    gradient along the step s, with H0 = gamma diag(d) built once per
+    iteration: d_k = max(mu_k, 3 mu0)^2 on mu, with mu0 the start's uniform
+    mu, and the mean of those on sigma.  Below 3 mu0 every multiplier shares
+    one scale, as with H0 = gamma I; above it each steps on its own.  A
+    direction p with g'p <= 0 clears the pairs and falls back to steepest
+    ascent.  A coordinate at its bound whose gradient pushes outward (g < 0)
+    is frozen: the direction and so the step s are 0 there, and the stored
+    pair (s, y) has y = 0 there too.  The gradient change of a coordinate the
+    step held fixed is no curvature along the step; left in y it would enter
+    y'Dy, the scale gamma = s'y / y'Dy and the products with other pairs,
+    whose s may be nonzero there (s'y itself does not change).  L-BFGS-B
+    (Byrd, Lu, Nocedal & Zhu, 1995) likewise keeps its model on the free
+    variables.  The Armijo backtracking starts at the unit step and accepts
+    a trial whose rise v_try - v over the dual value v is at least 1e-4 dg,
+    dg = g'(w_try - w) > 0 the slope along the trial, so a flat trial fails
+    however small dg is.  After a failed trial on the cone with a finite
+    rise it multiplies the step by the maximizer t* = dg /
+    (2 (dg - (v_try - v))) of the quadratic through v, dg and v_try, clamped
+    to [0.1, 0.5], and after a trial off the cone or with a value that is
+    not finite it halves the step.  Every accepted iterate stays on the cone
+    of :func:`dvs.dual.eliminate_tau` and raises the dual value; the trace
     records the dual value of the initial point and of each accepted step,
     and carries the rounded x and its certificate at the final iterate.
     Terminates at the first iterate (the initial point included) whose
-    rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
-    the projected gradient infinity-norm falls to 1e-8 ("Converged"),
-    after ``_MAX_ITER`` steps ("MaxIterations"), or when no step along
-    the direction, down to 1e-16 of it, raises the dual value
-    ("LineSearchStall"; the last iterate, the best, is returned).
-    The whole ascent runs with numpy's overflow and invalid warnings off.
-    Data whose initial point or dual value there overflows doubles are a
-    ValueError, raised before the first step; an overflow later, such as
-    H0's max(mu, 3 mu0)^2 once mu0 passes about 1e154, leaves the line
-    search no rising step ("LineSearchStall"), not a warning.
-    By weak duality a dual value on the cone bounds every feasible
-    selection's objective from below, and no selection's objective exceeds
-    top = a'|Q|a / 2 + |c|'a, a_i = max |U_i|: an iterate whose dual value
-    exceeds top + TOL_GAP (1 + |top|) proves the data infeasible, and the
-    ascent raises :class:`dvs.errors.Infeasible` there.
+    rounded x certifies as CertifiedGlobal ("Certified"); otherwise when the
+    projected gradient infinity-norm falls to 1e-8 ("Converged"), after
+    ``_MAX_ITER`` steps ("MaxIterations"), or when no step along the
+    direction, down to 1e-16 of it, raises the dual value
+    ("LineSearchStall"; the last iterate, the best, is returned).  The whole
+    ascent runs with numpy's overflow and invalid warnings off.  Data whose
+    initial point or dual value there overflows doubles are a ValueError,
+    raised before the first step; an overflow later, such as H0's
+    max(mu, 3 mu0)^2 once mu0 passes about 1e154, leaves the line search no
+    rising step ("LineSearchStall"), not a warning.  By weak duality a dual
+    value on the cone bounds every feasible selection's objective from
+    below, and no selection's objective exceeds top = a'|Q|a / 2 + |c|'a,
+    a_i = max |U_i|: an iterate whose dual value exceeds
+    top + TOL_GAP (1 + |top|) proves the data infeasible, and the ascent
+    raises :class:`dvs.errors.Infeasible` there.
     """
     m, K = p.m, p.K
     start = initial_point(p)
@@ -292,7 +256,7 @@ def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
     lb = np.concatenate([np.zeros(m), np.full(K, MU_MIN)])
     evaluations, rejections, resets = 1, 0, 0
     values = [v]
-    memory = _LBFGSMemory(_LBFGS_MEMORY, m + K)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
     # H0's diagonal: max(mu, floor)^2 on mu, its mean on sigma.
     floor = _SCALE_FLOOR * start.mu[0]
     scale = np.empty(m + K)
@@ -333,11 +297,11 @@ def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
         np.maximum(w, floor, out=scale)
         np.multiply(scale, scale, out=scale)
         scale[:m] = scale[m:].sum() / K
-        direction = np.where(frozen, 0.0, memory.apply(r, scale))
+        direction = np.where(frozen, 0.0, _direction(pairs, r, scale))
         if g @ direction <= 0.0:
-            memory.k = 0
+            pairs.clear()
             resets += 1
-            direction = memory.apply(r, scale)
+            direction = _direction(pairs, r, scale)
 
         step = 1.0
         accepted = None
@@ -376,7 +340,7 @@ def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
         y_v[frozen] = 0.0
         curv = s_v @ y_v
         if curv > 1e-12 * math.sqrt(s_v @ s_v) * math.sqrt(y_v @ y_v):
-            memory.append(s_v, y_v)
+            pairs.append((s_v, y_v, 1.0 / curv))
         w, v, g, y = w_try, v_try, g_try, y_try
         values.append(v)
 

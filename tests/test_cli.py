@@ -189,6 +189,21 @@ def test_solve_overflowing_data_exits_two(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_overflowing_symmetrization_exits_two(tmp_path, capsys):
+    # Q + Q' overflows while reading the problem, before either command
+    # starts its work: one error line, no overflow warning, no report.
+    prob, out = tmp_path / "p.json", tmp_path / "r.json"
+    prob.write_text(json.dumps({"n": 1, "m": 0, "Q": [[1e308]], "c": [0],
+                                "A": [], "b": [], "U": [[0, 1]]}))
+    message = "error: the symmetrization of Q overflows\n"
+    assert cli.main(["solve", str(prob), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    out.write_text("{}")
+    assert cli.main(["check", str(prob), str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_check_passes_a_report_with_a_nan_dual_value(tmp_path, capsys):
     # solve no longer writes a report for these data, but check must still
     # read the one earlier versions wrote at --fallback-oracle 0: the NaN

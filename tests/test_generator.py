@@ -1,6 +1,7 @@
 """Pinned-PRNG instance generation: bit-reproducibility and family rules."""
 
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -219,6 +220,19 @@ def test_generate_blames_coeff_range_when_q_overflows(coeff_range,
         warnings.simplefilter("error")
         with pytest.raises(ValueError,
                            match="^coeff_range is too wide: Q overflows$"):
+            generate(spec)
+
+
+def test_generate_names_coeff_range_when_b_overflows():
+    # Q + Q' stays finite at seed 1, but A's entries near 1e308 make A u
+    # overflow with the default values 1..5: both inputs are named.
+    spec = GenSpec(n=3, m=2, seed=1, coeff_range=(0.0, 1e308),
+                   dominance_boost=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "the value set's range overflows b at coeff_range "
+                "(0.0, 1e+308)") + "$"):
             generate(spec)
 
 

@@ -109,6 +109,27 @@ def test_non_finite_data_rejected(field, bad):
         DiscreteQP(**data)
 
 
+@pytest.mark.parametrize("Q", [[[1e308]], [[0.0, 1e308], [1e308, 0.0]],
+                               [[-1e308, -1e308], [-1e308, 0.0]]],
+                         ids=["diagonal", "off-diagonal", "negative"])
+def test_symmetrization_overflow_is_named(Q):
+    # Every entry is finite, but Q + Q' overflows: a ValueError that says
+    # so, with no overflow warning (tier-1 turns one into an error).
+    n = len(Q)
+    with pytest.raises(ValueError,
+                       match=r"^the symmetrization of Q overflows$"):
+        DiscreteQP(Q=Q, c=[0.0] * n, A=np.zeros((0, n)), b=[],
+                   U=[[0.0, 1.0]] * n)
+
+
+def test_opposite_infinities_in_q_are_non_finite():
+    # inf + (-inf) in Q + Q' is NaN: no invalid-value warning, and the
+    # input's own non-finite entry is named.
+    with pytest.raises(ValueError, match=r"^Q has a non-finite entry$"):
+        DiscreteQP(Q=[[0.0, np.inf], [-np.inf, 0.0]], c=[0.0, 0.0],
+                   A=np.zeros((0, 2)), b=[], U=[[0.0, 1.0]] * 2)
+
+
 def test_unconstrained_problem_allowed():
     p = DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
                    b=np.zeros(0), U=[[0.0, 1.0]] * 2)

@@ -142,6 +142,14 @@ def test_parse_rejects_non_finite_entry(example1):
         parse_problem(text)
 
 
+def test_parse_names_an_overflowing_symmetrization():
+    doc = {"n": 1, "m": 0, "Q": [[1e308]], "c": [0], "A": [], "b": [],
+           "U": [[0, 1]]}
+    with pytest.raises(ValueError,
+                       match=r"^the symmetrization of Q overflows$"):
+        parse_problem(json.dumps(doc))
+
+
 def test_parse_rejects_duplicate_value(example1):
     doc = json.loads(emit_problem(example1))
     doc["U"][2] = [2.0, 2.0, 5.0]

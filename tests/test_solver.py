@@ -1,5 +1,6 @@
 """Dual ascent, rounding, certification, and the end-to-end solve."""
 
+import collections
 import dataclasses
 import json
 import re
@@ -199,8 +200,8 @@ def test_trace_is_monotone_nondecreasing(example1, example2,
     # Every accepted step raises the dual value.  The indefinite instances
     # backtrack far more than the examples, and end on both rules that
     # leave the ascent uncertified: k = 0 and 1 on a line search that
-    # finds no rise, k = 44 converged.
-    ends = {0: TERM_STALL, 1: TERM_STALL, 44: TERM_CONVERGED}
+    # finds no rise, k = 98 converged.
+    ends = {0: TERM_STALL, 1: TERM_STALL, 98: TERM_CONVERGED}
     for k, end in ends.items():
         _, trace = maximize_dual(indefinite(k))
         assert trace.termination == end
@@ -664,103 +665,102 @@ def test_indefinite_final_dual_never_exceeds_the_optimum(k):
     assert r.trace[-1] <= optimum + TOL_GAP * (1.0 + abs(optimum))
 
 
-def two_loop(pairs, r, d):
-    """The two-loop L-BFGS recursion the compact form replaced: H r for
-    pairs (s, y) oldest first, with H0 = (s'y / y'Dy) D of the newest,
-    D = diag(d)."""
-    memory = [(s_v, y_v, 1.0 / (s_v @ y_v)) for s_v, y_v in pairs]
-    q_dir = r.copy()
-    alphas = []
-    for s_v, y_v, rho in reversed(memory):
-        a = rho * (s_v @ q_dir)
-        alphas.append(a)
-        q_dir -= a * y_v
-    if memory:
-        s_v, y_v, _ = memory[-1]
-        q_dir *= (s_v @ y_v) / (y_v @ (d * y_v)) * d
-    else:
-        q_dir /= max(1.0, np.linalg.norm(r))
-    for (s_v, y_v, rho), a in zip(memory, reversed(alphas)):
-        q_dir += (a - rho * (y_v @ q_dir)) * s_v
-    return q_dir
+def dense_bfgs(pairs, r, d):
+    """H r from the dense BFGS inverse update H <- (I - rho s y') H
+    (I - rho y s') + rho s s', rho = 1/s'y, over the pairs (s, y) oldest
+    first, starting at H0 = (s'y / y'Dy) D of the newest, D = diag(d); with
+    no pairs, r scaled to at most unit norm."""
+    if not pairs:
+        return r / max(1.0, np.linalg.norm(r))
+    s_v, y_v = pairs[-1]
+    h = np.diag((s_v @ y_v) / (y_v @ (d * y_v)) * d)
+    for s_v, y_v in pairs:
+        rho = 1.0 / (s_v @ y_v)
+        v = np.eye(len(r)) - rho * np.outer(y_v, s_v)
+        h = v.T @ h @ v + rho * np.outer(s_v, s_v)
+    return h @ r
 
 
-def assert_matches_two_loop(got, memory, pairs, r, d):
-    """``got`` = memory.apply(r, d) against the two-loop on the memory's
-    pairs, the last memory.k of ``pairs``."""
-    ref = two_loop(pairs[len(pairs) - memory.k:] if memory.k else [], r, d)
+def assert_matches_dense_bfgs(got, pairs, r, d):
+    """``got`` = the direction on the stored (s, y, 1/s'y) ``pairs``
+    against the dense BFGS update on the same (s, y)."""
+    ref = dense_bfgs([(s_v, y_v) for s_v, y_v, _ in pairs], r, d)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("size", [1, 3, 5, 20])
 def test_compact_lbfgs_matches_two_loop_on_random_pairs(size):
-    # 3 size + 25 appends, a reset (k = 0) of the full memory, and
-    # 3 size + 25 appends more: on each side of the reset the memory rolls
-    # over (drops its oldest pair) at least twice.  Each product draws its
-    # own positive diagonal d of H0, spread over four orders of magnitude.
+    # The two-loop direction over a deque of ``size`` pairs against the
+    # dense BFGS update: 3 size + 25 appends, a reset (clear) of the full
+    # deque, and 3 size + 25 appends more, so on each side of the reset the
+    # deque rolls over (drops its oldest pair) at least twice.  Each
+    # product draws its own positive diagonal d of H0, spread over four
+    # orders of magnitude.
     rng = np.random.default_rng(size)
     dim = 60
     # y = M s + noise with M SPD keeps s'y > 0, as the curvature test does
     basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     M = basis @ np.diag(rng.uniform(0.1, 10.0, dim)) @ basis.T
-    memory = solver._LBFGSMemory(size, dim)
-    pairs = []
+    pairs = collections.deque(maxlen=size)
     for phase in range(2):
         appended = rollovers = 0
         for _ in range(3 * size + 25):
             s_v = rng.standard_normal(dim)
             y_v = M @ s_v + 0.01 * rng.standard_normal(dim)
             assert s_v @ y_v > 0.0
-            memory.append(s_v, y_v)
-            pairs.append((s_v, y_v))
+            pairs.append((s_v, y_v, 1.0 / (s_v @ y_v)))
             appended += 1
             rollovers += appended > size
-            assert memory.k == min(appended, size)
+            assert len(pairs) == min(appended, size)
             r = np.where(rng.random(dim) < 0.1, 0.0, rng.standard_normal(dim))
             d = 10.0 ** rng.uniform(-2.0, 2.0, dim)
-            assert_matches_two_loop(memory.apply(r, d), memory, pairs, r, d)
+            assert_matches_dense_bfgs(
+                solver._direction(pairs, r, d), pairs, r, d)
         assert rollovers >= 2
-        memory.k = 0
-        assert_matches_two_loop(memory.apply(r, d), memory, pairs, r, d)
+        pairs.clear()
+        assert_matches_dense_bfgs(solver._direction(pairs, r, d), pairs, r, d)
+
+
+class CountedPairs(collections.deque):
+    """The ascent's pair deque, counting the pairs appended."""
+
+    appended = 0
+
+    def append(self, pair):
+        self.appended += 1
+        super().append(pair)
 
 
 def checked_ascent(p):
     """The trace of ``p``'s ascent, with every L-BFGS direction checked
-    against the two-loop run on the same pairs (pairs outlive a reset only
-    in the reference list), and (memory.k, pairs appended) at each."""
+    against the dense BFGS update on the same pairs, and (pairs held,
+    pairs appended) at each."""
     checked = []
+    real = solver._direction
 
-    class Checked(solver._LBFGSMemory):
-        def __init__(self, size, dim):
-            super().__init__(size, dim)
-            self.pairs = []
-
-        def append(self, s, y):
-            super().append(s, y)
-            self.pairs.append((s.copy(), y.copy()))
-
-        def apply(self, r, d):
-            got = super().apply(r, d)
-            assert_matches_two_loop(got, self, self.pairs, r, d)
-            checked.append((self.k, len(self.pairs)))
-            return got
+    def direction(pairs, r, d):
+        got = real(pairs, r, d)
+        assert_matches_dense_bfgs(got, pairs, r, d)
+        checked.append((len(pairs), pairs.appended))
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_LBFGSMemory", Checked)
+        mp.setattr(solver, "deque", CountedPairs)
+        mp.setattr(solver, "_direction", direction)
         _, trace = maximize_dual(p)
     return trace, checked
 
 
 def test_compact_lbfgs_matches_two_loop_on_ascent_pairs():
     # Every direction of two real ascents, a certified n = 100 one (13
-    # steps) and a converged indefinite one (25 steps).  Each fills the
-    # memory to every size it can hold and rolls it over: more pairs
-    # appended than it holds.  (Stalled ascents append more, but their
-    # last pairs sit at the round-off floor, where the two forms can part
-    # by far more than 1e-12.)
+    # steps) and a converged indefinite one, checked against the dense
+    # BFGS update.  Each fills the deque to every size it can hold and
+    # rolls it over: more pairs appended than it holds.  (Stalled ascents
+    # append more, but their last pairs sit at the round-off floor, where
+    # two forms of the product can part by far more than 1e-12.)
     size = solver._LBFGS_MEMORY
     for p, end in ((generate(suite_spec(100)), TERM_CERTIFIED),
-                   (indefinite(44), TERM_CONVERGED)):
+                   (indefinite(98), TERM_CONVERGED)):
         trace, checked = checked_ascent(p)
         assert trace.termination == end
         assert set(range(1, size + 1)) <= {k for k, _ in checked}
@@ -786,25 +786,28 @@ def test_ascent_pairs_carry_no_curvature_of_frozen_coordinates(monkeypatch):
         current[:] = [trial[0], g.copy(), p.m]
         return g
 
-    class Checked(solver._LBFGSMemory):
-        def apply(self, r, d):
-            # The last gradient formed is the current iterate's.
-            w, g, m = current
-            lb = np.full(len(w), MU_MIN)
-            lb[:m] = 0.0
-            frozen[:] = [(w <= lb) & (g < 0)]
-            return super().apply(r, d)
+    def checked(pairs, r, d):
+        # The last gradient formed is the current iterate's.
+        w, g, m = current
+        lb = np.full(len(w), MU_MIN)
+        lb[:m] = 0.0
+        frozen[:] = [(w <= lb) & (g < 0)]
+        return direction(pairs, r, d)
 
-        def append(self, s, y):
+    class Checked(collections.deque):
+        def append(self, pair):
+            s, y, _ = pair
             assert np.all(s[frozen[0]] == 0.0)
             assert np.all(y[frozen[0]] == 0.0)
             masked[0] += int(frozen[0].sum())
-            super().append(s, y)
+            super().append(pair)
 
     evaluate, gradient = solver.eliminate_tau, solver._gradient
+    direction = solver._direction
     monkeypatch.setattr(solver, "eliminate_tau", evaluated)
     monkeypatch.setattr(solver, "_gradient", recorded)
-    monkeypatch.setattr(solver, "_LBFGSMemory", Checked)
+    monkeypatch.setattr(solver, "_direction", checked)
+    monkeypatch.setattr(solver, "deque", Checked)
     for p in (generate(suite_spec(50, 1)), indefinite(0)):
         maximize_dual(p)
     assert masked[0] > 0

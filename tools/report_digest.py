@@ -10,19 +10,21 @@ Printed in order: the report count; each status's count; ``status
 <family> <status> <count>`` for every pair, zeros included;
 ``termination <family> <reason> <count>``, why the fallback-0 pass's
 ascents stopped, for every family and each of the four reasons, zeros
-included; ``check PASS`` and its count; each family's ascent
-``iterations`` (twice one pass's: the ascent does not depend on the
-fallback) and dual ``evaluations`` (``dvs.solver.eliminate_tau`` calls
-inside ``solve``) over both passes; ``bound <family> <median> <max>`` to
-three significant digits, the relative shortfall (optimum - final dual
-value) / (1 + |optimum|) of the fallback-0 pass for each family with an
-oracle optimum; ``problems <bytes> <sha256>`` over the problem files
+included; ``check PASS`` and its count; ``check FAIL <family> <kind>
+<count>`` for each failing kind, the text before the ``:`` of a failing
+report's first failure; each family's ascent ``iterations`` (twice one
+pass's: the ascent does not depend on the fallback) and dual
+``evaluations`` (``dvs.solver.eliminate_tau`` calls inside ``solve``)
+over both passes; ``bound <family> <median> <max>`` to three significant
+digits, the relative shortfall (optimum - final dual value) / (1 +
+|optimum|) of the fallback-0 pass for each family with an oracle
+optimum; ``problems <bytes> <sha256>`` over the problem files
 (``emit_problem``) of the set, so one bit moved in a generated instance
-shows; ``lift <bytes> <sha256>`` over the ``dvs lift`` files of the set's
-problems; and the bytes and sha256 of the reports concatenated.  CI fails
-when the ``status``, ``termination``, ``check PASS``, ``iterations``,
-``evaluations``, ``bound``, ``problems`` or ``lift`` lines differ from
-the committed ``tools/digest_status.txt``.
+shows; ``lift <bytes> <sha256>`` over the ``dvs lift`` files of the
+set's problems; and the bytes and sha256 of the reports concatenated.
+CI fails when the ``status``, ``termination``, ``check PASS``, ``check
+FAIL``, ``iterations``, ``evaluations``, ``bound``, ``problems`` or
+``lift`` lines differ from the committed ``tools/digest_status.txt``.
 
 Run from the repository root, with the BLAS pinned to one thread so the
 bytes do not depend on the thread count:
@@ -77,6 +79,7 @@ def main():
     iterations = collections.Counter()
     evaluations = collections.Counter()
     shortfalls = collections.defaultdict(list)
+    failed = collections.Counter()
     passed = size = 0
     for fallback in FALLBACKS:
         for family, p, problem, optimum in problems:
@@ -90,7 +93,10 @@ def main():
             statuses[r.status] += 1
             family_statuses[family, r.status] += 1
             iterations[family] += r.iterations
-            passed += check(problem, data)[0]
+            ok, failures = check(problem, data)
+            passed += ok
+            if failures:
+                failed[family, failures[0].split(":")[0]] += 1
             if fallback == 0:
                 terminations[family, r.solver_status] += 1
                 if optimum is not None:
@@ -108,6 +114,8 @@ def main():
             print(f"termination {family} {reason} "
                   f"{terminations[family, reason]}")
     print(f"check PASS {passed}")
+    for (family, kind), count in sorted(failed.items()):
+        print(f"check FAIL {family} {kind} {count}")
     for family, total in iterations.items():
         print(f"iterations {family} {total}")
     for family, total in evaluations.items():
