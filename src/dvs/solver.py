@@ -24,8 +24,7 @@ shortens the step to the maximizer of the quadratic through the current
 value, the slope and the failed value (Nocedal & Wright, *Numerical
 Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
 failed step, so the value that trial cost is not thrown away; a trial off
-the cone, or with a value that is not finite, halves it.  The ascent keeps
-its newest 3 curvature pairs in a deque of that length.
+the cone, or with a value that is not finite, halves it.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its feasibility, gap and status rules,
@@ -198,48 +197,49 @@ def _direction(pairs, r: np.ndarray, d: np.ndarray) -> np.ndarray:
 def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
     """Projected L-BFGS ascent of P_dual over {sigma >= 0, mu >= MU_MIN}.
 
-    The L-BFGS direction comes from the two-loop recursion (Nocedal, Math.
-    Comp. 35, 1980; Liu & Nocedal, Math. Prog. 45, 1989) over the last 3
-    curvature pairs, each pair storing y = g - g_try, the fall of the
-    gradient along the step s, with H0 = gamma diag(d) built once per
-    iteration: d_k = max(mu_k, 3 mu0)^2 on mu, with mu0 the start's uniform
-    mu, and the mean of those on sigma.  Below 3 mu0 every multiplier shares
-    one scale, as with H0 = gamma I; above it each steps on its own.  A
-    direction p with g'p <= 0 clears the pairs and falls back to steepest
-    ascent.  A coordinate at its bound whose gradient pushes outward (g < 0)
-    is frozen: the direction and so the step s are 0 there, and the stored
-    pair (s, y) has y = 0 there too.  The gradient change of a coordinate the
-    step held fixed is no curvature along the step; left in y it would enter
-    y'Dy, the scale gamma = s'y / y'Dy and the products with other pairs,
-    whose s may be nonzero there (s'y itself does not change).  L-BFGS-B
-    (Byrd, Lu, Nocedal & Zhu, 1995) likewise keeps its model on the free
-    variables.  The Armijo backtracking starts at the unit step and accepts
-    a trial whose rise v_try - v over the dual value v is at least 1e-4 dg,
-    dg = g'(w_try - w) > 0 the slope along the trial, so a flat trial fails
-    however small dg is.  After a failed trial on the cone with a finite
-    rise it multiplies the step by the maximizer t* = dg /
-    (2 (dg - (v_try - v))) of the quadratic through v, dg and v_try, clamped
-    to [0.1, 0.5], and after a trial off the cone or with a value that is
-    not finite it halves the step.  Every accepted iterate stays on the cone
-    of :func:`dvs.dual.eliminate_tau` and raises the dual value; the trace
+    The L-BFGS direction (Liu & Nocedal, Math. Prog. 45, 1989) comes from
+    the two-loop recursion (Nocedal, Math. Comp. 35, 1980) over the last 3
+    curvature pairs, each storing y = g - g_try, the fall of the gradient
+    along the step s, with H0 = gamma diag(d) built once per iteration: d_k =
+    max(mu_k, 3 mu0)^2 on mu, with mu0 the start's uniform mu, and the
+    mean of those on sigma.  Below 3 mu0 every multiplier shares one
+    scale, as with H0 = gamma I; above it each steps on its own.  A
+    direction p with g'p <= 0 clears the pairs and falls back to
+    steepest ascent.  A coordinate at its bound whose gradient pushes
+    outward (g < 0) is frozen: the direction and so the step s are 0
+    there, and the stored pair (s, y) has y = 0 there too.  The gradient
+    change of a coordinate the step held fixed is no curvature along the
+    step; left in y it would enter y'Dy, the scale gamma = s'y / y'Dy and
+    the products with other pairs, whose s may be nonzero there (s'y
+    itself does not change).  L-BFGS-B (Byrd, Lu, Nocedal & Zhu, 1995)
+    likewise keeps its model on the free variables.  The Armijo
+    backtracking starts at the unit step and accepts a trial whose rise
+    v_try - v over the dual value v is at least 1e-4 dg, dg = g'(w_try - w)
+    > 0 the slope along the trial, so a flat trial fails however small dg
+    is.  After a failed trial on the cone with a finite rise it multiplies
+    the step by the maximizer t* = dg / (2 (dg - (v_try - v))) of the
+    quadratic through v, dg and v_try, clamped to [0.1, 0.5], and after a
+    trial off the cone or with a value that is not finite it halves the
+    step.  Every accepted iterate stays on the cone of
+    :func:`dvs.dual.eliminate_tau` and raises the dual value; the trace
     records the dual value of the initial point and of each accepted step,
     and carries the rounded x and its certificate at the final iterate.
     Terminates at the first iterate (the initial point included) whose
-    rounded x certifies as CertifiedGlobal ("Certified"); otherwise when the
-    projected gradient infinity-norm falls to 1e-8 ("Converged"), after
-    ``_MAX_ITER`` steps ("MaxIterations"), or when no step along the
-    direction, down to 1e-16 of it, raises the dual value
-    ("LineSearchStall"; the last iterate, the best, is returned).  The whole
-    ascent runs with numpy's overflow and invalid warnings off.  Data whose
-    initial point or dual value there overflows doubles are a ValueError,
-    raised before the first step; an overflow later, such as H0's
-    max(mu, 3 mu0)^2 once mu0 passes about 1e154, leaves the line search no
-    rising step ("LineSearchStall"), not a warning.  By weak duality a dual
-    value on the cone bounds every feasible selection's objective from
-    below, and no selection's objective exceeds top = a'|Q|a / 2 + |c|'a,
-    a_i = max |U_i|: an iterate whose dual value exceeds
-    top + TOL_GAP (1 + |top|) proves the data infeasible, and the ascent
-    raises :class:`dvs.errors.Infeasible` there.
+    rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
+    the projected gradient infinity-norm falls to 1e-8 ("Converged"),
+    after ``_MAX_ITER`` steps ("MaxIterations"), or when no step along
+    the direction, down to 1e-16 of it, raises the dual value
+    ("LineSearchStall"; the last iterate, the best, is returned).
+    The whole ascent runs with numpy's overflow and invalid warnings off.
+    Data whose initial point or dual value there overflows doubles are a
+    ValueError, raised before the first step; an overflow later, such as
+    H0's max(mu, 3 mu0)^2 once mu0 passes about 1e154, leaves the line
+    search no rising step ("LineSearchStall"), not a warning.
+    By weak duality a dual value on the cone bounds every feasible
+    selection's objective from below, and no selection's objective exceeds
+    top = a'|Q|a / 2 + |c|'a, a_i = max |U_i|: an iterate whose dual value
+    exceeds top + TOL_GAP (1 + |top|) proves the data infeasible, and the
+    ascent raises :class:`dvs.errors.Infeasible` there.
     """
     m, K = p.m, p.K
     start = initial_point(p)
