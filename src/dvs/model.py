@@ -198,14 +198,17 @@ def lift(p: DiscreteQP) -> BinaryQP:
     turns 0.5 x'Qx - c'x into 0.5 y'By - h'y and Ax <= b into Dy <= b.
     For coordinate k of block i and l of block j, ``B[k, l] = Q[i, j] u_k
     u_l``, ``h[k] = c[i] u_k``, ``D[r, k] = A[r, i] u_k`` and ``H[i, k] =
-    1``; ``b`` and ``U_flat`` are ``p``'s."""
+    1``; ``b`` and ``U_flat`` are ``p``'s.  Data for which an entry of B,
+    h or D overflows doubles are a ValueError."""
     i, u = p.block_of, p.U_flat
+    with np.errstate(over="ignore", invalid="ignore"):
+        B, h, D = p.Q[i][:, i] * np.outer(u, u), p.c[i] * u, p.A[:, i] * u
+    if not all(np.isfinite(a).all() for a in (B, h, D)):
+        raise ValueError("the lifted problem overflows doubles")
     return BinaryQP(
         K=p.K,
         blocks=tuple((int(s), int(s + z)) for s, z in zip(p.starts, p.sizes)),
-        B=_readonly(p.Q[i][:, i] * np.outer(u, u)),
-        h=_readonly(p.c[i] * u),
-        D=_readonly(p.A[:, i] * u),
+        B=_readonly(B), h=_readonly(h), D=_readonly(D),
         H=_readonly((i == np.arange(p.n)[:, None]).astype(float)),
         b=p.b, U_flat=u)
 

@@ -29,7 +29,8 @@ def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
     the chunk, only choose x_best.  More than ``DEFAULT_LIMIT`` selections
     is TooLarge: ``dvs oracle``, the fallback of ``solve`` and
     ``dvs check`` share that one limit, so every oracle answer can be
-    verified again.
+    verified again.  Data for which a feasible selection's objective
+    overflows doubles are a ValueError.
     """
     cols = [np.asarray(ui, dtype=float) for ui in p.U]
     sizes = [u.size for u in cols]
@@ -43,7 +44,11 @@ def enumerate_discrete(p: DiscreteQP) -> tuple[np.ndarray, float, int, int]:
         Xf = X[np.all(X @ p.A.T <= p.b + VALUE_MEMBERSHIP_TOL, axis=1)]
         feasible += len(Xf)
         if len(Xf):
-            vals = 0.5 * np.einsum("ij,ij->i", Xf @ p.Q, Xf) - Xf @ p.c
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = 0.5 * np.einsum("ij,ij->i", Xf @ p.Q, Xf) - Xf @ p.c
+            if not np.isfinite(vals).all():
+                raise ValueError("the objective of a feasible selection "
+                                 "overflows doubles")
             k = int(np.argmin(vals))
             if vals[k] < best_value:
                 best_value, x = float(vals[k]), Xf[k].copy()

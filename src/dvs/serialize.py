@@ -195,17 +195,19 @@ def _bulk(v: list) -> np.ndarray | None:
     return None
 
 
-def _per_entry(v: list, path: str) -> np.ndarray:
-    """The entries of a JSON array, tested one by one: the SchemaError
-    names the first entry that is not a finite number."""
-    return np.array([_require_number(x, f"{path}[{i}]")
-                     for i, x in enumerate(v)], dtype=float)
+def _per_entry(v: list, path: str) -> None:
+    """Test the entries of a JSON array one by one: the SchemaError names
+    the first entry that is not a finite number."""
+    for i, x in enumerate(v):
+        _require_number(x, f"{path}[{i}]")
 
 
 def _numbers(v: list, path: str) -> np.ndarray:
     """The entries of a JSON array as a float array."""
     a = _bulk(v)
-    return _per_entry(v, path) if a is None else a
+    if a is None:
+        _per_entry(v, path)
+    return a
 
 
 def _require_gap(v, path: str) -> float:
@@ -248,15 +250,13 @@ def _parse_matrix(v, path: str, rows: int, cols: int, field: str) -> np.ndarray:
         if a is not None:
             return a.reshape(rows, cols)
     # The row-major walk raises the error of the first bad row or entry.
-    out = []
     for i, row in enumerate(v):
         if not isinstance(row, list):
             raise SchemaError(f"{path}[{i}]", "expected an array")
         if len(row) != cols:
             raise DimensionError(field, f"({rows}, {cols})",
                                  f"row {i} has {len(row)} entries")
-        out.append(_per_entry(row, f"{path}[{i}]"))
-    return np.array(out, dtype=float).reshape(rows, cols)
+        _per_entry(row, f"{path}[{i}]")
 
 
 def _parse_value_sets(v, path: str, n: int) -> tuple[tuple[float, ...], ...]:
@@ -269,20 +269,16 @@ def _parse_value_sets(v, path: str, n: int) -> tuple[tuple[float, ...], ...]:
         if a is not None:
             flat = iter(a.tolist())
             U = tuple(tuple(islice(flat, len(ui))) for ui in v)
-            for i, ui in enumerate(U):
-                if len(set(ui)) != len(ui):
-                    raise SchemaError(f"{path}[{i}]", "duplicate value in set")
-            return U
-    # The set-by-set walk raises the error of the first bad set or entry.
-    U = []
+            if all(len(set(ui)) == len(ui) for ui in U):
+                return U
+    # The set-by-set walk raises the error of the first bad set, entry or
+    # duplicate.
     for i, ui in enumerate(v):
         if not isinstance(ui, list) or not ui:
             raise SchemaError(f"{path}[{i}]", "expected a non-empty array")
-        vals = tuple(_per_entry(ui, f"{path}[{i}]").tolist())
+        vals = _numbers(ui, f"{path}[{i}]").tolist()
         if len(set(vals)) != len(vals):
             raise SchemaError(f"{path}[{i}]", "duplicate value in set")
-        U.append(vals)
-    return tuple(U)
 
 
 def parse_problem(data) -> DiscreteQP:
@@ -357,17 +353,20 @@ def check(problem_data, report_data) -> tuple[bool, list[str]]:
     x = rep["x"]
     if x.shape != (p.n,):
         return False, [f"x has {x.shape[0]} entries, expected {p.n}"]
-    if not is_feasible(p, x):
+    # As in verify_kkt, an x that overflows gives a NaN or an infinity,
+    # not a warning, and a NaN objective fails the comparison.
+    with np.errstate(over="ignore", invalid="ignore"):
+        feasible, recomputed = is_feasible(p, x), objective(p, x)
+    if not feasible:
         failures.append("feasibility: x violates Ax <= b or a value set")
-    recomputed = objective(p, x)
-    if abs(recomputed - rep["objective"]) > 1e-9:
+    if not abs(recomputed - rep["objective"]) <= 1e-9:
         failures.append(
             f"objective mismatch: reported {rep['objective']!r}, "
             f"recomputed {recomputed!r}")
     if status in (ORACLE_EXACT, ORACLE_FALLBACK):
         try:
             _, optimum, _, _ = enumerate_discrete(p)
-        except (TooLarge, Infeasible) as exc:
+        except (TooLarge, Infeasible, ValueError) as exc:
             failures.append(f"optimality: the oracle cannot verify this "
                             f"{status} report: {exc}")
         else:

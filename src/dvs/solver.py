@@ -16,15 +16,10 @@ on mu_k and the mean of those on sigma, so the mu that climb from mu0 to a
 hundred times it each step on their own scale rather than on one shared by
 all K.  An Armijo backtracking line search rejects any trial off that cone
 — feasibility before ascent — and any trial that does not raise the dual
-value, so every accepted step raises it.  As in L-BFGS-B (Byrd, Lu,
-Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) the curvature pairs model
-the free coordinates only: a pair's y is 0 on the coordinates the step
-held at their bound.  A trial on the cone that fails the Armijo test
-shortens the step to the maximizer of the quadratic through the current
-value, the slope and the failed value (Nocedal & Wright, *Numerical
-Optimization*, 2nd ed., section 3.5), kept between 0.1 and 0.5 of the
-failed step, so the value that trial cost is not thrown away; a trial off
-the cone, or with a value that is not finite, halves it.
+value, so every accepted step raises it; every failed trial halves the
+step.  As in L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16,
+1995) the curvature pairs model the free coordinates only: a pair's y is
+0 on the coordinates the step held at their bound.
 
 A certificate speaks for one point x with one value per block, whatever
 produced it: :func:`certify` holds its feasibility, gap and status rules,
@@ -89,9 +84,6 @@ TERM_MAX_ITER = "MaxIterations"
 TERM_STALL = "LineSearchStall"
 
 _ARMIJO_C1 = 1e-4
-# Bounds on the factor by which a failed Armijo trial shortens the step.
-_BACKTRACK_MIN = 0.1
-_BACKTRACK_MAX = 0.5
 _MIN_STEP = 1e-16
 # H0 follows the multipliers, which grow about 40-fold over an ascent, so a
 # pair older than a few steps holds curvature at a scale the ascent has
@@ -103,7 +95,7 @@ _LBFGS_MEMORY = 3
 _SCALE_FLOOR = 3.0
 _TOL_GRAD = 1e-8
 # The ascent's step budget, far above the most steps measured: 12 on
-# criterion 4's instances, 403 on the indefinite family's 120 (k = 0..119),
+# criterion 4's instances, 320 on the indefinite family's 120 (k = 0..119),
 # and 13 on GenSpec(n, 5, 4242 + n) at both n = 300 and 1000.  Most of the
 # signed and planted instances of tests/families.py at n = 12-30 use it all.
 _MAX_ITER = 5000
@@ -216,14 +208,12 @@ def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
     backtracking starts at the unit step and accepts a trial whose rise
     v_try - v over the dual value v is at least 1e-4 dg, dg = g'(w_try - w)
     > 0 the slope along the trial, so a flat trial fails however small dg
-    is.  After a failed trial on the cone with a finite rise it multiplies
-    the step by the maximizer t* = dg / (2 (dg - (v_try - v))) of the
-    quadratic through v, dg and v_try, clamped to [0.1, 0.5], and after a
-    trial off the cone or with a value that is not finite it halves the
-    step.  Every accepted iterate stays on the cone of
-    :func:`dvs.dual.eliminate_tau` and raises the dual value; the trace
-    records the dual value of the initial point and of each accepted step,
-    and carries the rounded x and its certificate at the final iterate.
+    is; every failed trial, one off the cone or with a value that is not
+    finite included, halves the step.  Every accepted iterate stays on the
+    cone of :func:`dvs.dual.eliminate_tau` and raises the dual value; the
+    trace records the dual value of the initial point and of each accepted
+    step, and carries the rounded x and its certificate at the final
+    iterate.
     Terminates at the first iterate (the initial point included) whose
     rounded x certifies as CertifiedGlobal ("Certified"); otherwise when
     the projected gradient infinity-norm falls to 1e-8 ("Converged"),
@@ -308,25 +298,17 @@ def maximize_dual(p: DiscreteQP) -> tuple[DualPoint, AscentTrace]:
         while step >= _MIN_STEP:
             w_try = np.maximum(w + step * direction, lb)
             dg = g @ (w_try - w)
-            shrink = 0.5
             if dg > 0.0:
                 res = eliminate_tau(p, w_try[:m], w_try[m:])
                 evaluations += 1
                 if res is None:
                     rejections += 1
-                else:
-                    # Not v_try >= v + c1 dg, whose sum rounds to v when
-                    # c1 dg is below half an ulp of v: a flat trial fails.
-                    rise = res[0] - v
-                    if rise >= _ARMIJO_C1 * dg:
-                        accepted = (w_try, res)
-                        break
-                    if math.isfinite(rise):
-                        # The maximizer of the quadratic through v, dg
-                        # and v_try, as a fraction of this step.
-                        shrink = min(max(dg / (2.0 * (dg - rise)),
-                                         _BACKTRACK_MIN), _BACKTRACK_MAX)
-            step *= shrink
+                # Not v_try >= v + c1 dg, whose sum rounds to v when c1 dg
+                # is below half an ulp of v: a flat trial fails.
+                elif res[0] - v >= _ARMIJO_C1 * dg:
+                    accepted = (w_try, res)
+                    break
+            step *= 0.5
         if accepted is None:
             termination = TERM_STALL
             break
@@ -399,13 +381,13 @@ def certify(p: DiscreteQP, x: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
 
 def verify_kkt(p: DiscreteQP, x: np.ndarray, d: DualPoint) -> Certificate:
     """:func:`certify` x at the tau-maximized dual value of one
-    :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu).  The kernel
-    runs under the ascent's ``np.errstate``: data that overflow it give a
-    NaN or infinite value, not a warning."""
+    :func:`dvs.dual.eliminate_tau` call at (d.sigma, d.mu).  Both run
+    under the ascent's ``np.errstate``: data or an x that overflow them
+    give a NaN or infinite value, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         res = eliminate_tau(p, d.sigma, d.mu)
-    return certify(p, np.asarray(x, dtype=float), d.sigma, d.mu,
-                   -np.inf if res is None else res[0])
+        return certify(p, np.asarray(x, dtype=float), d.sigma, d.mu,
+                       -np.inf if res is None else res[0])
 
 
 def solve(p: DiscreteQP, *,

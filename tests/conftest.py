@@ -25,6 +25,17 @@ EX2_X = np.ones(10)
 EX2_VALUE = 45.54
 VALUE_TOL = 0.5
 
+# Problems whose objective overflows doubles at a feasible selection, as
+# dicts to be written as problem files.  In the first x = 0 is feasible
+# with objective 0 while x = 10 scores inf - inf; in the second x_1 = 1e10
+# scores -inf.
+OVERFLOWING_OBJECTIVES = (
+    {"n": 1, "m": 1, "Q": [[8e307]], "c": [1e308], "A": [[0]], "b": [1],
+     "U": [[0, 10]]},
+    {"n": 2, "m": 1, "Q": [[-1e300, 0], [0, 1]], "c": [0, 0],
+     "A": [[1, 1]], "b": [1e12], "U": [[0, 1e10], [0, 1]]},
+)
+
 
 def reference_discrete(p):
     """First strict minimum of an itertools.product walk over the value

@@ -20,6 +20,8 @@ from dvs.model import DiscreteQP
 from dvs.serialize import emit_problem, emit_report
 from dvs.solver import solve
 
+from conftest import OVERFLOWING_OBJECTIVES
+
 # Started only by the tests whose subject is a new interpreter; every
 # other test runs cli.main in the test process through run_cli.
 CLI = [sys.executable, "-m", "dvs.cli"]
@@ -243,6 +245,16 @@ def test_oracle_reports_objective(example1_path, tmp_path):
     assert doc["x"] == [5.0, 2.0, 5.0, 2.0, 2.0]
 
 
+@pytest.mark.parametrize("doc", OVERFLOWING_OBJECTIVES)
+def test_oracle_exits_two_when_a_feasible_objective_overflows(doc, tmp_path):
+    prob, out = tmp_path / "p.json", tmp_path / "o.json"
+    prob.write_text(json.dumps(doc))
+    cp = run_cli("oracle", str(prob), "--out", str(out))
+    assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", (
+        "error: the objective of a feasible selection overflows doubles\n"))
+    assert not out.exists()
+
+
 def test_oracle_limit_exits_two(tmp_path, capsys):
     # 2**25 selections exceed the one fixed limit, which has no flag.
     n = 25
@@ -302,6 +314,16 @@ def test_lift_writes_lifted_problem(example1_path, tmp_path):
     doc = json.loads(out.read_bytes())
     assert doc["K"] == 15
     assert doc["B"][0][0] == pytest.approx(13.72)
+
+
+def test_lift_exits_two_when_lifted_entries_overflow(tmp_path):
+    prob, out = tmp_path / "p.json", tmp_path / "lifted.json"
+    prob.write_text(json.dumps(dict(OVERFLOWING_OBJECTIVES[1],
+                                    Q=[[1e300, 0], [0, 1]])))
+    cp = run_cli("lift", str(prob), "--out", str(out))
+    assert (cp.returncode, cp.stderr) == (
+        2, "error: the lifted problem overflows doubles\n")
+    assert not out.exists()
 
 
 def test_toy_solution_output():
@@ -389,6 +411,13 @@ def test_toy_non_finite_range_exits_two_before_printing(span, tmp_path,
     assert not out.exists()
 
 
+def test_toy_range_without_a_value_exits_two():
+    cp = run_cli("toy", "--alpha", "1", "--lambda", "1", "--f", "1",
+                 "--range")
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert "--range: expected one argument" in cp.stderr
+
+
 @pytest.mark.parametrize("span", ["5", "", "1:2:3", "a:5", "-5:"])
 def test_toy_malformed_range_exits_two_naming_the_form(span):
     cp = run_cli("toy", "--alpha", "1", "--lambda", "1", "--f", "1",
@@ -404,6 +433,21 @@ def test_check_round_trip(example1_path, tmp_path):
     cp = run_cli("check", str(example1_path), str(report))
     assert cp.returncode == 0
     assert cp.stdout.strip() == "PASS"
+
+
+def test_check_fails_an_x_that_overflows_without_a_warning(tmp_path):
+    # The objective at x is NaN, which fails the comparison; neither it nor
+    # the certificate's re-verification warns.
+    prob, report = tmp_path / "p.json", tmp_path / "r.json"
+    run_cli("gen", "--n", "3", "--m", "2", "--seed", "1", "--out", str(prob))
+    run_cli("solve", str(prob), "--out", str(report))
+    doc = json.loads(report.read_bytes())
+    doc["x"] = [1e308] * 3
+    report.write_text(json.dumps(doc))
+    cp = run_cli("check", str(prob), str(report))
+    assert cp.returncode == 4
+    assert (f"  objective mismatch: reported {doc['objective']!r}, "
+            f"recomputed nan\n") in cp.stdout
 
 
 def test_check_fails_on_tampered_report(example1_path, tmp_path):

@@ -191,6 +191,8 @@ def test_spec_validation():
         GenSpec(n=1, m=0, seed=0)
     with pytest.raises(ValueError):
         GenSpec(n=1, m=1, seed=0, value_set=(1.0, 1.0))
+    with pytest.raises(ValueError, match="^value_set must be non-empty$"):
+        GenSpec(n=1, m=1, seed=0, value_set=())
     with pytest.raises(ValueError):
         GenSpec(n=1, m=1, seed=0, coeff_range=(1.0, 1.0))
 

@@ -1,9 +1,14 @@
 """Lifting to one-hot 0-1 form."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dvs.model import DiscreteQP, lift, objective
+from dvs.serialize import parse_problem
+
+from conftest import OVERFLOWING_OBJECTIVES
 
 
 def test_lift_shapes_and_structure(example1):
@@ -79,3 +84,11 @@ def test_lift_without_constraints():
     q = lift(p)
     assert q.m == 0 and q.K == 4
     assert np.array_equal(q.U_flat, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_lift_refuses_entries_that_overflow():
+    # B[1, 1] = Q[0, 0] u_1 u_1 = 1e300 * 1e10 * 1e10.
+    doc = dict(OVERFLOWING_OBJECTIVES[1], Q=[[1e300, 0], [0, 1]])
+    with pytest.raises(ValueError,
+                       match="^the lifted problem overflows doubles$"):
+        lift(parse_problem(json.dumps(doc)))

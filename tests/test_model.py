@@ -81,6 +81,13 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.ones((2, 2)),
                    b=np.ones(1), U=[[0.0, 1.0]] * 2)
+    with pytest.raises(DimensionError, match=r"^Q: expected shape \(n, n\)"):
+        DiscreteQP(Q=np.ones((2, 3)), c=np.zeros(2), A=np.zeros((0, 2)),
+                   b=np.zeros(0), U=[[0.0, 1.0]] * 2)
+    with pytest.raises(DimensionError, match=r"^U: expected shape 2 value "
+                                             r"sets, got 1 value sets$"):
+        DiscreteQP(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)),
+                   b=np.zeros(0), U=[[0.0, 1.0]])
 
 
 def test_empty_or_duplicate_value_set_rejected():
@@ -247,3 +254,5 @@ def test_dual_point_shapes_preserved():
     assert [f.name for f in dataclasses.fields(d)] == ["sigma", "mu"]
     with pytest.raises(ValueError):
         d.mu[0] = 2.0
+    with pytest.raises(DimensionError, match=r"^sigma: expected shape"):
+        DualPoint(sigma=np.zeros((2, 2)), mu=np.ones(4))

@@ -2,6 +2,7 @@
 optimum, both against the itertools references of conftest."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from dvs.errors import Infeasible, TooLarge
 from dvs.generator import GenSpec, generate
 from dvs.model import DiscreteQP, lift, objective
 from dvs.oracle import enumerate_discrete
+from dvs.serialize import parse_problem
 
-from conftest import reference_binary, reference_discrete
+from conftest import (OVERFLOWING_OBJECTIVES, reference_binary,
+                      reference_discrete)
 from families import criterion4_spec, indefinite_spec, planted
 
 
@@ -235,3 +238,12 @@ def test_binary_enumeration_respects_constraints():
     y, value = reference_binary(q, p)
     assert np.all(q.D @ y <= q.b + 1e-9)
     assert value == pytest.approx(-5.0)
+
+
+@pytest.mark.parametrize("doc", OVERFLOWING_OBJECTIVES)
+def test_oracle_refuses_a_feasible_objective_that_overflows(doc):
+    # A NaN or infinite score would win or lose argmin by accident.
+    p = parse_problem(json.dumps(doc))
+    with pytest.raises(ValueError, match="^the objective of a feasible "
+                                         "selection overflows doubles$"):
+        enumerate_discrete(p)

@@ -38,6 +38,8 @@ from dvs.serialize import (
 from dvs.solver import solve, verify_kkt
 from dvs.toy import ToyInstance, toy_solve
 
+from conftest import OVERFLOWING_OBJECTIVES
+
 from families import suite_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -147,6 +149,12 @@ def test_parse_names_an_overflowing_symmetrization():
            "U": [[0, 1]]}
     with pytest.raises(ValueError,
                        match=r"^the symmetrization of Q overflows$"):
+        parse_problem(json.dumps(doc))
+
+
+def test_parse_rejects_a_problem_without_variables():
+    doc = {"n": 0, "m": 0, "Q": [], "c": [], "A": [], "b": [], "U": []}
+    with pytest.raises(SchemaError, match=r"^\$\.n: must be >= 1$"):
         parse_problem(json.dumps(doc))
 
 
@@ -393,6 +401,10 @@ def test_parse_report_minimal_shape():
     assert rep["objective"] == 2.0
     with pytest.raises(SchemaError):
         parse_report(b'{"status": "X"}')
+    with pytest.raises(SchemaError, match=r"^\$: expected a JSON object$"):
+        parse_report(b'[{"status": "X", "x": [1.0], "objective": 2.0}]')
+    with pytest.raises(SchemaError, match=r"^\$\.x: expected an array$"):
+        parse_report(b'{"status": "X", "x": 1.0, "objective": 2.0}')
 
 
 def test_check_passes_fresh_report(example1):
@@ -419,6 +431,22 @@ def test_check_flags_tampered_objective(example1):
     passed, failures = check(emit_problem(example1), json.dumps(doc))
     assert not passed
     assert any("objective" in f for f in failures)
+
+
+def test_check_fails_an_x_of_the_wrong_length(example1):
+    doc = json.loads(emit_report(solve(example1)))
+    doc["x"] = doc["x"][:-1]
+    assert check(emit_problem(example1), json.dumps(doc)) == (
+        False, ["x has 4 entries, expected 5"])
+
+
+def test_check_reports_an_oracle_overflow_as_unverifiable():
+    # x = 0 is feasible with objective 0, but x = 10's objective overflows.
+    problem = json.dumps(OVERFLOWING_OBJECTIVES[0])
+    report = emit_oracle_report(np.zeros(1), 0.0, 2, 2, 0.0)
+    assert check(problem, report) == (False, [
+        "optimality: the oracle cannot verify this OracleExact report: the "
+        "objective of a feasible selection overflows doubles"])
 
 
 def test_check_flags_infeasible_x(example1):

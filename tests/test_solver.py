@@ -449,6 +449,33 @@ def test_ascent_log_reports_evaluations_and_rejections(example1, caplog):
     assert 0 <= int(resets.group(1)) <= iterations
 
 
+def test_a_direction_that_does_not_ascend_resets_the_pairs(
+        example1, monkeypatch, caplog):
+    # The first direction formed from pairs is turned into -H r, which
+    # descends: the ascent clears the pairs, steps along the steepest
+    # ascent direction instead, and still certifies.
+    direction = solver._direction
+    flipped = []
+
+    def descending_once(pairs, r, d):
+        q = direction(pairs, r, d)
+        if pairs and not flipped:
+            flipped.append(True)
+            return -q
+        return q
+
+    monkeypatch.setattr(solver, "_direction", descending_once)
+    with caplog.at_level("INFO", logger="dvs.solver"):
+        _, trace = maximize_dual(example1)
+    assert flipped
+    line = next(rec.getMessage() for rec in caplog.records
+                if rec.getMessage().startswith("dual ascent:"))
+    assert line.endswith(", 1 L-BFGS resets"), line
+    assert trace.termination == TERM_CERTIFIED
+    assert trace.certificate.status == "CertifiedGlobal"
+    assert np.array_equal(trace.x, EX1_X)
+
+
 def test_ascent_log_reports_the_first_gap_iteration(example1, monkeypatch,
                                                     caplog):
     # The ascent certifies x exactly at the iterates whose x meets the
@@ -494,8 +521,8 @@ def scripted_line_search(monkeypatch, problem, script):
     Trial k answers by ``script[k]``: None leaves the cone, "nan" has a
     NaN value, and a number t is a failed Armijo trial whose quadratic
     through the start value, the slope and its value has its maximizer t
-    of the way along the trial step.  The trial after the script is
-    accepted.
+    of the way along the trial step, a value that the step after it does
+    not read.  The trial after the script is accepted.
     """
     assert problem.m > 0  # the steps are read off sigma_1, which starts at 0
     real = solver.eliminate_tau
@@ -530,15 +557,17 @@ def scripted_line_search(monkeypatch, problem, script):
     return [(w[0] - points[0][0]) / 0.1 for w in points[1:]]
 
 
+# Every failed trial halves the step, whatever its value: far below the
+# start, just below it, none off the cone, or NaN.
 @pytest.mark.parametrize("script, factors", [
-    ([0.3], [0.3]),                    # inside (0.1, 0.5): the minimizer
-    ([0.3, 0.2], [0.3, 0.2]),          # one failure after another
-    ([0.01], [0.1]),                   # far too long a step: 0.1
-    ([1e-9], [0.1]),
-    ([0.49999], [0.49999]),            # lowers the value by 2e-5 dg: fails
-    ([None], [0.5]),                   # off the cone: halve
-    (["nan"], [0.5]),                  # no value to interpolate: halve
-    ([None, 0.25, "nan"], [0.5, 0.25, 0.5]),
+    ([0.3], [0.5]),
+    ([0.3, 0.2], [0.5, 0.5]),          # one failure after another
+    ([0.01], [0.5]),                   # far too long a step
+    ([1e-9], [0.5]),
+    ([0.49999], [0.5]),                # lowers the value by 2e-5 dg: fails
+    ([None], [0.5]),                   # off the cone
+    (["nan"], [0.5]),
+    ([None, 0.25, "nan"], [0.5, 0.5, 0.5]),
 ])
 def test_failed_armijo_trial_interpolates_the_next_step(
         example1, monkeypatch, script, factors):
@@ -550,8 +579,9 @@ def test_failed_armijo_trial_interpolates_the_next_step(
 
 
 def test_n50_suite_certifies_in_fewer_dual_evaluations(caplog):
-    # Halving after every failed Armijo trial took 112 + 107 + 115 = 334
-    # evaluations for the same three certificates.
+    # With 20 curvature pairs and a scalar H0, halving after every failed
+    # Armijo trial took 112 + 107 + 115 = 334 evaluations for the same
+    # three certificates; with 3 pairs and the diagonal H0 it takes 39.
     evaluations = 0
     for i in range(3):
         caplog.clear()
